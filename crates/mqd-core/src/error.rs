@@ -97,6 +97,13 @@ pub enum MqdError {
     },
 }
 
+impl MqdError {
+    /// A [`MqdError::Protocol`] with the given message.
+    pub fn protocol(msg: impl Into<String>) -> Self {
+        MqdError::Protocol { msg: msg.into() }
+    }
+}
+
 impl fmt::Display for MqdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -207,9 +214,7 @@ mod tests {
             what: "lambda 5 != 7".into(),
         };
         assert!(e.to_string().contains("lambda 5 != 7"));
-        let e = MqdError::Protocol {
-            msg: "unknown command FROB".into(),
-        };
+        let e = MqdError::protocol("unknown command FROB");
         assert!(e.to_string().contains("unknown command FROB"));
         let e = MqdError::Poisoned { what: "store" };
         assert!(e.to_string().contains("store lock poisoned"));

@@ -42,6 +42,7 @@ fn applies(rel: &str) -> bool {
     rel.starts_with("crates/mqd-core/src/algorithms")
         || rel.starts_with("crates/mqd-store/src")
         || rel == "crates/mqd-server/src/protocol.rs"
+        || rel == "crates/mqd-server/src/conn.rs"
         || rel.starts_with("crates/mqd-stream/src")
         || rel.starts_with("crates/mqd-router/src")
         || rel.starts_with("crates/mqd-load/src")
@@ -238,6 +239,22 @@ fn f(m: &HashMap<u16, u32>) {
 ";
         let out = lint_source(
             "crates/mqd-router/src/backend.rs",
+            src,
+            &LintConfig::subset(&[super::ID]).unwrap(),
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+    }
+
+    #[test]
+    fn connection_engine_is_in_scope() {
+        // It renders the byte-compared `"served"` STATS fragment.
+        let src = "\
+fn f(m: &HashMap<u16, u32>) {
+    for (k, v) in m.iter() { use_it(k, v); }
+}
+";
+        let out = lint_source(
+            "crates/mqd-server/src/conn.rs",
             src,
             &LintConfig::subset(&[super::ID]).unwrap(),
         );

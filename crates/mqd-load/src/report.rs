@@ -9,6 +9,8 @@
 //! evidence-file discipline: the claim, the numbers, and the replay
 //! coordinates travel together.
 
+use mqd_server::json_u64;
+
 use crate::hist::Hist;
 use crate::plan::Plan;
 
@@ -68,17 +70,6 @@ pub struct RunOutcome {
     pub stats_before: Option<String>,
     /// Raw `STATS` JSON after the run (live runs only).
     pub stats_after: Option<String>,
-}
-
-/// Extracts the first `"key":<uint>` occurrence from a flat-ish JSON blob.
-/// The STATS wire format nests objects but never repeats the keys the
-/// harness reads across sections, so first-occurrence is exact.
-fn json_u64(s: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = s.find(&needle)? + needle.len();
-    let rest = s.get(at..)?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 /// The STATS keys the report tracks as before/after deltas: cache pressure
@@ -269,14 +260,6 @@ mod tests {
             ops: Vec::new(),
             slow_conns: Vec::new(),
         }
-    }
-
-    #[test]
-    fn json_u64_extracts_first_occurrence() {
-        let s = r#"{"cache":{"repairs":12},"served":{"errors":3,"overloads":0}}"#;
-        assert_eq!(json_u64(s, "repairs"), Some(12));
-        assert_eq!(json_u64(s, "errors"), Some(3));
-        assert_eq!(json_u64(s, "missing"), None);
     }
 
     #[test]

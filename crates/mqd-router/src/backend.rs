@@ -21,10 +21,6 @@ use mqd_core::wire::{shard_of_label, ShardIdentity, MAX_SHARD_COUNT};
 use mqd_core::MqdError;
 use mqd_server::{Client, Response};
 
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
-
 /// The validated cluster shape: the ordered backend addresses and the
 /// shard count they are partitioned into.
 #[derive(Clone, Debug)]
@@ -40,17 +36,17 @@ impl Topology {
     /// of replicas, or the positional map would leave shards short).
     pub fn new(backends: Vec<String>, shard_count: u32) -> Result<Self, MqdError> {
         if backends.is_empty() {
-            return Err(perr("a router needs at least one backend"));
+            return Err(MqdError::protocol("a router needs at least one backend"));
         }
         if shard_count == 0 || shard_count > MAX_SHARD_COUNT {
-            return Err(perr(format!(
+            return Err(MqdError::protocol(format!(
                 "shard count {shard_count} outside 1..={MAX_SHARD_COUNT}"
             )));
         }
         if backends.len() < shard_count as usize
             || !backends.len().is_multiple_of(shard_count as usize)
         {
-            return Err(perr(format!(
+            return Err(MqdError::protocol(format!(
                 "{} backends cannot serve {shard_count} shards evenly (need a multiple of \
                  {shard_count})",
                 backends.len()
@@ -122,14 +118,16 @@ impl<'a> BackendPool<'a> {
     /// configuration error, surfaced typed.
     pub fn session(&mut self, idx: usize) -> Result<&mut Client, MqdError> {
         let Some(slot) = self.conns.get_mut(idx) else {
-            return Err(perr(format!("backend index {idx} out of range")));
+            return Err(MqdError::protocol(format!(
+                "backend index {idx} out of range"
+            )));
         };
         if slot.is_none() {
             let addr = &self.topo.backends()[idx];
             let mut client = Client::connect(addr.as_str())?;
             let verdict = client.hello(&self.topo.identity_of(idx))?;
             if !verdict.is_ok() {
-                return Err(perr(format!(
+                return Err(MqdError::protocol(format!(
                     "backend {addr} rejected the shard map: {}",
                     verdict.status
                 )));
@@ -140,7 +138,9 @@ impl<'a> BackendPool<'a> {
             Some(c) => Ok(c),
             // Unreachable by construction (filled just above); kept typed
             // so a future refactor cannot turn it into a worker panic.
-            None => Err(perr(format!("backend {idx} session unavailable"))),
+            None => Err(MqdError::protocol(format!(
+                "backend {idx} session unavailable"
+            ))),
         }
     }
 
@@ -204,7 +204,7 @@ fn no_live_backend(shard: u32, shard_count: u32, last: Option<MqdError>) -> MqdE
         Some(e) => format!(": {e}"),
         None => String::new(),
     };
-    perr(format!(
+    MqdError::protocol(format!(
         "shard {shard}/{shard_count} has no live backend{detail}"
     ))
 }

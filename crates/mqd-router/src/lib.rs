@@ -3,8 +3,10 @@
 //! A single `mqd-server` holds the whole corpus; this crate scales the
 //! serving layer *out* while keeping the serving contract — byte-identical
 //! answers — intact. The router is a second std-only TCP process that
-//! speaks the same line/JSON protocol to clients and partitions the corpus
-//! across N shard backends by label: label `l` belongs to shard
+//! speaks the same line/JSON protocol to clients — its frontend is
+//! `mqd-server`'s connection engine ([`mqd_server::conn`]) behind a
+//! scatter-gather handler, so this crate holds no transport code — and
+//! partitions the corpus across N shard backends by label: label `l` belongs to shard
 //! [`mqd_core::wire::shard_of_label`]`(l, N)`, and backend `j` of the
 //! ordered backend list serves shard `j mod N` (so `backends / N` replicas
 //! per shard).

@@ -14,16 +14,12 @@ use mqd_core::record::{format_tsv, parse_tsv_line, Record};
 use mqd_core::MqdError;
 use mqd_store::{run_query, QuerySpec, Store};
 
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
-
 /// Parses one shard payload line back into a [`Record`], rejecting blank
 /// or comment lines (a backend never emits them; seeing one means the
 /// payload is not a row stream).
 fn parse_row(line: &str, line_no: usize) -> Result<Record, MqdError> {
     parse_tsv_line(line, line_no)?.ok_or_else(|| {
-        perr(format!(
+        MqdError::protocol(format!(
             "shard payload line {line_no} is not a row: {line:?}"
         ))
     })

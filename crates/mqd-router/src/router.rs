@@ -1,32 +1,26 @@
-//! The router runtime: frontend acceptor/worker pool, per-verb routing,
-//! scatter-gather execution, and the `SUBSCRIBE` failover relay.
+//! The router runtime: the scatter-gather [`Handler`] behind the shared
+//! connection engine (`mqd_server::conn`), and the `SUBSCRIBE` failover
+//! relay.
 
 use std::collections::BTreeSet;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use mqd_core::record::{decode_records, Record};
+use mqd_core::record::Record;
 use mqd_core::MqdError;
-use mqd_server::lineio::{idle_ticks_for, BodyEvent, LineEvent, LineReader, READ_TICK};
+use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
-    parse_request, write_err, write_ok, write_overloaded, Request, SubscribeSpec, MAX_BATCH_ROWS,
-    MAX_LINE_BYTES, TERMINATOR,
+    decode_batch, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
 };
-use mqd_server::{format_query, Client, Response};
+use mqd_server::{format_query, json_u64, Client, Response};
 use mqd_store::{repairable, QuerySpec};
 use mqd_stream::ShardEngineKind;
 
 use crate::backend::{BackendPool, Topology};
 use crate::merge::{merge_rows, solve_merged};
-
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
 
 /// Router settings, as exposed by `mqdiv route`.
 #[derive(Clone, Debug)]
@@ -46,8 +40,9 @@ pub struct RouterConfig {
     pub max_queue: usize,
     /// Per-request idle budget for frontend connections, as on the server
     /// ([`ServerConfig::idle_timeout`](mqd_server::ServerConfig)): stalled
-    /// request lines and bodies get a typed `-ERR Timeout` instead of
-    /// parking a worker. `None` (the default) waits forever.
+    /// request lines and bodies get a typed `-ERR Timeout`, and stalled
+    /// response writes are closed, instead of parking a worker. `None`
+    /// (the default) waits forever.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -62,17 +57,6 @@ impl Default for RouterConfig {
             idle_timeout: None,
         }
     }
-}
-
-#[derive(Default)]
-struct Served {
-    connections: AtomicU64,
-    queries: AtomicU64,
-    ingested_rows: AtomicU64,
-    subscribes: AtomicU64,
-    errors: AtomicU64,
-    overloads: AtomicU64,
-    timeouts: AtomicU64,
 }
 
 /// The router's exact corpus ledger. The router is the cluster's single
@@ -107,20 +91,13 @@ impl Ledger {
 struct RouterState {
     topo: Topology,
     ledger: Mutex<Ledger>,
-    served: Served,
-    draining: AtomicBool,
-    addr: SocketAddr,
-    threads: usize,
-    /// Idle budget in `READ_TICK`s for every frontend connection's reads.
-    idle_ticks: Option<u32>,
 }
 
 /// A bound, ready-to-run router. [`Router::run`] blocks until a `DRAIN`
 /// request shuts it down (after forwarding the drain to every backend).
 pub struct Router {
-    listener: TcpListener,
-    state: Arc<RouterState>,
-    max_queue: usize,
+    engine: Engine,
+    state: RouterState,
 }
 
 impl Router {
@@ -129,17 +106,17 @@ impl Router {
     /// backends are still starting.
     pub fn bind(cfg: &RouterConfig) -> Result<Self, MqdError> {
         let topo = Topology::new(cfg.backends.clone(), cfg.shards)?;
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let threads = if cfg.threads == 0 {
-            mqd_par::configured_threads().max(4)
-        } else {
-            cfg.threads
-        };
+        let engine = Engine::bind(
+            "router",
+            &cfg.addr,
+            cfg.threads,
+            cfg.max_queue,
+            cfg.idle_timeout,
+        )?;
         let shard_count = topo.shard_count() as usize;
         Ok(Router {
-            listener,
-            state: Arc::new(RouterState {
+            engine,
+            state: RouterState {
                 topo,
                 ledger: Mutex::new(Ledger {
                     rows: 0,
@@ -148,174 +125,26 @@ impl Router {
                     max_value: None,
                     watermarks: vec![0; shard_count],
                 }),
-                served: Served::default(),
-                draining: AtomicBool::new(false),
-                addr,
-                threads,
-                idle_ticks: idle_ticks_for(cfg.idle_timeout),
-            }),
-            max_queue: cfg.max_queue.max(1),
+            },
         })
     }
 
     /// The bound frontend address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.engine.local_addr()
     }
 
-    /// Serves until drained — the same acceptor/bounded-queue/worker-pool
-    /// shape as `mqd-server`, minus the store.
+    /// Serves until drained (see [`Engine::serve`]).
     pub fn run(self) -> Result<(), MqdError> {
-        let (tx, rx) = sync_channel::<TcpStream>(self.max_queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let state = self.state;
-        std::thread::scope(|s| {
-            for _ in 0..state.threads {
-                let rx = Arc::clone(&rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || worker_loop(&rx, &st));
-            }
-            for conn in self.listener.incoming() {
-                if state.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                state.served.connections.fetch_add(1, Ordering::Relaxed);
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(conn)) => {
-                        state.served.overloads.fetch_add(1, Ordering::Relaxed);
-                        let mut w = BufWriter::new(conn);
-                        let _ = write_overloaded(&mut w, "router at capacity, retry later");
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            drop(tx);
-        });
+        self.engine.serve(&self.state);
         Ok(())
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &RouterState) {
-    loop {
-        let conn = {
-            // A poisoned receiver mutex means a sibling worker panicked
-            // mid-recv; the pool is already compromised, so this worker
-            // retires instead of panicking too.
-            let Ok(guard) = rx.lock() else { return };
-            // lint:allow(blocking-call,guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
-            guard.recv()
-        };
-        match conn {
-            Ok(c) => {
-                let _ = handle_conn(c, state);
-            }
-            Err(_) => return, // acceptor dropped the sender: drain complete
-        }
-    }
-}
-
-enum Flow {
-    Continue,
-    Close,
-}
-
-fn handle_conn(conn: TcpStream, state: &RouterState) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(READ_TICK))?;
-    let _ = conn.set_nodelay(true);
-    let write_half = conn.try_clone()?;
-    let mut reader = LineReader::new(BufReader::new(conn));
-    reader.set_idle_ticks(state.idle_ticks);
-    let mut w = BufWriter::new(write_half);
-    let mut pool = BackendPool::new(&state.topo);
-
-    loop {
-        let line = match reader.next_line(&state.draining)? {
-            LineEvent::Line(line) => line,
-            LineEvent::Eof | LineEvent::Drained => return Ok(()),
-            LineEvent::IdleTimeout => {
-                state.served.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Timeout {
-                        msg: "request line stalled; closing idle connection".into(),
-                    },
-                );
-                return Ok(());
-            }
-            LineEvent::Oversized => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &perr(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-                );
-                reader.drain_peer();
-                return Ok(());
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match parse_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(&mut w, &e)?;
-                continue;
-            }
-        };
-
-        // Framed bodies are consumed before dispatch so the stream stays
-        // line-synced even for requests the router then rejects (HELLO is
-        // a backend-only verb, but its body still has to leave the pipe).
-        let body = match req {
-            Request::IngestBatch { bytes } | Request::Hello { bytes } => {
-                match reader.read_exact_body(bytes, &state.draining)? {
-                    BodyEvent::Body(body) => Some(body),
-                    BodyEvent::Truncated(got) => {
-                        state.served.errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &perr(format!("truncated body: got {got} of {bytes} bytes")),
-                        );
-                        reader.drain_peer();
-                        return Ok(());
-                    }
-                    BodyEvent::IdleTimeout(got) => {
-                        state.served.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Timeout {
-                                msg: format!("body stalled at {got} of {bytes} bytes"),
-                            },
-                        );
-                        return Ok(());
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(state, &mut pool, &req, body.as_deref(), &mut w)
-        }));
-        match outcome {
-            Ok(Ok(Flow::Continue)) => {}
-            Ok(Ok(Flow::Close)) => return Ok(()),
-            Ok(Err(io)) => return Err(io),
-            Err(_) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(&mut w, &perr("internal error (request handler panicked)"));
-                reader.drain_peer();
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Relays a complete backend response frame to the client verbatim.
-fn relay(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
+/// Relays a backend's typed rejection to the client verbatim, counted as
+/// an error like any other `-ERR` answer.
+fn relay(counters: &Counters, w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
+    counters.errors.fetch_add(1, Ordering::Relaxed);
     writeln!(w, "{}", resp.status)?;
     for line in &resp.lines {
         writeln!(w, "{line}")?;
@@ -324,97 +153,61 @@ fn relay(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
     w.flush()
 }
 
-fn execute(
-    state: &RouterState,
-    pool: &mut BackendPool,
-    req: &Request,
-    body: Option<&[u8]>,
-    w: &mut impl Write,
-) -> std::io::Result<Flow> {
-    match req {
-        Request::Ping => {
-            write_ok(w, r#"{"pong":true}"#, &[])?;
-            Ok(Flow::Continue)
-        }
-        Request::Stats => {
-            match cluster_stats(state, pool) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+impl Handler for RouterState {
+    type Session<'a> = BackendPool<'a>;
+
+    fn open(&self) -> BackendPool<'_> {
+        BackendPool::new(&self.topo)
+    }
+
+    fn execute(
+        &self,
+        engine: &Engine,
+        pool: &mut BackendPool<'_>,
+        req: &Request,
+        body: &[u8],
+        w: &mut impl Write,
+    ) -> Result<(), Fail> {
+        let counters = engine.counters();
+        match req {
+            Request::Stats => write_ok(w, &cluster_stats(self, engine, pool)?, &[])?,
+            Request::Ingest(row) => {
+                route_ingest(self, counters, pool, std::slice::from_ref(row), w)?
             }
-            Ok(Flow::Continue)
-        }
-        Request::Ingest(row) => {
-            route_ingest(state, pool, std::slice::from_ref(row), w)?;
-            Ok(Flow::Continue)
-        }
-        Request::IngestBatch { .. } => {
-            let Some(body) = body else {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(w, &perr("batch body missing for INGESTB"))?;
-                return Ok(Flow::Continue);
-            };
-            match decode_batch(body) {
-                Ok(rows) => route_ingest(state, pool, &rows, w)?,
-                Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+            Request::IngestBatch { .. } => {
+                route_ingest(self, counters, pool, &decode_batch(body)?, w)?
             }
-            Ok(Flow::Continue)
-        }
-        Request::Query(spec) => {
-            state.served.queries.fetch_add(1, Ordering::Relaxed);
-            route_query(state, pool, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::QueryCover { .. } | Request::Slice { .. } | Request::Hello { .. } => {
+            Request::Query(spec) => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                route_query(self, counters, pool, spec, w)?;
+            }
+            Request::Subscribe(spec) => {
+                counters.subscribes.fetch_add(1, Ordering::Relaxed);
+                route_subscribe(self, counters, pool, spec, w)?;
+            }
             // Backend-internal verbs: accepting them at the frontend would
             // let a client bypass the shard map the router exists to
             // enforce.
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            write_err(
-                w,
-                &perr("COVER/SLICE/HELLO are backend verbs; the router serves client verbs only"),
-            )?;
-            Ok(Flow::Continue)
-        }
-        Request::Subscribe(spec) => {
-            state.served.subscribes.fetch_add(1, Ordering::Relaxed);
-            route_subscribe(state, pool, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::Drain => {
-            // Drain the backends first (best-effort: a dead backend is
-            // already drained for our purposes), then the router itself.
-            for idx in 0..state.topo.backends().len() {
-                let _ = pool.session(idx).and_then(|c| c.request("DRAIN"));
-                pool.drop_session(idx);
+            Request::QueryCover { .. } | Request::Slice { .. } | Request::Hello { .. } => {
+                let msg =
+                    "COVER/SLICE/HELLO are backend verbs; the router serves client verbs only";
+                return Err(MqdError::protocol(msg).into());
             }
-            state.draining.store(true, Ordering::SeqCst);
-            write_ok(w, r#"{"draining":true}"#, &[])?;
-            // Kick the acceptor out of its blocking accept.
-            let _ = TcpStream::connect_timeout(&state.addr, Duration::from_millis(500));
-            Ok(Flow::Close)
+            Request::Ping | Request::Drain | Request::Quit => {
+                return Err(MqdError::protocol("transport verb reached the handler").into());
+            }
         }
-        Request::Quit => {
-            write_ok(w, r#"{"bye":true}"#, &[])?;
-            Ok(Flow::Close)
-        }
+        Ok(())
     }
-}
 
-fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
-    let rows = decode_records(body)?;
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(perr(format!(
-            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-            rows.len()
-        )));
+    fn before_drain(&self, pool: &mut BackendPool<'_>) {
+        // Drain the backends first (best-effort: a dead backend is already
+        // drained for our purposes), then the router itself.
+        for idx in 0..self.topo.backends().len() {
+            let _ = pool.session(idx).and_then(|c| c.request("DRAIN"));
+            pool.drop_session(idx);
+        }
     }
-    Ok(rows)
 }
 
 /// Fans `rows` to every replica of every owning shard (order preserved —
@@ -423,10 +216,11 @@ fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
 /// `generation` being the router's global row count.
 fn route_ingest(
     state: &RouterState,
+    counters: &Counters,
     pool: &mut BackendPool,
     rows: &[Record],
     w: &mut impl Write,
-) -> std::io::Result<()> {
+) -> Result<(), Fail> {
     let shard_count = state.topo.shard_count() as usize;
     let mut per_shard: Vec<Vec<Record>> = vec![Vec::new(); shard_count];
     for row in rows {
@@ -438,43 +232,25 @@ fn route_ingest(
         if part.is_empty() {
             continue;
         }
-        let sent = pool.fan_write(shard as u32, &mut |c| c.ingest_batch(part));
-        match sent {
-            Ok(resp) if resp.is_ok() => {}
-            Ok(resp) => {
-                // A typed backend rejection (non-monotone row, …): relay
-                // it verbatim. Shards already written keep their prefix —
-                // the same stream-prefix semantics a single node has for a
-                // mid-batch failure.
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                return relay(w, &resp);
-            }
-            Err(e) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                return write_err(w, &e);
-            }
+        let resp = pool.fan_write(shard as u32, &mut |c| c.ingest_batch(part))?;
+        if !resp.is_ok() {
+            // A typed backend rejection (non-monotone row, …): relay it
+            // verbatim. Shards already written keep their prefix — the
+            // same stream-prefix semantics a single node has for a
+            // mid-batch failure.
+            return Ok(relay(counters, w, &resp)?);
         }
     }
     let per_shard_counts: Vec<u64> = per_shard.iter().map(|p| p.len() as u64).collect();
-    let generation = match lock_ledger(state) {
-        Ok(mut ledger) => {
-            ledger.apply(rows, &per_shard_counts);
-            ledger.rows
-        }
-        Err(e) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            return write_err(w, &e);
-        }
+    let generation = {
+        let mut ledger = lock_ledger(state)?;
+        ledger.apply(rows, &per_shard_counts);
+        ledger.rows
     };
-    state
-        .served
+    counters
         .ingested_rows
         .fetch_add(rows.len() as u64, Ordering::Relaxed);
-    write_ok(
-        w,
-        &format!(r#"{{"ingested":{},"generation":{generation}}}"#, rows.len()),
-        &[],
-    )
+    Ok(write_ingested(w, rows.len(), generation)?)
 }
 
 fn lock_ledger(state: &RouterState) -> Result<std::sync::MutexGuard<'_, Ledger>, MqdError> {
@@ -482,12 +258,6 @@ fn lock_ledger(state: &RouterState) -> Result<std::sync::MutexGuard<'_, Ledger>,
         .ledger
         .lock()
         .map_err(|_| MqdError::Poisoned { what: "ledger" })
-}
-
-/// The vector watermark stamped into query responses: per shard, the
-/// generation its replicas reach once every routed row is applied.
-fn watermarks(state: &RouterState) -> Result<Vec<u64>, MqdError> {
-    Ok(lock_ledger(state)?.watermarks.clone())
 }
 
 /// Scatter-gathers one `QUERY`:
@@ -498,10 +268,11 @@ fn watermarks(state: &RouterState) -> Result<Vec<u64>, MqdError> {
 ///   locally over the reconstructed slice.
 fn route_query(
     state: &RouterState,
+    counters: &Counters,
     pool: &mut BackendPool,
     spec: &QuerySpec,
     w: &mut impl Write,
-) -> std::io::Result<()> {
+) -> Result<(), Fail> {
     let owning = state.topo.owning_shards(&spec.labels);
     let gathered: Result<Result<Vec<String>, Response>, MqdError> = (|| {
         if owning.len() <= 1 {
@@ -547,33 +318,23 @@ fn route_query(
         let merged = merge_rows(&parts)?;
         Ok(Ok(solve_merged(&merged, spec)?))
     })();
-    match gathered {
-        Ok(Ok(rows)) => {
-            let stamped = match watermarks(state) {
-                Ok(gens) => gens,
-                Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    return write_err(w, &e);
-                }
-            };
-            let gens: Vec<String> = stamped.iter().map(|g| g.to_string()).collect();
+    match gathered? {
+        Ok(rows) => {
+            // The vector watermark: per shard, the generation its replicas
+            // reach once every routed row is applied.
+            let marks = lock_ledger(state)?.watermarks.clone();
+            let gens: Vec<String> = marks.iter().map(|g| g.to_string()).collect();
             let json = format!(
                 r#"{{"algorithm":"{}","count":{},"generations":[{}]}}"#,
                 spec.algorithm.as_str(),
                 rows.len(),
                 gens.join(","),
             );
-            write_ok(w, &json, &rows)
+            write_ok(w, &json, &rows)?;
         }
-        Ok(Err(resp)) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            relay(w, &resp)
-        }
-        Err(e) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            write_err(w, &e)
-        }
+        Err(resp) => relay(counters, w, &resp)?,
     }
+    Ok(())
 }
 
 fn slice_line(labels: &[u16], from: i64, to: i64) -> String {
@@ -728,24 +489,21 @@ fn relay_stream(
 /// continues the stream with zero duplicated and zero missing emissions.
 fn route_subscribe(
     state: &RouterState,
+    counters: &Counters,
     pool: &mut BackendPool,
     spec: &SubscribeSpec,
     w: &mut impl Write,
-) -> std::io::Result<()> {
+) -> Result<(), Fail> {
     let owning = state.topo.owning_shards(&spec.labels);
     let Some((&shard, rest)) = owning.split_first() else {
-        state.served.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(w, &perr("SUBSCRIBE needs at least one label"));
+        return Err(MqdError::protocol("SUBSCRIBE needs at least one label").into());
     };
     if !rest.is_empty() {
-        state.served.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(
-            w,
-            &perr(format!(
-                "SUBSCRIBE labels span shards {owning:?}; a session streams from one shard \
-                 (split the subscription per shard)"
-            )),
-        );
+        return Err(MqdError::protocol(format!(
+            "SUBSCRIBE labels span shards {owning:?}; a session streams from one shard \
+             (split the subscription per shard)"
+        ))
+        .into());
     }
     let mut relayed: u64 = 0;
     let mut header_sent = false;
@@ -760,37 +518,29 @@ fn route_subscribe(
             StreamEnd::Died => pool.drop_session(idx),
         }
     }
-    state.served.errors.fetch_add(1, Ordering::Relaxed);
     let reason = format!(
         "shard {shard}/{} has no live backend",
         state.topo.shard_count()
     );
-    if header_sent {
-        writeln!(w, "ABORT Protocol {reason}")?;
-        writeln!(w, "{TERMINATOR}")?;
-        w.flush()
-    } else {
-        write_err(w, &perr(reason))
+    if !header_sent {
+        return Err(MqdError::protocol(reason).into());
     }
-}
-
-/// Extracts a top-level `"key":<uint>` field from a response status line.
-fn json_u64(status: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = status.find(&needle)? + needle.len();
-    let digits: String = status
-        .get(at..)?
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    // The +OK header is out: abort inside the payload framing.
+    counters.errors.fetch_add(1, Ordering::Relaxed);
+    writeln!(w, "ABORT Protocol {reason}")?;
+    writeln!(w, "{TERMINATOR}")?;
+    Ok(w.flush()?)
 }
 
 /// Renders the router `STATS`: the single-node core fields from the
 /// ledger (`segments` is a per-backend physical detail, reported as 0),
 /// the cluster map with per-backend liveness probes, and the router's own
 /// serving counters.
-fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, MqdError> {
+fn cluster_stats(
+    state: &RouterState,
+    engine: &Engine,
+    pool: &mut BackendPool,
+) -> Result<String, MqdError> {
     let (rows, label_count, min_value, max_value, marks) = {
         let ledger = lock_ledger(state)?;
         (
@@ -824,13 +574,12 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
         ));
     }
     let marks: Vec<String> = marks.iter().map(|m| m.to_string()).collect();
-    let s = &state.served;
     Ok(format!(
         concat!(
             r#"{{"rows":{},"segments":0,"labels":{},"generation":{},"#,
             r#""min_value":{},"max_value":{},"#,
             r#""cluster":{{"shards":{},"backends":[{}],"watermarks":[{}]}},"#,
-            r#""served":{{"connections":{},"queries":{},"ingested_rows":{},"subscribes":{},"errors":{},"overloads":{},"timeouts":{}}},"#,
+            r#"{},"#,
             r#""threads":{},"draining":{}}}"#
         ),
         rows,
@@ -841,15 +590,9 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
         state.topo.shard_count(),
         backends,
         marks.join(","),
-        s.connections.load(Ordering::Relaxed),
-        s.queries.load(Ordering::Relaxed),
-        s.ingested_rows.load(Ordering::Relaxed),
-        s.subscribes.load(Ordering::Relaxed),
-        s.errors.load(Ordering::Relaxed),
-        s.overloads.load(Ordering::Relaxed),
-        s.timeouts.load(Ordering::Relaxed),
-        state.threads,
-        state.draining.load(Ordering::SeqCst),
+        engine.counters().served_json(),
+        engine.threads(),
+        engine.draining(),
     ))
 }
 
@@ -857,6 +600,7 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
 mod tests {
     use super::*;
     use mqd_core::wire::ShardIdentity;
+    use mqd_server::protocol::parse_request;
     use mqd_server::{Server, ServerConfig};
 
     fn start_backend(shard: Option<ShardIdentity>) -> (SocketAddr, std::thread::JoinHandle<()>) {
@@ -1090,13 +834,5 @@ mod tests {
             after: 0,
         };
         assert_eq!(subscribe_line(&plain, 0), "SUBSCRIBE 1 5 0 scan");
-    }
-
-    #[test]
-    fn json_u64_reads_top_level_fields() {
-        let s = r#"+OK {"rows":42,"generation":17,"draining":false}"#;
-        assert_eq!(json_u64(s, "rows"), Some(42));
-        assert_eq!(json_u64(s, "generation"), Some(17));
-        assert_eq!(json_u64(s, "missing"), None);
     }
 }

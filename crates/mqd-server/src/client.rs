@@ -34,6 +34,17 @@ impl Response {
     }
 }
 
+/// Extracts the first `"key":<uint>` occurrence from a status line or
+/// `STATS` blob. The wire format nests objects but never repeats, across
+/// sections, a key any caller reads, so first-occurrence is exact.
+pub fn json_u64(s: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\":");
+    let at = s.find(&needle)? + needle.len();
+    let rest = s.get(at..)?;
+    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+    digits.parse().ok()
+}
+
 /// Builds the wire form of a [`QuerySpec`] — shared by every caller so a
 /// spec always serializes to the identical request line.
 pub fn format_query(spec: &QuerySpec) -> String {
@@ -160,9 +171,7 @@ impl Client {
         let status = match self.read_line()? {
             Some(s) => s,
             None => {
-                return Err(MqdError::Protocol {
-                    msg: "connection closed before a response".into(),
-                })
+                return Err(MqdError::protocol("connection closed before a response"));
             }
         };
         let mut lines = Vec::new();
@@ -172,9 +181,7 @@ impl Client {
                 Some(l) if l == TERMINATOR => break,
                 Some(l) => lines.push(l),
                 None => {
-                    return Err(MqdError::Protocol {
-                        msg: "connection closed mid-response".into(),
-                    })
+                    return Err(MqdError::protocol("connection closed mid-response"));
                 }
             }
         }
@@ -215,6 +222,14 @@ impl Client {
 mod tests {
     use super::*;
     use mqd_store::Algorithm;
+
+    #[test]
+    fn json_u64_extracts_first_occurrence() {
+        let s = r#"{"cache":{"repairs":12},"served":{"errors":3,"overloads":0}}"#;
+        assert_eq!(json_u64(s, "repairs"), Some(12));
+        assert_eq!(json_u64(s, "errors"), Some(3));
+        assert_eq!(json_u64(s, "missing"), None);
+    }
 
     #[test]
     fn query_lines_serialize_canonically() {

@@ -9,27 +9,31 @@
 //! supervised `mqd-stream` engines, and reports `STATS`.
 //!
 //! Consistent with the workspace's offline-build policy, the server uses
-//! only `std`: an acceptor thread feeds a bounded [`std::sync::mpsc`]
-//! channel drained by a worker pool sized via [`mqd_par::configured_threads`].
-//! The bounded channel **is** the admission controller — when it is full the
+//! only `std`. The transport half is the connection engine ([`conn`]), the
+//! workspace's only accept/worker/framing loop, which `mqd-router` runs
+//! too: an acceptor thread feeds a bounded [`std::sync::mpsc`] channel
+//! drained by a worker pool sized via [`mqd_par::configured_threads`]. The
+//! bounded channel **is** the admission controller — when it is full the
 //! acceptor answers `-OVERLOADED` and closes, a typed response rather than a
 //! dropped connection, mirroring the graceful-degradation philosophy of the
-//! streaming supervisor.
+//! streaming supervisor. What a request means is a [`conn::Handler`]; this
+//! crate's is the store-backed verb table behind [`Server`].
 //!
 //! The wire protocol ([`protocol`]) is line-oriented: one request line
 //! (plus a raw binary body for `INGESTB`), one response of a status line
 //! (`+OK <json>`, `-ERR <Kind> <msg>`, or `-OVERLOADED <msg>`), optional
 //! payload lines, and a lone `.` terminator. Every malformed input maps to
-//! a typed [`mqd_core::MqdError`] response; the connection handler never
-//! panics the server.
+//! a typed [`mqd_core::MqdError`] response, and a handler panic is caught
+//! by the engine and answered typed on that one connection.
 
 #![warn(missing_docs)]
 
 mod client;
-pub mod lineio;
+pub mod conn;
+mod lineio;
 pub mod protocol;
 mod server;
 pub mod subs;
 
-pub use client::{format_query, Client, Response};
+pub use client::{format_query, json_u64, Client, Response};
 pub use server::{Server, ServerConfig};

@@ -1,7 +1,7 @@
-//! Bounded, timeout-tolerant socket line reading, shared by the server's
-//! connection handler and the router's frontend (`mqd-router`).
+//! Bounded, timeout-tolerant socket line reading for the connection
+//! engine ([`crate::conn`]).
 //!
-//! The serving processes read request lines off sockets with a short read
+//! The engine reads request lines off sockets with a short read
 //! timeout so a blocked read can observe the drain flag; [`LineReader`]
 //! wraps that loop, enforces the request-line size limit, and keeps
 //! partial bytes across timeouts so slow writers are never corrupted.

@@ -30,7 +30,7 @@
 
 use std::io::Write;
 
-use mqd_core::record::Record;
+use mqd_core::record::{decode_records, Record};
 use mqd_core::MqdError;
 use mqd_store::{Algorithm, QuerySpec};
 use mqd_stream::ShardEngineKind;
@@ -129,8 +129,9 @@ pub struct SubscribeSpec {
     pub after: u64,
 }
 
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
+/// The next token, or a typed error saying what is `missing`.
+fn need<'a>(toks: &mut impl Iterator<Item = &'a str>, missing: &str) -> Result<&'a str, MqdError> {
+    toks.next().ok_or_else(|| MqdError::protocol(missing))
 }
 
 fn parse_labels(s: &str) -> Result<Vec<u16>, MqdError> {
@@ -138,18 +139,18 @@ fn parse_labels(s: &str) -> Result<Vec<u16>, MqdError> {
     for part in s.split(',').filter(|p| !p.is_empty()) {
         labels.push(
             part.parse::<u16>()
-                .map_err(|e| perr(format!("bad label '{part}': {e}")))?,
+                .map_err(|e| MqdError::protocol(format!("bad label '{part}': {e}")))?,
         );
     }
     if labels.is_empty() {
-        return Err(perr("need at least one label"));
+        return Err(MqdError::protocol("need at least one label"));
     }
     Ok(labels)
 }
 
 fn parse_i64(tok: &str, what: &str) -> Result<i64, MqdError> {
     tok.parse::<i64>()
-        .map_err(|e| perr(format!("bad {what} '{tok}': {e}")))
+        .map_err(|e| MqdError::protocol(format!("bad {what} '{tok}': {e}")))
 }
 
 fn parse_engine(s: &str) -> Result<ShardEngineKind, MqdError> {
@@ -158,7 +159,7 @@ fn parse_engine(s: &str) -> Result<ShardEngineKind, MqdError> {
         "scanplus" => Ok(ShardEngineKind::ScanPlus),
         "greedy" => Ok(ShardEngineKind::Greedy),
         "greedyplus" => Ok(ShardEngineKind::GreedyPlus),
-        other => Err(perr(format!(
+        other => Err(MqdError::protocol(format!(
             "unknown engine '{other}' (want scan|scanplus|greedy|greedyplus)"
         ))),
     }
@@ -180,7 +181,7 @@ const MAX_NAME_BYTES: usize = 64;
 
 fn parse_name(s: &str) -> Result<String, MqdError> {
     if s.is_empty() || s.len() > MAX_NAME_BYTES {
-        return Err(perr(format!(
+        return Err(MqdError::protocol(format!(
             "NAME must be 1..={MAX_NAME_BYTES} bytes, got {}",
             s.len()
         )));
@@ -189,18 +190,22 @@ fn parse_name(s: &str) -> Result<String, MqdError> {
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
     {
-        return Err(perr(format!(
+        return Err(MqdError::protocol(format!(
             "NAME '{s}' may only use letters, digits, '.', '_', '-'"
         )));
     }
     if s.starts_with('.') {
-        return Err(perr(format!("NAME '{s}' must not start with '.'")));
+        return Err(MqdError::protocol(format!(
+            "NAME '{s}' must not start with '.'"
+        )));
     }
     // Reserved for the atomic-write tempfiles next to the checkpoints: a
     // session literally named '*.tmp' would be swept at boot and skipped
     // by the lease scan.
     if s.ends_with(".tmp") {
-        return Err(perr(format!("NAME '{s}' must not end with '.tmp'")));
+        return Err(MqdError::protocol(format!(
+            "NAME '{s}' must not end with '.tmp'"
+        )));
     }
     Ok(s.to_string())
 }
@@ -223,40 +228,40 @@ fn parse_tail<'a>(
     while let Some(tok) = toks.next() {
         match tok.to_ascii_uppercase().as_str() {
             "FROM" => {
-                let v = toks.next().ok_or_else(|| perr("FROM needs a value"))?;
+                let v = need(&mut toks, "FROM needs a value")?;
                 tail.from = parse_i64(v, "FROM value")?;
             }
             "TO" => {
-                let v = toks.next().ok_or_else(|| perr("TO needs a value"))?;
+                let v = need(&mut toks, "TO needs a value")?;
                 tail.to = parse_i64(v, "TO value")?;
             }
             "PROP" if allow_prop => tail.prop = true,
             "SHARDS" if allow_subscribe => {
-                let v = toks.next().ok_or_else(|| perr("SHARDS needs a value"))?;
+                let v = need(&mut toks, "SHARDS needs a value")?;
                 tail.shards = v
                     .parse::<usize>()
-                    .map_err(|e| perr(format!("bad SHARDS value '{v}': {e}")))?
+                    .map_err(|e| MqdError::protocol(format!("bad SHARDS value '{v}': {e}")))?
                     .clamp(1, 64);
             }
             "NAME" if allow_subscribe => {
-                let v = toks.next().ok_or_else(|| perr("NAME needs a value"))?;
+                let v = need(&mut toks, "NAME needs a value")?;
                 tail.name = Some(parse_name(v)?);
             }
             "AFTER" if allow_subscribe => {
-                let v = toks.next().ok_or_else(|| perr("AFTER needs a value"))?;
+                let v = need(&mut toks, "AFTER needs a value")?;
                 tail.after = v
                     .parse::<u64>()
-                    .map_err(|e| perr(format!("bad AFTER value '{v}': {e}")))?;
+                    .map_err(|e| MqdError::protocol(format!("bad AFTER value '{v}': {e}")))?;
             }
             "COVER" if allow_cover => {
-                let v = toks.next().ok_or_else(|| perr("COVER needs labels"))?;
+                let v = need(&mut toks, "COVER needs labels")?;
                 tail.cover = Some(parse_labels(v)?);
             }
-            other => return Err(perr(format!("unexpected token '{other}'"))),
+            other => return Err(MqdError::protocol(format!("unexpected token '{other}'"))),
         }
     }
     if tail.from > tail.to {
-        return Err(perr(format!(
+        return Err(MqdError::protocol(format!(
             "empty range: FROM {} > TO {}",
             tail.from, tail.to
         )));
@@ -267,47 +272,47 @@ fn parse_tail<'a>(
 /// Parses one request line. All failures are typed [`MqdError::Protocol`].
 pub fn parse_request(line: &str) -> Result<Request, MqdError> {
     let mut toks = line.split_whitespace();
-    let cmd = toks.next().ok_or_else(|| perr("empty request"))?;
+    let cmd = need(&mut toks, "empty request")?;
     match cmd.to_ascii_uppercase().as_str() {
         "PING" => Ok(Request::Ping),
         "STATS" => Ok(Request::Stats),
         "DRAIN" => Ok(Request::Drain),
         "QUIT" => Ok(Request::Quit),
         "INGEST" => {
-            let id = toks.next().ok_or_else(|| perr("INGEST needs <id>"))?;
+            let id = need(&mut toks, "INGEST needs <id>")?;
             let id = id
                 .parse::<u64>()
-                .map_err(|e| perr(format!("bad id '{id}': {e}")))?;
-            let value = toks.next().ok_or_else(|| perr("INGEST needs <value>"))?;
+                .map_err(|e| MqdError::protocol(format!("bad id '{id}': {e}")))?;
+            let value = need(&mut toks, "INGEST needs <value>")?;
             let value = parse_i64(value, "value")?;
-            let labels = toks.next().ok_or_else(|| perr("INGEST needs <labels>"))?;
+            let labels = need(&mut toks, "INGEST needs <labels>")?;
             let labels = parse_labels(labels)?;
             if let Some(extra) = toks.next() {
-                return Err(perr(format!("unexpected token '{extra}'")));
+                return Err(MqdError::protocol(format!("unexpected token '{extra}'")));
             }
             Ok(Request::Ingest(Record { id, value, labels }))
         }
         "INGESTB" => {
-            let n = toks.next().ok_or_else(|| perr("INGESTB needs <nbytes>"))?;
+            let n = need(&mut toks, "INGESTB needs <nbytes>")?;
             let bytes = n
                 .parse::<usize>()
-                .map_err(|e| perr(format!("bad byte count '{n}': {e}")))?;
+                .map_err(|e| MqdError::protocol(format!("bad byte count '{n}': {e}")))?;
             if bytes > MAX_BATCH_BYTES {
-                return Err(perr(format!(
+                return Err(MqdError::protocol(format!(
                     "batch of {bytes} bytes exceeds limit {MAX_BATCH_BYTES}"
                 )));
             }
             if let Some(extra) = toks.next() {
-                return Err(perr(format!("unexpected token '{extra}'")));
+                return Err(MqdError::protocol(format!("unexpected token '{extra}'")));
             }
             Ok(Request::IngestBatch { bytes })
         }
         "QUERY" => {
-            let labels = toks.next().ok_or_else(|| perr("QUERY needs <labels>"))?;
+            let labels = need(&mut toks, "QUERY needs <labels>")?;
             let labels = parse_labels(labels)?;
-            let lambda = toks.next().ok_or_else(|| perr("QUERY needs <lambda>"))?;
+            let lambda = need(&mut toks, "QUERY needs <lambda>")?;
             let lambda = parse_i64(lambda, "lambda")?;
-            let alg = toks.next().ok_or_else(|| perr("QUERY needs <algorithm>"))?;
+            let alg = need(&mut toks, "QUERY needs <algorithm>")?;
             let algorithm = Algorithm::parse(alg)?;
             let tail = parse_tail(toks, true, false, true)?;
             let spec = QuerySpec {
@@ -324,7 +329,7 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
             })
         }
         "SLICE" => {
-            let labels = toks.next().ok_or_else(|| perr("SLICE needs <labels>"))?;
+            let labels = need(&mut toks, "SLICE needs <labels>")?;
             let labels = parse_labels(labels)?;
             let tail = parse_tail(toks, false, false, false)?;
             Ok(Request::Slice {
@@ -334,34 +339,28 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
             })
         }
         "HELLO" => {
-            let n = toks.next().ok_or_else(|| perr("HELLO needs <nbytes>"))?;
+            let n = need(&mut toks, "HELLO needs <nbytes>")?;
             let bytes = n
                 .parse::<usize>()
-                .map_err(|e| perr(format!("bad byte count '{n}': {e}")))?;
+                .map_err(|e| MqdError::protocol(format!("bad byte count '{n}': {e}")))?;
             if bytes == 0 || bytes > MAX_HELLO_BYTES {
-                return Err(perr(format!(
+                return Err(MqdError::protocol(format!(
                     "handshake of {bytes} bytes outside 1..={MAX_HELLO_BYTES}"
                 )));
             }
             if let Some(extra) = toks.next() {
-                return Err(perr(format!("unexpected token '{extra}'")));
+                return Err(MqdError::protocol(format!("unexpected token '{extra}'")));
             }
             Ok(Request::Hello { bytes })
         }
         "SUBSCRIBE" => {
-            let labels = toks
-                .next()
-                .ok_or_else(|| perr("SUBSCRIBE needs <labels>"))?;
+            let labels = need(&mut toks, "SUBSCRIBE needs <labels>")?;
             let labels = parse_labels(labels)?;
-            let lambda = toks
-                .next()
-                .ok_or_else(|| perr("SUBSCRIBE needs <lambda>"))?;
+            let lambda = need(&mut toks, "SUBSCRIBE needs <lambda>")?;
             let lambda = parse_i64(lambda, "lambda")?;
-            let tau = toks.next().ok_or_else(|| perr("SUBSCRIBE needs <tau>"))?;
+            let tau = need(&mut toks, "SUBSCRIBE needs <tau>")?;
             let tau = parse_i64(tau, "tau")?;
-            let engine = toks
-                .next()
-                .ok_or_else(|| perr("SUBSCRIBE needs <engine>"))?;
+            let engine = need(&mut toks, "SUBSCRIBE needs <engine>")?;
             let engine = parse_engine(engine)?;
             let tail = parse_tail(toks, false, true, false)?;
             Ok(Request::Subscribe(SubscribeSpec {
@@ -376,8 +375,20 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
                 after: tail.after,
             }))
         }
-        other => Err(perr(format!("unknown command '{other}'"))),
+        other => Err(MqdError::protocol(format!("unknown command '{other}'"))),
     }
+}
+
+/// Decodes an `INGESTB` body and enforces the [`MAX_BATCH_ROWS`] limit.
+pub fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
+    let rows = decode_records(body)?;
+    if rows.len() > MAX_BATCH_ROWS {
+        return Err(MqdError::protocol(format!(
+            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
+            rows.len()
+        )));
+    }
+    Ok(rows)
 }
 
 /// The wire name of an error: its [`MqdError`] variant name.
@@ -412,6 +423,13 @@ pub fn write_ok<W: Write>(w: &mut W, json: &str, payload: &[String]) -> std::io:
     }
     writeln!(w, "{TERMINATOR}")?;
     w.flush()
+}
+
+/// Writes the `INGEST` / `INGESTB` acknowledgement — one function, so the
+/// router's ack is the single node's byte for byte.
+pub fn write_ingested<W: Write>(w: &mut W, n: usize, generation: u64) -> std::io::Result<()> {
+    let json = format!(r#"{{"ingested":{n},"generation":{generation}}}"#);
+    write_ok(w, &json, &[])
 }
 
 /// Writes `-ERR <Kind> <msg>` and the terminator.

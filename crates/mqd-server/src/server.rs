@@ -1,17 +1,16 @@
-//! The server runtime: acceptor, bounded admission queue, worker pool,
-//! per-connection request loop, and graceful drain.
+//! The server runtime: the store-backed [`Handler`] behind the shared
+//! connection engine ([`crate::conn`]), plus the background refresher pool.
 
 use std::collections::HashSet;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
-use mqd_core::record::{decode_records, format_tsv, Record};
+use mqd_core::record::{format_tsv, Record};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
@@ -21,13 +20,12 @@ use mqd_store::{
 use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun, SupervisorConfig};
 use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
 
-use crate::lineio::{idle_ticks_for, BodyEvent, LineEvent, LineReader, READ_TICK};
-use crate::subs::{self, LeaseRegistry, SubParams};
-
+use crate::conn::{Counters, Engine, Fail, Handler};
+use crate::lineio::READ_TICK;
 use crate::protocol::{
-    parse_request, write_err, write_ok, write_overloaded, Request, SubscribeSpec, MAX_BATCH_ROWS,
-    MAX_LINE_BYTES, TERMINATOR,
+    decode_batch, error_kind, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
 };
+use crate::subs::{self, LeaseRegistry, SubParams};
 
 /// Pending background re-solve jobs; a full queue drops the job (the next
 /// stale hit on the entry re-claims the refresh, so nothing is lost).
@@ -72,7 +70,9 @@ pub struct ServerConfig {
     pub shard: Option<ShardIdentity>,
     /// Per-request idle budget: a connection whose request line (or body)
     /// stalls longer than this — half-open sockets, byte dribblers — gets
-    /// a typed `-ERR Timeout` and is closed, reclaiming the worker.
+    /// a typed `-ERR Timeout` and is closed, reclaiming the worker. The
+    /// same budget bounds a blocked response write (a peer that stops
+    /// reading is closed and counted in `timeouts`).
     /// `None` (the default) waits forever, the pre-timeout behavior.
     pub idle_timeout: Option<Duration>,
 }
@@ -92,17 +92,6 @@ impl Default for ServerConfig {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    queries: AtomicU64,
-    ingested_rows: AtomicU64,
-    subscribes: AtomicU64,
-    errors: AtomicU64,
-    overloads: AtomicU64,
-    timeouts: AtomicU64,
-}
-
 struct State {
     /// Many queries read concurrently; only ingest takes the write half.
     store: RwLock<DurableStore>,
@@ -117,22 +106,15 @@ struct State {
     /// Hands stale specs to the background refresher pool. `try_send`
     /// only: the request path never blocks on refresh scheduling.
     refresh_tx: SyncSender<QuerySpec>,
-    counters: Counters,
-    draining: AtomicBool,
-    addr: SocketAddr,
-    threads: usize,
     /// Cluster shard coordinates, when configured (see [`ServerConfig`]).
     shard: Option<ShardIdentity>,
-    /// Idle budget in [`READ_TICK`]s for every connection's reads.
-    idle_ticks: Option<u32>,
 }
 
 /// A bound, ready-to-run server. [`Server::run`] blocks until a `DRAIN`
 /// request shuts it down.
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<State>,
-    max_queue: usize,
+    engine: Engine,
+    state: State,
     refresh_rx: Receiver<QuerySpec>,
 }
 
@@ -145,21 +127,19 @@ impl Server {
         if let Some(s) = &cfg.shard {
             let max = mqd_core::wire::MAX_SHARD_COUNT;
             if s.shard_count == 0 || s.shard_count > max || s.shard_id >= s.shard_count {
-                return Err(MqdError::Protocol {
-                    msg: format!(
-                        "shard {}/{} invalid (need 0 <= id < count <= {max})",
-                        s.shard_id, s.shard_count
-                    ),
-                });
+                return Err(MqdError::protocol(format!(
+                    "shard {}/{} invalid (need 0 <= id < count <= {max})",
+                    s.shard_id, s.shard_count
+                )));
             }
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let threads = if cfg.threads == 0 {
-            mqd_par::configured_threads().max(4)
-        } else {
-            cfg.threads
-        };
+        let engine = Engine::bind(
+            "server",
+            &cfg.addr,
+            cfg.threads,
+            cfg.max_queue,
+            cfg.idle_timeout,
+        )?;
         let store = match &cfg.data_dir {
             Some(dir) => DurableStore::open(
                 dir,
@@ -179,81 +159,48 @@ impl Server {
         }
         let (refresh_tx, refresh_rx) = sync_channel::<QuerySpec>(REFRESH_QUEUE);
         Ok(Server {
-            listener,
-            state: Arc::new(State {
+            engine,
+            state: State {
                 store: RwLock::new(store),
                 cache: Mutex::new(CoverCache::new()),
                 subs: Mutex::new(leases),
                 subs_dir,
                 fsync: cfg.fsync,
                 refresh_tx,
-                counters: Counters::default(),
-                draining: AtomicBool::new(false),
-                addr,
-                threads,
                 shard: cfg.shard,
-                idle_ticks: idle_ticks_for(cfg.idle_timeout),
-            }),
-            max_queue: cfg.max_queue.max(1),
+            },
             refresh_rx,
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.engine.local_addr()
     }
 
-    /// Serves until drained: the acceptor feeds a bounded channel, workers
-    /// drain it, and a full channel is answered with a typed `-OVERLOADED`
-    /// response — admission control, not a dropped connection. Returns once
-    /// a `DRAIN` request has been honored and all in-flight work finished.
+    /// Serves until drained (see [`Engine::serve`]), with the refresher
+    /// pool running beside the connection workers.
     pub fn run(self) -> Result<(), MqdError> {
-        let (tx, rx) = sync_channel::<TcpStream>(self.max_queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let state = self.state;
-        let refresh_rx = Arc::new(Mutex::new(self.refresh_rx));
+        let (engine, state) = (&self.engine, &self.state);
+        let refresh_rx = Mutex::new(self.refresh_rx);
         std::thread::scope(|s| {
-            for _ in 0..state.threads {
-                let rx = Arc::clone(&rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || worker_loop(&rx, &st));
-            }
             // The refresher pool mirrors the worker pool's shape (shared
             // receiver behind a mutex, sized off the same thread budget):
             // re-solves are CPU work, so a fraction of the I/O pool is
             // enough and leaves cores for serving.
-            for _ in 0..(state.threads / 4).max(1) {
-                let rx = Arc::clone(&refresh_rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || refresher_loop(&rx, &st));
+            for _ in 0..(engine.threads() / 4).max(1) {
+                s.spawn(|| refresher_loop(&refresh_rx, state, engine));
             }
-            for conn in self.listener.incoming() {
-                if state.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                state.counters.connections.fetch_add(1, Ordering::Relaxed);
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(conn)) => {
-                        state.counters.overloads.fetch_add(1, Ordering::Relaxed);
-                        let mut w = BufWriter::new(conn);
-                        let _ = write_overloaded(&mut w, "server at capacity, retry later");
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            drop(tx);
+            engine.serve(state);
         });
         Ok(())
     }
 }
 
-/// Locks a shared mutex, mapping poisoning to a typed error. The
-/// catch_unwind backstop in [`handle_conn`] makes poisoning reachable
-/// without killing the process, so lock failures must flow to the client
-/// as `-ERR`, not take down the worker with a second panic.
+/// Locks a shared mutex, mapping poisoning to a typed error. The engine's
+/// panic backstop makes poisoning reachable without killing the process,
+/// so lock failures must flow to the client as `-ERR`, not take down the
+/// worker with a second panic.
 fn lock_or_poisoned<'a, T>(
     m: &'a Mutex<T>,
     what: &'static str,
@@ -277,7 +224,7 @@ fn write_or_poisoned(
 
 /// The background refresher: drains stale specs off the request path and
 /// re-solves them. Wakes every [`READ_TICK`] to observe the drain flag.
-fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State) {
+fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State, engine: &Engine) {
     loop {
         let job = {
             let Ok(guard) = rx.lock() else { return };
@@ -286,7 +233,7 @@ fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State) {
         match job {
             Ok(spec) => refresh_entry(state, &spec),
             Err(RecvTimeoutError::Timeout) => {
-                if state.draining.load(Ordering::SeqCst) {
+                if engine.draining() {
                     return;
                 }
             }
@@ -328,329 +275,106 @@ fn refresh_entry(state: &State, spec: &QuerySpec) {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &State) {
-    loop {
-        // Take the lock only to wait for the next connection; holding it
-        // while serving would serialize the pool.
-        let conn = {
-            // A poisoned receiver mutex means a sibling worker panicked
-            // mid-recv; the pool is already compromised, so this worker
-            // retires instead of panicking too.
-            let Ok(guard) = rx.lock() else { return };
-            // lint:allow(blocking-call,guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
-            guard.recv()
-        };
-        match conn {
-            Ok(c) => {
-                let _ = handle_conn(c, state);
-            }
-            Err(_) => return, // acceptor dropped the sender: drain complete
-        }
-    }
-}
+impl Handler for State {
+    type Session<'a> = ();
 
-enum Flow {
-    Continue,
-    Close,
-}
+    fn open(&self) {}
 
-fn handle_conn(conn: TcpStream, state: &State) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(READ_TICK))?;
-    let _ = conn.set_nodelay(true);
-    let write_half = conn.try_clone()?;
-    let mut reader = LineReader::new(BufReader::new(conn));
-    reader.set_idle_ticks(state.idle_ticks);
-    let mut w = BufWriter::new(write_half);
-
-    loop {
-        let line = match reader.next_line(&state.draining)? {
-            LineEvent::Line(line) => line,
-            LineEvent::Eof | LineEvent::Drained => return Ok(()),
-            LineEvent::IdleTimeout => {
-                state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Timeout {
-                        msg: "request line stalled; closing idle connection".into(),
-                    },
-                );
-                return Ok(()); // reclaim the worker; no drain for a stalled peer
+    fn execute(
+        &self,
+        engine: &Engine,
+        _session: &mut (),
+        req: &Request,
+        body: &[u8],
+        w: &mut impl Write,
+    ) -> Result<(), Fail> {
+        let counters = engine.counters();
+        match req {
+            Request::Stats => write_ok(w, &stats_json(self, engine)?, &[])?,
+            Request::Ingest(row) => {
+                let (n, generation) = ingest_rows(self, counters, std::slice::from_ref(row))?;
+                write_ingested(w, n, generation)?;
             }
-            LineEvent::Oversized => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Protocol {
-                        msg: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    },
-                );
-                reader.drain_peer();
-                return Ok(()); // cannot find the next request boundary
+            Request::IngestBatch { .. } => {
+                let (n, generation) = ingest_rows(self, counters, &decode_batch(body)?)?;
+                write_ingested(w, n, generation)?;
             }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-
-        let req = match parse_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(&mut w, &e)?;
-                continue;
+            Request::Query(spec) => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                let (rows, generation, cached, stale) = answer_query(self, spec)?;
+                write_cover(w, spec, &rows, generation, cached, stale)?;
             }
-        };
-
-        // INGESTB/HELLO: pull the raw body before executing, so the stream
-        // stays framed even when the payload turns out to be invalid.
-        let body = match req {
-            Request::IngestBatch { bytes } | Request::Hello { bytes } => {
-                match reader.read_exact_body(bytes, &state.draining)? {
-                    BodyEvent::Body(body) => Some(body),
-                    BodyEvent::Truncated(got) => {
-                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Protocol {
-                                msg: format!("truncated body: got {got} of {bytes} bytes"),
-                            },
-                        );
-                        reader.drain_peer();
-                        return Ok(()); // body boundary lost
-                    }
-                    BodyEvent::IdleTimeout(got) => {
-                        state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Timeout {
-                                msg: format!("body stalled at {got} of {bytes} bytes"),
-                            },
-                        );
-                        return Ok(()); // body boundary lost; reclaim the worker
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(state, &req, body.as_deref(), &mut w)
-        }));
-        match outcome {
-            Ok(Ok(Flow::Continue)) => {}
-            Ok(Ok(Flow::Close)) => return Ok(()),
-            Ok(Err(io)) => return Err(io),
-            Err(_) => {
-                // Backstop: a handler panic answers as a typed error and
-                // closes this connection; the worker and server live on.
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Protocol {
-                        msg: "internal error (request handler panicked)".into(),
-                    },
-                );
-                reader.drain_peer();
-                return Ok(());
-            }
-        }
-    }
-}
-
-fn execute(
-    state: &State,
-    req: &Request,
-    body: Option<&[u8]>,
-    w: &mut impl Write,
-) -> std::io::Result<Flow> {
-    match req {
-        Request::Ping => {
-            write_ok(w, r#"{"pong":true}"#, &[])?;
-            Ok(Flow::Continue)
-        }
-        Request::Stats => {
-            match stats_json(state) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Ingest(row) => {
-            match ingest_rows(state, std::slice::from_ref(row)) {
-                Ok((_, generation)) => {
-                    write_ok(
-                        w,
-                        &format!(r#"{{"ingested":1,"generation":{generation}}}"#),
-                        &[],
-                    )?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::IngestBatch { .. } => {
-            // The caller reads the body before dispatching; a missing one
-            // is a dispatch bug, reported to the client as a typed error
-            // rather than panicking the worker.
-            let Some(body) = body else {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(
-                    w,
-                    &MqdError::Protocol {
-                        msg: "batch body missing for INGESTB".into(),
-                    },
-                )?;
-                return Ok(Flow::Continue);
-            };
-            match ingest_batch(state, body) {
-                Ok((n, generation)) => {
-                    write_ok(
-                        w,
-                        &format!(r#"{{"ingested":{n},"generation":{generation}}}"#),
-                        &[],
-                    )?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Query(spec) => {
-            state.counters.queries.fetch_add(1, Ordering::Relaxed);
-            match answer_query(state, spec) {
-                Ok((rows, generation, cached, stale)) => {
-                    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
-                    let json = format!(
-                        r#"{{"algorithm":"{}","count":{},"cached":{},"stale":{},"generation":{}}}"#,
-                        spec.algorithm.as_str(),
-                        rows.len(),
-                        cached,
-                        stale,
-                        generation,
-                    );
-                    write_ok(w, &json, &payload)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::QueryCover { spec, cover } => {
-            state.counters.queries.fetch_add(1, Ordering::Relaxed);
-            // Cover queries are router-internal fan-out halves: always a
-            // cold solve against a slice snapshot (the router's merged
-            // answer is what user-facing caching applies to), stamped with
-            // the snapshot generation so the router can build its vector
-            // watermark.
-            let answered = (|| {
+            Request::QueryCover { spec, cover } => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                // Cover queries are router-internal fan-out halves: always a
+                // cold solve against a slice snapshot (the router's merged
+                // answer is what user-facing caching applies to), stamped with
+                // the snapshot generation so the router can build its vector
+                // watermark.
                 let (generation, rows) = {
-                    let store = read_or_poisoned(&state.store)?;
+                    let store = read_or_poisoned(&self.store)?;
                     (
                         store.generation(),
                         run_query_cover(store.store(), spec, cover)?,
                     )
                 };
-                Ok::<_, MqdError>((generation, rows))
-            })();
-            match answered {
-                Ok((generation, rows)) => {
-                    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
-                    let json = format!(
-                        r#"{{"algorithm":"{}","count":{},"cached":false,"stale":false,"generation":{}}}"#,
-                        spec.algorithm.as_str(),
-                        rows.len(),
-                        generation,
-                    );
-                    write_ok(w, &json, &payload)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+                write_cover(w, spec, &rows, generation, false, false)?;
             }
-            Ok(Flow::Continue)
-        }
-        Request::Slice { labels, from, to } => {
-            // Raw slice export for the router's merge-and-solve path. Rows
-            // come back in slice order (value, then external id) with each
-            // row's labels already intersected with the requested set —
-            // identical rendering on every shard, so a dedup-by-id merge
-            // reconstructs the single-node slice byte-for-byte.
-            let sliced = (|| {
-                let store = read_or_poisoned(&state.store)?;
-                let generation = store.generation();
-                let slice = store.store().slice(labels, *from, *to);
-                let rows: Vec<String> = (0..slice.instance.len() as u32)
-                    .map(|i| format_tsv(&slice.record_for(i)))
-                    .collect();
-                Ok::<_, MqdError>((generation, rows))
-            })();
-            match sliced {
-                Ok((generation, rows)) => {
-                    let json = format!(r#"{{"count":{},"generation":{}}}"#, rows.len(), generation);
-                    write_ok(w, &json, &rows)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+            Request::Slice { labels, from, to } => {
+                // Raw slice export for the router's merge-and-solve path. Rows
+                // come back in slice order (value, then external id) with each
+                // row's labels already intersected with the requested set —
+                // identical rendering on every shard, so a dedup-by-id merge
+                // reconstructs the single-node slice byte-for-byte.
+                let (generation, rows) = {
+                    let store = read_or_poisoned(&self.store)?;
+                    let slice = store.store().slice(labels, *from, *to);
+                    let rows: Vec<String> = (0..slice.instance.len() as u32)
+                        .map(|i| format_tsv(&slice.record_for(i)))
+                        .collect();
+                    (store.generation(), rows)
+                };
+                let json = format!(r#"{{"count":{},"generation":{}}}"#, rows.len(), generation);
+                write_ok(w, &json, &rows)?;
             }
-            Ok(Flow::Continue)
-        }
-        Request::Hello { .. } => {
-            let Some(body) = body else {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(
-                    w,
-                    &MqdError::Protocol {
-                        msg: "handshake body missing for HELLO".into(),
-                    },
-                )?;
-                return Ok(Flow::Continue);
-            };
-            match hello(state, body) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+            Request::Hello { .. } => write_ok(w, &hello(self, body)?, &[])?,
+            Request::Subscribe(spec) => {
+                counters.subscribes.fetch_add(1, Ordering::Relaxed);
+                subscribe(self, counters, spec, w)?;
             }
-            Ok(Flow::Continue)
-        }
-        Request::Subscribe(spec) => {
-            state.counters.subscribes.fetch_add(1, Ordering::Relaxed);
-            subscribe(state, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::Drain => {
-            state.draining.store(true, Ordering::SeqCst);
-            // Graceful shutdown seals the WAL tail into a (partial) block,
-            // so a clean restart replays nothing. Failure is non-fatal:
-            // the WAL still holds the rows and recovery replays it.
-            if let Ok(mut store) = write_or_poisoned(&state.store) {
-                let _ = store.flush();
+            Request::Ping | Request::Drain | Request::Quit => {
+                return Err(MqdError::protocol("transport verb reached the handler").into());
             }
-            write_ok(w, r#"{"draining":true}"#, &[])?;
-            // Kick the acceptor out of its blocking accept so it observes
-            // the flag; the connection itself is discarded there.
-            let _ = TcpStream::connect_timeout(&state.addr, Duration::from_millis(500));
-            Ok(Flow::Close)
         }
-        Request::Quit => {
-            write_ok(w, r#"{"bye":true}"#, &[])?;
-            Ok(Flow::Close)
+        Ok(())
+    }
+
+    fn after_drain_flag(&self) {
+        // Graceful shutdown seals the WAL tail into a (partial) block, so a
+        // clean restart replays nothing. Failure is non-fatal: the WAL still
+        // holds the rows and recovery replays it.
+        if let Ok(mut store) = write_or_poisoned(&self.store) {
+            let _ = store.flush();
         }
     }
+}
+
+/// Answers a `QUERY` (cached or cold) or a `COVER` half with its rows.
+fn write_cover(
+    w: &mut impl Write,
+    spec: &QuerySpec,
+    rows: &[Record],
+    generation: u64,
+    cached: bool,
+    stale: bool,
+) -> std::io::Result<()> {
+    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
+    let json = format!(
+        r#"{{"algorithm":"{}","count":{},"cached":{cached},"stale":{stale},"generation":{generation}}}"#,
+        spec.algorithm.as_str(),
+        rows.len(),
+    );
+    write_ok(w, &json, &payload)
 }
 
 /// Serves a query through the repairable cache. The hot path is one store
@@ -713,12 +437,10 @@ fn hello(state: &State, body: &[u8]) -> Result<String, MqdError> {
     let offered = decode_hello(body)?;
     if let Some(have) = state.shard {
         if have != offered {
-            return Err(MqdError::Protocol {
-                msg: format!(
-                    "shard map mismatch: router expects shard {}/{}, backend serves {}/{}",
-                    offered.shard_id, offered.shard_count, have.shard_id, have.shard_count
-                ),
-            });
+            return Err(MqdError::protocol(format!(
+                "shard map mismatch: router expects shard {}/{}, backend serves {}/{}",
+                offered.shard_id, offered.shard_count, have.shard_id, have.shard_count
+            )));
         }
     }
     Ok(format!(
@@ -740,12 +462,10 @@ fn check_row_ownership(shard: &ShardIdentity, rows: &[Record]) -> Result<(), Mqd
             .iter()
             .any(|&l| shard_of_label(l, shard.shard_count) == shard.shard_id)
         {
-            return Err(MqdError::Protocol {
-                msg: format!(
-                    "row {} owns no label of shard {}/{}",
-                    row.id, shard.shard_id, shard.shard_count
-                ),
-            });
+            return Err(MqdError::protocol(format!(
+                "row {} owns no label of shard {}/{}",
+                row.id, shard.shard_id, shard.shard_count
+            )));
         }
     }
     Ok(())
@@ -757,7 +477,11 @@ fn check_row_ownership(shard: &ShardIdentity, rows: &[Record]) -> Result<(), Mqd
 /// revalidated, or dirtied). Newly-dirty specs go to the refresher after
 /// the locks drop. On a mid-batch append failure the valid prefix stays
 /// (stream-prefix semantics) and is still sealed before the error returns.
-fn ingest_rows(state: &State, rows: &[Record]) -> Result<(usize, u64), MqdError> {
+fn ingest_rows(
+    state: &State,
+    counters: &Counters,
+    rows: &[Record],
+) -> Result<(usize, u64), MqdError> {
     // Whole-batch ownership check up front: a misrouted row fails before
     // anything is WAL-logged, so the batch is all-or-nothing with respect
     // to routing mistakes.
@@ -815,8 +539,7 @@ fn ingest_rows(state: &State, rows: &[Record]) -> Result<(usize, u64), MqdError>
         }
         (failure, generation, to_refresh)
     };
-    state
-        .counters
+    counters
         .ingested_rows
         .fetch_add(appended as u64, Ordering::Relaxed);
     for spec in to_refresh {
@@ -832,20 +555,7 @@ fn ingest_rows(state: &State, rows: &[Record]) -> Result<(usize, u64), MqdError>
     }
 }
 
-fn ingest_batch(state: &State, body: &[u8]) -> Result<(usize, u64), MqdError> {
-    let rows = decode_records(body)?;
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(MqdError::Protocol {
-            msg: format!(
-                "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-                rows.len()
-            ),
-        });
-    }
-    ingest_rows(state, &rows)
-}
-
-fn stats_json(state: &State) -> Result<String, MqdError> {
+fn stats_json(state: &State, engine: &Engine) -> Result<String, MqdError> {
     // Lock order: store, then cache.
     let (store_stats, durable_stats) = {
         let store = read_or_poisoned(&state.store)?;
@@ -856,9 +566,9 @@ fn stats_json(state: &State) -> Result<String, MqdError> {
         &store_stats,
         &cache_stats,
         &durable_stats,
-        &state.counters,
-        state.threads,
-        state.draining.load(Ordering::SeqCst),
+        engine.counters(),
+        engine.threads(),
+        engine.draining(),
         state.shard,
     ))
 }
@@ -882,7 +592,7 @@ fn render_stats(
             r#"{{"rows":{},"segments":{},"labels":{},"generation":{},"#,
             r#""min_value":{},"max_value":{},"#,
             r#""cache":{{"hits":{},"misses":{},"invalidations":{},"repairs":{},"refreshes":{},"stale_served":{},"entries":{}}},"#,
-            r#""served":{{"connections":{},"queries":{},"ingested_rows":{},"subscribes":{},"errors":{},"overloads":{},"timeouts":{}}},"#,
+            r#"{},"#,
             r#""durable":{{"wal_bytes":{},"segments_flushed":{},"compactions":{},"recovered_rows":{},"gc_segments":{}}},"#,
             r#""threads":{},"draining":{}}}"#
         ),
@@ -899,13 +609,7 @@ fn render_stats(
         cache_stats.refreshes,
         cache_stats.stale_served,
         cache_stats.entries,
-        c.connections.load(Ordering::Relaxed),
-        c.queries.load(Ordering::Relaxed),
-        c.ingested_rows.load(Ordering::Relaxed),
-        c.subscribes.load(Ordering::Relaxed),
-        c.errors.load(Ordering::Relaxed),
-        c.overloads.load(Ordering::Relaxed),
-        c.timeouts.load(Ordering::Relaxed),
+        c.served_json(),
         durable.wal_bytes,
         durable.segments_flushed,
         durable.compactions,
@@ -940,42 +644,29 @@ fn render_stats(
 /// so the full emission sequence (and the `DONE` totals) are byte-identical
 /// to an uninterrupted session; `AFTER n` merely skips the first `n`
 /// emissions on the wire for a client that already received them.
-fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io::Result<()> {
+fn subscribe(
+    state: &State,
+    counters: &Counters,
+    spec: &SubscribeSpec,
+    w: &mut impl Write,
+) -> Result<(), Fail> {
     if spec.lambda < 0 {
-        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(w, &MqdError::NegativeLambda(spec.lambda));
+        return Err(MqdError::NegativeLambda(spec.lambda).into());
     }
     if spec.tau < 0 {
-        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(
-            w,
-            &MqdError::Protocol {
-                msg: format!("tau must be >= 0, got {}", spec.tau),
-            },
-        );
+        return Err(MqdError::protocol(format!("tau must be >= 0, got {}", spec.tau)).into());
     }
     let params = SubParams::of(spec);
     let checkpoint_path = match (&spec.name, &state.subs_dir) {
         (Some(name), Some(dir)) => Some(dir.join(name)),
         (Some(_), None) => {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            return write_err(
-                w,
-                &MqdError::Protocol {
-                    msg: "NAME needs a durable server (start with --data-dir)".into(),
-                },
-            );
+            let msg = "NAME needs a durable server (start with --data-dir)";
+            return Err(MqdError::protocol(msg).into());
         }
         (None, _) => None,
     };
     let slice = {
-        let store = match read_or_poisoned(&state.store) {
-            Ok(store) => store,
-            Err(e) => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return write_err(w, &e);
-            }
-        };
+        let store = read_or_poisoned(&state.store)?;
         // Lease before slicing, *while holding the store read lock*
         // (store-then-subs, the global lock order): ingest samples the
         // subs floor and runs GC under the store write lock, so a lease
@@ -1004,16 +695,13 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
         if let Ok(bytes) = std::fs::read(path) {
             if let Ok((have, inner)) = subs::decode_wrapper(&bytes) {
                 if have != params {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    return write_err(
-                        w,
-                        &MqdError::CheckpointMismatch {
-                            what: format!(
-                                "session '{}' was started with different parameters",
-                                spec.name.as_deref().unwrap_or("")
-                            ),
-                        },
-                    );
+                    return Err(MqdError::CheckpointMismatch {
+                        what: format!(
+                            "session '{}' was started with different parameters",
+                            spec.name.as_deref().unwrap_or("")
+                        ),
+                    }
+                    .into());
                 }
                 if let Ok(r) = resume_supervised(
                     inst,
@@ -1070,10 +758,10 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
                     // inside the payload, keeping the framing intact. A
                     // named session keeps its checkpoint and lease for a
                     // later resume.
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    writeln!(w, "ABORT {} {}", crate::protocol::error_kind(&e), e)?;
+                    counters.errors.fetch_add(1, Ordering::Relaxed);
+                    writeln!(w, "ABORT {} {}", error_kind(&e), e)?;
                     writeln!(w, "{TERMINATOR}")?;
-                    return w.flush();
+                    return Ok(w.flush()?);
                 }
             }
         }
@@ -1129,18 +817,19 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
             }
         }
         Err(e) => {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            writeln!(w, "ABORT {} {}", crate::protocol::error_kind(&e), e)?;
+            counters.errors.fetch_add(1, Ordering::Relaxed);
+            writeln!(w, "ABORT {} {}", error_kind(&e), e)?;
         }
     }
     writeln!(w, "{TERMINATOR}")?;
-    w.flush()
+    Ok(w.flush()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{json_u64, Client};
+    use std::net::TcpStream;
 
     fn start(threads: usize, max_queue: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let server = Server::bind(&ServerConfig {
@@ -1663,16 +1352,19 @@ mod tests {
     #[test]
     fn idle_timeout_reclaims_half_open_and_dribbling_connections() {
         use std::io::Read;
-        let server = Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            threads: 4,
-            max_queue: 8,
-            idle_timeout: Some(Duration::from_millis(300)),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let start_idle = |threads: usize| {
+            let server = Server::bind(&ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                threads,
+                max_queue: 8,
+                idle_timeout: Some(Duration::from_millis(300)),
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let addr = server.local_addr();
+            (addr, std::thread::spawn(move || server.run().unwrap()))
+        };
+        let (addr, handle) = start_idle(4);
 
         let read_all = |mut s: TcpStream| -> String {
             let mut buf = String::new();
@@ -1710,5 +1402,37 @@ mod tests {
         assert!(r.status.contains(r#""timeouts":3"#), "{}", r.status);
         assert!(c.request("DRAIN").unwrap().is_ok());
         handle.join().unwrap();
+
+        // Non-reader: pipelines queries and never reads an answer. The
+        // blocked write must hit the same budget, or the peer pins the
+        // only worker (and with it DRAIN) forever.
+        let (addr, handle) = start_idle(1);
+        let rows: Vec<Record> = (0..2000)
+            .map(|i| Record {
+                id: i,
+                value: i as i64,
+                labels: vec![0],
+            })
+            .collect();
+        let mut c = Client::connect(addr).unwrap();
+        assert!(c.ingest_batch(&rows).unwrap().is_ok());
+        drop(c);
+        // 2000 answers of 2000 rows each outgrow any loopback buffering.
+        let mut stuck = TcpStream::connect(addr).unwrap();
+        stuck
+            .write_all("QUERY 0 0 scan\n".repeat(2000).as_bytes())
+            .unwrap();
+        // The probe queues behind the stuck peer; its read timeout turns a
+        // pinned worker into a failed assertion instead of a hung test.
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        probe.write_all(b"PING\nSTATS\nDRAIN\n").unwrap();
+        let got = read_all(probe);
+        assert!(got.starts_with(r#"+OK {"pong":true}"#), "{got}");
+        assert!(json_u64(&got, "timeouts") >= Some(1), "{got}");
+        handle.join().unwrap();
+        drop(stuck);
     }
 }

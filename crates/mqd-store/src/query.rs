@@ -50,9 +50,9 @@ impl Algorithm {
             "greedysc" => Ok(Algorithm::GreedySc),
             "scan" => Ok(Algorithm::Scan),
             "scanplus" => Ok(Algorithm::ScanPlus),
-            other => Err(MqdError::Protocol {
-                msg: format!("unknown algorithm '{other}' (want opt|greedysc|scan|scanplus)"),
-            }),
+            other => Err(MqdError::protocol(format!(
+                "unknown algorithm '{other}' (want opt|greedysc|scan|scanplus)"
+            ))),
         }
     }
 
@@ -89,14 +89,12 @@ pub fn validate_spec(spec: &QuerySpec) -> Result<(), MqdError> {
         return Err(MqdError::NegativeLambda(spec.lambda));
     }
     if spec.labels.is_empty() {
-        return Err(MqdError::Protocol {
-            msg: "query needs at least one label".into(),
-        });
+        return Err(MqdError::protocol("query needs at least one label"));
     }
     if spec.algorithm == Algorithm::Opt && spec.proportional {
-        return Err(MqdError::Protocol {
-            msg: "opt supports fixed lambda only (use greedysc/scan/scanplus for prop)".into(),
-        });
+        return Err(MqdError::protocol(
+            "opt supports fixed lambda only (use greedysc/scan/scanplus for prop)",
+        ));
     }
     Ok(())
 }
@@ -139,14 +137,12 @@ pub fn run_query_cover(
 ) -> Result<Vec<Record>, MqdError> {
     validate_spec(spec)?;
     if !repairable(spec) {
-        return Err(MqdError::Protocol {
-            msg: "COVER applies to fixed-lambda scan only".into(),
-        });
+        return Err(MqdError::protocol(
+            "COVER applies to fixed-lambda scan only",
+        ));
     }
     if cover.is_empty() {
-        return Err(MqdError::Protocol {
-            msg: "COVER needs at least one label".into(),
-        });
+        return Err(MqdError::protocol("COVER needs at least one label"));
     }
     let slice = store.slice(&spec.labels, spec.from, spec.to);
     let mut locals = Vec::with_capacity(cover.len());
@@ -154,9 +150,9 @@ pub fn run_query_cover(
         match slice.label_map.binary_search(g) {
             Ok(i) => locals.push(LabelId(i as u16)),
             Err(_) => {
-                return Err(MqdError::Protocol {
-                    msg: format!("COVER label {g} is not among the query labels"),
-                })
+                return Err(MqdError::protocol(format!(
+                    "COVER label {g} is not among the query labels"
+                )))
             }
         }
     }

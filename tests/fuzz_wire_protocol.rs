@@ -8,6 +8,7 @@ use std::net::SocketAddr;
 
 use mqd_core::record::{encode_records, Record};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
+use mqd_router::{Router, RouterConfig};
 use mqd_server::{Client, Server, ServerConfig};
 
 fn start(threads: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
@@ -21,6 +22,29 @@ fn start(threads: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run().unwrap()))
 }
+
+/// A router over one standalone backend: the same transport engine behind
+/// a different handler. `DRAIN` cascades, so the handle joins both.
+fn start_routed(threads: usize) -> Started {
+    let (backend, server) = start(threads);
+    let router = Router::bind(&RouterConfig {
+        backends: vec![backend.to_string()],
+        threads,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let addr = router.local_addr();
+    let handle = std::thread::spawn(move || {
+        router.run().unwrap();
+        server.join().unwrap();
+    });
+    (addr, handle)
+}
+
+type Started = (SocketAddr, std::thread::JoinHandle<()>);
+
+/// The frontends the transport-level cases run against.
+const FRONTS: [fn(usize) -> Started; 2] = [start, start_routed];
 
 fn drain(addr: SocketAddr) {
     let mut c = Client::connect(addr).unwrap();
@@ -37,42 +61,48 @@ fn assert_alive(addr: SocketAddr) {
 
 #[test]
 fn garbage_lines_get_typed_errors_and_keep_the_connection() {
-    let (addr, server) = start(2);
-    let mut rng = StdRng::seed_from_u64(0xF0220);
-    let mut client = Client::connect(addr).unwrap();
-    for round in 0..200 {
-        let len = rng.random_range(0..120usize);
-        let mut line: String = (0..len)
-            .map(|_| (rng.random_range(0x20..0x7fu8)) as char)
-            .collect();
-        // `INGESTB <n>` is the one prefix that legitimately consumes raw
-        // bytes after the line; exclude it so the stream stays line-framed
-        // (dedicated body tests below cover that path).
-        if line.to_ascii_uppercase().starts_with("INGESTB") {
-            line.insert(0, '#');
+    for start in FRONTS {
+        let (addr, server) = start(2);
+        let mut rng = StdRng::seed_from_u64(0xF0220);
+        let mut client = Client::connect(addr).unwrap();
+        for round in 0..200 {
+            let len = rng.random_range(0..120usize);
+            let mut line: String = (0..len)
+                .map(|_| (rng.random_range(0x20..0x7fu8)) as char)
+                .collect();
+            // `INGESTB <n>` is the one prefix that legitimately consumes raw
+            // bytes after the line; exclude it so the stream stays line-framed
+            // (dedicated body tests below cover that path).
+            if line.to_ascii_uppercase().starts_with("INGESTB") {
+                line.insert(0, '#');
+            }
+            if line.trim().is_empty() {
+                continue;
+            }
+            let resp = client
+                .request(&line)
+                .unwrap_or_else(|e| panic!("round {round}: no response to {line:?}: {e}"));
+            assert!(
+                resp.status.starts_with("-ERR ") || resp.is_ok(),
+                "round {round}: unframed status {:?} for {line:?}",
+                resp.status
+            );
+            assert!(
+                !resp.status.contains("panicked"),
+                "round {round}: handler panicked on {line:?}"
+            );
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = client
-            .request(&line)
-            .unwrap_or_else(|e| panic!("round {round}: no response to {line:?}: {e}"));
-        assert!(
-            resp.status.starts_with("-ERR ") || resp.is_ok(),
-            "round {round}: unframed status {:?} for {line:?}",
-            resp.status
-        );
-        assert!(
-            !resp.status.contains("panicked"),
-            "round {round}: handler panicked on {line:?}"
-        );
+        // A framed verb the frontend rejects (bad handshake on the server,
+        // backend-only verb on the router) still has its body consumed.
+        let resp = client.request_raw(b"HELLO 7\n0123456").unwrap();
+        assert!(resp.status.starts_with("-ERR "), "{}", resp.status);
+        // Same connection still serves real requests.
+        let resp = client.request("PING").unwrap();
+        assert!(resp.is_ok());
+        drop(client);
+        drain(addr);
+        server.join().unwrap();
     }
-    // Same connection still serves real requests.
-    let resp = client.request("PING").unwrap();
-    assert!(resp.is_ok());
-    drop(client);
-    drain(addr);
-    server.join().unwrap();
 }
 
 #[test]
@@ -116,57 +146,63 @@ fn corrupt_ingestb_bodies_are_typed_and_consume_the_frame() {
 
 #[test]
 fn truncated_body_and_half_close_is_a_typed_error() {
-    let (addr, server) = start(2);
-    let mut client = Client::connect(addr).unwrap();
-    // Announce 100 bytes, deliver 10, half-close: the server cannot
-    // recover the frame but must still answer with the typed error.
-    let mut raw = b"INGESTB 100\n".to_vec();
-    raw.extend_from_slice(&[0u8; 10]);
-    client.write_raw(&raw).unwrap();
-    client.shutdown_write().unwrap();
-    let resp = client.read_response().unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
-    assert!(resp.status.contains("truncated body"), "{}", resp.status);
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+    for start in FRONTS {
+        let (addr, server) = start(2);
+        let mut client = Client::connect(addr).unwrap();
+        // Announce 100 bytes, deliver 10, half-close: the server cannot
+        // recover the frame but must still answer with the typed error.
+        let mut raw = b"INGESTB 100\n".to_vec();
+        raw.extend_from_slice(&[0u8; 10]);
+        client.write_raw(&raw).unwrap();
+        client.shutdown_write().unwrap();
+        let resp = client.read_response().unwrap();
+        assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        assert!(resp.status.contains("truncated body"), "{}", resp.status);
+        assert_alive(addr);
+        drain(addr);
+        server.join().unwrap();
+    }
 }
 
 #[test]
 fn half_closed_mid_line_still_gets_an_answer() {
-    let (addr, server) = start(2);
-    // Write a fragment with no trailing newline, then half-close: the
-    // fragment is treated as a complete request line and answered.
-    let mut c = Client::connect(addr).unwrap();
-    c.write_raw(b"PI").unwrap();
-    c.shutdown_write().unwrap();
-    let resp = c.read_response().unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+    for start in FRONTS {
+        let (addr, server) = start(2);
+        // Write a fragment with no trailing newline, then half-close: the
+        // fragment is treated as a complete request line and answered.
+        let mut c = Client::connect(addr).unwrap();
+        c.write_raw(b"PI").unwrap();
+        c.shutdown_write().unwrap();
+        let resp = c.read_response().unwrap();
+        assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        assert_alive(addr);
+        drain(addr);
+        server.join().unwrap();
+    }
 }
 
 #[test]
 fn oversized_requests_are_rejected_typed() {
-    let (addr, server) = start(2);
+    for start in FRONTS {
+        let (addr, server) = start(2);
 
-    // Oversized request line (> 64 KiB): typed error, then close.
-    let mut client = Client::connect(addr).unwrap();
-    let big = "QUERY ".to_string() + &"1,".repeat(40_000) + "1 5 scan";
-    let resp = client.request(&big).unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        // Oversized request line (> 64 KiB): typed error, then close.
+        let mut client = Client::connect(addr).unwrap();
+        let big = "QUERY ".to_string() + &"1,".repeat(40_000) + "1 5 scan";
+        let resp = client.request(&big).unwrap();
+        assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
 
-    // Oversized batch announcement: typed error without reading a body.
-    let mut client = Client::connect(addr).unwrap();
-    let resp = client.request("INGESTB 999999999999").unwrap();
-    assert!(resp.status.starts_with("-ERR "), "{}", resp.status);
-    let ping = client.request("PING").unwrap();
-    assert!(ping.is_ok(), "{}", ping.status);
+        // Oversized batch announcement: typed error without reading a body.
+        let mut client = Client::connect(addr).unwrap();
+        let resp = client.request("INGESTB 999999999999").unwrap();
+        assert!(resp.status.starts_with("-ERR "), "{}", resp.status);
+        let ping = client.request("PING").unwrap();
+        assert!(ping.is_ok(), "{}", ping.status);
 
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+        assert_alive(addr);
+        drain(addr);
+        server.join().unwrap();
+    }
 }
 
 #[test]
