@@ -190,19 +190,19 @@ fn bench_multiuser_hub(c: &mut Criterion) {
 }
 
 fn bench_binlog(c: &mut Criterion) {
-    let rows: Vec<mqd_cli::tsv::LabeledRow> = (0..10_000)
-        .map(|i| mqd_cli::tsv::LabeledRow {
+    let rows: Vec<mqd_core::record::Record> = (0..10_000)
+        .map(|i| mqd_core::record::Record {
             id: i,
             value: 1_000_000 + i as i64 * 137,
             labels: vec![(i % 7) as u16],
         })
         .collect();
     c.bench_function("binlog_encode_10k", |b| {
-        b.iter(|| black_box(mqd_cli::binlog::encode(&rows)))
+        b.iter(|| black_box(mqd_core::record::encode_records(&rows)))
     });
-    let data = mqd_cli::binlog::encode(&rows);
+    let data = mqd_core::record::encode_records(&rows);
     c.bench_function("binlog_decode_10k", |b| {
-        b.iter(|| black_box(mqd_cli::binlog::decode(&data).unwrap()))
+        b.iter(|| black_box(mqd_core::record::decode_records(&data).unwrap()))
     });
 }
 

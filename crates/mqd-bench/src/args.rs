@@ -13,9 +13,6 @@ pub struct BenchArgs {
     pub out: PathBuf,
     /// Workload scale multiplier (`--scale X`, default 1.0).
     pub scale: f64,
-    /// Ingest rate (rows/sec) mixed into the query phase by benches with
-    /// an interleaved mode (`--interleave RATE`, default 200).
-    pub interleave: f64,
 }
 
 impl Default for BenchArgs {
@@ -25,7 +22,6 @@ impl Default for BenchArgs {
             seed: 20130612,
             out: PathBuf::from("reports"),
             scale: 1.0,
-            interleave: 200.0,
         }
     }
 }
@@ -60,12 +56,6 @@ impl BenchArgs {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--scale needs a float"))
                 }
-                "--interleave" => {
-                    out.interleave = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--interleave needs a rows/sec rate"))
-                }
                 other => usage(&format!("unknown flag {other}")),
             }
         }
@@ -84,7 +74,7 @@ impl BenchArgs {
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: <bin> [--quick] [--seed N] [--out DIR] [--scale X] [--interleave RATE]");
+    eprintln!("usage: <bin> [--quick] [--seed N] [--out DIR] [--scale X]");
     std::process::exit(2);
 }
 
@@ -102,26 +92,16 @@ mod tests {
         assert!(!a.quick);
         assert_eq!(a.out, PathBuf::from("reports"));
         assert_eq!(a.effective_scale(), 1.0);
-        assert!((a.interleave - 200.0).abs() < 1e-12);
     }
 
     #[test]
     fn parses_all_flags() {
         let a = BenchArgs::parse_from(sv(&[
-            "--quick",
-            "--seed",
-            "7",
-            "--out",
-            "/tmp/r",
-            "--scale",
-            "0.5",
-            "--interleave",
-            "350",
+            "--quick", "--seed", "7", "--out", "/tmp/r", "--scale", "0.5",
         ]));
         assert!(a.quick);
         assert_eq!(a.seed, 7);
         assert_eq!(a.out, PathBuf::from("/tmp/r"));
         assert!((a.effective_scale() - 0.05).abs() < 1e-12);
-        assert!((a.interleave - 350.0).abs() < 1e-12);
     }
 }

@@ -13,9 +13,7 @@ pub mod report;
 pub mod workloads;
 
 pub use args::BenchArgs;
-pub use measure::{
-    measure, micros_per_post, must, run_stream_by_name, time_it, Measured, STREAM_ENGINES,
-};
+pub use measure::{micros_per_post, must, run_stream_by_name, time_it, STREAM_ENGINES};
 pub use microbench::{Bencher, BenchmarkId, Criterion};
 pub use report::{f1, f3, Report, Table};
 pub use workloads::{

@@ -35,49 +35,6 @@ pub fn micros_per_post(posts: usize, d: Duration) -> f64 {
     }
 }
 
-/// One measured run: wall time, workload size, and the thread count it ran
-/// with — the unit the parallel-scaling sweeps report.
-#[derive(Clone, Copy, Debug)]
-pub struct Measured {
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Posts processed.
-    pub posts: usize,
-    /// Worker threads the run was configured with.
-    pub threads: usize,
-}
-
-impl Measured {
-    /// Post throughput (posts per second of wall time).
-    pub fn posts_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.posts as f64 / s
-        }
-    }
-
-    /// Wall time in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall.as_secs_f64() * 1e3
-    }
-}
-
-/// Runs `f` over a workload of `posts` posts at `threads` threads,
-/// returning its result plus the measurement.
-pub fn measure<T>(threads: usize, posts: usize, f: impl FnOnce() -> T) -> (T, Measured) {
-    let (out, wall) = time_it(f);
-    (
-        out,
-        Measured {
-            wall,
-            posts,
-            threads,
-        },
-    )
-}
-
 /// Streaming engines by name, so binaries can iterate uniformly.
 pub const STREAM_ENGINES: &[&str] = &[
     "StreamScan",
@@ -149,27 +106,6 @@ mod tests {
         assert_eq!(v, 42);
         assert!(micros_per_post(0, d) == 0.0);
         assert!(micros_per_post(10, Duration::from_micros(100)) - 10.0 < 1e-9);
-    }
-
-    #[test]
-    fn measured_derives_throughput() {
-        let (v, m) = measure(4, 1_000, || 7);
-        assert_eq!(v, 7);
-        assert_eq!(m.threads, 4);
-        assert_eq!(m.posts, 1_000);
-        let m = Measured {
-            wall: Duration::from_secs(2),
-            posts: 1_000,
-            threads: 1,
-        };
-        assert!((m.posts_per_sec() - 500.0).abs() < 1e-9);
-        assert!((m.wall_ms() - 2_000.0).abs() < 1e-9);
-        let zero = Measured {
-            wall: Duration::ZERO,
-            posts: 10,
-            threads: 1,
-        };
-        assert_eq!(zero.posts_per_sec(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and writers so they are unit-testable without touching the filesystem.
 
 use std::io::{BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use mqd_core::algorithms::{
     solve_greedy_sc, solve_opt, solve_scan, solve_scan_plus, LabelOrder, OptConfig,
@@ -208,15 +208,6 @@ fn shard_engine_kind(engine: &str) -> Result<mqd_stream::ShardEngineKind, String
     }
 }
 
-/// Replaces `path` with `bytes` via a temp file + rename, so a crash while
-/// checkpointing never leaves a torn checkpoint behind.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(())
-}
-
 /// `mqdiv stream` with supervision: shard panics are restarted from the
 /// last snapshot, injected faults come from a seeded plan, overload flips
 /// shards into the Instant scheme, and the run can checkpoint to (and
@@ -285,7 +276,8 @@ pub fn stream_supervised(
             delivered += 1;
             if let Some(path) = &opts.checkpoint {
                 if delivered.is_multiple_of(every) || run.done() {
-                    write_atomic(path, &encode_checkpoint(&mut run))?;
+                    mqd_wal::fsio::write_atomic(path, &encode_checkpoint(&mut run), true)
+                        .map_err(|e| format!("--checkpoint {}: {e}", path.display()))?;
                 }
             }
         }
@@ -714,6 +706,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mqdiv_ckpt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("state.mqdc");
+        // Someone else's file: the checkpoint's temp name must not be
+        // derived from the stem (regression: it used to be `state.tmp`).
+        let sibling = dir.join("state.tmp");
+        std::fs::write(&sibling, b"not a checkpoint").unwrap();
 
         // Straight threaded run (no checkpointing) as the reference.
         let mut reference = Vec::new();
@@ -735,6 +731,9 @@ mod tests {
         stream_supervised(data.as_slice(), &mut first, &mut Vec::new(), &opts).unwrap();
         assert_eq!(first, reference, "checkpointing must not change output");
         assert!(ckpt.exists());
+        assert_eq!(std::fs::read(&sibling).unwrap(), b"not a checkpoint");
+        // Only the checkpoint and the sibling: no temp file is left behind.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
 
         let mut resumed = Vec::new();
         let mut log = Vec::new();

@@ -5,7 +5,6 @@
 
 #![warn(missing_docs)]
 
-pub mod binlog;
 pub mod commands;
 pub mod lint;
 pub mod load;

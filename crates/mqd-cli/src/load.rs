@@ -1,28 +1,20 @@
-//! `mqdiv load`: the open-loop load harness front-end (DESIGN.md §17).
+//! `mqdiv load`: the open-loop scenario driver front-end (DESIGN.md §17).
 //!
 //! Builds the deterministic scenario plan ([`mqd_load::scenario`]), runs
-//! it either against a live endpoint (`--addr`, the wire protocol over
-//! TCP) or through the deterministic service model (`--sim`), and writes
-//! the `BENCH_load_<scenario>.json` evidence artifact. When a `--sim`
-//! run's SLO fails, the schedule is ddmin-shrunk to a minimal replayable
-//! reproducer before reporting, so a red CI job hands back a seed and a
-//! handful of ops instead of an overnight soak.
+//! it against a live endpoint (`--addr`, the wire protocol over TCP), and
+//! writes the `BENCH_load_<scenario>.json` evidence artifact with the SLO
+//! verdict embedded.
 
 use std::io::Write;
 
-use mqd_load::{
-    build, evaluate_slo, render_report, run_live, run_sim, shrink_plan, RunnerCfg, ScenarioCfg,
-    SimParams, CATALOG,
-};
+use mqd_load::{build, evaluate_slo, render_report, run_live, RunnerCfg, ScenarioCfg, CATALOG};
 
 /// Options for `mqdiv load`.
 pub struct LoadOpts {
     /// Scenario name from [`mqd_load::CATALOG`].
     pub scenario: String,
-    /// Live target (`host:port`). Mutually exclusive with `sim`.
+    /// Live target (`host:port`); required.
     pub addr: Option<String>,
-    /// Run the deterministic service model instead of a live endpoint.
-    pub sim: bool,
     /// The one seed every client action derives from.
     pub seed: u64,
     /// Mean offered rate, requests/second.
@@ -44,7 +36,6 @@ impl Default for LoadOpts {
         LoadOpts {
             scenario: "steady".into(),
             addr: None,
-            sim: false,
             seed: cfg.seed,
             rate: cfg.rate,
             duration_ms: cfg.duration_ms,
@@ -69,6 +60,7 @@ pub fn load(log: &mut impl Write, opts: &LoadOpts) -> Result<Vec<String>, String
         let names: Vec<&str> = CATALOG.iter().map(|(n, _)| *n).collect();
         format!("{e} (scenarios: {})", names.join(", "))
     })?;
+    let addr = opts.addr.as_ref().ok_or("--addr HOST:PORT is required")?;
     writeln!(
         log,
         "scenario {}: {} op(s) ({} query, {} ingest), {} slow conn(s), digest {:016x}",
@@ -81,34 +73,8 @@ pub fn load(log: &mut impl Write, opts: &LoadOpts) -> Result<Vec<String>, String
     )
     .map_err(|e| e.to_string())?;
 
-    let outcome = match (&opts.addr, opts.sim) {
-        (Some(addr), false) => {
-            run_live(&plan, &RunnerCfg::new(addr.clone())).map_err(|e| e.to_string())?
-        }
-        (None, true) => run_sim(&plan, &SimParams::for_plan(&plan)),
-        (Some(_), true) => return Err("--addr and --sim are mutually exclusive".into()),
-        (None, false) => return Err("pick a target: --addr HOST:PORT or --sim".into()),
-    };
-
+    let outcome = run_live(&plan, &RunnerCfg::new(addr.clone())).map_err(|e| e.to_string())?;
     let violations = evaluate_slo(&plan.scenario, &outcome);
-    if !violations.is_empty() && opts.sim {
-        // Deterministic executor: shrink the failing schedule to a minimal
-        // replayable reproducer (same strategy as the PR 3 oracle).
-        let params = SimParams::for_plan(&plan);
-        let small = shrink_plan(&plan, |p| {
-            !evaluate_slo(&p.scenario, &run_sim(p, &params)).is_empty()
-        });
-        writeln!(
-            log,
-            "SLO failed; ddmin shrank {} op(s) / {} slow conn(s) to {} / {} (seed {})",
-            plan.ops.len(),
-            plan.slow_conns.len(),
-            small.ops.len(),
-            small.slow_conns.len(),
-            plan.seed
-        )
-        .map_err(|e| e.to_string())?;
-    }
 
     let report = render_report(&plan, &outcome);
     let path = opts
@@ -150,45 +116,6 @@ pub fn load(log: &mut impl Write, opts: &LoadOpts) -> Result<Vec<String>, String
 mod tests {
     use super::*;
 
-    fn sim_opts(scenario: &str, out: std::path::PathBuf) -> LoadOpts {
-        LoadOpts {
-            scenario: scenario.into(),
-            sim: true,
-            rate: 200.0,
-            duration_ms: 1_000,
-            out: Some(out),
-            check: true,
-            ..LoadOpts::default()
-        }
-    }
-
-    #[test]
-    fn sim_run_writes_a_byte_stable_artifact() {
-        let dir = std::env::temp_dir().join("mqd_load_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_load_steady.json");
-        let mut log = Vec::new();
-        load(&mut log, &sim_opts("steady", path.clone())).unwrap();
-        let a = std::fs::read_to_string(&path).unwrap();
-        load(&mut log, &sim_opts("steady", path.clone())).unwrap();
-        let b = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(a, b, "same seed must reproduce identical reports");
-        assert!(a.contains("\"p999\""), "{a}");
-        assert!(a.contains("\"mode\":\"sim\""), "{a}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn slowloris_sim_passes_its_slo() {
-        let dir = std::env::temp_dir().join("mqd_load_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_load_slowloris.json");
-        let mut log = Vec::new();
-        let v = load(&mut log, &sim_opts("slowloris", path.clone())).unwrap();
-        assert!(v.is_empty(), "{v:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn unknown_scenario_lists_the_catalog() {
         let mut log = Vec::new();
@@ -196,7 +123,6 @@ mod tests {
             &mut log,
             &LoadOpts {
                 scenario: "nope".into(),
-                sim: true,
                 ..LoadOpts::default()
             },
         )

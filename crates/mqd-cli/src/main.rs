@@ -19,7 +19,7 @@
 //! mqdiv route      --backends HOST:PORT[,HOST:PORT...] --shards N
 //!                  [--addr HOST:PORT] [--max-queue N] [--idle-timeout-ms N]
 //! mqdiv client     --addr HOST:PORT [--input SCRIPT] [--check]
-//! mqdiv load       --scenario NAME (--addr HOST:PORT | --sim) [--seed S] [--rate R]
+//! mqdiv load       --scenario NAME --addr HOST:PORT [--seed S] [--rate R]
 //!                  [--duration-ms N] [--lanes N] [--out FILE] [--check]
 //! mqdiv lint       [--deny] [--json] [--rules a,b] [--out FILE]   (workspace static analysis)
 //! ```
@@ -143,8 +143,8 @@ fn run() -> Result<(), String> {
              \x20            --shard-id/--shard-count pin it as one cluster shard)\n\
              \x20 route      front a sharded cluster: one endpoint over N shard backends\n\
              \x20 client     forward a request script to a running server or router\n\
-             \x20 load       open-loop load harness: drive a scenario at a live endpoint\n\
-             \x20            (or --sim) and write a BENCH_load_<scenario>.json artifact\n\
+             \x20 load       open-loop scenario driver: run a scenario against a live\n\
+             \x20            endpoint and write a BENCH_load_<scenario>.json artifact\n\
              \x20 lint       static-analysis pass over the workspace's own sources\n\
              \n\
              see the crate docs / README for the full flag reference"
@@ -234,13 +234,14 @@ fn run() -> Result<(), String> {
         "pack" => {
             let rows =
                 mqd_cli::tsv::read_labeled(open_input(&flags)?).map_err(|e| e.to_string())?;
-            mqd_cli::binlog::write_posts(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
+            mqd_core::record::write_records(open_output(&flags)?, &rows)
+                .map_err(|e| e.to_string())?;
             eprintln!("packed {} posts", rows.len());
             Ok(())
         }
         "unpack" => {
             let rows =
-                mqd_cli::binlog::read_posts(open_input(&flags)?).map_err(|e| e.to_string())?;
+                mqd_core::record::read_records(open_input(&flags)?).map_err(|e| e.to_string())?;
             mqd_cli::tsv::write_labeled(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
             eprintln!("unpacked {} posts", rows.len());
             Ok(())
@@ -364,7 +365,6 @@ fn run() -> Result<(), String> {
                     .ok_or("--scenario is required")?
                     .to_string(),
                 addr: flags.get("addr").map(String::from),
-                sim: flags.has("sim"),
                 seed: flags.parse_num("seed", defaults.seed)?,
                 rate: flags.parse_num("rate", defaults.rate)?,
                 duration_ms: flags.parse_num("duration-ms", defaults.duration_ms)?,

@@ -13,7 +13,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::binlog;
+use mqd_core::record::{decode_records, encode_records};
+
 use crate::tsv::LabeledRow;
 
 /// Metadata of one live segment.
@@ -75,7 +76,7 @@ impl PostStore {
     fn load_segment(path: &Path) -> Option<SegmentInfo> {
         let seq = Self::parse_seq(path)?;
         let data = fs::read(path).ok()?;
-        let rows = binlog::decode(&data).ok()?;
+        let rows = decode_records(&data).ok()?;
         if rows.is_empty() {
             return None;
         }
@@ -114,7 +115,7 @@ impl PostStore {
         let name = format!("seg-{min_value}-{max_value}-{seq}.mqdl");
         let tmp = self.dir.join(format!(".tmp-{seq}"));
         let final_path = self.dir.join(name);
-        fs::write(&tmp, binlog::encode(rows))?;
+        fs::write(&tmp, encode_records(rows))?;
         fs::rename(&tmp, &final_path)?;
         let info = SegmentInfo {
             path: final_path,
@@ -159,7 +160,7 @@ impl PostStore {
             // Segments were validated at open, but the file may have been
             // corrupted since; surface the typed error through io::Error.
             let rows =
-                binlog::decode(&data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                decode_records(&data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             out.extend(rows.into_iter().filter(|r| (from..=to).contains(&r.value)));
         }
         out.sort_by_key(|r| (r.value, r.id));

@@ -245,6 +245,50 @@ mod tests {
     }
 
     #[test]
+    fn truncation_reports_offset() {
+        let data = encode_records(&sample());
+        match decode_records(&data[..data.len() - 3]).unwrap_err() {
+            MqdError::Corrupt { offset, reason } => {
+                assert!(
+                    reason.contains("end marker") || reason.contains("short"),
+                    "{reason}"
+                );
+                assert!(offset <= data.len());
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wrong_magic_rejected() {
+        let mut data = encode_records(&sample());
+        data[0] = b'X';
+        // checksum covers magic, so a blind flip reports a checksum
+        // failure; re-seal the frame over the bad magic to reach the
+        // magic check itself.
+        let err = decode_records(&data).unwrap_err();
+        assert!(err.to_string().contains("checksum"));
+        let mut body = data[..data.len() - FOOTER.len() - 8].to_vec();
+        seal_framed(&mut body, FOOTER);
+        let err = decode_records(&body).unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn binary_is_smaller_than_tsv() {
+        let rows: Vec<Record> = (0..2_000)
+            .map(|i| Record {
+                id: i,
+                value: 1_370_000_000_000 + i as i64 * 137,
+                labels: vec![(i % 5) as u16],
+            })
+            .collect();
+        let bin = encode_records(&rows);
+        let tsv: usize = rows.iter().map(|r| format_tsv(r).len() + 1).sum();
+        assert!(bin.len() * 2 < tsv, "binary {} vs tsv {tsv}", bin.len());
+    }
+
+    #[test]
     fn tsv_round_trip() {
         for r in sample() {
             let line = format_tsv(&r);

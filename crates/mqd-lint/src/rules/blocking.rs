@@ -17,23 +17,12 @@
 
 use crate::engine::FileCtx;
 use crate::report::Finding;
-use crate::rules::method_call;
+use crate::rules::{in_scope, method_call};
 
 pub const ID: &str = "blocking-call";
 
-fn applies(rel: &str) -> bool {
-    rel.starts_with("crates/mqd-server/src")
-        || rel.starts_with("crates/mqd-stream/src")
-        || rel.starts_with("crates/mqd-par/src")
-        || rel.starts_with("crates/mqd-router/src")
-        || rel.starts_with("crates/mqd-load/src")
-        || rel.starts_with("crates/mqd-cli/src")
-        || rel.starts_with("crates/mqd-datagen/src")
-        || rel.starts_with("crates/mqd-bench/src")
-}
-
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if !applies(ctx.rel) {
+    if !in_scope(ID, ctx.rel) {
         return;
     }
     for i in 0..ctx.code.len() {
@@ -152,41 +141,5 @@ fn worker(rx: &Receiver<Conn>) {
             &LintConfig::subset(&[super::ID]).unwrap(),
         );
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn cli_datagen_and_bench_sources_are_in_scope() {
-        for rel in [
-            "crates/mqd-cli/src/commands.rs",
-            "crates/mqd-datagen/src/lib.rs",
-            "crates/mqd-bench/src/main.rs",
-        ] {
-            let out = lint_source(
-                rel,
-                "fn f(rx: &Receiver<u8>) { rx.recv(); }",
-                &LintConfig::subset(&[super::ID]).unwrap(),
-            );
-            assert_eq!(out.len(), 1, "{rel}: {out:?}");
-        }
-    }
-
-    #[test]
-    fn router_sources_are_in_scope() {
-        let out = lint_source(
-            "crates/mqd-router/src/router.rs",
-            "fn f(rx: &Receiver<u8>) { rx.recv(); }",
-            &LintConfig::subset(&[super::ID]).unwrap(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-    }
-
-    #[test]
-    fn load_harness_sources_are_in_scope() {
-        let out = lint_source(
-            "crates/mqd-load/src/runner.rs",
-            "fn f(rx: &Receiver<u8>) { rx.recv(); }",
-            &LintConfig::subset(&[super::ID]).unwrap(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
     }
 }

@@ -87,6 +87,66 @@ pub const ALL: &[Rule] = &[
     },
 ];
 
+/// Where each path-scoped rule runs: a file is in a rule's scope when its
+/// workspace-relative path starts with one of the rule's prefixes (a
+/// source directory, or a single file). The reasons are in each rule's
+/// module docs; `tests/catalog.rs` checks that every id is in [`ALL`] and
+/// every prefix still names a path on disk, so deleting a crate fails the
+/// catalog instead of silently shrinking a rule's scope. Rules absent
+/// from this table run everywhere but their sanctioned home module.
+pub const SCOPES: &[(&str, &[&str])] = &[
+    (
+        nondet::ID,
+        &[
+            "crates/mqd-core/src/algorithms",
+            "crates/mqd-store/src",
+            "crates/mqd-server/src/protocol.rs",
+            // Renders the byte-compared `"served"` STATS fragment.
+            "crates/mqd-server/src/conn.rs",
+            "crates/mqd-stream/src",
+            "crates/mqd-router/src",
+            "crates/mqd-load/src",
+            "crates/mqd-cli/src",
+            "crates/mqd-datagen/src",
+            "crates/mqd-bench/src",
+        ],
+    ),
+    (
+        panics::ID,
+        &[
+            "crates/mqd-server/src",
+            "crates/mqd-stream/src",
+            "crates/mqd-store/src",
+            "crates/mqd-wal/src",
+            "crates/mqd-router/src",
+            "crates/mqd-load/src",
+            "crates/mqd-cli/src",
+            "crates/mqd-datagen/src",
+            "crates/mqd-bench/src",
+        ],
+    ),
+    (
+        blocking::ID,
+        &[
+            "crates/mqd-server/src",
+            "crates/mqd-stream/src",
+            "crates/mqd-par/src",
+            "crates/mqd-router/src",
+            "crates/mqd-load/src",
+            "crates/mqd-cli/src",
+            "crates/mqd-datagen/src",
+            "crates/mqd-bench/src",
+        ],
+    ),
+];
+
+/// Whether `rel` is in `rule`'s [`SCOPES`] row.
+pub(crate) fn in_scope(rule: &str, rel: &str) -> bool {
+    SCOPES
+        .iter()
+        .any(|(id, prefixes)| *id == rule && prefixes.iter().any(|p| rel.starts_with(p)))
+}
+
 /// `code[i..]` starts the method call `.name(` — returns the index of the
 /// opening paren.
 pub(crate) fn method_call(ctx: &FileCtx, i: usize, name: &str) -> Option<usize> {

@@ -12,9 +12,16 @@
 //! *iteration* is flagged: `for _ in &map`, `.iter()`, `.keys()`,
 //! `.values()`, `.drain()`, `.retain()` and friends. The fix is a sorted
 //! key vector, insertion-order side list (what OPT now does), or `BTreeMap`.
+//!
+//! Scope ([`crate::rules::SCOPES`]): the modules whose outputs must be
+//! byte-identical across processes — serving answers, checkpoint replay,
+//! solver tie-breaks, `mqd-load`'s seed-replayable plans and byte-stable
+//! reports, and the offline tools (CLI command output, generated corpora,
+//! bench reports), which the oracle and CI diff byte-for-byte.
 
 use crate::engine::FileCtx;
 use crate::report::Finding;
+use crate::rules::in_scope;
 
 pub const ID: &str = "nondet-iter";
 
@@ -32,27 +39,8 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// The determinism-critical list: modules whose outputs must be
-/// byte-identical across processes (serving answers, checkpoint replay,
-/// solver tie-breaks, `mqd-load`'s seed-replayable plans and byte-stable
-/// evidence artifacts, and the offline tools — CLI command output,
-/// generated corpora, bench reports — which the oracle and CI diff
-/// byte-for-byte).
-fn applies(rel: &str) -> bool {
-    rel.starts_with("crates/mqd-core/src/algorithms")
-        || rel.starts_with("crates/mqd-store/src")
-        || rel == "crates/mqd-server/src/protocol.rs"
-        || rel == "crates/mqd-server/src/conn.rs"
-        || rel.starts_with("crates/mqd-stream/src")
-        || rel.starts_with("crates/mqd-router/src")
-        || rel.starts_with("crates/mqd-load/src")
-        || rel.starts_with("crates/mqd-cli/src")
-        || rel.starts_with("crates/mqd-datagen/src")
-        || rel.starts_with("crates/mqd-bench/src")
-}
-
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if !applies(ctx.rel) {
+    if !in_scope(ID, ctx.rel) {
         return;
     }
     for i in 0..ctx.code.len() {
@@ -228,68 +216,5 @@ mod tests {
 }
 ";
         assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn router_sources_are_in_scope() {
-        let src = "\
-fn f(m: &HashMap<u16, u32>) {
-    for (k, v) in m.iter() { use_it(k, v); }
-}
-";
-        let out = lint_source(
-            "crates/mqd-router/src/backend.rs",
-            src,
-            &LintConfig::subset(&[super::ID]).unwrap(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-    }
-
-    #[test]
-    fn connection_engine_is_in_scope() {
-        // It renders the byte-compared `"served"` STATS fragment.
-        let src = "\
-fn f(m: &HashMap<u16, u32>) {
-    for (k, v) in m.iter() { use_it(k, v); }
-}
-";
-        let out = lint_source(
-            "crates/mqd-server/src/conn.rs",
-            src,
-            &LintConfig::subset(&[super::ID]).unwrap(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-    }
-
-    #[test]
-    fn load_harness_sources_are_in_scope() {
-        let src = "\
-fn f(m: &HashMap<u16, u32>) {
-    for (k, v) in m.iter() { use_it(k, v); }
-}
-";
-        let out = lint_source(
-            "crates/mqd-load/src/scenario.rs",
-            src,
-            &LintConfig::subset(&[super::ID]).unwrap(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-    }
-
-    #[test]
-    fn cli_datagen_and_bench_sources_are_in_scope() {
-        let src = "\
-fn f(m: &HashMap<u16, u32>) {
-    for (k, v) in m.iter() { use_it(k, v); }
-}
-";
-        for rel in [
-            "crates/mqd-cli/src/commands.rs",
-            "crates/mqd-datagen/src/lib.rs",
-            "crates/mqd-bench/src/main.rs",
-        ] {
-            let out = lint_source(rel, src, &LintConfig::subset(&[super::ID]).unwrap());
-            assert_eq!(out.len(), 1, "{rel}: {out:?}");
-        }
     }
 }

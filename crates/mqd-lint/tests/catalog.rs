@@ -104,6 +104,44 @@ fn catalog_covers_every_rule() {
     );
 }
 
+/// The scope table is the only place a path-scoped rule's membership is
+/// written down, so it is checked as data: a row for a rule that does not
+/// exist, or a prefix whose crate or file was deleted, would otherwise
+/// shrink the rule's scope without a sound. Each row is also exercised:
+/// the rule's bad fixture, placed under the prefix, must fire.
+#[test]
+fn scope_table_names_real_rules_and_real_paths() {
+    let root = mqd_lint::walk::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above the mqd-lint manifest");
+    let ids: Vec<&str> = mqd_lint::rule_catalog().iter().map(|(id, _)| *id).collect();
+    for (rule, prefixes) in mqd_lint::rules::SCOPES {
+        assert!(ids.contains(rule), "SCOPES names unknown rule {rule}");
+        let (_, bad, _) = CATALOG
+            .iter()
+            .find(|(id, _, _)| id == rule)
+            .unwrap_or_else(|| panic!("{rule}: no fixtures"));
+        assert!(!prefixes.is_empty(), "{rule}: empty scope");
+        let bad_src = fixture(bad[0].0);
+        for prefix in *prefixes {
+            assert!(
+                root.join(prefix).exists(),
+                "{rule}: scope prefix {prefix} names no path under {}",
+                root.display()
+            );
+            let vpath = if prefix.ends_with(".rs") {
+                prefix.to_string()
+            } else {
+                format!("{prefix}/scoped.rs")
+            };
+            let out = lint_files(&[(&vpath, &bad_src)], &LintConfig::all());
+            assert!(
+                out.iter().any(|f| f.rule == *rule),
+                "{rule}: bad fixture is silent under in-scope path {vpath}"
+            );
+        }
+    }
+}
+
 #[test]
 fn bad_fixtures_fire_exactly_on_annotated_lines() {
     for (rule, bad, _) in CATALOG {

@@ -1,13 +1,11 @@
 //! Time source abstraction for the open-loop scheduler.
 //!
 //! The pacer fires requests at precomputed deadlines. Behind a [`Clock`]
-//! it runs identically against wall time ([`RealClock`], live runs) and
-//! simulated time ([`VirtualClock`], unit tests and `--sim` runs): the
-//! virtual clock's `sleep_until_us` simply advances "now" to the deadline,
-//! so a test can prove the schedule is honored at exact microsecond
-//! deadlines without waiting out the run.
+//! it runs against wall time ([`RealClock`], every run); the pacer's unit
+//! tests substitute a virtual clock whose `sleep_until_us` simply advances
+//! "now" to the deadline, so they can prove the schedule is honored at
+//! exact microsecond deadlines without waiting out the run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Monotonic microsecond time source with deadline sleeps.
@@ -56,57 +54,9 @@ impl Clock for RealClock {
     }
 }
 
-/// Simulated time: `sleep_until_us` jumps "now" forward, never blocks.
-/// Shared across threads; `now` only moves forward (fetch_max).
-pub struct VirtualClock {
-    now: AtomicU64,
-}
-
-impl VirtualClock {
-    /// Starts at t = 0.
-    pub fn new() -> Self {
-        VirtualClock {
-            now: AtomicU64::new(0),
-        }
-    }
-
-    /// Advances "now" to `t` if that is forward progress (test hook for
-    /// modeling work that takes time).
-    pub fn advance_to(&self, t: u64) {
-        self.now.fetch_max(t, Ordering::SeqCst);
-    }
-}
-
-impl Default for VirtualClock {
-    fn default() -> Self {
-        VirtualClock::new()
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now_us(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
-    }
-
-    fn sleep_until_us(&self, t: u64) {
-        self.now.fetch_max(t, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_clock_advances_on_sleep() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now_us(), 0);
-        c.sleep_until_us(1_000);
-        assert_eq!(c.now_us(), 1_000);
-        // Sleeping until the past is a no-op, not a rewind.
-        c.sleep_until_us(10);
-        assert_eq!(c.now_us(), 1_000);
-    }
 
     #[test]
     fn real_clock_reaches_deadlines() {

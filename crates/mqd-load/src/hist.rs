@@ -9,9 +9,7 @@
 //! merging per-thread instances at the end.
 //!
 //! Percentile lookups report the *upper edge* of the matched bucket, so a
-//! reported p99 never understates the true quantile. The closed-loop bench
-//! (`mqd-bench`) and the open-loop harness both read latency through this
-//! one type, so their percentile math can never drift apart.
+//! reported p99 never understates the true quantile.
 
 /// Linear sub-buckets per octave (and the size of the exact linear region).
 const SUB_BITS: u32 = 7;

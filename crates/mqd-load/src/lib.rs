@@ -1,20 +1,20 @@
-//! `mqd-load`: the open-loop production load harness (DESIGN.md §17).
+//! `mqd-load`: the open-loop scenario driver behind `mqdiv load`
+//! (DESIGN.md §17).
 //!
-//! The closed-loop benches (`mqd-bench`) measure a server that is allowed
-//! to pace its own clients: a slow response delays the next request, so
-//! queueing delay disappears from the numbers — coordinated omission.
-//! This crate generates load the way production traffic arrives: a
-//! deterministic schedule of send deadlines ([`plan`]) built by named
-//! scenario composers ([`scenario`]), fired at the deadline whether or
-//! not earlier responses came back ([`pacer`]), with latency measured
-//! from the *scheduled* send time ([`runner`]). Every choice derives from
-//! one seed; reports ([`report`]) are byte-stable evidence artifacts; a
-//! deterministic service-model executor ([`sim`]) makes whole reports
-//! reproducible bit-for-bit and powers ddmin shrinking of failing
-//! schedules ([`shrink`]).
+//! A closed-loop client paces itself off the server: a slow response
+//! delays the next request, so queueing delay disappears from the numbers
+//! (coordinated omission). This crate generates load the way production
+//! traffic arrives: a deterministic schedule of send deadlines ([`plan`])
+//! built by named scenario composers ([`scenario`]), fired at the
+//! deadline whether or not earlier responses came back ([`pacer`]), with
+//! latency measured from the *scheduled* send time ([`runner`]) into a
+//! log-bucketed histogram ([`hist`]). Every choice derives from one seed,
+//! and the plan and the report rendering ([`report`]) are byte-stable.
 //!
-//! The latency recorder ([`hist`]) is shared with `mqd-bench`, so closed-
-//! and open-loop percentile math can never drift apart.
+//! The only executor is the live one: real `mqdiv serve` / `mqdiv route`
+//! endpoints over TCP. Its job is robustness evidence (typed rejections,
+//! slowloris resolution, SLO verdicts in the e2es); performance numbers
+//! come from `benchmark/` (DESIGN.md §18).
 
 #![warn(missing_docs)]
 
@@ -25,14 +25,10 @@ pub mod plan;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod shrink;
-pub mod sim;
 
-pub use clock::{Clock, RealClock, VirtualClock};
+pub use clock::{Clock, RealClock};
 pub use hist::Hist;
 pub use plan::{Action, Op, Plan, SlowConn};
 pub use report::{evaluate_slo, render_report, Counts, RunOutcome, SlowOutcome};
 pub use runner::{run_live, RunnerCfg};
 pub use scenario::{build, ScenarioCfg, CATALOG};
-pub use shrink::shrink_plan;
-pub use sim::{run_sim, SimParams};

@@ -23,7 +23,47 @@ pub fn pace<C: Clock>(clock: &C, deadlines: &[u64], mut f: impl FnMut(usize, u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Simulated time: `sleep_until_us` jumps "now" forward, never blocks,
+    /// and "now" never rewinds (fetch_max).
+    struct VirtualClock {
+        now: AtomicU64,
+    }
+
+    impl VirtualClock {
+        fn new() -> Self {
+            VirtualClock {
+                now: AtomicU64::new(0),
+            }
+        }
+
+        /// Models a run that started late.
+        fn advance_to(&self, t: u64) {
+            self.now.fetch_max(t, Ordering::SeqCst);
+        }
+    }
+
+    impl Clock for VirtualClock {
+        fn now_us(&self) -> u64 {
+            self.now.load(Ordering::SeqCst)
+        }
+
+        fn sleep_until_us(&self, t: u64) {
+            self.now.fetch_max(t, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn virtual_clock_advances_on_sleep() {
+        let c = VirtualClock::new();
+        assert_eq!(c.now_us(), 0);
+        c.sleep_until_us(1_000);
+        assert_eq!(c.now_us(), 1_000);
+        // Sleeping until the past is a no-op, not a rewind.
+        c.sleep_until_us(10);
+        assert_eq!(c.now_us(), 1_000);
+    }
 
     /// The satellite pacing contract: with a responder lagging 10 s behind
     /// (simulated by completions that trail far after each fire), every op

@@ -4,11 +4,9 @@
 //! run: every request, its wire bytes, its send deadline, and which
 //! connection lane carries it — plus the slow-connection fleet for the
 //! `slowloris` scenario. Plans are pure functions of (scenario, seed,
-//! knobs): the live runner and the `--sim` executor consume the *same*
-//! plan, and [`Plan::digest`] fingerprints it so a report can prove which
-//! schedule produced its numbers. A failing SLO therefore shrinks to a
-//! replayable `(scenario, seed)` pair, and from there to a minimal op
-//! list via the ddmin pass in [`crate::shrink`].
+//! knobs), and [`Plan::digest`] fingerprints one so a report can prove
+//! which schedule produced its numbers: a failing SLO names a replayable
+//! `(scenario, seed)` pair.
 
 use mqd_core::record::{encode_records, Record};
 use mqd_server::format_query;

@@ -1,13 +1,12 @@
 //! SLO evidence artifacts: `BENCH_load_<scenario>.json`.
 //!
-//! Every run — live or simulated — funnels into one [`RunOutcome`] and is
-//! rendered by [`render_report`] with byte-stable formatting (integers and
-//! fixed-precision floats only, keys in a pinned order): a simulated run
-//! is byte-identical for a seed, and a live run's plan block (digest, op
-//! mix, offered rate) is, so any report names the exact schedule that
-//! produced it. The SLO verdict is embedded in the artifact — the
-//! evidence-file discipline: the claim, the numbers, and the replay
-//! coordinates travel together.
+//! Every run funnels into one [`RunOutcome`] and is rendered by
+//! [`render_report`] with byte-stable formatting (integers and
+//! fixed-precision floats only, keys in a pinned order): the plan block
+//! (digest, op mix, offered rate) is identical for a seed, so any report
+//! names the exact schedule that produced it. The SLO verdict is embedded
+//! in the artifact — the evidence-file discipline: the claim, the
+//! numbers, and the replay coordinates travel together.
 
 use mqd_server::json_u64;
 
@@ -54,8 +53,6 @@ pub struct SlowOutcome {
 /// Aggregated result of executing a [`Plan`].
 #[derive(Clone)]
 pub struct RunOutcome {
-    /// `"live"` or `"sim"`.
-    pub mode: &'static str,
     /// Latency of every responded op, µs from the *scheduled* deadline.
     pub all_hist: Hist,
     /// Latency of query ops only.
@@ -64,11 +61,11 @@ pub struct RunOutcome {
     pub counts: Counts,
     /// Slow-connection fleet outcome.
     pub slow: SlowOutcome,
-    /// Wall-clock (or virtual) run length, µs.
+    /// Wall-clock run length, µs.
     pub wall_us: u64,
-    /// Raw `STATS` JSON before the run (live runs only).
+    /// Raw `STATS` JSON before the run (`None` when the fetch failed).
     pub stats_before: Option<String>,
-    /// Raw `STATS` JSON after the run (live runs only).
+    /// Raw `STATS` JSON after the run (`None` when the fetch failed).
     pub stats_after: Option<String>,
 }
 
@@ -158,7 +155,7 @@ fn f1(x: f64) -> String {
 }
 
 /// Renders the full evidence artifact. Key order is part of the format
-/// contract (the determinism test pins the bytes for `--sim` runs).
+/// contract; `"mode"` is the constant `"live"` (the only executor).
 pub fn render_report(plan: &Plan, out: &RunOutcome) -> String {
     let violations = evaluate_slo(&plan.scenario, out);
     let wall_s = (out.wall_us.max(1)) as f64 / 1_000_000.0;
@@ -166,12 +163,11 @@ pub fn render_report(plan: &Plan, out: &RunOutcome) -> String {
     let mut s = String::with_capacity(2048);
     s.push_str(&format!(
         concat!(
-            "{{\"bench\":\"load\",\"scenario\":\"{}\",\"mode\":\"{}\",\"seed\":{},\n",
+            "{{\"bench\":\"load\",\"scenario\":\"{}\",\"mode\":\"live\",\"seed\":{},\n",
             " \"plan\":{{\"digest\":\"{:016x}\",\"ops\":{},\"query_ops\":{},\"ingest_ops\":{},",
             "\"slow_conns\":{},\"duration_ms\":{},\"lanes\":{}}},\n"
         ),
         plan.scenario,
-        out.mode,
         plan.seed,
         plan.digest(),
         plan.ops.len(),
@@ -236,7 +232,6 @@ mod tests {
             q.record(v);
         }
         RunOutcome {
-            mode: "sim",
             all_hist: all,
             query_hist: q,
             counts: Counts {

@@ -415,7 +415,6 @@ pub fn run_live(plan: &Plan, cfg: &RunnerCfg) -> Result<RunOutcome, MqdError> {
 
     let agg = agg.into_inner().unwrap_or_default();
     Ok(RunOutcome {
-        mode: "live",
         all_hist: agg.all_hist,
         query_hist: agg.query_hist,
         counts: agg.counts,

@@ -4,8 +4,8 @@
 //! and range, dashboards re-issue the same covers. The first cache keyed
 //! answers by [`QuerySpec`] but stamped the whole map with one store
 //! generation — any append flushed every entry, and the next query paid a
-//! full re-solve inline on the request thread (the 4-second p99 of
-//! `BENCH_server.json`). This version keeps entries useful across appends:
+//! full re-solve inline on the request thread (the 4-second p99 recorded
+//! in CHANGES.md PR 6). This version keeps entries useful across appends:
 //!
 //! * **Footprint check** — a new post only matters to a cached entry if it
 //!   joins that entry's slice: it carries one of the spec's labels *and*

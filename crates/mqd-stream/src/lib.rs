@@ -17,9 +17,10 @@
 //!
 //! Scale-out layers (built on `mqd-par` and `std::sync::mpsc` only):
 //!
-//! * [`run_sharded_stream`] — labels partitioned across shard threads, each
-//!   running its own engine behind a bounded channel; merged output keeps
-//!   the per-post delay bound `tau`.
+//! * [`run_supervised_stream`] — labels partitioned across supervised shard
+//!   threads, each running its own engine behind a bounded channel; merged
+//!   output keeps the per-post delay bound `tau` ([`run_sharded_reference`]
+//!   is the thread-free reference of the same decomposition).
 //! * [`solve_batch_users`] — many users' offline digests solved in parallel
 //!   over one shared read-only instance.
 
@@ -51,7 +52,7 @@ pub use multiuser::{
     solve_batch_users, solve_batch_users_threads, BatchUser, MultiUserHub, UserStats,
 };
 pub use scan::StreamScan;
-pub use shard::{run_sharded_reference, run_sharded_stream, ShardEngineKind};
+pub use shard::{run_sharded_reference, ShardEngineKind};
 pub use simulator::{run_stream, StreamRunResult};
 pub use supervisor::{
     run_supervised_reference, run_supervised_stream, SupervisedEmission, SupervisedRun,

@@ -2,7 +2,8 @@
 //!
 //! The serving layer caches one cover per `QuerySpec`. Under ingest, the
 //! old cache invalidated *everything* on every append and the next query
-//! paid a full re-solve inline — the 4-second p99 of `BENCH_server.json`.
+//! paid a full re-solve inline — the 4-second p99 recorded in CHANGES.md
+//! PR 6.
 //! But the paper's own §5 machinery proves a monotone stream only perturbs
 //! coverage locally: a new post lands at the value frontier, and for the
 //! per-label interval greedy of offline Scan, everything strictly more

@@ -1,6 +1,5 @@
-//! Sharded streaming: partition labels across worker shards, run one
-//! streaming engine per shard behind a bounded channel, and merge the
-//! emitted sub-streams in emission order.
+//! Sharded streaming: the label-partition decomposition every sharded
+//! runner shares, plus its sequential reference.
 //!
 //! The MQDP coverage relation never crosses labels — a post covers an
 //! occurrence `⟨P_i, a⟩` only via label `a` — so partitioning *labels*
@@ -11,23 +10,23 @@
 //! from several shards is fed to each of them (and deduplicated at merge,
 //! keeping its earliest emission, which can only tighten the delay).
 //!
-//! Mechanically this mirrors a real ingestion pipeline: the caller's
-//! thread is the feeder, pushing arrivals in timestamp order into one
-//! bounded [`std::sync::mpsc::sync_channel`] per shard (providing
-//! backpressure), while each shard thread replays the simulator's event
-//! discipline — clock advance to `t - 1`, then the arrival — against its
-//! label-filtered sub-instance, and flushes on channel close.
+//! The threaded runner (feeder thread, one bounded channel and one worker
+//! per shard) is [`crate::supervisor::run_supervised_stream`], which under
+//! `FaultPlan::none()` is this decomposition with supervision around it.
+//! [`run_sharded_reference`] is the same decomposition and merge with no
+//! threads, channels or supervisor: each shard replays the simulator's
+//! event discipline — clock advance to `t - 1`, then the arrival — against
+//! its label-filtered sub-instance, then flushes. Tests compare the
+//! supervised runners against it.
 //!
 //! Sharding is defined for a **uniform** threshold (`FixedLambda`):
 //! variable per-post thresholds (Section 6) are computed against a
 //! concrete instance and would not survive the per-shard re-indexing.
 //!
-//! Determinism: each shard consumes the same arrival sequence no matter
-//! how threads interleave (one ordered channel per shard), so the merged
-//! output is byte-identical across runs and shard/thread schedules; with
-//! `shards = 1` it equals the unsharded [`run_stream`] of the same engine.
-
-use std::sync::mpsc::sync_channel;
+//! Determinism: each shard consumes the same arrival sequence whatever
+//! the shard count or thread schedule, so the merged output is
+//! byte-identical across runs; with `shards = 1` it equals the unsharded
+//! [`run_stream`](crate::simulator::run_stream) of the same engine.
 
 use mqd_core::{FixedLambda, Instance, LabelId, Post, PostId};
 
@@ -35,10 +34,6 @@ use crate::engine::{Emission, StreamContext, StreamEngine};
 use crate::greedy::StreamGreedy;
 use crate::scan::StreamScan;
 use crate::simulator::StreamRunResult;
-
-/// Bounded per-shard channel depth: enough to hide scheduling jitter,
-/// small enough to give real backpressure on a day-scale replay.
-const CHANNEL_DEPTH: usize = 1024;
 
 /// Which engine each shard runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -197,21 +192,14 @@ fn result_from(
     }
 }
 
-/// Replays one shard's arrival sequence through its engine; `arrivals` are
-/// sub-instance post indices in timestamp order. Returns emissions with
-/// **global** post indices.
-fn replay_shard(
-    shard: &Shard,
-    kind: ShardEngineKind,
-    lambda: i64,
-    tau: i64,
-    arrivals: impl IntoIterator<Item = u32>,
-) -> Vec<Emission> {
+/// Replays one shard's posts, in timestamp order, through its engine.
+/// Returns emissions with **global** post indices.
+fn replay_shard(shard: &Shard, kind: ShardEngineKind, lambda: i64, tau: i64) -> Vec<Emission> {
     let lp = FixedLambda(lambda);
     let ctx = StreamContext::new(&shard.inst, &lp, tau);
     let mut engine = kind.build(shard.inst.num_labels(), shard.inst.len());
     let mut out = Vec::new();
-    for local in arrivals {
+    for local in 0..shard.inst.len() as u32 {
         let t = shard.inst.value(local);
         engine.on_time(&ctx, t.saturating_sub(1), &mut out);
         engine.on_arrival(&ctx, local, &mut out);
@@ -223,65 +211,11 @@ fn replay_shard(
     out
 }
 
-/// Runs `inst` through `shards` parallel shard threads, each owning the
-/// labels `a` with `a.index() % shards == s` and running `kind` with
-/// uniform threshold `lambda` and delay budget `tau`. The caller's thread
-/// feeds arrivals in timestamp order through bounded channels. The merged
-/// result preserves the per-post delay bound `tau` and is byte-identical
-/// to [`run_sharded_reference`] at any shard count.
-pub fn run_sharded_stream(
-    inst: &Instance,
-    lambda: i64,
-    tau: i64,
-    shards: usize,
-    kind: ShardEngineKind,
-) -> StreamRunResult {
-    let shards = clamp_shards(inst, shards);
-    let built = build_shards(inst, shards);
-    if shards == 1 {
-        // lint:allow(panic-path): build_shards returns exactly `shards` entries and shards == 1 here
-        let arrivals: Vec<u32> = (0..built[0].inst.len() as u32).collect();
-        // lint:allow(panic-path): same single-shard bound as the line above
-        let emissions = merge_emissions(replay_shard(&built[0], kind, lambda, tau, arrivals));
-        return result_from(inst, kind, emissions);
-    }
-
-    let mut all: Vec<Emission> = Vec::new();
-    std::thread::scope(|s| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in &built {
-            let (tx, rx) = sync_channel::<u32>(CHANNEL_DEPTH);
-            senders.push(tx);
-            handles.push(s.spawn(move || replay_shard(shard, kind, lambda, tau, rx)));
-        }
-        // Feeder: global timestamp order; a post goes to every shard that
-        // owns one of its labels.
-        for k in 0..inst.len() as u32 {
-            for (s_idx, shard) in built.iter().enumerate() {
-                let local = shard.to_local[k as usize];
-                if local != u32::MAX && senders[s_idx].send(local).is_err() {
-                    // A shard hung up early only if its thread died; the
-                    // panic payload is re-raised at join below.
-                    continue;
-                }
-            }
-        }
-        drop(senders); // close channels -> shards flush and return
-        for h in handles {
-            // lint:allow(blocking-call): the sender drop above ends each shard's recv loop, so the join is bounded
-            match h.join() {
-                Ok(emissions) => all.extend(emissions),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    result_from(inst, kind, merge_emissions(all))
-}
-
-/// Sequential reference for [`run_sharded_stream`]: identical shard
-/// decomposition and merge, no threads or channels. Used by the
-/// equivalence tests and available for debugging.
+/// Runs `inst` through `shards` label-partitioned shards one after the
+/// other, each owning the labels `a` with `a.index() % shards == s` and
+/// running `kind` with uniform threshold `lambda` and delay budget `tau`.
+/// The merged result preserves the per-post delay bound `tau`. This is the
+/// sequential reference the supervised runners are tested against.
 pub fn run_sharded_reference(
     inst: &Instance,
     lambda: i64,
@@ -293,8 +227,7 @@ pub fn run_sharded_reference(
     let built = build_shards(inst, shards);
     let mut all = Vec::new();
     for shard in &built {
-        let arrivals: Vec<u32> = (0..shard.inst.len() as u32).collect();
-        all.extend(replay_shard(shard, kind, lambda, tau, arrivals));
+        all.extend(replay_shard(shard, kind, lambda, tau));
     }
     result_from(inst, kind, merge_emissions(all))
 }
@@ -340,7 +273,7 @@ mod tests {
             (ShardEngineKind::Greedy, 2),
             (ShardEngineKind::GreedyPlus, 3),
         ] {
-            let sharded = run_sharded_stream(&inst, lambda, tau, 1, kind);
+            let sharded = run_sharded_reference(&inst, lambda, tau, 1, kind);
             let mut engine: Box<dyn StreamEngine> = match mk {
                 0 => Box::new(StreamScan::new(5, inst.len())),
                 1 => Box::new(StreamScan::new_plus(5, inst.len())),
@@ -354,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_reference_and_covers() {
+    fn reference_covers_within_tau_at_any_shard_count() {
         let inst = instance(7, 200, 6);
         let (lambda, tau) = (80, 50);
         let f = FixedLambda(lambda);
@@ -365,18 +298,15 @@ mod tests {
             ShardEngineKind::GreedyPlus,
         ] {
             for shards in [1usize, 2, 3, 6, 16] {
-                let par = run_sharded_stream(&inst, lambda, tau, shards, kind);
                 let seq = run_sharded_reference(&inst, lambda, tau, shards, kind);
-                assert_eq!(par.selected, seq.selected, "{kind:?} shards={shards}");
-                assert_eq!(par.emissions, seq.emissions, "{kind:?} shards={shards}");
                 assert!(
-                    coverage::is_cover(&inst, &f, &par.selected),
+                    coverage::is_cover(&inst, &f, &seq.selected),
                     "{kind:?} shards={shards} non-cover"
                 );
                 assert!(
-                    par.max_delay <= tau,
+                    seq.max_delay <= tau,
                     "{kind:?} shards={shards}: delay {} > tau {tau}",
-                    par.max_delay
+                    seq.max_delay
                 );
             }
         }
@@ -385,7 +315,7 @@ mod tests {
     #[test]
     fn delay_bound_holds_at_tau_zero() {
         let inst = instance(3, 120, 4);
-        let res = run_sharded_stream(&inst, 50, 0, 4, ShardEngineKind::Scan);
+        let res = run_sharded_reference(&inst, 50, 0, 4, ShardEngineKind::Scan);
         assert_eq!(res.max_delay, 0);
         assert!(coverage::is_cover(&inst, &FixedLambda(50), &res.selected));
     }
@@ -393,7 +323,7 @@ mod tests {
     #[test]
     fn empty_instance() {
         let inst = Instance::from_values(Vec::<(i64, Vec<u16>)>::new(), 3).unwrap();
-        let res = run_sharded_stream(&inst, 10, 5, 4, ShardEngineKind::ScanPlus);
+        let res = run_sharded_reference(&inst, 10, 5, 4, ShardEngineKind::ScanPlus);
         assert!(res.selected.is_empty());
         assert_eq!(res.max_delay, 0);
     }
@@ -401,8 +331,8 @@ mod tests {
     #[test]
     fn more_shards_than_labels_is_clamped() {
         let inst = instance(9, 60, 2);
-        let a = run_sharded_stream(&inst, 40, 30, 64, ShardEngineKind::Greedy);
-        let b = run_sharded_stream(&inst, 40, 30, 2, ShardEngineKind::Greedy);
+        let a = run_sharded_reference(&inst, 40, 30, 64, ShardEngineKind::Greedy);
+        let b = run_sharded_reference(&inst, 40, 30, 2, ShardEngineKind::Greedy);
         assert_eq!(a.selected, b.selected);
     }
 }

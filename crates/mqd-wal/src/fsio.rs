@@ -28,9 +28,15 @@ use mqd_core::MqdError;
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Syncs a directory so a preceding rename/unlink in it is durable.
-/// No-op when `fsync` is false.
+/// No-op when `fsync` is false. An empty `dir` — the `parent()` of a bare
+/// relative file name — is the working directory.
 pub fn sync_dir(dir: &Path, fsync: bool) -> Result<(), MqdError> {
     if fsync {
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
         File::open(dir)?.sync_all()?;
     }
     Ok(())
@@ -103,4 +109,17 @@ pub fn open_rw(path: &Path) -> Result<File, MqdError> {
 /// Creates `dir` (and parents) if it does not exist yet.
 pub fn ensure_dir(dir: &Path) -> Result<(), MqdError> {
     Ok(std::fs::create_dir_all(dir)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bare_file_name_syncs_the_working_directory() {
+        // `Path::new("run.ckpt").parent()` is `Some("")`, which cannot be
+        // opened; `mqdiv stream --checkpoint run.ckpt` reaches this.
+        let parent = Path::new("run.ckpt").parent().unwrap();
+        sync_dir(parent, true).unwrap();
+    }
 }

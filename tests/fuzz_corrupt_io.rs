@@ -4,8 +4,8 @@
 //! never a panic and never silent garbage. Each assertion carries its seed
 //! so a failure is reproducible with a one-line filter.
 
-use mqd_cli::binlog;
 use mqd_cli::tsv::{self, LabeledRow};
+use mqd_core::record::{decode_records, encode_records};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
     encode_checkpoint, resume_supervised, FaultPlan, ShardEngineKind, SupervisedRun,
@@ -41,13 +41,13 @@ fn binlog_corruption_is_always_a_typed_error() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = random_rows(&mut rng);
-        let data = binlog::encode(&rows);
+        let data = encode_records(&rows);
         // Byte flips at several positions.
         for _ in 0..8 {
             let mut bad = data.clone();
             let pos = rng.random_range(0..bad.len());
             bad[pos] ^= 1 << rng.random_range(0..8u32);
-            match binlog::decode(&bad) {
+            match decode_records(&bad) {
                 Err(MqdError::Corrupt { .. }) => {}
                 Err(other) => panic!("seed {seed}: non-Corrupt error {other:?}"),
                 Ok(decoded) => assert_eq!(decoded, rows, "seed {seed}: silent corruption"),
@@ -55,7 +55,7 @@ fn binlog_corruption_is_always_a_typed_error() {
         }
         // Truncation at every possible length shorter than the original.
         let cut = rng.random_range(0..data.len());
-        match binlog::decode(&data[..cut]) {
+        match decode_records(&data[..cut]) {
             Err(MqdError::Corrupt { .. }) => {}
             Err(other) => panic!("seed {seed}: non-Corrupt error {other:?}"),
             Ok(_) => panic!("seed {seed}: truncated log decoded"),

@@ -3,8 +3,8 @@
 //! (ported from the former proptest suite to plain loops over `mqd_rng`
 //! seeds).
 
-use mqd_cli::binlog;
 use mqd_cli::tsv::{self, LabeledRow};
+use mqd_core::record::{decode_records, encode_records};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqdiv::stream::WindowedTimeline;
 
@@ -28,8 +28,8 @@ fn binlog_round_trips_arbitrary_rows() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = random_rows(&mut rng);
-        let data = binlog::encode(&rows);
-        assert_eq!(binlog::decode(&data).unwrap(), rows, "seed {seed}");
+        let data = encode_records(&rows);
+        assert_eq!(decode_records(&data).unwrap(), rows, "seed {seed}");
     }
 }
 
@@ -38,12 +38,12 @@ fn binlog_rejects_any_single_byte_flip() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = random_rows(&mut rng);
-        let mut data = binlog::encode(&rows);
+        let mut data = encode_records(&rows);
         let pos = rng.random_range(0..data.len());
         data[pos] ^= 0x5a;
         // Either an error, or (vanishingly unlikely with a 64-bit FNV
         // checksum) a detected-equal decode; never a silent wrong answer.
-        if let Ok(decoded) = binlog::decode(&data) {
+        if let Ok(decoded) = decode_records(&data) {
             assert_eq!(decoded, rows, "seed {seed}");
         }
     }

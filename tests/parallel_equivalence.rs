@@ -8,8 +8,8 @@ use mqd_core::{coverage, FixedLambda, Instance};
 use mqd_datagen::{generate_labeled_posts, LabeledStreamConfig, MINUTE_MS};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
-    run_sharded_reference, run_sharded_stream, solve_batch_users_threads, BatchUser,
-    ShardEngineKind,
+    run_sharded_reference, run_supervised_stream, solve_batch_users_threads, BatchUser, FaultPlan,
+    ShardEngineKind, SupervisorConfig,
 };
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
@@ -94,7 +94,17 @@ fn sharded_streaming_matches_reference_and_respects_tau() {
         ShardEngineKind::GreedyPlus,
     ] {
         for &shards in THREAD_COUNTS {
-            let par = run_sharded_stream(&inst, lambda, tau, shards, kind);
+            let par = run_supervised_stream(
+                &inst,
+                lambda,
+                tau,
+                shards,
+                kind,
+                &FaultPlan::none(),
+                SupervisorConfig::default(),
+            )
+            .expect("a fault-free supervised run cannot fail")
+            .result;
             let seq = run_sharded_reference(&inst, lambda, tau, shards, kind);
             assert_eq!(
                 par.emissions, seq.emissions,
