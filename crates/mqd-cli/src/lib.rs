@@ -9,5 +9,4 @@ pub mod commands;
 pub mod lint;
 pub mod load;
 pub mod serve;
-pub mod store;
 pub mod tsv;

@@ -9,8 +9,8 @@
 //!                  [--resume FILE] [--fault-report FILE]   (supervised fault-tolerant mode)
 //! mqdiv pack       --input FILE.tsv --out FILE.mqdl   (TSV -> binary log)
 //! mqdiv unpack     --input FILE.mqdl --out FILE.tsv   (binary log -> TSV)
-//! mqdiv ingest     --store DIR --input FILE.tsv         (append a segment)
-//! mqdiv query      --store DIR --from MS --to MS [--lambda MS] [--out FILE]
+//! mqdiv ingest     --store DIR --input FILE.tsv         (append to a durable store, fsync'd)
+//! mqdiv query      --store DIR [--from MS] [--to MS] [--lambda MS] [--out FILE]
 //! mqdiv oracle     [--seeds N] [--first-seed S] [--profile NAME] [--report-dir DIR]
 //! mqdiv serve      [--addr HOST:PORT] [--max-queue N] [--data-dir DIR]
 //!                  [--no-fsync] [--retain SPAN]         (:0 picks an ephemeral port)
@@ -31,11 +31,14 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mqd_cli::commands::{
     self, DiversifyOpts, GenOpts, MatchOpts, OracleOpts, StreamOpts, SupervisedStreamOpts,
 };
+use mqd_core::record::Record;
+use mqd_store::{solve_slice, Algorithm, QuerySpec};
+use mqd_wal::{DurableOptions, DurableStore};
 
 struct Flags {
     map: Vec<(String, String)>,
@@ -136,8 +139,8 @@ fn run() -> Result<(), String> {
              \x20 stream     streaming MQDP on a labeled TSV\n\
              \x20 pack       convert labeled TSV to the compact binary log\n\
              \x20 unpack     convert a binary log back to TSV\n\
-             \x20 ingest     append a labeled TSV into a segmented store\n\
-             \x20 query      range-scan a store (optionally diversified)\n\
+             \x20 ingest     append a labeled TSV to a durable store directory\n\
+             \x20 query      range-scan a durable store (optionally diversified)\n\
              \x20 oracle     differential/metamorphic correctness sweep over all solvers\n\
              \x20 serve      run the TCP query server (--data-dir makes it durable,\n\
              \x20            --shard-id/--shard-count pin it as one cluster shard)\n\
@@ -250,44 +253,58 @@ fn run() -> Result<(), String> {
             let dir = flags.get("store").ok_or("--store is required")?;
             let rows =
                 mqd_cli::tsv::read_labeled(open_input(&flags)?).map_err(|e| e.to_string())?;
-            let mut store = mqd_cli::store::PostStore::open(dir).map_err(|e| e.to_string())?;
-            if !store.quarantined().is_empty() {
-                eprintln!(
-                    "warning: {} corrupt segment(s) quarantined",
-                    store.quarantined().len()
-                );
-            }
-            match store.append(&rows).map_err(|e| e.to_string())? {
-                Some(info) => eprintln!(
-                    "ingested {} posts into segment #{} (values {}..={})",
-                    info.rows, info.seq, info.min_value, info.max_value
-                ),
-                None => eprintln!("nothing to ingest"),
-            }
+            let mut store = DurableStore::open(Path::new(dir), &DurableOptions::default())
+                .map_err(|e| e.to_string())?;
+            let mut kept = 0usize;
+            let appended = rows
+                .iter()
+                .try_for_each(|row| store.append(row).map(|()| kept += 1));
+            // The ack barrier, as for a served INGEST: whatever prefix was
+            // appended is durable before the command reports on it.
+            store.sync().map_err(|e| e.to_string())?;
+            appended.map_err(|e| {
+                format!(
+                    "{e}; the first {kept} of this file's {} rows were kept (store generation {})",
+                    rows.len(),
+                    store.generation()
+                )
+            })?;
+            eprintln!(
+                "ingested {} posts (store generation {})",
+                rows.len(),
+                store.generation()
+            );
             Ok(())
         }
         "query" => {
-            let dir = flags.get("store").ok_or("--store is required")?;
+            let dir = Path::new(flags.get("store").ok_or("--store is required")?);
             let from: i64 = flags.parse_num("from", i64::MIN)?;
             let to: i64 = flags.parse_num("to", i64::MAX)?;
-            let store = mqd_cli::store::PostStore::open(dir).map_err(|e| e.to_string())?;
-            let rows = store.scan(from, to).map_err(|e| e.to_string())?;
-            // Optional on-the-fly diversification of the scan result.
-            let rows = match flags.get("lambda") {
-                None => rows,
+            // `open` creates what is missing; a read must not, so only a
+            // dir that already holds a store's WAL is opened.
+            if !dir.join("wal").is_file() {
+                return Err(format!("--store {}: no such store", dir.display()));
+            }
+            let durable =
+                DurableStore::open(dir, &DurableOptions::default()).map_err(|e| e.to_string())?;
+            let store = durable.store();
+            let labels = store.labels();
+            let slice = store.slice(&labels, from, to);
+            let rows: Vec<Record> = match flags.get("lambda") {
+                None => (0..slice.instance.len() as u32)
+                    .map(|i| slice.record_for(i))
+                    .collect(),
+                // Optional on-the-fly diversification of the range.
                 Some(_) => {
-                    let lambda: i64 = flags.require_num("lambda")?;
-                    let inst = mqd_cli::tsv::to_instance(&rows, None).map_err(|e| e.to_string())?;
-                    let lam = mqd_core::FixedLambda(lambda);
-                    let sol = mqd_core::algorithms::solve_greedy_sc(&inst, &lam);
-                    sol.selected
-                        .iter()
-                        .map(|&i| mqd_cli::tsv::LabeledRow {
-                            id: inst.post(i).id().0,
-                            value: inst.value(i),
-                            labels: inst.labels(i).iter().map(|l| l.0).collect(),
-                        })
-                        .collect()
+                    let spec = QuerySpec {
+                        labels,
+                        lambda: flags.require_num("lambda")?,
+                        proportional: false,
+                        algorithm: Algorithm::GreedySc,
+                        from,
+                        to,
+                    };
+                    solve_slice(&slice, &spec).map_err(|e| e.to_string())?
                 }
             };
             let n = rows.len();

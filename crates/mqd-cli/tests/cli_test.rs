@@ -181,5 +181,57 @@ fn ingest_query_store_workflow() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().count() < 4, "diversified scan: {text}");
+
+    // The store holds the contract every other ingest and query path
+    // holds: these four are errors, not empty successes.
+    let posts_c = tmp("store_c.tsv");
+    fs::write(&posts_c, "4\t5200\t0\n5\t50\t0\n").unwrap(); // 50 precedes the stored 5200
+    let missing = tmp("store_dir_typo");
+    let _ = fs::remove_dir_all(&missing);
+    let not_a_store = tmp("store_dir_other");
+    let _ = fs::remove_dir_all(&not_a_store);
+    fs::create_dir_all(&not_a_store).unwrap();
+    let store_arg = store.to_str().unwrap();
+    for (what, args, says) in [
+        (
+            // A failed ingest keeps the rows before the bad one, like a
+            // served INGEST, and says how many.
+            "out-of-order ingest",
+            vec![
+                "ingest",
+                "--store",
+                store_arg,
+                "--input",
+                posts_c.to_str().unwrap(),
+            ],
+            "first 1 of this file's 2 rows were kept (store generation 5)",
+        ),
+        (
+            "negative lambda",
+            vec!["query", "--store", store_arg, "--lambda", "-5"],
+            "lambda must be >= 0",
+        ),
+        (
+            "missing store",
+            vec!["query", "--store", missing.to_str().unwrap()],
+            "no such store",
+        ),
+        (
+            "a directory that is not a store",
+            vec!["query", "--store", not_a_store.to_str().unwrap()],
+            "no such store",
+        ),
+    ] {
+        let out = mqdiv().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{what} exited 0");
+        assert!(out.stdout.is_empty(), "{what} printed rows");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(says), "{what}: {err}");
+    }
+    assert!(
+        !missing.exists() && fs::read_dir(&not_a_store).unwrap().next().is_none(),
+        "query must not create the store it was asked to read"
+    );
+    let _ = fs::remove_dir_all(&not_a_store);
     let _ = fs::remove_dir_all(&store);
 }

@@ -49,9 +49,14 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// Spawns `mqdiv serve --data-dir <dir> --no-fsync` and returns the child
 /// plus the announced ephemeral address.
 fn spawn_serve(dir: &Path) -> (Child, String) {
+    spawn_serve_with(dir, &[])
+}
+
+fn spawn_serve_with(dir: &Path, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mqdiv"))
         .args(["serve", "--addr", "127.0.0.1:0", "--no-fsync"])
         .args(["--data-dir", dir.to_str().expect("utf8 path")])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -138,15 +143,15 @@ fn stats_core(stats_line: &str) -> &str {
     &stats_line[..cut]
 }
 
-fn rows_of(stats_line: &str) -> usize {
+fn field_of(stats_line: &str, key: &str) -> usize {
     let tail = stats_line
-        .split(r#""rows":"#)
+        .split(&format!(r#""{key}":"#))
         .nth(1)
-        .unwrap_or_else(|| panic!("no rows field: {stats_line}"));
+        .unwrap_or_else(|| panic!("no {key} field: {stats_line}"));
     tail.split(',')
         .next()
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("bad rows field: {stats_line}"))
+        .unwrap_or_else(|| panic!("bad {key} field: {stats_line}"))
 }
 
 fn drain(addr: &str, child: &mut Child) {
@@ -195,7 +200,7 @@ fn kill_and_restore_answers_byte_identically() {
         let (mut restored, addr_b) = spawn_serve(&dir);
         let mut b = Conn::connect(&addr_b);
         let stats_b = b.request("STATS");
-        let recovered = rows_of(&stats_b[0]);
+        let recovered = field_of(&stats_b[0], "rows");
         assert!(
             (acked_n..=acked_n + burst_n).contains(&recovered),
             "seed {seed}: recovered {recovered} outside [{acked_n}, {}]",
@@ -216,19 +221,75 @@ fn kill_and_restore_answers_byte_identically() {
             stats_core(&stats_r[0]),
             "seed {seed}: STATS core must match the uninterrupted run"
         );
+        let mut answers = Vec::new();
         for q in queries {
+            let answer = b.request(q);
             assert_eq!(
-                b.request(q),
+                answer,
                 r.request(q),
                 "seed {seed}: {q} diverged after restore"
             );
+            answers.push(answer);
         }
 
         drain(&addr_b, &mut restored);
         drain(&addr_c, &mut reference);
+
+        // Graceful restart: DRAIN does not touch the store, so the
+        // unfinished window is still in the WAL and a third server on the
+        // same dir replays all of it and answers the same.
+        let (mut again, addr_d) = spawn_serve(&dir);
+        let mut d = Conn::connect(&addr_d);
+        let stats_d = d.request("STATS");
+        assert_eq!(
+            stats_core(&stats_d[0]),
+            stats_core(&stats_b[0]),
+            "seed {seed}: STATS core must survive DRAIN and restart"
+        );
+        assert_eq!(
+            field_of(&stats_d[0], "recovered_rows"),
+            recovered,
+            "seed {seed}: a drained store recovers every row"
+        );
+        for (q, answer) in queries.iter().zip(&answers) {
+            assert_eq!(
+                &d.request(q),
+                answer,
+                "seed {seed}: {q} diverged after DRAIN and restart"
+            );
+        }
+        drain(&addr_d, &mut again);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }
+
+    // The same graceful restart under `--retain`: one full window, then one
+    // row after a quiet gap longer than the retention span. GC finds the
+    // only sealed block below the horizon and must keep it all the same,
+    // because its `first_seq` is how the next open places the WAL tail.
+    const WINDOW: usize = mqd_store::SEGMENT_TARGET_ROWS;
+    let dir = tmpdir("retain");
+    let (mut first, addr) = spawn_serve_with(&dir, &["--retain", "100"]);
+    let mut c = Conn::connect(&addr);
+    for i in 1..=WINDOW {
+        let resp = c.request(&format!("INGEST {i} {i} {}", i % 5));
+        assert!(resp[0].starts_with("+OK"), "{resp:?}");
+    }
+    let resp = c.request(&format!("INGEST {} 1000000 0", WINDOW + 1));
+    assert!(resp[0].starts_with("+OK"), "{resp:?}");
+    let stats_a = c.request("STATS");
+    assert_eq!(field_of(&stats_a[0], "rows"), WINDOW + 1);
+    drain(&addr, &mut first);
+    let (mut second, addr) = spawn_serve_with(&dir, &["--retain", "100"]);
+    let stats_b = Conn::connect(&addr).request("STATS");
+    assert_eq!(
+        stats_core(&stats_b[0]),
+        stats_core(&stats_a[0]),
+        "STATS core must survive GC, DRAIN and restart"
+    );
+    assert_eq!(field_of(&stats_b[0], "recovered_rows"), WINDOW + 1);
+    drain(&addr, &mut second);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

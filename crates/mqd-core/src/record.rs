@@ -52,21 +52,28 @@ pub fn encode_records(rows: &[Record]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + rows.len() * 8);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
-    put_varint(&mut buf, rows.len() as u64);
+    put_rows(&mut buf, rows);
+    seal_framed(&mut buf, FOOTER);
+    buf
+}
+
+/// Appends the MQDL row section (`varint(count) record*`, see the module
+/// docs) to `buf`. The durable store's sealed blocks carry the same
+/// section behind their own header, so there is one row codec.
+pub fn put_rows(buf: &mut Vec<u8>, rows: &[Record]) {
+    put_varint(buf, rows.len() as u64);
     let mut prev_id = 0u64;
     let mut prev_value = 0i64;
     for r in rows {
-        put_varint(&mut buf, zigzag(r.id.wrapping_sub(prev_id) as i64));
-        put_varint(&mut buf, zigzag(r.value.wrapping_sub(prev_value)));
-        put_varint(&mut buf, r.labels.len() as u64);
+        put_varint(buf, zigzag(r.id.wrapping_sub(prev_id) as i64));
+        put_varint(buf, zigzag(r.value.wrapping_sub(prev_value)));
+        put_varint(buf, r.labels.len() as u64);
         for &l in &r.labels {
-            put_varint(&mut buf, l as u64);
+            put_varint(buf, l as u64);
         }
         prev_id = r.id;
         prev_value = r.value;
     }
-    seal_framed(&mut buf, FOOTER);
-    buf
 }
 
 /// Deserializes an MQDL binary log, verifying magic, version and checksum.
@@ -90,6 +97,17 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
             reason: format!("unsupported version {version}"),
         });
     }
+    let rows = get_rows(&mut buf)?;
+    if buf.has_remaining() {
+        return Err(buf.corrupt("trailing bytes after last record"));
+    }
+    Ok(rows)
+}
+
+/// Reads one MQDL row section (the inverse of [`put_rows`]) at the cursor.
+/// Counts are checked against the bytes left before anything is allocated
+/// for them.
+pub fn get_rows(buf: &mut Cursor) -> Result<Vec<Record>, MqdError> {
     let count = buf.get_varint()?;
     // Each record encodes at least 3 bytes (id + value + label count), so
     // this also rejects a hostile count before allocating for it.
@@ -116,9 +134,6 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
         rows.push(Record { id, value, labels });
         prev_id = id;
         prev_value = value;
-    }
-    if buf.has_remaining() {
-        return Err(buf.corrupt("trailing bytes after last record"));
     }
     Ok(rows)
 }

@@ -170,11 +170,13 @@ impl<'a> BackendPool<'a> {
     }
 
     /// Fans one write to *every* replica of `shard` (replicated ingest).
-    /// Transport failures are tolerated while at least one replica acks —
-    /// a dead replica rebuilds from its peers, not from this request — but
-    /// a typed backend rejection is returned immediately: it means the
-    /// write itself is wrong (non-monotone, unowned labels) and acking it
-    /// anywhere would let the cluster diverge from the single-node story.
+    /// Transport failures are tolerated while at least one replica acks.
+    /// Nothing rebuilds the replica that missed the write: its session is
+    /// re-dialled on the next request and it has a hole until ROADMAP item
+    /// 5(c) fences it from reads. A typed backend rejection is returned
+    /// immediately: it means the write itself is wrong (non-monotone,
+    /// unowned labels) and acking it anywhere would let the cluster diverge
+    /// from the single-node story.
     pub fn fan_write(
         &mut self,
         shard: u32,

@@ -109,10 +109,6 @@ pub trait Handler: Sync {
     /// `DRAIN` side effect that must happen *before* the drain flag goes up
     /// (the router's backend `DRAIN` cascade).
     fn before_drain(&self, _session: &mut Self::Session<'_>) {}
-
-    /// `DRAIN` side effect that must happen *after* the drain flag is up
-    /// and before the client is answered (the server's WAL flush).
-    fn after_drain_flag(&self) {}
 }
 
 enum Flow {
@@ -352,7 +348,6 @@ impl Engine {
             Request::Drain => {
                 handler.before_drain(session);
                 self.draining.store(true, Ordering::SeqCst);
-                handler.after_drain_flag();
                 write_ok(w, r#"{"draining":true}"#, &[])?;
                 // Kick the acceptor out of its blocking accept so it observes
                 // the flag; the connection itself is discarded there.

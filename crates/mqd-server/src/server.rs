@@ -348,15 +348,6 @@ impl Handler for State {
         }
         Ok(())
     }
-
-    fn after_drain_flag(&self) {
-        // Graceful shutdown seals the WAL tail into a (partial) block, so a
-        // clean restart replays nothing. Failure is non-fatal: the WAL still
-        // holds the rows and recovery replays it.
-        if let Ok(mut store) = write_or_poisoned(&self.store) {
-            let _ = store.flush();
-        }
-    }
 }
 
 /// Answers a `QUERY` (cached or cold) or a `COVER` half with its rows.
@@ -593,7 +584,7 @@ fn render_stats(
             r#""min_value":{},"max_value":{},"#,
             r#""cache":{{"hits":{},"misses":{},"invalidations":{},"repairs":{},"refreshes":{},"stale_served":{},"entries":{}}},"#,
             r#"{},"#,
-            r#""durable":{{"wal_bytes":{},"segments_flushed":{},"compactions":{},"recovered_rows":{},"gc_segments":{}}},"#,
+            r#""durable":{{"wal_bytes":{},"segments_flushed":{},"recovered_rows":{},"gc_segments":{}}},"#,
             r#""threads":{},"draining":{}}}"#
         ),
         store_stats.rows,
@@ -612,7 +603,6 @@ fn render_stats(
         c.served_json(),
         durable.wal_bytes,
         durable.segments_flushed,
-        durable.compactions,
         durable.recovered_rows,
         durable.gc_segments,
         threads,
@@ -873,7 +863,6 @@ mod tests {
         let durable = DurableStats {
             wal_bytes: 117,
             segments_flushed: 2,
-            compactions: 1,
             recovered_rows: 4096,
             gc_segments: 0,
         };
@@ -882,7 +871,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(
             a,
-            r#"{"rows":4,"segments":1,"labels":2,"generation":4,"min_value":0,"max_value":30,"cache":{"hits":1,"misses":1,"invalidations":0,"repairs":0,"refreshes":0,"stale_served":0,"entries":1},"served":{"connections":3,"queries":2,"ingested_rows":4,"subscribes":0,"errors":0,"overloads":0,"timeouts":0},"durable":{"wal_bytes":117,"segments_flushed":2,"compactions":1,"recovered_rows":4096,"gc_segments":0},"threads":4,"draining":false}"#
+            r#"{"rows":4,"segments":1,"labels":2,"generation":4,"min_value":0,"max_value":30,"cache":{"hits":1,"misses":1,"invalidations":0,"repairs":0,"refreshes":0,"stale_served":0,"entries":1},"served":{"connections":3,"queries":2,"ingested_rows":4,"subscribes":0,"errors":0,"overloads":0,"timeouts":0},"durable":{"wal_bytes":117,"segments_flushed":2,"recovered_rows":4096,"gc_segments":0},"threads":4,"draining":false}"#
         );
         // An empty store renders nulls, not a panic or a 0 placeholder.
         let empty = StoreStats {

@@ -165,15 +165,6 @@ impl Store {
         Ok(())
     }
 
-    /// Appends a batch; stops at the first invalid row (rows before it are
-    /// kept — the batch is a stream prefix, not a transaction).
-    pub fn append_batch(&mut self, rows: impl IntoIterator<Item = Record>) -> Result<(), MqdError> {
-        for r in rows {
-            self.append(r)?;
-        }
-        Ok(())
-    }
-
     /// Validates `row` against the append contract *without* mutating the
     /// store, returning the normalized (sorted, deduped labels) record.
     /// The durable layer uses this to reject a row before it is written to
@@ -254,6 +245,14 @@ impl Store {
     /// Current generation; bumps on every append.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Every label some retained row carries, ascending.
+    pub fn labels(&self) -> Vec<u16> {
+        // lint:allow(nondet-iter): sorted on the next line, before any caller sees the order
+        let mut labels: Vec<u16> = self.label_counts.keys().copied().collect();
+        labels.sort_unstable();
+        labels
     }
 
     /// Store-wide counters.

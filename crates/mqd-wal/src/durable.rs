@@ -2,14 +2,17 @@
 //!
 //! ## Data layout
 //!
-//! A data directory holds one `wal` file (the [`crate::wal`] format) and
-//! zero or more immutable `seg-<first_seq>.mqds` blocks (the
-//! [`crate::segment`] format). The global row sequence number (`seq`,
-//! 0-based, equal to the store generation after that row) partitions into
-//! fixed *windows* of `segment_rows` rows — the same unit the in-memory
-//! store uses for its segments, which is what keeps the recovered
-//! process's segmentation (and therefore its `STATS`) byte-identical to
-//! the uninterrupted one.
+//! A data directory is `LOCK` + `wal` + zero or more `seg-<first_seq>.mqds`,
+//! where every block ([`crate::segment`] format) holds exactly
+//! `segment_rows` rows starting at a multiple of `segment_rows`, and the
+//! WAL ([`crate::wal`] format) holds exactly the rows after the last
+//! block. The global row sequence number (`seq`, 0-based, equal to the
+//! store generation after that row) partitions into fixed *windows* of
+//! `segment_rows` rows — the same unit the in-memory store uses for its
+//! segments, which is what keeps the recovered process's segmentation
+//! (and therefore its `STATS`) byte-identical to the uninterrupted one.
+//! `LOCK` carries the exclusive advisory lock that keeps a second process
+//! out of the directory for as long as this store lives.
 //!
 //! ## Write path
 //!
@@ -20,22 +23,23 @@
 //! When a window completes, the pending rows are sealed into one block
 //! (atomic tempfile+rename, directory synced) and the WAL is reset — a
 //! crash between those two steps leaves both the block and a stale WAL,
-//! which recovery deduplicates by seq. A graceful shutdown may seal a
-//! *partial* block mid-window ([`DurableStore::flush`]); compaction later
-//! merges the partial blocks of a completed window into one full block.
+//! which recovery deduplicates by seq. Nothing else writes blocks: a
+//! shutdown, graceful or not, leaves the unfinished window in the WAL.
 //!
 //! ## Retention GC
 //!
 //! With a `retain` span configured, [`DurableStore::run_gc`] drops leading
-//! *complete* windows whose newest value lies below both the retention
-//! horizon (`tip - retain`) and the caller-supplied live-lease horizon
-//! (the smallest `from` / largest λ window any live cache entry,
-//! subscription, or named checkpoint may still touch). Whole windows only,
-//! never the newest one: the in-memory store drops exactly the same
-//! segments, so a query can never observe a half-collected window, and a
-//! restart replays exactly the retained suffix (cumulative counters are
-//! re-seeded via [`mqd_store::Store::set_origin`]).
+//! blocks whose newest value lies below both the retention horizon
+//! (`tip - retain`) and the caller-supplied live-lease horizon (the
+//! smallest `from` / largest λ window any live cache entry, subscription,
+//! or named checkpoint may still touch). Whole blocks only, and never the
+//! newest one, whose `first_seq` tells the next `open` where the retained
+//! history (and so the WAL tail) starts. The in-memory store drops exactly
+//! the same segments, so a query can never observe a half-collected
+//! window, and a restart replays exactly the retained suffix (cumulative
+//! counters are re-seeded via [`mqd_store::Store::set_origin`]).
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 use mqd_core::record::Record;
@@ -76,43 +80,36 @@ impl Default for DurableOptions {
 pub struct DurableStats {
     /// Current WAL size in bytes (0 for a memory-only store).
     pub wal_bytes: u64,
-    /// Blocks sealed (full windows and partial flushes alike).
+    /// Blocks sealed (one per completed window).
     pub segments_flushed: u64,
-    /// Window compactions (partial blocks merged into one full block).
-    pub compactions: u64,
     /// Rows replayed from disk when this process opened the store.
     pub recovered_rows: u64,
     /// Windows dropped by retention GC over this process's lifetime.
     pub gc_segments: u64,
 }
 
-/// One sealed block on disk.
+/// One sealed block on disk: a full window.
 struct BlockMeta {
-    first_seq: u64,
-    rows: u64,
     max_value: i64,
     path: PathBuf,
-}
-
-impl BlockMeta {
-    fn window(&self, window: u64) -> u64 {
-        self.first_seq / window
-    }
 }
 
 /// The disk half of a durable store.
 struct Disk {
     dir: PathBuf,
     wal: Wal,
-    /// Sealed blocks, sorted by `first_seq`, contiguous.
+    /// Sealed blocks in seq order: contiguous full windows.
     blocks: Vec<BlockMeta>,
-    /// Rows appended since the last seal (mirrors the WAL frames).
+    /// Rows appended since the last seal (mirrors the WAL frames); the
+    /// first one sits on a window boundary.
     pending: Vec<Record>,
     /// Next global row sequence number.
     next_seq: u64,
     window: u64,
     fsync: bool,
     retain: Option<i64>,
+    /// Holds the data dir's exclusive lock until the store drops.
+    _lock: File,
 }
 
 /// An [`mqd_store::Store`] with optional WAL + sealed-segment persistence.
@@ -122,7 +119,6 @@ pub struct DurableStore {
     store: Store,
     disk: Option<Disk>,
     segments_flushed: u64,
-    compactions: u64,
     recovered_rows: u64,
     gc_segments: u64,
 }
@@ -130,111 +126,80 @@ pub struct DurableStore {
 impl DurableStore {
     /// A memory-only store (no data dir): nothing is persisted.
     pub fn memory() -> Self {
-        Self::memory_with_target(SEGMENT_TARGET_ROWS)
-    }
-
-    /// Memory-only with a custom segment target (test hook).
-    pub fn memory_with_target(target: usize) -> Self {
         DurableStore {
-            store: Store::with_segment_target(target),
+            store: Store::new(),
             disk: None,
             segments_flushed: 0,
-            compactions: 0,
             recovered_rows: 0,
             gc_segments: 0,
         }
     }
 
-    /// Opens (creating or recovering) the durable store in `dir`.
+    /// Opens (creating or recovering) the durable store in `dir`, which
+    /// stays locked against other openers until the store drops.
     ///
-    /// Recovery order: leftover `.tmp` files are removed, sealed blocks
-    /// are decoded and replayed in seq order (validating contiguity and
-    /// window alignment; a block fully covered by its predecessors is a
-    /// crashed compaction's leftover and is deleted, not fatal), then the
-    /// WAL tail is replayed — tolerating a torn final frame (truncated,
-    /// never a panic) and deduplicating frames whose seq a sealed block
-    /// already covers. Complete windows the crash left pending are sealed
-    /// before returning.
+    /// Recovery order: leftover `.tmp` files are removed; sealed blocks
+    /// are decoded once each, in seq order, and replayed (a block that is
+    /// not the next full, aligned window is a typed
+    /// [`MqdError::Corrupt`], never skipped or deleted); then the WAL
+    /// tail is replayed — tolerating a torn final frame (truncated, never
+    /// a panic) and deduplicating frames whose seq a sealed block already
+    /// covers. Complete windows the crash left pending are sealed before
+    /// returning.
     pub fn open(dir: &Path, opts: &DurableOptions) -> Result<Self, MqdError> {
         let window = opts.segment_rows.max(1) as u64;
         fsio::ensure_dir(dir)?;
-        let mut store = Store::with_segment_target(opts.segment_rows.max(1));
+        let lock = fsio::lock_dir(dir)?;
+        let mut store = Store::with_segment_target(window as usize);
 
-        // Crashed mid-write leftovers are not data: remove them first.
-        let mut blocks: Vec<BlockMeta> = Vec::new();
-        let mut names: Vec<(PathBuf, bool)> = Vec::new();
+        let mut paths: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            let is_tmp = name.ends_with(".tmp");
-            if is_tmp || (name.starts_with("seg-") && name.ends_with(".mqds")) {
-                names.push((entry.path(), is_tmp));
+            if name.ends_with(".tmp") {
+                // Crashed mid-write leftovers are not data.
+                fsio::remove_durable(&entry.path(), opts.fsync)?;
+            } else if name.starts_with("seg-") && name.ends_with(".mqds") {
+                paths.push(entry.path());
             }
         }
-        names.sort();
-        for (path, is_tmp) in names {
-            if is_tmp {
-                fsio::remove_durable(&path, opts.fsync)?;
-                continue;
-            }
+        // Zero-padded names: path order is seq order.
+        paths.sort();
+        let mut blocks: Vec<BlockMeta> = Vec::with_capacity(paths.len());
+        let mut expected = 0u64;
+        for path in paths {
             let seg = decode_segment(&std::fs::read(&path)?)?;
+            if blocks.is_empty() {
+                // Retention GC may have dropped any number of leading
+                // windows; history resumes at the first block kept.
+                expected = seg.first_seq;
+                store.set_origin(expected);
+            }
+            if seg.first_seq != expected
+                || !expected.is_multiple_of(window)
+                || seg.rows.len() as u64 != window
+            {
+                return Err(MqdError::Corrupt {
+                    offset: 0,
+                    reason: format!(
+                        "block {} holds {} rows from seq {}, expected the full {window}-row \
+                         window at seq {expected} (missing, overlapping or short block)",
+                        path.display(),
+                        seg.rows.len(),
+                        seg.first_seq
+                    ),
+                });
+            }
             blocks.push(BlockMeta {
-                first_seq: seg.first_seq,
-                rows: seg.rows.len() as u64,
-                max_value: seg.max_value,
-                path: path.clone(),
+                max_value: seg.rows.last().map_or(0, |r| r.value),
+                path,
             });
-        }
-        blocks.sort_by_key(|b| b.first_seq);
-        if let Some(first) = blocks.first() {
-            if first.first_seq % window != 0 {
-                return Err(MqdError::Corrupt {
-                    offset: 0,
-                    reason: format!(
-                        "first block seq {} is not aligned to the {window}-row window",
-                        first.first_seq
-                    ),
-                });
-            }
-            store.set_origin(first.first_seq);
-        }
-        let mut expected = blocks.first().map_or(0, |b| b.first_seq);
-        let mut kept: Vec<BlockMeta> = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            if b.first_seq.saturating_add(b.rows) <= expected {
-                // Every row of this block is already covered by the kept
-                // prefix: a compaction crashed between the merged block's
-                // rename and this partial's removal. Finish the
-                // interrupted delete instead of refusing to open.
-                fsio::remove_durable(&b.path, opts.fsync)?;
-                continue;
-            }
-            if b.first_seq != expected {
-                return Err(MqdError::Corrupt {
-                    offset: 0,
-                    reason: format!(
-                        "block {} starts at seq {}, expected {expected} (missing or overlapping block)",
-                        b.path.display(),
-                        b.first_seq
-                    ),
-                });
-            }
-            expected += b.rows;
-            kept.push(b);
-        }
-        let blocks = kept;
-        // Replay the blocks into memory (this re-derives the inverted
-        // indexes the store keeps; the block's own index was validated on
-        // decode). Decoding twice (meta pass above, rows here) keeps the
-        // meta scan allocation-light; blocks are read at most twice.
-        let mut recovered_rows = 0u64;
-        for b in &blocks {
-            let seg = decode_segment(&std::fs::read(&b.path)?)?;
             for row in seg.rows {
                 store.append(row)?;
-                recovered_rows += 1;
             }
+            expected += window;
         }
+        let mut recovered_rows = blocks.len() as u64 * window;
 
         // WAL tail: skip frames a sealed block already covers (the
         // seal-then-reset crash window), then replay the rest in order.
@@ -278,21 +243,16 @@ impl DurableStore {
                 window,
                 fsync: opts.fsync,
                 retain: opts.retain,
+                _lock: lock,
             }),
             segments_flushed: 0,
-            compactions: 0,
             recovered_rows,
             gc_segments: 0,
         };
         // A kill after the WAL write of a window's final row but before
         // its seal leaves one or more complete windows pending: seal them
-        // now (window-aligned chunks, partial tail stays pending) so no
-        // later seal emits a block crossing a window boundary — GC and
-        // compaction group blocks strictly by window and would otherwise
-        // skip the oversized leading group forever. Then catch up on
-        // compactions a crash interrupted.
-        out.seal(false)?;
-        out.compact_complete_windows()?;
+        // now, so every block on disk stays exactly one window.
+        out.seal()?;
         Ok(out)
     }
 
@@ -316,20 +276,9 @@ impl DurableStore {
         DurableStats {
             wal_bytes: self.disk.as_ref().map_or(0, |d| d.wal.bytes()),
             segments_flushed: self.segments_flushed,
-            compactions: self.compactions,
             recovered_rows: self.recovered_rows,
             gc_segments: self.gc_segments,
         }
-    }
-
-    /// Whether a data dir backs this store.
-    pub fn is_durable(&self) -> bool {
-        self.disk.is_some()
-    }
-
-    /// The data directory, when durable.
-    pub fn data_dir(&self) -> Option<&Path> {
-        self.disk.as_ref().map(|d| d.dir.as_path())
     }
 
     /// Whether retention GC is configured.
@@ -351,10 +300,9 @@ impl DurableStore {
         if self
             .disk
             .as_ref()
-            .is_some_and(|d| d.next_seq % d.window == 0 && !d.pending.is_empty())
+            .is_some_and(|d| d.next_seq.is_multiple_of(d.window))
         {
-            self.seal(false)?;
-            self.compact_complete_windows()?;
+            self.seal()?;
         }
         Ok(())
     }
@@ -367,131 +315,45 @@ impl DurableStore {
         }
     }
 
-    /// Seals any pending rows into (possibly partial) blocks — the
-    /// graceful-shutdown path, leaving an empty WAL behind.
-    pub fn flush(&mut self) -> Result<(), MqdError> {
-        self.seal(true)
-    }
-
-    /// Seals pending rows into immutable blocks, one chunk per window
-    /// boundary crossed — a block never spans two windows, the invariant
-    /// GC and compaction group by. With `partial_tail` the trailing
-    /// sub-window rows seal too (graceful shutdown); without it they stay
-    /// pending. Block writes are atomic and directory-synced *before* the
-    /// WAL shrinks, so a crash in between only leaves benign duplicates;
-    /// the shrink itself is a reset when nothing stays pending and an
-    /// atomic rewrite otherwise.
-    fn seal(&mut self, partial_tail: bool) -> Result<(), MqdError> {
+    /// Seals every complete window among the pending rows into its own
+    /// block; the unfinished window stays pending. Block writes are atomic
+    /// and directory-synced *before* the WAL shrinks, so a crash in
+    /// between only leaves benign duplicates; the shrink itself is a reset
+    /// when nothing stays pending and an atomic rewrite otherwise.
+    fn seal(&mut self) -> Result<(), MqdError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(());
         };
-        let mut sealed = 0usize;
-        loop {
-            let left = disk.pending.len() - sealed;
-            if left == 0 {
-                break;
-            }
-            let first_seq = disk.next_seq - left as u64;
-            let to_boundary = (disk.window - first_seq % disk.window) as usize;
-            let take = if left >= to_boundary {
-                to_boundary
-            } else if partial_tail {
-                left
-            } else {
-                break;
-            };
-            // lint:allow(panic-path): sealed + take <= pending.len() by the bounds above
-            let chunk = &disk.pending[sealed..sealed + take];
-            let blob = encode_segment(first_seq, chunk);
+        let window = disk.window as usize;
+        let sealed = disk.pending.len() / window * window;
+        if sealed == 0 {
+            return Ok(());
+        }
+        let mut first_seq = disk.next_seq - disk.pending.len() as u64;
+        for chunk in disk.pending.chunks_exact(window) {
             let path = disk.dir.join(format!("seg-{first_seq:016}.mqds"));
-            fsio::write_atomic(&path, &blob, disk.fsync)?;
+            fsio::write_atomic(&path, &encode_segment(first_seq, chunk), disk.fsync)?;
             disk.blocks.push(BlockMeta {
-                first_seq,
-                rows: take as u64,
                 max_value: chunk.last().map_or(0, |r| r.value),
                 path,
             });
-            sealed += take;
+            first_seq += disk.window;
             self.segments_flushed += 1;
         }
-        if sealed > 0 {
-            disk.pending.drain(..sealed);
-            if disk.pending.is_empty() {
-                disk.wal.reset()?;
-            } else {
-                let tail_first = disk.next_seq - disk.pending.len() as u64;
-                disk.wal.rewrite(tail_first, &disk.pending)?;
-            }
+        disk.pending.drain(..sealed);
+        if disk.pending.is_empty() {
+            disk.wal.reset()
+        } else {
+            disk.wal.rewrite(first_seq, &disk.pending)
         }
-        Ok(())
-    }
-
-    /// Merges every *complete* window that is split across several blocks
-    /// (partial seals from graceful shutdowns) into one full-window block.
-    /// Runs after each window-completing seal and once at open, so a
-    /// crash mid-compaction is retried, not lost. Pure bookkeeping: the
-    /// row set, the in-memory store, and every query answer are unchanged.
-    fn compact_complete_windows(&mut self) -> Result<(), MqdError> {
-        let Some(disk) = self.disk.as_mut() else {
-            return Ok(());
-        };
-        let window = disk.window;
-        let mut at = 0usize;
-        while at < disk.blocks.len() {
-            let w = disk.blocks[at].window(window);
-            let mut end = at;
-            let mut rows = 0u64;
-            while end < disk.blocks.len() && disk.blocks[end].window(window) == w {
-                rows += disk.blocks[end].rows;
-                end += 1;
-            }
-            let complete = rows == window;
-            if !complete || end - at < 2 {
-                at = end;
-                continue;
-            }
-            // Merge blocks [at, end) into one full-window block.
-            let mut merged: Vec<Record> = Vec::with_capacity(rows as usize);
-            // lint:allow(panic-path): at < end <= blocks.len() by the scan loop above
-            for b in &disk.blocks[at..end] {
-                merged.extend(decode_segment(&std::fs::read(&b.path)?)?.rows);
-            }
-            let first_seq = disk.blocks[at].first_seq;
-            let blob = encode_segment(first_seq, &merged);
-            let path = disk.dir.join(format!("seg-{first_seq:016}.mqds"));
-            fsio::write_atomic(&path, &blob, disk.fsync)?;
-            // lint:allow(panic-path): same bound as the merge loop above
-            let removed: Vec<PathBuf> = disk.blocks[at..end]
-                .iter()
-                .filter(|b| b.path != path)
-                .map(|b| b.path.clone())
-                .collect();
-            for p in removed {
-                fsio::remove_durable(&p, disk.fsync)?;
-            }
-            let max_value = merged.last().map_or(0, |r| r.value);
-            disk.blocks.splice(
-                at..end,
-                [BlockMeta {
-                    first_seq,
-                    rows: window,
-                    max_value,
-                    path,
-                }],
-            );
-            self.compactions += 1;
-            at += 1;
-        }
-        Ok(())
     }
 
     /// Retention GC. `live_horizon` is the smallest value any live lease
     /// (cache entry slice, active subscription, named checkpoint — each
     /// widened by its λ window) may still touch; pass `i64::MAX` when no
-    /// lease exists. Drops leading complete windows that are entirely
-    /// below both horizons — whole windows only, never the newest — from
-    /// disk *and* the in-memory store in lockstep. Returns the number of
-    /// windows dropped.
+    /// lease exists. Drops leading blocks that are entirely below both
+    /// horizons — never the newest block — from disk *and* the in-memory
+    /// store in lockstep. Returns the number of windows dropped.
     pub fn run_gc(&mut self, live_horizon: i64) -> Result<u64, MqdError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(0);
@@ -503,42 +365,21 @@ impl DurableStore {
             return Ok(0);
         };
         let horizon = tip.saturating_sub(retain).min(live_horizon);
-        let window = disk.window;
-        let last_window = (disk.next_seq.saturating_sub(1)) / window;
-        let mut drop_windows = 0u64;
-        let mut drop_blocks = 0usize;
-        loop {
-            let at = drop_blocks;
-            let Some(first) = disk.blocks.get(at) else {
-                break;
-            };
-            let w = first.window(window);
-            if w >= last_window {
-                break; // never the newest window
-            }
-            let mut end = at;
-            let mut rows = 0u64;
-            let mut max_value = i64::MIN;
-            while end < disk.blocks.len() && disk.blocks[end].window(window) == w {
-                rows += disk.blocks[end].rows;
-                max_value = max_value.max(disk.blocks[end].max_value);
-                end += 1;
-            }
-            if rows != window || max_value >= horizon {
-                break; // incomplete window, or still inside a horizon
-            }
-            drop_windows += 1;
-            drop_blocks = end;
-        }
-        if drop_windows == 0 {
-            return Ok(0);
-        }
-        for b in disk.blocks.drain(..drop_blocks) {
+        // The newest block always stays: its `first_seq` is the only
+        // durable record of where the retained history starts, and `open`
+        // needs it to place the WAL tail.
+        let dead = disk
+            .blocks
+            .iter()
+            .take(disk.blocks.len().saturating_sub(1))
+            .take_while(|b| b.max_value < horizon)
+            .count();
+        for b in disk.blocks.drain(..dead) {
             fsio::remove_durable(&b.path, disk.fsync)?;
         }
-        self.store.drop_leading_segments(drop_windows as usize);
-        self.gc_segments += drop_windows;
-        Ok(drop_windows)
+        self.store.drop_leading_segments(dead);
+        self.gc_segments += dead as u64;
+        Ok(dead as u64)
     }
 }
 
@@ -585,7 +426,7 @@ mod tests {
         ingest(&mut ds, 0..10);
         let want_stats = ds.store_stats();
         assert_eq!(ds.durable_stats().segments_flushed, 2);
-        drop(ds); // no flush: simulates a kill (WAL tail replay required)
+        drop(ds); // the WAL tail is replayed, as after a kill
 
         let ds2 = DurableStore::open(&dir, &opts(4)).unwrap();
         assert_eq!(ds2.store_stats(), want_stats);
@@ -610,57 +451,114 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn graceful_flush_seals_partials_and_compaction_merges_them() {
-        let dir = tmpdir("compact");
-        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        ingest(&mut ds, 0..2);
-        ds.flush().unwrap(); // partial block [0,2)
-        drop(ds);
-        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        assert_eq!(ds.durable_stats().recovered_rows, 2);
-        ingest(&mut ds, 2..4); // completes window 0 -> seal [2,4) -> compact
-        assert_eq!(ds.durable_stats().compactions, 1);
-        let blocks: Vec<String> = std::fs::read_dir(&dir)
+    /// The `seg-*.mqds` names in `dir`, sorted, after checking that each
+    /// decodes to exactly one aligned `window`-row block.
+    fn full_window_blocks(dir: &Path, window: u64) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|n| n.ends_with(".mqds"))
             .collect();
-        assert_eq!(blocks.len(), 1, "{blocks:?}");
+        names.sort();
+        for name in &names {
+            let seg = decode_segment(&std::fs::read(dir.join(name)).unwrap()).unwrap();
+            assert_eq!(seg.rows.len() as u64, window, "{name}");
+            assert_eq!(seg.first_seq % window, 0, "{name}");
+            assert_eq!(*name, format!("seg-{:016}.mqds", seg.first_seq));
+        }
+        names
+    }
+
+    #[test]
+    fn a_dir_is_full_window_blocks_plus_the_wal_tail() {
+        // A store dropped mid-window leaves only full-window blocks on
+        // disk and the tail in the WAL; the next window seals as one block.
+        let dir = tmpdir("one-shape");
+        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
+        ingest(&mut ds, 0..6);
+        drop(ds);
+        assert_eq!(full_window_blocks(&dir, 4), ["seg-0000000000000000.mqds"]);
+        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
+        assert_eq!(ds.durable_stats().recovered_rows, 6);
+        assert!(ds.durable_stats().wal_bytes > crate::wal::HEADER_LEN);
+        ingest(&mut ds, 6..8); // completes window 1: one seal, one block
+        assert_eq!(ds.durable_stats().segments_flushed, 1);
+        assert_eq!(ds.durable_stats().wal_bytes, crate::wal::HEADER_LEN);
+        assert_eq!(
+            full_window_blocks(&dir, 4),
+            ["seg-0000000000000000.mqds", "seg-0000000000000004.mqds"]
+        );
         drop(ds);
         let ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        assert_eq!(ds.store_stats().rows, 4);
-        assert_eq!(ds.durable_stats().recovered_rows, 4);
+        assert_eq!(ds.store_stats().rows, 8);
+        assert_eq!(ds.durable_stats().recovered_rows, 8);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn compaction_leftover_after_crash_is_deleted_not_fatal() {
-        let dir = tmpdir("leftover");
+    fn a_block_that_is_not_the_next_full_window_is_corrupt_never_deleted() {
+        let dir = tmpdir("bad-shape");
         let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        ingest(&mut ds, 0..5); // merged-shape block [0,4) + WAL tail [4,5)
+        ingest(&mut ds, 0..9); // blocks [0,4) and [4,8) + WAL tail [8,9)
         drop(ds);
-        // Re-create the crash window: a compaction renamed the merged
-        // block into place but died before removing the partial [2,4) it
-        // subsumed.
-        let rows: Vec<Record> = (2..4u64)
-            .map(|i| row(i, i as i64 * 10, &[(i % 3) as u16]))
-            .collect();
-        std::fs::write(
-            dir.join("seg-0000000000000002.mqds"),
-            encode_segment(2, &rows),
-        )
-        .unwrap();
+        let rows = |range: std::ops::Range<u64>| -> Vec<Record> {
+            range
+                .map(|i| row(i, i as i64 * 10, &[(i % 3) as u16]))
+                .collect()
+        };
+        let mut v1 = crate::segment::MAGIC.to_vec();
+        v1.extend_from_slice(&[1, 8, 0]); // version 1, first_seq 8, filler
+        mqd_core::wire::seal_framed(&mut v1, mqd_core::wire::FRAME_FOOTER);
+        let second = dir.join("seg-0000000000000004.mqds");
+        let good = std::fs::read(&second).unwrap();
+        for (name, blob, what) in [
+            (
+                "seg-0000000000000002.mqds",
+                encode_segment(2, &rows(2..4)),
+                "overlapping",
+            ),
+            (
+                "seg-0000000000000004.mqds",
+                encode_segment(4, &rows(4..6)),
+                "short",
+            ),
+            (
+                "seg-0000000000000004.mqds",
+                encode_segment(6, &rows(6..10)),
+                "gapped",
+            ),
+            ("seg-0000000000000008.mqds", v1, "previous-format"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, blob).unwrap();
+            match DurableStore::open(&dir, &opts(4)) {
+                Err(MqdError::Corrupt { .. }) => {}
+                Err(other) => panic!("{what} block: unexpected error kind {other:?}"),
+                Ok(_) => panic!("{what} block accepted"),
+            }
+            assert!(path.exists(), "{what} block must not be deleted");
+            std::fs::remove_file(&path).unwrap();
+            std::fs::write(&second, &good).unwrap();
+        }
+        let ds = DurableStore::open(&dir, &opts(4)).unwrap();
+        assert_eq!(ds.store_stats().rows, 9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        let ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        assert_eq!(ds.store_stats().rows, 5, "leftover must not block recovery");
-        assert!(
-            !dir.join("seg-0000000000000002.mqds").exists(),
-            "the interrupted delete must be finished"
-        );
+    #[test]
+    fn a_data_dir_has_one_writer_at_a_time() {
+        let dir = tmpdir("lock");
+        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
+        ingest(&mut ds, 0..2);
+        match DurableStore::open(&dir, &opts(4)) {
+            Err(MqdError::Io(msg)) => assert!(msg.contains("in use by another process"), "{msg}"),
+            Err(other) => panic!("unexpected error kind {other:?}"),
+            Ok(_) => panic!("second open of a live data dir succeeded"),
+        }
+        ingest(&mut ds, 2..3); // the holder is unaffected
         drop(ds);
         let ds = DurableStore::open(&dir, &opts(4)).unwrap();
-        assert_eq!(ds.store_stats().rows, 5);
+        assert_eq!(ds.store_stats().rows, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -686,27 +584,26 @@ mod tests {
         assert_eq!(ds.store_stats().rows, 9);
         // Windows 0 and 1 sealed as separate boundary-aligned blocks; the
         // tail row stays in the WAL.
-        let mut blocks: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".mqds"))
-            .collect();
-        blocks.sort();
         assert_eq!(
-            blocks,
-            [
-                "seg-0000000000000000.mqds".to_string(),
-                "seg-0000000000000004.mqds".to_string()
-            ]
+            full_window_blocks(&dir, 4),
+            ["seg-0000000000000000.mqds", "seg-0000000000000004.mqds"]
         );
-        // GC still walks the leading windows (no oversized group blocks it).
+        // GC still walks the leading windows (no oversized group blocks
+        // it), but with a WAL tail pending it keeps the newest block: that
+        // block carries the origin the next open places the tail by.
         let mut o = opts(4);
         o.retain = Some(0);
         drop(ds);
         let mut ds = DurableStore::open(&dir, &o).unwrap();
-        assert_eq!(ds.run_gc(i64::MAX).unwrap(), 2);
+        assert_eq!(ds.run_gc(i64::MAX).unwrap(), 1);
+        assert_eq!(full_window_blocks(&dir, 4), ["seg-0000000000000004.mqds"]);
         ingest(&mut ds, 9..10);
-        assert_eq!(ds.store_stats().generation, 10);
+        let want = ds.store_stats();
+        assert_eq!(want.generation, 10);
+        drop(ds);
+        let ds = DurableStore::open(&dir, &o).unwrap();
+        assert_eq!(ds.store_stats(), want);
+        assert_eq!(ds.durable_stats().recovered_rows, 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -742,9 +639,8 @@ mod tests {
 
     #[test]
     fn memory_mode_is_the_plain_store() {
-        let mut ds = DurableStore::memory_with_target(4);
+        let mut ds = DurableStore::memory();
         ingest(&mut ds, 0..10);
-        assert!(!ds.is_durable());
         assert_eq!(ds.durable_stats(), DurableStats::default());
         assert_eq!(ds.store_stats().rows, 10);
     }
@@ -807,10 +703,20 @@ mod tests {
         o.retain = Some(0);
         let mut ds = DurableStore::open(&dir, &o).unwrap();
         ingest(&mut ds, 0..8); // exactly two sealed windows
-                               // retain=0: horizon is the tip itself, both windows are "dead",
-                               // but the newest must survive.
+
+        // retain=0: horizon is the tip itself, both windows are "dead",
+        // but the newest must survive.
         assert_eq!(ds.run_gc(i64::MAX).unwrap(), 1);
         assert_eq!(ds.store_stats().segments, 1);
+        // One row after a quiet gap puts the last block below the horizon
+        // too; it still stays, or a restart could not place the WAL tail.
+        ds.append(&row(8, 10_000, &[0])).unwrap();
+        ds.sync().unwrap();
+        assert_eq!(ds.run_gc(i64::MAX).unwrap(), 0);
+        let want = ds.store_stats();
+        drop(ds);
+        let ds = DurableStore::open(&dir, &o).unwrap();
+        assert_eq!(ds.store_stats(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

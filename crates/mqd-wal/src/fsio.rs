@@ -13,7 +13,7 @@
 //! the *ordering* guarantees — tempfile before rename, WAL before ack —
 //! hold either way.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +109,24 @@ pub fn open_rw(path: &Path) -> Result<File, MqdError> {
 /// Creates `dir` (and parents) if it does not exist yet.
 pub fn ensure_dir(dir: &Path) -> Result<(), MqdError> {
     Ok(std::fs::create_dir_all(dir)?)
+}
+
+/// Takes the exclusive advisory lock on `<dir>/LOCK` that makes a data
+/// dir single-writer; the lock lasts as long as the returned handle (the
+/// kernel drops it when the holder dies, SIGKILL included). Two writers
+/// would overwrite each other's acked frames in the shared `wal`. A
+/// dedicated file, not the `wal` itself: a WAL rewrite renames a new
+/// inode over that one.
+pub fn lock_dir(dir: &Path) -> Result<File, MqdError> {
+    let lock = open_rw(&dir.join("LOCK"))?;
+    match lock.try_lock() {
+        Ok(()) => Ok(lock),
+        Err(TryLockError::WouldBlock) => Err(MqdError::Io(format!(
+            "data dir {} is in use by another process",
+            dir.display()
+        ))),
+        Err(TryLockError::Error(e)) => Err(e.into()),
+    }
 }
 
 #[cfg(test)]

@@ -7,23 +7,23 @@
 //!   independently-checksummed frame (no cross-frame delta coding), so a
 //!   torn or truncated final frame is detected and cleanly truncated on
 //!   replay — never a panic, never a phantom row.
-//! * [`segment`] — sealed, immutable on-disk blocks of rows carrying their
-//!   inverted label → posting index and per-label value summaries, so a
-//!   recovered process re-indexes nothing and coverage slicing works off
-//!   the same metadata the in-memory store would have built.
-//! * [`durable`] — [`DurableStore`]: the orchestration layer. Appends go
+//! * [`segment`] — sealed, immutable on-disk blocks of one window of rows
+//!   each, in the MQDL row codec [`mqd_core::record`] owns. A block carries
+//!   nothing derived from its rows; recovery rebuilds the in-memory index
+//!   by replaying them.
+//! * [`durable`] — [`DurableStore`]: the orchestration layer. What it
+//!   keeps in a data dir is `LOCK` + `wal` + full-window blocks. Appends go
 //!   WAL-first (ack only after [`DurableStore::sync`]), the WAL is sealed
-//!   into a block whenever a segment-sized window of rows completes,
-//!   partial blocks from graceful shutdowns are compacted into full-window
-//!   blocks, and retention GC drops whole windows that no live λ-window
-//!   lease can ever touch again. Recovery replays blocks + WAL tail and
-//!   restores the store byte-identically (rows, generation, stats) to the
+//!   into a block whenever a segment-sized window of rows completes, and
+//!   retention GC drops whole windows that no live λ-window lease can
+//!   ever touch again. Recovery replays blocks + WAL tail and restores the
+//!   store byte-identically (rows, generation, stats) to the
 //!   uninterrupted process at the same ingest prefix.
 //! * [`fsio`] — the single sanctioned home of durable filesystem mutation
 //!   (atomic tempfile+rename writes, deletes, truncation — each paired
-//!   with the directory/file fsync that makes it actually durable). The
-//!   `durability-path` lint rule keeps every other module out of the
-//!   mutation business.
+//!   with the directory/file fsync that makes it actually durable — and
+//!   the data dir's single-writer lock). The `durability-path` lint rule
+//!   keeps every other module out of the mutation business.
 //!
 //! All formats use the shared [`mqd_core::wire`] varint + FNV-1a framing;
 //! the file magics (`WAL!`, `MQDS`) are minted in `mqd_core::wire` and

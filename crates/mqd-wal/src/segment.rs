@@ -1,29 +1,20 @@
-//! Sealed on-disk segment blocks: immutable row runs with their inverted
-//! label index and value summaries.
+//! Sealed on-disk segment blocks: immutable runs of rows.
 //!
 //! ```text
-//! file   := body "END!" checksum:u64_be          (shared framed footer)
-//! body   := "MQDS" version:varint first_seq:varint nrows:varint
-//!           row*                                 (values delta-coded)
-//!           nlabels:varint labelidx*             (sorted by label)
-//!           min_value:zigzag max_value:zigzag
-//! row    := id:varint dvalue:varint(first row: zigzag absolute)
-//!           nlabels:varint label:varint*
-//! labelidx := label:varint count:varint min:zigzag max:zigzag
-//!             posting:varint*                    (delta-coded row indexes)
+//! file := body "END!" checksum:u64_be            (shared framed footer)
+//! body := "MQDS" version:varint first_seq:varint rows
+//! rows := the MQDL row section of [`mqd_core::record`]
+//!         (nrows:varint, then id/value delta-coded rows)
 //! ```
 //!
-//! The index and summaries are exactly what [`mqd_store::Store`] would
-//! rebuild from the rows — "Succinct Coverage Oracles" is the motivation:
-//! recovery should not have to re-derive coverage metadata from raw posts.
-//! The decoder bounds-checks every posting and re-verifies the per-label
-//! counts against the rows, so a block that passes its checksum still
-//! cannot smuggle an inconsistent index into the store.
+//! A block carries rows and nothing derived from them: recovery replays
+//! the rows through [`mqd_store::Store::append`], which builds the only
+//! index there is. The decoder re-checks the store's row contract, so a
+//! block that passes its checksum still cannot smuggle an unsorted label
+//! list or a backwards value into the store.
 
-use std::collections::HashMap;
-
-use mqd_core::record::Record;
-use mqd_core::wire::{check_framed, put_varint, put_varint_i64, seal_framed, Cursor};
+use mqd_core::record::{get_rows, put_rows, Record};
+use mqd_core::wire::{check_framed, put_varint, seal_framed, Cursor};
 use mqd_core::MqdError;
 
 /// File magic — aliased from the sanctioned wire module.
@@ -31,10 +22,10 @@ pub const MAGIC: [u8; 4] = *mqd_core::wire::SEGMENT_MAGIC;
 /// Shared framed footer magic.
 const FOOTER: [u8; 4] = *mqd_core::wire::FRAME_FOOTER;
 /// Format version.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 /// Upper bound on rows in one block (sanity bound for decoders; real
 /// blocks hold one store segment window, 4096 rows by default).
-const MAX_ROWS: u64 = 1 << 22;
+const MAX_ROWS: usize = 1 << 22;
 
 /// A decoded segment block.
 #[derive(Debug)]
@@ -43,10 +34,6 @@ pub struct SegmentFile {
     pub first_seq: u64,
     /// Rows in arrival order (values non-decreasing).
     pub rows: Vec<Record>,
-    /// Smallest value in the block.
-    pub min_value: i64,
-    /// Largest value in the block.
-    pub max_value: i64,
 }
 
 /// Encodes `rows` (which must be non-empty, label-normalized, and
@@ -57,59 +44,14 @@ pub fn encode_segment(first_seq: u64, rows: &[Record]) -> Vec<u8> {
     buf.extend_from_slice(&MAGIC);
     put_varint(&mut buf, VERSION);
     put_varint(&mut buf, first_seq);
-    put_varint(&mut buf, rows.len() as u64);
-    let mut prev_value = 0i64;
-    let mut postings: Vec<(u16, Vec<u32>)> = Vec::new();
-    let mut slot_of: HashMap<u16, usize> = HashMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        put_varint(&mut buf, row.id);
-        if i == 0 {
-            put_varint_i64(&mut buf, row.value);
-        } else {
-            // Monotone within a block, so the true difference fits u64
-            // even across the full i64 span (MIN -> MAX): compute it in
-            // the wrapping u64 domain.
-            put_varint(&mut buf, (row.value as u64).wrapping_sub(prev_value as u64));
-        }
-        prev_value = row.value;
-        put_varint(&mut buf, row.labels.len() as u64);
-        for &l in &row.labels {
-            put_varint(&mut buf, l as u64);
-            let slot = *slot_of.entry(l).or_insert_with(|| {
-                postings.push((l, Vec::new()));
-                postings.len() - 1
-            });
-            postings[slot].1.push(i as u32);
-        }
-    }
-    postings.sort_unstable_by_key(|(l, _)| *l);
-    put_varint(&mut buf, postings.len() as u64);
-    for (label, list) in &postings {
-        put_varint(&mut buf, *label as u64);
-        put_varint(&mut buf, list.len() as u64);
-        let (lo, hi) = match (list.first(), list.last()) {
-            (Some(&a), Some(&b)) => (rows[a as usize].value, rows[b as usize].value),
-            _ => (0, 0),
-        };
-        put_varint_i64(&mut buf, lo);
-        put_varint_i64(&mut buf, hi);
-        let mut prev = 0u32;
-        for &p in list {
-            put_varint(&mut buf, (p - prev) as u64);
-            prev = p;
-        }
-    }
-    let min_value = rows.first().map_or(0, |r| r.value);
-    let max_value = rows.last().map_or(0, |r| r.value);
-    put_varint_i64(&mut buf, min_value);
-    put_varint_i64(&mut buf, max_value);
+    put_rows(&mut buf, rows);
     seal_framed(&mut buf, &FOOTER);
     buf
 }
 
 /// Decodes and validates a sealed block. Every failure — bad checksum,
-/// truncation, out-of-range posting, index/row disagreement — is a typed
-/// [`MqdError::Corrupt`].
+/// truncation, implausible count, a row the store would have refused — is
+/// a typed [`MqdError::Corrupt`].
 pub fn decode_segment(data: &[u8]) -> Result<SegmentFile, MqdError> {
     let body = check_framed(data, &FOOTER, MAGIC.len() + 3)?;
     let mut c = Cursor::new(body);
@@ -122,119 +64,32 @@ pub fn decode_segment(data: &[u8]) -> Result<SegmentFile, MqdError> {
         return Err(c.corrupt(format!("unsupported segment version {version}")));
     }
     let first_seq = c.get_varint()?;
-    let nrows = c.get_varint()?;
-    if nrows == 0 || nrows > MAX_ROWS {
-        return Err(c.corrupt(format!("implausible row count {nrows}")));
-    }
-    // Each row occupies at least 4 bytes (id, value, label count, one
-    // label), so a count past that bound cannot be satisfied by the
-    // remaining body — reject before preallocating for it.
-    let mut rows = Vec::with_capacity(c.plausible_len(nrows, 4, "row")?);
-    let mut value = 0i64;
-    let mut label_counts: HashMap<u16, u64> = HashMap::new();
-    for i in 0..nrows {
-        let id = c.get_varint()?;
-        value = if i == 0 {
-            c.get_varint_i64()?
-        } else {
-            // Deltas are non-negative (monotone values), so the true sum
-            // is `value + delta` — compute it in i128 where it cannot
-            // wrap, and reject anything past the i64 range instead of
-            // folding it into a plausible-but-wrong value.
-            let delta = c.get_varint()?;
-            let next = value as i128 + delta as i128;
-            if next > i64::MAX as i128 {
-                return Err(c.corrupt("value delta overflow"));
-            }
-            next as i64
-        };
-        let nlabels = c.get_varint()?;
-        if nlabels == 0 || nlabels > u16::MAX as u64 + 1 {
-            return Err(c.corrupt(format!("implausible label count {nlabels}")));
-        }
-        let mut labels = Vec::with_capacity(c.plausible_len(nlabels, 1, "label")?);
-        let mut prev: Option<u16> = None;
-        for _ in 0..nlabels {
-            let l = c.get_varint()?;
-            let l = u16::try_from(l).map_err(|_| c.corrupt("label out of range"))?;
-            if prev.is_some_and(|p| l <= p) {
-                return Err(c.corrupt("row labels not sorted/deduped"));
-            }
-            prev = Some(l);
-            labels.push(l);
-            *label_counts.entry(l).or_insert(0) += 1;
-        }
-        rows.push(Record { id, value, labels });
-    }
-    // The inverted index: validated against the rows, not trusted.
-    let nidx = c.get_varint()?;
-    if nidx as usize != label_counts.len() {
-        return Err(c.corrupt("label index count disagrees with rows"));
-    }
-    let mut prev_label: Option<u16> = None;
-    for _ in 0..nidx {
-        let label = c.get_varint()?;
-        let label = u16::try_from(label).map_err(|_| c.corrupt("index label out of range"))?;
-        if prev_label.is_some_and(|p| label <= p) {
-            return Err(c.corrupt("label index not sorted"));
-        }
-        prev_label = Some(label);
-        let count = c.get_varint()?;
-        if label_counts.get(&label).copied() != Some(count) {
-            return Err(c.corrupt("label index count disagrees with rows"));
-        }
-        let sum_min = c.get_varint_i64()?;
-        let sum_max = c.get_varint_i64()?;
-        let mut posting = 0u64;
-        let mut span: Option<(i64, i64)> = None;
-        for i in 0..count {
-            let delta = c.get_varint()?;
-            posting = if i == 0 {
-                delta
-            } else {
-                posting
-                    .checked_add(delta)
-                    .ok_or_else(|| c.corrupt("posting delta overflow"))?
-            };
-            if posting >= nrows {
-                return Err(c.corrupt("posting index out of range"));
-            }
-            let row = &rows[posting as usize];
-            if !row.labels.contains(&label) {
-                return Err(c.corrupt("posting points at a row without the label"));
-            }
-            span = match span {
-                None => Some((row.value, row.value)),
-                Some((lo, _)) => Some((lo, row.value)),
-            };
-        }
-        if span.is_some_and(|(lo, hi)| (lo, hi) != (sum_min, sum_max)) {
-            return Err(c.corrupt("per-label value summary disagrees with rows"));
-        }
-    }
-    let min_value = c.get_varint_i64()?;
-    let max_value = c.get_varint_i64()?;
-    let (want_min, want_max) = (
-        rows.first().map_or(0, |r| r.value),
-        rows.last().map_or(0, |r| r.value),
-    );
-    if min_value != want_min || max_value != want_max {
-        return Err(c.corrupt("value summary disagrees with rows"));
-    }
+    let rows = get_rows(&mut c)?;
     if c.has_remaining() {
         return Err(c.corrupt("trailing bytes after segment payload"));
     }
-    Ok(SegmentFile {
-        first_seq,
-        rows,
-        min_value,
-        max_value,
-    })
+    if rows.is_empty() || rows.len() > MAX_ROWS {
+        return Err(c.corrupt(format!("implausible row count {}", rows.len())));
+    }
+    let mut prev_value = i64::MIN;
+    for row in &rows {
+        if row.labels.is_empty() || !row.labels.is_sorted_by(|a, b| a < b) {
+            return Err(c.corrupt("row labels empty or not sorted/deduped"));
+        }
+        // The codec's deltas wrap, so one that runs past `i64::MAX`
+        // decodes to a smaller value and lands here.
+        if row.value < prev_value {
+            return Err(c.corrupt("row values decrease"));
+        }
+        prev_value = row.value;
+    }
+    Ok(SegmentFile { first_seq, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqd_core::wire::put_varint_i64;
 
     fn rows(n: u64) -> Vec<Record> {
         (0..n)
@@ -253,8 +108,6 @@ mod tests {
         let seg = decode_segment(&blob).unwrap();
         assert_eq!(seg.first_seq, 4096);
         assert_eq!(seg.rows, rs);
-        assert_eq!(seg.min_value, 0);
-        assert_eq!(seg.max_value, 147);
     }
 
     #[test]
@@ -295,43 +148,70 @@ mod tests {
         buf
     }
 
+    /// Row section pieces, hand-assembled in the MQDL layout.
+    fn put_row(tail: &mut Vec<u8>, id_delta: i64, value_delta: i64, labels: &[u64]) {
+        put_varint_i64(tail, id_delta);
+        put_varint_i64(tail, value_delta);
+        put_varint(tail, labels.len() as u64);
+        for &l in labels {
+            put_varint(tail, l);
+        }
+    }
+
+    fn assert_corrupt(blob: &[u8], want: &str) {
+        match decode_segment(blob) {
+            Err(MqdError::Corrupt { reason, .. }) => {
+                assert!(reason.contains(want), "got: {reason}")
+            }
+            other => panic!("corrupt block accepted: {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_delta_is_a_typed_error_not_a_wrap() {
         // Two rows: the second one's delta pushes the value past i64::MAX.
-        // The frame checksum is valid, so only the checked delta
-        // arithmetic stands between this block and a plausible-but-wrong
-        // value entering the store.
+        // The frame checksum is valid, so only the monotonicity check
+        // stands between this block and a wrapped value entering the store.
         let mut tail = Vec::new();
         put_varint(&mut tail, 2); // nrows
-        put_varint(&mut tail, 1); // row 0: id
-        put_varint_i64(&mut tail, i64::MAX - 1); // absolute value
-        put_varint(&mut tail, 1); // nlabels
-        put_varint(&mut tail, 0); // label
-        put_varint(&mut tail, 2); // row 1: id
-        put_varint(&mut tail, 3); // delta -> i64::MAX + 2, past the range
-        let blob = sealed(&tail);
-        match decode_segment(&blob) {
-            Err(MqdError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("delta overflow"), "got: {reason}")
-            }
-            other => panic!("corrupt delta accepted: {other:?}"),
-        }
+        put_row(&mut tail, 1, i64::MAX - 1, &[0]);
+        put_row(&mut tail, 1, 3, &[0]); // -> i64::MAX + 2, wraps negative
+        assert_corrupt(&sealed(&tail), "values decrease");
 
-        // Same shape but wrapping the whole u64 domain from a small value.
+        // A plain negative delta is the same violation.
         let mut tail = Vec::new();
         put_varint(&mut tail, 2);
-        put_varint(&mut tail, 1);
-        put_varint_i64(&mut tail, 5);
-        put_varint(&mut tail, 1);
-        put_varint(&mut tail, 0);
-        put_varint(&mut tail, 2);
-        put_varint(&mut tail, u64::MAX - 3); // wraps to 1 under wrapping_add
-        match decode_segment(&sealed(&tail)) {
-            Err(MqdError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("delta overflow"), "got: {reason}")
+        put_row(&mut tail, 1, 5, &[0]);
+        put_row(&mut tail, 1, -1, &[0]);
+        assert_corrupt(&sealed(&tail), "values decrease");
+    }
+
+    #[test]
+    fn rows_the_store_would_refuse_are_typed_errors() {
+        for (labels, what) in [
+            (&[][..], "no labels"),
+            (&[3, 3][..], "duplicate label"),
+            (&[4, 1][..], "unsorted labels"),
+        ] {
+            let mut tail = Vec::new();
+            put_varint(&mut tail, 1);
+            put_row(&mut tail, 1, 0, labels);
+            match decode_segment(&sealed(&tail)) {
+                Err(MqdError::Corrupt { reason, .. }) => {
+                    assert!(reason.contains("labels"), "{what}: {reason}")
+                }
+                other => panic!("{what} accepted: {other:?}"),
             }
-            other => panic!("wrapping delta accepted: {other:?}"),
         }
+        // No rows at all, and bytes after the last row.
+        let mut tail = Vec::new();
+        put_varint(&mut tail, 0);
+        assert_corrupt(&sealed(&tail), "row count");
+        let mut tail = Vec::new();
+        put_varint(&mut tail, 1);
+        put_row(&mut tail, 1, 0, &[0]);
+        tail.push(0);
+        assert_corrupt(&sealed(&tail), "trailing bytes");
     }
 
     #[test]
@@ -340,26 +220,16 @@ mod tests {
         // tiny body; the decoder must reject it without preallocating
         // MAX_ROWS row slots.
         let mut tail = Vec::new();
-        put_varint(&mut tail, MAX_ROWS);
-        match decode_segment(&sealed(&tail)) {
-            Err(MqdError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("count"), "got: {reason}")
-            }
-            other => panic!("implausible nrows accepted: {other:?}"),
-        }
+        put_varint(&mut tail, MAX_ROWS as u64);
+        assert_corrupt(&sealed(&tail), "count");
 
-        // A row claiming 65536 labels inside a few remaining bytes.
+        // A row claiming 65535 labels inside a few remaining bytes.
         let mut tail = Vec::new();
         put_varint(&mut tail, 1); // nrows
-        put_varint(&mut tail, 7); // id
+        put_varint_i64(&mut tail, 7); // id
         put_varint_i64(&mut tail, 0); // value
-        put_varint(&mut tail, u16::MAX as u64 + 1); // nlabels, passes the u16 bound
-        match decode_segment(&sealed(&tail)) {
-            Err(MqdError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("count"), "got: {reason}")
-            }
-            other => panic!("implausible nlabels accepted: {other:?}"),
-        }
+        put_varint(&mut tail, u16::MAX as u64); // nlabels, passes the u16 bound
+        assert_corrupt(&sealed(&tail), "count");
     }
 
     #[test]
@@ -377,8 +247,8 @@ mod tests {
             },
         ];
         let blob = encode_segment(0, &rs);
-        // The MIN -> MAX delta is exactly u64::MAX; the wrapping-domain
-        // coding must carry it without overflow.
+        // The MIN -> MAX delta does not fit i64; the codec's wrapping
+        // deltas must carry it.
         match decode_segment(&blob) {
             Ok(seg) => assert_eq!(seg.rows, rs),
             Err(e) => panic!("extreme round trip failed: {e}"),

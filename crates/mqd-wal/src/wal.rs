@@ -202,11 +202,6 @@ impl Wal {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Encodes one frame (length-prefixed checksummed body) onto `buf`.
