@@ -25,14 +25,26 @@
 //! All three produce the same cover under the shared tie-break (highest
 //! gain, then smallest post index).
 //!
-//! The lazy variant's dominant cost on large instances is the initial
-//! `gain(k)` pass over every post; [`solve_greedy_sc`] computes it in
-//! parallel with `mqd-par`. This is deterministically byte-identical to the
-//! sequential solver at any thread count: the heap entries `(gain,
-//! Reverse(k))` are distinct totally-ordered values, so a `BinaryHeap` pops
-//! them in the same order no matter how (or on how many threads) they were
-//! produced. The selection loop itself stays sequential — each pick changes
-//! the gains of later picks, which is inherent to greedy set cover.
+//! With one uniform lambda every occurrence's coverage window is a function
+//! of the occurrence alone, so [`GainOracle`] takes all of them from one
+//! two-pointer sweep ([`Instance::pair_windows`]): the initial gain of a
+//! post is then a sum of window widths, and a re-evaluation is two Fenwick
+//! prefixes per label with no binary search.
+//!
+//! Under the variable lambda of Section 6 windows depend on the coverer, so
+//! the oracle searches per evaluation and the lazy variant's dominant cost
+//! on large instances is the initial `gain(k)` pass over every post;
+//! [`solve_greedy_sc`] computes that in parallel with `mqd-par`. This is
+//! deterministically byte-identical to the sequential solver at any thread
+//! count: the heap entries `(gain, Reverse(k))` are distinct
+//! totally-ordered values, so a `BinaryHeap` pops them in the same order no
+//! matter how (or on how many threads) they were produced. The selection
+//! loop itself stays sequential — each pick changes the gains of later
+//! picks, which is inherent to greedy set cover.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::instance::Instance;
 use crate::lambda::LambdaProvider;
@@ -47,6 +59,9 @@ pub(crate) struct GainOracle<'a, L: LambdaProvider + ?Sized> {
     lp: &'a L,
     fenwicks: Vec<PresenceFenwick>,
     remaining: usize,
+    /// Every occurrence's coverage window by pair id, when the provider is
+    /// one uniform lambda.
+    windows: Option<Vec<(u32, u32)>>,
 }
 
 impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
@@ -60,6 +75,7 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
             lp,
             fenwicks,
             remaining,
+            windows: lp.as_fixed().map(|lambda| inst.pair_windows(lambda)),
         }
     }
 
@@ -68,38 +84,47 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         self.remaining
     }
 
+    /// The positions of `LP(a)` that picking `k` covers, where `a` is the
+    /// label in `slot` of `k`'s label set (a negative lambda covers nothing).
+    fn window(&self, k: u32, slot: usize, a: LabelId) -> Range<usize> {
+        if let Some(windows) = &self.windows {
+            let (lo, hi) = windows[self.inst.pair_range(k).start as usize + slot];
+            return lo as usize..hi as usize;
+        }
+        let lam = self.lp.lambda(self.inst, k, a);
+        if lam < 0 {
+            return 0..0;
+        }
+        let t = self.inst.value(k);
+        self.inst
+            .posting_window(a, t.saturating_sub(lam), t.saturating_add(lam))
+    }
+
     /// Current gain of picking `k`: uncovered occurrences inside `k`'s
     /// coverage window, summed over its labels.
     pub(crate) fn gain(&self, k: u32) -> u32 {
-        let t = self.inst.value(k);
-        let mut g = 0u32;
-        for &a in self.inst.labels(k) {
-            let lam = self.lp.lambda(self.inst, k, a);
-            if lam < 0 {
-                continue;
-            }
-            let w = self
-                .inst
-                .posting_window(a, t.saturating_sub(lam), t.saturating_add(lam));
-            g += self.fenwicks[a.index()].count_range(w.start, w.end);
-        }
-        g
+        // Until the first pick a window's uncovered count is its width.
+        let untouched = self.remaining == self.inst.num_pairs();
+        let labels = self.inst.labels(k).iter().enumerate();
+        labels
+            .map(|(slot, &a)| {
+                let w = self.window(k, slot, a);
+                if untouched {
+                    w.len() as u32
+                } else {
+                    self.fenwicks[a.index()].count_range(w.start, w.end)
+                }
+            })
+            .sum()
     }
 
     /// Marks everything covered by picking `k`. Returns how many occurrences
     /// were newly covered.
     pub(crate) fn cover_by(&mut self, k: u32) -> u32 {
-        let t = self.inst.value(k);
+        let inst = self.inst;
         let mut newly = 0u32;
-        for &a in self.inst.labels(k) {
-            let lam = self.lp.lambda(self.inst, k, a);
-            if lam < 0 {
-                continue;
-            }
-            for pos in self
-                .inst
-                .posting_window(a, t.saturating_sub(lam), t.saturating_add(lam))
-            {
+        for (slot, &a) in inst.labels(k).iter().enumerate() {
+            for pos in self.window(k, slot, a) {
                 if self.fenwicks[a.index()].clear(pos) {
                     newly += 1;
                 }
@@ -108,12 +133,48 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         self.remaining -= newly as usize;
         newly
     }
+
+    /// The lazy greedy selection over a max-heap of every post's current
+    /// gain (highest gain, then smallest post index): pops the stalest-best
+    /// entry, re-evaluates it, and picks it only if it is still at least as
+    /// good as recorded (gains only shrink, so a revalidated top entry is
+    /// the true maximum). Appends the picks to `selected`.
+    fn select_lazily(&mut self, threads: usize, selected: &mut Vec<u32>)
+    where
+        L: Sync,
+    {
+        // With the windows in hand a gain is a few subtractions or prefix
+        // sums: not worth a thread.
+        let threads = if self.windows.is_some() { 1 } else { threads };
+        let gains = mqd_par::par_map_range_threads(threads, self.inst.len(), |k| {
+            let k = k as u32;
+            (self.gain(k), Reverse(k))
+        });
+        let mut heap = BinaryHeap::from(gains);
+        while self.remaining > 0 {
+            let Some((stale, Reverse(k))) = heap.pop() else {
+                break;
+            };
+            if stale == 0 {
+                break;
+            }
+            let fresh = self.gain(k);
+            if fresh < stale {
+                if fresh > 0 {
+                    heap.push((fresh, Reverse(k)));
+                }
+                continue;
+            }
+            selected.push(k);
+            self.cover_by(k);
+        }
+    }
 }
 
 /// GreedySC with implicit sets and lazy-evaluation selection (default).
-/// The initial gain pass runs on the configured thread count (see
-/// `mqd_par::configured_threads`); the output is byte-identical to the
-/// sequential run regardless.
+/// Under a variable lambda the initial gain pass runs on the configured
+/// thread count (see `mqd_par::configured_threads`); the output is
+/// byte-identical to the sequential run regardless.
 pub fn solve_greedy_sc<L: LambdaProvider + Sync + ?Sized>(inst: &Instance, lp: &L) -> Solution {
     solve_greedy_sc_threads(mqd_par::configured_threads(), inst, lp)
 }
@@ -124,37 +185,9 @@ pub fn solve_greedy_sc_threads<L: LambdaProvider + Sync + ?Sized>(
     inst: &Instance,
     lp: &L,
 ) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut oracle = GainOracle::new(inst, lp);
-    let mut heap: BinaryHeap<(u32, Reverse<u32>)> = {
-        let oracle = &oracle;
-        mqd_par::par_map_range_threads(threads, inst.len(), |k| {
-            let k = k as u32;
-            (oracle.gain(k), Reverse(k))
-        })
-        .into_iter()
-        .collect()
-    };
     let mut selected = Vec::new();
-    while oracle.remaining() > 0 {
-        let Some((stale, Reverse(k))) = heap.pop() else {
-            break;
-        };
-        if stale == 0 {
-            break;
-        }
-        let fresh = oracle.gain(k);
-        if fresh < stale {
-            if fresh > 0 {
-                heap.push((fresh, Reverse(k)));
-            }
-            continue;
-        }
-        selected.push(k);
-        oracle.cover_by(k);
-    }
+    oracle.select_lazily(threads, &mut selected);
     Solution::new("GreedySC", selected)
 }
 
@@ -179,9 +212,6 @@ pub fn complete_cover<L: LambdaProvider + Sync + ?Sized>(
     lp: &L,
     pinned: &[u32],
 ) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut oracle = GainOracle::new(inst, lp);
     let mut selected: Vec<u32> = Vec::new();
     for &p in pinned {
@@ -193,32 +223,7 @@ pub fn complete_cover<L: LambdaProvider + Sync + ?Sized>(
         selected.push(p);
         oracle.cover_by(p);
     }
-    let mut heap: BinaryHeap<(u32, Reverse<u32>)> = {
-        let oracle = &oracle;
-        mqd_par::par_map_range(inst.len(), |k| {
-            let k = k as u32;
-            (oracle.gain(k), Reverse(k))
-        })
-        .into_iter()
-        .collect()
-    };
-    while oracle.remaining() > 0 {
-        let Some((stale, Reverse(k))) = heap.pop() else {
-            break;
-        };
-        if stale == 0 {
-            break;
-        }
-        let fresh = oracle.gain(k);
-        if fresh < stale {
-            if fresh > 0 {
-                heap.push((fresh, Reverse(k)));
-            }
-            continue;
-        }
-        selected.push(k);
-        oracle.cover_by(k);
-    }
+    oracle.select_lazily(mqd_par::configured_threads(), &mut selected);
     Solution::new("GreedySC+pins", selected)
 }
 
@@ -349,13 +354,20 @@ mod tests {
             })
             .collect();
         let inst = Instance::from_values(items, 7).unwrap();
+        // Only the variable lambda fans the init pass out; the fixed one
+        // must not care what it is told.
+        let v = VariableLambda::compute(&inst, 60);
+        let seq = solve_greedy_sc_threads(1, &inst, &v);
         let f = FixedLambda(60);
-        let seq = solve_greedy_sc_threads(1, &inst, &f);
+        let seq_fixed = solve_greedy_sc_threads(1, &inst, &f);
         for threads in [2, 3, 8] {
-            let par = solve_greedy_sc_threads(threads, &inst, &f);
+            let par = solve_greedy_sc_threads(threads, &inst, &v);
             assert_eq!(par.selected, seq.selected, "threads={threads}");
+            let par = solve_greedy_sc_threads(threads, &inst, &f);
+            assert_eq!(par.selected, seq_fixed.selected, "threads={threads}");
         }
-        assert!(coverage::is_cover(&inst, &f, &seq.selected));
+        assert!(coverage::is_cover(&inst, &v, &seq.selected));
+        assert!(coverage::is_cover(&inst, &f, &seq_fixed.selected));
     }
 
     #[test]

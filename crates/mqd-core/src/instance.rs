@@ -28,20 +28,34 @@ impl Instance {
     /// post's labels must be `< num_labels`. Posts with an empty label set
     /// are dropped (they match no query, so MQDP never needs to cover them).
     pub fn from_posts(mut posts: Vec<Post>, num_labels: usize) -> Result<Self, MqdError> {
-        for p in &posts {
-            for &l in p.labels() {
-                if l.index() >= num_labels {
-                    return Err(MqdError::LabelOutOfRange {
-                        label: l.0,
-                        num_labels,
-                    });
-                }
-            }
-        }
+        check_labels(&posts, num_labels)?;
         posts.retain(|p| !p.labels().is_empty());
         posts.sort_by_key(|p| (p.value(), p.id()));
+        Ok(Self::index(posts, num_labels))
+    }
 
-        let mut postings = vec![Vec::new(); num_labels];
+    /// [`Instance::from_posts`] for posts that are already in instance
+    /// order, which the caller guarantees: ascending `(value, id)` and no
+    /// empty label set. Nothing is sorted or filtered, so building is
+    /// linear (this is how `mqd-store` hands over a slice it merged in that
+    /// order).
+    pub fn from_sorted_posts(posts: Vec<Post>, num_labels: usize) -> Result<Self, MqdError> {
+        check_labels(&posts, num_labels)?;
+        debug_assert!(posts.iter().all(|p| !p.labels().is_empty()));
+        debug_assert!(posts.is_sorted_by_key(|p| (p.value(), p.id())));
+        Ok(Self::index(posts, num_labels))
+    }
+
+    /// Builds the postings and pair ids over posts in final order whose
+    /// labels are all `< num_labels`.
+    fn index(posts: Vec<Post>, num_labels: usize) -> Self {
+        let mut sizes = vec![0usize; num_labels];
+        for p in &posts {
+            for &l in p.labels() {
+                sizes[l.index()] += 1;
+            }
+        }
+        let mut postings: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
         let mut pair_offsets = Vec::with_capacity(posts.len() + 1);
         let mut num_pairs = 0u32;
         let mut max_labels = 0usize;
@@ -55,13 +69,13 @@ impl Instance {
         }
         pair_offsets.push(num_pairs);
 
-        Ok(Instance {
+        Instance {
             posts,
             postings,
             pair_offsets,
             num_pairs: num_pairs as usize,
             max_labels_per_post: max_labels,
-        })
+        }
     }
 
     /// Convenience constructor from `(value, labels)` tuples; ids are assigned
@@ -200,6 +214,36 @@ impl Instance {
         lo..hi
     }
 
+    /// [`Instance::posting_window`] of `[t - radius, t + radius]`
+    /// (saturating) around every `(post, label)` occurrence at once:
+    /// `(lo, hi)` positions into `postings(a)`, indexed by pair id. Posts
+    /// are in value order, so per label both bounds only ever move right;
+    /// one two-pointer sweep replaces two binary searches per pair. A
+    /// negative radius reaches nothing: every window is empty.
+    pub fn pair_windows(&self, radius: i64) -> Vec<(u32, u32)> {
+        if radius < 0 {
+            return vec![(0, 0); self.num_pairs];
+        }
+        let mut bounds = vec![(0usize, 0usize); self.postings.len()];
+        let mut windows = Vec::with_capacity(self.num_pairs);
+        for p in &self.posts {
+            let min_value = p.value().saturating_sub(radius);
+            let max_value = p.value().saturating_add(radius);
+            for &a in p.labels() {
+                let lp = &self.postings[a.index()];
+                let (lo, hi) = &mut bounds[a.index()];
+                while lp.get(*lo).is_some_and(|&i| self.value(i) < min_value) {
+                    *lo += 1;
+                }
+                while lp.get(*hi).is_some_and(|&i| self.value(i) <= max_value) {
+                    *hi += 1;
+                }
+                windows.push((*lo as u32, *hi as u32));
+            }
+        }
+        windows
+    }
+
     /// Restricts the instance to posts whose value lies in
     /// `[min_value, max_value]`, keeping the same label space. Used to carve
     /// the 10-minute evaluation slices of Section 7.2 out of a full day.
@@ -208,6 +252,21 @@ impl Instance {
         let posts = self.posts[r].to_vec();
         Instance::from_posts(posts, self.num_labels()).expect("slice of a valid instance is valid")
     }
+}
+
+/// The first label `>= num_labels`, in input order, as the typed error.
+fn check_labels(posts: &[Post], num_labels: usize) -> Result<(), MqdError> {
+    for p in posts {
+        for &l in p.labels() {
+            if l.index() >= num_labels {
+                return Err(MqdError::LabelOutOfRange {
+                    label: l.0,
+                    num_labels,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -102,20 +102,12 @@ impl VariableLambda {
         // unchanged).
         let expected_in_window = (avg_label_rate * 2.0 * lambda0 as f64).max(f64::MIN_POSITIVE);
 
-        for post in 0..n as u32 {
-            let t = inst.value(post);
-            for &a in inst.labels(post) {
-                let w =
-                    inst.posting_window(a, t.saturating_sub(lambda0), t.saturating_add(lambda0));
-                let ratio = w.len() as f64 / expected_in_window;
-                let lam = (lambda0 as f64 * (1.0 - ratio).exp()).round() as i64;
-                let lam = lam.clamp(0, saturating_e_times(lambda0));
-                let id = inst
-                    .pair_id(post, a)
-                    .expect("labels(post) iterates real pairs");
-                per_pair[id as usize] = lam;
-                max_lambda = max_lambda.max(lam);
-            }
+        // Pair ids index both tables, so density window and threshold line up.
+        for (lam, (lo, hi)) in per_pair.iter_mut().zip(inst.pair_windows(lambda0)) {
+            let ratio = (hi - lo) as f64 / expected_in_window;
+            let scaled = (lambda0 as f64 * (1.0 - ratio).exp()).round() as i64;
+            *lam = scaled.clamp(0, saturating_e_times(lambda0));
+            max_lambda = max_lambda.max(*lam);
         }
         VariableLambda {
             lambda0,

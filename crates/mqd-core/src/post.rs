@@ -45,13 +45,67 @@ impl fmt::Display for PostId {
     }
 }
 
+/// Label sets up to this size live inside the [`Post`]; larger ones spill
+/// to the heap. Eleven is what fits in the three words a `Vec` would take,
+/// so a post is no bigger than when it owned one, and a slice of posts
+/// matching a handful of queries costs no allocation per post.
+const INLINE_LABELS: usize = 11;
+
+/// A sorted, de-duplicated label set, stored inline when small.
+#[derive(Clone)]
+enum Labels {
+    Inline {
+        len: u8,
+        ids: [LabelId; INLINE_LABELS],
+    },
+    Spilled(Box<[LabelId]>),
+}
+
+impl Labels {
+    fn from_sorted(sorted: &[LabelId]) -> Self {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        if sorted.len() > INLINE_LABELS {
+            return Labels::Spilled(sorted.into());
+        }
+        let mut ids = [LabelId(0); INLINE_LABELS];
+        ids[..sorted.len()].copy_from_slice(sorted);
+        Labels::Inline {
+            len: sorted.len() as u8,
+            ids,
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[LabelId] {
+        match self {
+            Labels::Inline { len, ids } => &ids[..*len as usize],
+            Labels::Spilled(ids) => ids,
+        }
+    }
+}
+
+/// Both representations compare and print as the label list they hold.
+impl PartialEq for Labels {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Labels {}
+
+impl fmt::Debug for Labels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// A microblogging post projected onto the inputs MQDP cares about:
 /// `P_i = (F(P_i), label(P_i))`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Post {
     id: PostId,
     value: i64,
-    labels: Vec<LabelId>,
+    labels: Labels,
 }
 
 impl Post {
@@ -60,7 +114,18 @@ impl Post {
     pub fn new(id: PostId, value: i64, mut labels: Vec<LabelId>) -> Self {
         labels.sort_unstable();
         labels.dedup();
-        Post { id, value, labels }
+        Self::from_sorted_labels(id, value, &labels)
+    }
+
+    /// [`Post::new`] for a label set that is already strictly ascending
+    /// (sorted, no duplicates), which the caller guarantees: nothing is
+    /// sorted, and nothing is allocated for a small set.
+    pub fn from_sorted_labels(id: PostId, value: i64, labels: &[LabelId]) -> Self {
+        Post {
+            id,
+            value,
+            labels: Labels::from_sorted(labels),
+        }
     }
 
     /// The external identifier.
@@ -79,13 +144,13 @@ impl Post {
     /// The sorted, de-duplicated label set `label(P_i)`.
     #[inline]
     pub fn labels(&self) -> &[LabelId] {
-        &self.labels
+        self.labels.as_slice()
     }
 
     /// Whether the post matches label `a`.
     #[inline]
     pub fn has_label(&self, a: LabelId) -> bool {
-        self.labels.binary_search(&a).is_ok()
+        self.labels().binary_search(&a).is_ok()
     }
 }
 

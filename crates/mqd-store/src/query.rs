@@ -190,8 +190,20 @@ pub fn repair_state(slice: &Slice, spec: &QuerySpec) -> Option<CoverRepair> {
         return None;
     }
     let mut rep = CoverRepair::new(&spec.labels, spec.lambda);
-    for i in 0..slice.instance.len() as u32 {
-        rep.observe(&slice.record_for(i));
+    // One record refilled per post: what `record_for` renders, minus its
+    // allocation.
+    let mut row = Record {
+        id: 0,
+        value: 0,
+        labels: Vec::with_capacity(slice.label_map.len()),
+    };
+    for post in slice.instance.posts() {
+        row.id = post.id().0;
+        row.value = post.value();
+        row.labels.clear();
+        let globals = post.labels().iter().map(|l| slice.label_map[l.index()]);
+        row.labels.extend(globals);
+        rep.observe(&row);
     }
     Some(rep)
 }

@@ -269,46 +269,69 @@ impl Store {
 
     /// Carves the `(labels, [from, to])` slice out of the store (semantics
     /// documented on [`Slice`]). Only segments whose value span intersects
-    /// the range are visited, and within a segment only the posting lists
-    /// of the query labels — the full corpus is never scanned or copied.
+    /// the range are visited. Within one, rows are in value order, so the
+    /// range is a contiguous run of row indices found by binary search, and
+    /// the query labels' postings restricted to that run are merged: each
+    /// row comes out once, in arrival order, together with the local ids of
+    /// the lists it was in. Cost: O(segments + matching rows × query
+    /// labels); the corpus is never scanned, sorted or copied.
     pub fn slice(&self, labels: &[u16], from: i64, to: i64) -> Slice {
         let mut label_map: Vec<u16> = labels.to_vec();
         label_map.sort_unstable();
         label_map.dedup();
-        let local_of: HashMap<u16, u16> = label_map
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u16))
-            .collect();
 
-        let mut posts = Vec::new();
+        let mut posts: Vec<Post> = Vec::new();
+        // Scratch, reused across segments and rows: the unread tail of each
+        // query label's postings, and the row being assembled.
+        let mut heads: Vec<(LabelId, &[u32])> = Vec::with_capacity(label_map.len());
+        let mut locals: Vec<LabelId> = Vec::with_capacity(label_map.len());
+        // Arrival order is value order; it can differ from `(value, id)`
+        // order only inside a run of tied values.
+        let mut ties_in_order = true;
         for seg in &self.segments {
             if seg.min_value > to || seg.max_value < from {
                 continue;
             }
-            // Union the candidate rows across the query labels' postings.
-            let mut candidates: Vec<u32> = label_map
-                .iter()
-                .filter_map(|l| seg.postings.get(l))
-                .flatten()
-                .copied()
-                .collect();
-            candidates.sort_unstable();
-            candidates.dedup();
-            for idx in candidates {
-                let row = &seg.rows[idx as usize];
-                if row.value < from || row.value > to {
+            let lo = seg.rows.partition_point(|r| r.value < from);
+            let hi = seg.rows.partition_point(|r| r.value <= to);
+            heads.clear();
+            let mut listed = 0usize;
+            for (local, global) in label_map.iter().enumerate() {
+                let Some(list) = seg.postings.get(global) else {
                     continue;
+                };
+                let start = list.partition_point(|&i| (i as usize) < lo);
+                let end = list.partition_point(|&i| (i as usize) < hi);
+                if let Some(list) = list.get(start..end).filter(|l| !l.is_empty()) {
+                    listed = listed.saturating_add(list.len());
+                    heads.push((LabelId(local as u16), list));
                 }
-                let locals: Vec<LabelId> = row
-                    .labels
-                    .iter()
-                    .filter_map(|l| local_of.get(l).map(|&i| LabelId(i)))
-                    .collect();
-                posts.push(Post::new(PostId(row.id), row.value, locals));
+            }
+            posts.reserve(listed.min(hi.saturating_sub(lo)));
+            // `heads` is in ascending local id, so are each row's `locals`.
+            while let Some(idx) = heads.iter().filter_map(|(_, l)| l.first().copied()).min() {
+                locals.clear();
+                for (local, list) in &mut heads {
+                    if let Some((&first, rest)) = list.split_first() {
+                        if first == idx {
+                            locals.push(*local);
+                            *list = rest;
+                        }
+                    }
+                }
+                let row = &seg.rows[idx as usize];
+                ties_in_order &= posts
+                    .last()
+                    .is_none_or(|p| (p.value(), p.id().0) <= (row.value, row.id));
+                posts.push(Post::from_sorted_labels(PostId(row.id), row.value, &locals));
             }
         }
-        let instance = Instance::from_posts(posts, label_map.len())
+        if !ties_in_order {
+            for run in posts.chunk_by_mut(|a, b| a.value() == b.value()) {
+                run.sort_by_key(Post::id);
+            }
+        }
+        let instance = Instance::from_sorted_posts(posts, label_map.len())
             // lint:allow(panic-path): label_map assigns ids 0..len in this function, so density holds by construction
             .expect("local labels are dense by construction");
         Slice {

@@ -12,17 +12,28 @@
 //!
 //! [`CoverRepair`] exploits that: it is the `tau -> infinity`
 //! specialization of [`crate::StreamScan`]'s pending-group rule, keeping
-//! per query label only
+//! per query label (one *lane* each) only
 //!
 //! * the committed coverage frontier `reach = pick + lambda` of the last
 //!   frozen group, and
-//! * the still-open tail group `(left, best-candidate-so-far)`,
+//! * the still-open tail group `(left, best-candidate-so-far)` with that
+//!   candidate's rendered labels,
 //!
-//! plus the multiset of currently picked posts. Feeding it the slice rows
-//! in `(value, id)` order reproduces offline Scan **byte-for-byte** (the
-//! oracle's `repair-agreement` invariant pins this), and feeding it each
-//! newly ingested row advances the answer in O(query labels) — no
-//! re-solve, no slice rebuild.
+//! plus the map of frozen picks. Feeding it the slice rows in `(value,
+//! id)` order reproduces offline Scan **byte-for-byte** (the oracle's
+//! `repair-agreement` invariant pins this), and feeding it each newly
+//! ingested row advances the answer in O(query labels) — no re-solve, no
+//! slice rebuild.
+//!
+//! The open pick lives in its lane, not in the map, because it is the one
+//! pick that still moves: rows arrive in ascending order, so nearly every
+//! row inside an open group's window replaces that group's candidate.
+//! Keeping it beside the lane makes the replacement an overwrite of a
+//! reused buffer; only a group that freezes (once per cover row) inserts
+//! into the map, and nothing is ever removed from it. The price is that
+//! the map alone is not the cover: [`CoverRepair::cover`] merges the at
+//! most one open pick per lane into the frozen rows, once each (a post can
+//! be the open pick of several lanes and a frozen pick of another).
 //!
 //! Why byte-identity holds: `scan_label` opens a group at the leftmost
 //! uncovered post `left` and picks the candidate maximizing
@@ -66,14 +77,9 @@ struct Lane {
     reach: Option<i128>,
     /// The still-open tail group, if any.
     open: Option<OpenGroup>,
-}
-
-/// A picked post: its rendered labels (intersection with the query
-/// labels) and how many lanes currently select it.
-#[derive(Clone, Debug)]
-struct Pick {
-    labels: Vec<u16>,
-    refs: u32,
+    /// Rendered labels of the open group's pick (meaningless while `open`
+    /// is `None`). Outlives the groups so its allocation is reused.
+    open_labels: Vec<u16>,
 }
 
 /// Incrementally maintained fixed-lambda Scan cover over a monotone
@@ -89,9 +95,10 @@ pub struct CoverRepair {
     labels: Vec<u16>,
     lambda: i64,
     lanes: Vec<Lane>,
-    /// Current picks, keyed by `(value, id)` — exactly the slice order
-    /// the offline answer is rendered in.
-    picks: BTreeMap<(i64, u64), Pick>,
+    /// Picks of frozen groups with their rendered labels, keyed by
+    /// `(value, id)` — exactly the slice order the offline answer is
+    /// rendered in. Only ever grows.
+    picks: BTreeMap<(i64, u64), Vec<u16>>,
 }
 
 impl CoverRepair {
@@ -116,46 +123,45 @@ impl CoverRepair {
     /// initial replay, ingest order afterwards — the store's monotone
     /// contract guarantees the two splice correctly). Rows carrying no
     /// query label are ignored; returns `true` iff the row joined.
+    ///
+    /// Allocates only when a group freezes (its pick's labels enter the
+    /// map) or a lane's label buffer first grows.
     pub fn observe(&mut self, row: &Record) -> bool {
-        // Intersect with the query labels, preserving sorted order —
-        // the same rendering `Slice::record_for` produces. Ingested rows
-        // are store-normalized (sorted, deduped) already; tolerate raw
-        // input by normalizing locally when needed.
-        let mut matched: Vec<u16> = Vec::new();
-        for &l in &row.labels {
-            if self.labels.binary_search(&l).is_ok() {
-                matched.push(l);
-            }
-        }
-        if matched.is_empty() {
-            return false;
-        }
-        matched.sort_unstable();
-        matched.dedup();
-
+        let CoverRepair {
+            labels: query,
+            lambda,
+            lanes,
+            picks,
+        } = self;
         let key = (row.value, row.id);
         let v = row.value as i128;
-        let lambda = self.lambda as i128;
-        for &l in &matched {
-            let Ok(lane_idx) = self.labels.binary_search(&l) else {
-                continue; // unreachable: `matched` is a subset of `labels`
+        let lambda = *lambda as i128;
+        let mut joined = false;
+        // A label the row repeats reaches its lane twice; the second visit
+        // finds the row already the open pick, or covered, and is a no-op.
+        for l in &row.labels {
+            let Ok(lane_idx) = query.binary_search(l) else {
+                continue;
             };
-            let lane = &mut self.lanes[lane_idx];
+            joined = true;
+            let lane = &mut lanes[lane_idx];
             if let Some(group) = &mut lane.open {
                 if v <= group.left as i128 + lambda {
                     // Still a candidate for the open group: keep the max
                     // (value, id) pick, exactly scan_label's tie-break.
                     if key > group.pick {
-                        let old = group.pick;
                         group.pick = key;
-                        incref(&mut self.picks, key, &matched);
-                        decref(&mut self.picks, old);
+                        render_into(&mut lane.open_labels, row, query);
                     }
                     continue;
                 }
                 // First row past left + lambda: the group freezes and its
-                // pick's reach becomes the committed frontier.
+                // pick's reach becomes the committed frontier. Another
+                // lane may have frozen the same post already.
                 lane.reach = Some(group.pick.0 as i128 + lambda);
+                picks
+                    .entry(group.pick)
+                    .or_insert_with(|| lane.open_labels.clone());
                 lane.open = None;
             }
             if lane.reach.is_some_and(|r| v <= r) {
@@ -167,54 +173,73 @@ impl CoverRepair {
                 left: row.value,
                 pick: key,
             });
-            incref(&mut self.picks, key, &matched);
+            render_into(&mut lane.open_labels, row, query);
         }
-        true
+        joined
     }
 
     /// Renders the current cover: selected records in ascending
     /// `(value, id)` order, labels intersected with the query labels —
     /// byte-identical (via `format_tsv`) to a cold offline solve over
-    /// the same rows.
+    /// the same rows. The result is allocated once, for the frozen picks
+    /// plus one slot per lane, so callers that keep it hold no slack
+    /// beyond the lane count.
     pub fn cover(&self) -> Vec<Record> {
-        self.picks
-            .iter()
-            .map(|(&(value, id), pick)| Record {
-                id,
-                value,
-                labels: pick.labels.clone(),
-            })
-            .collect()
+        let mut cover = Vec::with_capacity(self.picks.len().saturating_add(self.lanes.len()));
+        cover.extend(self.picks.iter().map(|(&(value, id), labels)| Record {
+            id,
+            value,
+            labels: labels.clone(),
+        }));
+        for lane in &self.lanes {
+            let Some(group) = &lane.open else {
+                continue;
+            };
+            // Absent unless another lane holds the same post, open or frozen.
+            if let Err(at) = cover.binary_search_by_key(&group.pick, |r| (r.value, r.id)) {
+                let (value, id) = group.pick;
+                cover.insert(
+                    at,
+                    Record {
+                        id,
+                        value,
+                        labels: lane.open_labels.clone(),
+                    },
+                );
+            }
+        }
+        cover
     }
 
-    /// Number of currently selected posts.
+    /// Number of currently selected posts: the frozen picks plus each
+    /// distinct open pick that no lane has frozen.
     pub fn len(&self) -> usize {
-        self.picks.len()
+        let open = |lane: &Lane| lane.open.as_ref().map(|g| g.pick);
+        let unfrozen = self.lanes.iter().enumerate().filter(|&(i, lane)| {
+            open(lane).is_some_and(|pick| {
+                !self.picks.contains_key(&pick)
+                    && !self.lanes.iter().take(i).any(|l| open(l) == Some(pick))
+            })
+        });
+        self.picks.len().saturating_add(unfrozen.count())
     }
 
     /// True when nothing is selected yet.
     pub fn is_empty(&self) -> bool {
-        self.picks.is_empty()
+        self.picks.is_empty() && self.lanes.iter().all(|lane| lane.open.is_none())
     }
 }
 
-fn incref(picks: &mut BTreeMap<(i64, u64), Pick>, key: (i64, u64), labels: &[u16]) {
-    picks
-        .entry(key)
-        .and_modify(|p| p.refs += 1)
-        .or_insert_with(|| Pick {
-            labels: labels.to_vec(),
-            refs: 1,
-        });
-}
-
-fn decref(picks: &mut BTreeMap<(i64, u64), Pick>, key: (i64, u64)) {
-    if let Some(p) = picks.get_mut(&key) {
-        p.refs -= 1;
-        if p.refs == 0 {
-            picks.remove(&key);
-        }
-    }
+/// Overwrites `buf` with `row`'s labels intersected with the sorted
+/// `query` labels, ascending and deduplicated — the rendering
+/// `Slice::record_for` produces. Ingested rows are store-normalized
+/// already; raw input is tolerated by normalizing here.
+fn render_into(buf: &mut Vec<u16>, row: &Record, query: &[u16]) {
+    buf.clear();
+    let matched = row.labels.iter().filter(|l| query.binary_search(l).is_ok());
+    buf.extend(matched);
+    buf.sort_unstable();
+    buf.dedup();
 }
 
 #[cfg(test)]
@@ -312,6 +337,32 @@ mod tests {
         }
     }
 
+    /// `cover()`, `len()` and `is_empty()` against a cold solve of `rows`,
+    /// and the bound on the slack `cover()` hands to whoever keeps it.
+    fn assert_agrees(
+        repair: &CoverRepair,
+        rows: &[Record],
+        labels: &[u16],
+        lambda: i64,
+        what: &str,
+    ) {
+        let offline = offline_scan(rows, labels, lambda);
+        let cover = repair.cover();
+        let got: Vec<String> = cover.iter().map(format_tsv).collect();
+        assert_eq!(got, offline, "{what}: cover");
+        assert_eq!(repair.len(), offline.len(), "{what}: len");
+        assert_eq!(repair.is_empty(), offline.is_empty(), "{what}: is_empty");
+        let mut lanes = labels.to_vec();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert!(
+            cover.capacity() - cover.len() <= lanes.len(),
+            "{what}: cover() holds {} rows in room for {}",
+            cover.len(),
+            cover.capacity()
+        );
+    }
+
     #[test]
     fn incremental_appends_match_cold_solve_at_every_generation() {
         for seed in 100..130u64 {
@@ -320,21 +371,77 @@ mod tests {
             let lambda = 30 + (seed as i64 % 4) * 13;
             let split = 30 + (seed as usize % 30);
             let mut repair = CoverRepair::new(&labels, lambda);
-            for r in slice_order(&rows[..split]) {
-                repair.observe(&r);
+            assert_agrees(&repair, &[], &labels, lambda, "empty");
+            // The initial replay is in slice order, so its prefixes are
+            // prefixes of the sorted rows.
+            let replay = slice_order(&rows[..split]);
+            for (i, r) in replay.iter().enumerate() {
+                repair.observe(r);
+                let what = format!("seed {seed} replayed {}", i + 1);
+                assert_agrees(&repair, &replay[..=i], &labels, lambda, &what);
             }
             // Append the suffix one row at a time, in ingest order, and
             // demand byte-identity with a cold solve after every append.
             for g in split..rows.len() {
                 repair.observe(&rows[g]);
-                assert_eq!(
-                    rendered(&repair),
-                    offline_scan(&rows[..=g], &labels, lambda),
-                    "seed {seed} generation {}",
-                    g + 1
-                );
+                let what = format!("seed {seed} generation {}", g + 1);
+                assert_agrees(&repair, &rows[..=g], &labels, lambda, &what);
             }
         }
+    }
+
+    #[test]
+    fn a_post_frozen_in_one_lane_and_open_in_another_renders_once() {
+        let rows: Vec<Record> = [
+            (1u64, 0i64, vec![0u16]),
+            (2, 5, vec![0, 1]),
+            (3, 11, vec![0]),
+        ]
+        .into_iter()
+        .map(|(id, value, labels)| Record { id, value, labels })
+        .collect();
+        let mut repair = CoverRepair::new(&[0, 1], 10);
+        for r in &rows {
+            repair.observe(r);
+        }
+        // Lane 0 froze post 2 when post 3 passed 0 + 10 (and post 3 lies
+        // within its reach); lane 1's only group still has it as its pick.
+        assert_eq!(repair.picks.keys().collect::<Vec<_>>(), [&(5, 2)]);
+        assert!(repair.lanes[0].open.is_none());
+        assert_eq!(repair.lanes[1].open.as_ref().map(|g| g.pick), Some((5, 2)));
+        assert_eq!(rendered(&repair), vec!["2\t5\t0,1"]);
+        assert_agrees(&repair, &rows, &[0, 1], 10, "frozen and open");
+        // Open in both lanes, frozen in neither: still once.
+        let mut both = CoverRepair::new(&[0, 1], 10);
+        both.observe(&rows[1]);
+        assert!(both.picks.is_empty());
+        assert_agrees(&both, &rows[1..2], &[0, 1], 10, "open twice");
+    }
+
+    #[test]
+    fn a_clone_taken_mid_stream_diverges_independently() {
+        let rows = random_rows(7, 80, 3, 25);
+        let (labels, lambda) = (vec![0u16, 1, 2], 40);
+        let mut original = CoverRepair::new(&labels, lambda);
+        for r in &rows[..40] {
+            original.observe(r);
+        }
+        let mut fork = original.clone();
+        // Different futures after the same past: the original sees the
+        // real suffix, the fork one far-away row.
+        let far = Record {
+            id: 999,
+            value: rows[79].value + 10_000,
+            labels: vec![1],
+        };
+        fork.observe(&far);
+        for r in &rows[40..] {
+            original.observe(r);
+        }
+        assert_agrees(&original, &rows, &labels, lambda, "original");
+        let mut forked_rows = rows[..40].to_vec();
+        forked_rows.push(far);
+        assert_agrees(&fork, &forked_rows, &labels, lambda, "fork");
     }
 
     #[test]
