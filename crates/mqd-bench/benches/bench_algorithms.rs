@@ -13,7 +13,7 @@ use mqd_core::{coverage, FixedLambda, VariableLambda};
 fn bench_offline_solvers(c: &mut Criterion) {
     let mut g = c.benchmark_group("offline_solvers");
     for &l in &[2usize, 5, 20] {
-        let inst = ten_minute_instance(l, 30.0, 1.2, 42);
+        let inst = ten_minute_instance(l, 30.0, 1.2, 42).unwrap();
         let f = FixedLambda(15_000);
         g.bench_with_input(BenchmarkId::new("scan", l), &inst, |b, inst| {
             b.iter(|| black_box(solve_scan(inst, &f)))
@@ -30,7 +30,7 @@ fn bench_offline_solvers(c: &mut Criterion) {
 
 fn bench_greedy_selection_strategies(c: &mut Criterion) {
     // The ablation the paper discusses in Section 7.3: scan-max vs heap.
-    let inst = ten_minute_instance(5, 30.0, 1.2, 7);
+    let inst = ten_minute_instance(5, 30.0, 1.2, 7).unwrap();
     let f = FixedLambda(30_000);
     let mut g = c.benchmark_group("greedy_selection");
     g.bench_function("lazy_heap", |b| {
@@ -43,14 +43,14 @@ fn bench_greedy_selection_strategies(c: &mut Criterion) {
 }
 
 fn bench_opt_small(c: &mut Criterion) {
-    let inst = ten_minute_instance(2, OPT_FEASIBLE_PER_LABEL_PER_MIN, 1.2, 3);
+    let inst = ten_minute_instance(2, OPT_FEASIBLE_PER_LABEL_PER_MIN, 1.2, 3).unwrap();
     c.bench_function("opt_dp_10min_L2", |b| {
         b.iter(|| black_box(solve_opt(&inst, 5_000, &OptConfig::default()).unwrap()))
     });
 }
 
 fn bench_coverage_verification(c: &mut Criterion) {
-    let inst = ten_minute_instance(5, 60.0, 1.2, 9);
+    let inst = ten_minute_instance(5, 60.0, 1.2, 9).unwrap();
     let f = FixedLambda(30_000);
     let sol = solve_scan(&inst, &f);
     c.bench_function("verify_cover", |b| {
@@ -59,7 +59,7 @@ fn bench_coverage_verification(c: &mut Criterion) {
 }
 
 fn bench_variable_lambda(c: &mut Criterion) {
-    let inst = ten_minute_instance(5, 60.0, 1.2, 13);
+    let inst = ten_minute_instance(5, 60.0, 1.2, 13).unwrap();
     c.bench_function("variable_lambda_precompute", |b| {
         b.iter(|| black_box(VariableLambda::compute(&inst, 30_000)))
     });

@@ -10,7 +10,7 @@ use mqd_stream::{run_stream, InstantScan, StreamGreedy, StreamScan};
 fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream_engines");
     for &l in &[2usize, 5, 20] {
-        let inst = ten_minute_instance(l, 30.0, 1.2, 42);
+        let inst = ten_minute_instance(l, 30.0, 1.2, 42).unwrap();
         let f = FixedLambda(15_000);
         let tau = 10_000;
         g.bench_with_input(BenchmarkId::new("stream_scan", l), &inst, |b, inst| {
@@ -42,7 +42,7 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 fn bench_tau_sensitivity(c: &mut Criterion) {
-    let inst = ten_minute_instance(5, 30.0, 1.2, 7);
+    let inst = ten_minute_instance(5, 30.0, 1.2, 7).unwrap();
     let f = FixedLambda(30_000);
     let mut g = c.benchmark_group("greedy_window_tau");
     for &tau_s in &[1i64, 10, 60] {

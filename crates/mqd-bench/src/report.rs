@@ -1,6 +1,5 @@
-//! Report writing: every experiment binary produces a markdown report (and
-//! a CSV per table) under `reports/`, mirroring one table or figure of the
-//! paper.
+//! Report writing: every experiment produces a markdown report (and a CSV
+//! per table) under `reports/`, mirroring one table or figure of the paper.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -80,26 +79,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Creates an empty report.
-    pub fn new(id: impl Into<String>, title: impl Into<String>) -> Self {
-        Report {
-            id: id.into(),
-            title: title.into(),
-            notes: Vec::new(),
-            tables: Vec::new(),
-        }
-    }
-
-    /// Adds a note line.
-    pub fn note(&mut self, line: impl Into<String>) {
-        self.notes.push(line.into());
-    }
-
-    /// Adds a table.
-    pub fn table(&mut self, t: Table) {
-        self.tables.push(t);
-    }
-
     /// Markdown for the whole report.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
@@ -117,34 +96,27 @@ impl Report {
         s
     }
 
-    /// Writes `<dir>/<id>.md` plus one CSV per table; returns the markdown
+    /// The files this report consists of, as `(name, contents)`:
+    /// `<id>.md`, then `<id>_<i>.csv` for table `i`.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let mut out = vec![(format!("{}.md", self.id), self.to_markdown())];
+        for (i, t) in self.tables.iter().enumerate() {
+            out.push((format!("{}_{}.csv", self.id, i), t.to_csv()));
+        }
+        out
+    }
+
+    /// Writes [`files`](Self::files) under `dir` and returns the markdown
     /// path. Also prints the markdown to stdout.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
-        let md_path = dir.join(format!("{}.md", self.id));
-        fs::write(&md_path, self.to_markdown())?;
-        for (i, t) in self.tables.iter().enumerate() {
-            let csv = dir.join(format!("{}_{}.csv", self.id, i));
-            fs::write(csv, t.to_csv())?;
+        for (name, contents) in self.files() {
+            fs::write(dir.join(name), contents)?;
         }
+        let md_path = dir.join(format!("{}.md", self.id));
         println!("{}", self.to_markdown());
         println!("[report written to {}]", md_path.display());
         Ok(md_path)
-    }
-
-    /// [`write`](Self::write), but reports a failure on stderr and exits
-    /// the process with status 2 instead of panicking — the standard
-    /// ending for every figure/table driver, whose only caller is a shell
-    /// or CI job that reads the exit status.
-    pub fn write_or_exit(&self, dir: &Path) {
-        if let Err(e) = self.write(dir) {
-            eprintln!(
-                "error: writing report {} to {}: {e}",
-                self.id,
-                dir.display()
-            );
-            std::process::exit(2);
-        }
     }
 }
 
@@ -185,11 +157,14 @@ mod tests {
     fn report_roundtrip_to_disk() {
         let dir = std::env::temp_dir().join("mqd_bench_report_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut r = Report::new("figXX", "Smoke");
-        r.note("a note");
         let mut t = Table::new("P", &["c"]);
         t.row(&["v".into()]);
-        r.table(t);
+        let r = Report {
+            id: "figXX".into(),
+            title: "Smoke".into(),
+            notes: vec!["a note".into()],
+            tables: vec![t],
+        };
         let p = r.write(&dir).unwrap();
         let text = std::fs::read_to_string(p).unwrap();
         assert!(text.contains("figXX"));
