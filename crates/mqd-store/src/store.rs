@@ -231,6 +231,14 @@ impl Store {
         dropped
     }
 
+    /// The rows of the `index`-th retained segment, in arrival order with
+    /// normalized labels (`None` past the newest). A segment holding
+    /// [`Store::segment_target`] rows is complete and never changes again;
+    /// the durable layer seals its blocks from these.
+    pub fn segment_rows(&self, index: usize) -> Option<&[Record]> {
+        self.segments.get(index).map(|seg| seg.rows.as_slice())
+    }
+
     /// Rows per segment before a new one is opened.
     pub fn segment_target(&self) -> usize {
         self.segment_target

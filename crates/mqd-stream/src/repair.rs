@@ -35,6 +35,17 @@
 //! most one open pick per lane into the frozen rows, once each (a post can
 //! be the open pick of several lanes and a frozen pick of another).
 //!
+//! The same split bounds what one batch of new rows can change. A frozen
+//! pick never moves and never leaves, and every row of the cover that is
+//! not frozen is some lane's open pick; a fold replaces open picks (by a
+//! folded row, which sorts after the pick it replaces), freezes them where
+//! they stand, and opens groups at folded rows. So below the smaller of
+//! the oldest open pick before the fold and the smallest folded row, the
+//! cover is the same frozen picks before and after: a holder of the
+//! rendered cover keeps that prefix and replaces only the rows from there
+//! on, which [`CoverRepair::observe_tail`] returns — O(lanes + changed
+//! tail) per batch instead of [`CoverRepair::cover`]'s O(cover).
+//!
 //! Why byte-identity holds: `scan_label` opens a group at the leftmost
 //! uncovered post `left` and picks the candidate maximizing
 //! `(reach, index)`; with a fixed lambda that is exactly the max
@@ -186,11 +197,42 @@ impl CoverRepair {
     /// beyond the lane count.
     pub fn cover(&self) -> Vec<Record> {
         let mut cover = Vec::with_capacity(self.picks.len().saturating_add(self.lanes.len()));
-        cover.extend(self.picks.iter().map(|(&(value, id), labels)| Record {
-            id,
-            value,
-            labels: labels.clone(),
-        }));
+        cover.extend(self.picks.iter().map(frozen_record));
+        self.merge_open_picks(&mut cover);
+        cover
+    }
+
+    /// Folds `rows` as [`CoverRepair::observe`] would, one by one, and
+    /// returns what that changed in [`CoverRepair::cover`]: a key `(value,
+    /// id)` below which the cover is what it was before the call, and the
+    /// cover's rows at or after that key (module docs: the key is the
+    /// oldest open pick before the fold, or the smallest joining row if
+    /// that sorts lower). `None` when no row joined, which leaves the
+    /// cover as it was.
+    pub fn observe_tail<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a Record>,
+    ) -> Option<((i64, u64), Vec<Record>)> {
+        let oldest_open = self
+            .lanes
+            .iter()
+            .filter_map(|lane| lane.open.as_ref().map(|g| g.pick))
+            .min();
+        let lowest_joined = rows
+            .into_iter()
+            .filter(|row| self.observe(row))
+            .map(|row| (row.value, row.id))
+            .min()?;
+        let from = oldest_open.map_or(lowest_joined, |k| k.min(lowest_joined));
+        let mut tail: Vec<Record> = self.picks.range(from..).map(frozen_record).collect();
+        self.merge_open_picks(&mut tail);
+        Some((from, tail))
+    }
+
+    /// Inserts each lane's open pick into `cover` — the frozen picks from
+    /// some key on, ascending — unless the same post is there already.
+    /// Every open pick must sort at or after `cover`'s first key.
+    fn merge_open_picks(&self, cover: &mut Vec<Record>) {
         for lane in &self.lanes {
             let Some(group) = &lane.open else {
                 continue;
@@ -208,7 +250,6 @@ impl CoverRepair {
                 );
             }
         }
-        cover
     }
 
     /// Number of currently selected posts: the frozen picks plus each
@@ -227,6 +268,15 @@ impl CoverRepair {
     /// True when nothing is selected yet.
     pub fn is_empty(&self) -> bool {
         self.picks.is_empty() && self.lanes.iter().all(|lane| lane.open.is_none())
+    }
+}
+
+/// Renders one entry of the frozen-pick map.
+fn frozen_record((&(value, id), labels): (&(i64, u64), &Vec<u16>)) -> Record {
+    Record {
+        id,
+        value,
+        labels: labels.clone(),
     }
 }
 
@@ -416,6 +466,53 @@ mod tests {
         both.observe(&rows[1]);
         assert!(both.picks.is_empty());
         assert_agrees(&both, &rows[1..2], &[0, 1], 10, "open twice");
+    }
+
+    #[test]
+    fn observe_tail_patches_a_kept_cover_to_the_folded_one() {
+        for seed in 200..240u64 {
+            // Steps of 0 make runs of tied values whose ids arrive out of
+            // order, so a batch's rows can sort below the open picks.
+            let mut rows = random_rows(seed, 200, 4, if seed % 2 == 0 { 2 } else { 30 });
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
+            for r in &mut rows {
+                r.id = rng.random_range(0..1u64 << 40);
+            }
+            let labels: Vec<u16> = vec![0, 1, 3];
+            let lambda = [0, 3, 25, 200][seed as usize % 4];
+            let mut repair = CoverRepair::new(&labels, lambda);
+            let mut kept: Vec<Record> = Vec::new();
+            let mut fed = 0usize;
+            while fed < rows.len() {
+                let batch = rng.random_range(1..=12usize).min(rows.len() - fed);
+                let before = kept.clone();
+                let patch = repair.observe_tail(&rows[fed..fed + batch]);
+                fed += batch;
+                if let Some((from, tail)) = patch {
+                    let keep = kept.partition_point(|r| (r.value, r.id) < from);
+                    assert!(tail.iter().all(|r| (r.value, r.id) >= from));
+                    kept.truncate(keep);
+                    kept.extend(tail);
+                } else {
+                    assert_eq!(kept, before);
+                }
+                assert_eq!(kept, repair.cover(), "seed {seed} after {fed} rows");
+                assert_agrees(&repair, &rows[..fed], &labels, lambda, "patched");
+            }
+        }
+        // No joining row: nothing to patch, whatever is open.
+        let mut repair = CoverRepair::new(&[0], 10);
+        repair.observe(&Record {
+            id: 1,
+            value: 0,
+            labels: vec![0],
+        });
+        let stranger = Record {
+            id: 2,
+            value: 5,
+            labels: vec![7],
+        };
+        assert!(repair.observe_tail([&stranger]).is_none());
     }
 
     #[test]

@@ -17,14 +17,21 @@
 //! ## Write path
 //!
 //! `append` validates the row against the store contract **first** (an
-//! invalid row is never logged), writes the WAL frame, then applies the
-//! row in memory. [`DurableStore::sync`] is the ack barrier: the server
-//! calls it before answering `+OK`, so an acked row is always replayable.
-//! When a window completes, the pending rows are sealed into one block
-//! (atomic tempfile+rename, directory synced) and the WAL is reset — a
-//! crash between those two steps leaves both the block and a stale WAL,
-//! which recovery deduplicates by seq. Nothing else writes blocks: a
-//! shutdown, graceful or not, leaves the unfinished window in the WAL.
+//! invalid row is never logged), encodes its WAL frame into the log's
+//! buffer, then applies the row in memory. [`DurableStore::sync`] is the
+//! ack barrier: it writes the request's frames through in one write and
+//! fsyncs them, and the server calls it before answering `+OK`, so an
+//! acked row is always replayable (and a row that was only appended is
+//! not: a kill before `sync` loses it, unacked). When a window completes,
+//! it is sealed into one block (atomic tempfile+rename, directory synced)
+//! straight from the store's own segment — memory segment *k* is disk
+//! window *k* — and the WAL is reset, which discards the window's
+//! still-buffered frames: a window that fills inside one request costs
+//! the block's two fsyncs and never reaches the log. A crash between seal
+//! and reset leaves both the block and a stale WAL, which recovery
+//! deduplicates by seq. Nothing else writes blocks: a shutdown, graceful
+//! or not, leaves the unfinished window in the WAL. A log write that
+//! fails makes the store fail-stop for writes ([`crate::wal`], "Fail-stop").
 //!
 //! ## Retention GC
 //!
@@ -98,11 +105,13 @@ struct BlockMeta {
 struct Disk {
     dir: PathBuf,
     wal: Wal,
-    /// Sealed blocks in seq order: contiguous full windows.
+    /// Sealed blocks in seq order: contiguous full windows. Block `i`
+    /// holds the rows of the store's segment `i` (GC drops both in
+    /// lockstep), so the unsealed rows are the segments from
+    /// `blocks.len()` on.
     blocks: Vec<BlockMeta>,
-    /// Rows appended since the last seal (mirrors the WAL frames); the
-    /// first one sits on a window boundary.
-    pending: Vec<Record>,
+    /// Seq after the last sealed block: where the WAL tail starts.
+    sealed_seq: u64,
     /// Next global row sequence number.
     next_seq: u64,
     window: u64,
@@ -144,8 +153,8 @@ impl DurableStore {
     /// [`MqdError::Corrupt`], never skipped or deleted); then the WAL
     /// tail is replayed — tolerating a torn final frame (truncated, never
     /// a panic) and deduplicating frames whose seq a sealed block already
-    /// covers. Complete windows the crash left pending are sealed before
-    /// returning.
+    /// covers. Complete windows the crash left in the WAL are sealed
+    /// before returning.
     pub fn open(dir: &Path, opts: &DurableOptions) -> Result<Self, MqdError> {
         let window = opts.segment_rows.max(1) as u64;
         fsio::ensure_dir(dir)?;
@@ -204,12 +213,11 @@ impl DurableStore {
         // WAL tail: skip frames a sealed block already covers (the
         // seal-then-reset crash window), then replay the rest in order.
         let rec = Wal::open(&dir.join("wal"), opts.fsync)?;
-        let mut wal = rec.wal;
-        let mut pending: Vec<Record> = Vec::new();
-        let mut skipped = 0usize;
+        let sealed_seq = expected;
+        let mut stale_frames = false;
         for (seq, row) in rec.rows {
             if seq < expected {
-                skipped += 1;
+                stale_frames = true;
                 continue;
             }
             if seq != expected {
@@ -218,27 +226,18 @@ impl DurableStore {
                     reason: format!("WAL frame seq {seq} leaves a gap (expected {expected})"),
                 });
             }
-            store.append(row.clone())?;
+            store.append(row)?;
             recovered_rows += 1;
-            pending.push(row);
             expected += 1;
-        }
-        if skipped > 0 {
-            // Restore the invariant "WAL contents == pending rows". The
-            // rewrite is atomic (build aside, rename over), so a crash
-            // here leaves either the stale-but-complete old log or the
-            // deduplicated new one — never a half-written file that loses
-            // the acked tail.
-            wal.rewrite(expected - pending.len() as u64, &pending)?;
         }
 
         let mut out = DurableStore {
             store,
             disk: Some(Disk {
                 dir: dir.to_path_buf(),
-                wal,
+                wal: rec.wal,
                 blocks,
-                pending,
+                sealed_seq,
                 next_seq: expected,
                 window,
                 fsync: opts.fsync,
@@ -250,9 +249,11 @@ impl DurableStore {
             gc_segments: 0,
         };
         // A kill after the WAL write of a window's final row but before
-        // its seal leaves one or more complete windows pending: seal them
-        // now, so every block on disk stays exactly one window.
-        out.seal()?;
+        // its seal leaves one or more complete windows in the WAL: seal
+        // them now, so every block on disk stays exactly one window. A
+        // kill between a seal and its reset leaves frames a block covers:
+        // drop those too, restoring "WAL contents == unsealed rows".
+        out.seal(stale_frames)?;
         Ok(out)
     }
 
@@ -286,14 +287,14 @@ impl DurableStore {
         self.disk.as_ref().is_some_and(|d| d.retain.is_some())
     }
 
-    /// Appends one row: validate, WAL, then memory. Not durable until
-    /// [`DurableStore::sync`] — the server syncs once per ingest request,
-    /// before acking.
+    /// Appends one row: validate, WAL frame (buffered), then memory. Not
+    /// durable until [`DurableStore::sync`] — the server syncs once per
+    /// ingest request, before acking. After a failed log write every call
+    /// returns [`MqdError::Io`] and appends nothing.
     pub fn append(&mut self, row: &Record) -> Result<(), MqdError> {
         let normalized = self.store.check_append(row)?;
         if let Some(disk) = self.disk.as_mut() {
             disk.wal.append(disk.next_seq, &normalized)?;
-            disk.pending.push(normalized.clone());
             disk.next_seq += 1;
         }
         self.store.append(normalized)?;
@@ -302,12 +303,13 @@ impl DurableStore {
             .as_ref()
             .is_some_and(|d| d.next_seq.is_multiple_of(d.window))
         {
-            self.seal()?;
+            self.seal(false)?;
         }
         Ok(())
     }
 
-    /// The ack barrier: fsyncs WAL appends since the last sync.
+    /// The ack barrier: writes the WAL frames appended since the last
+    /// sync through to the file and fsyncs them.
     pub fn sync(&mut self) -> Result<(), MqdError> {
         match self.disk.as_mut() {
             Some(disk) => disk.wal.sync(),
@@ -315,36 +317,43 @@ impl DurableStore {
         }
     }
 
-    /// Seals every complete window among the pending rows into its own
-    /// block; the unfinished window stays pending. Block writes are atomic
-    /// and directory-synced *before* the WAL shrinks, so a crash in
-    /// between only leaves benign duplicates; the shrink itself is a reset
-    /// when nothing stays pending and an atomic rewrite otherwise.
-    fn seal(&mut self) -> Result<(), MqdError> {
+    /// Seals every complete unsealed window into its own block, read from
+    /// the store's segment of the same index; the unfinished window stays
+    /// in the WAL. Block writes are atomic and directory-synced *before*
+    /// the WAL shrinks, so a crash in between only leaves benign
+    /// duplicates. The WAL shrinks when a block was written or the caller
+    /// found `stale_frames` (frames a block already covers) in it: a reset
+    /// when no unsealed row remains, an atomic rewrite to the unfinished
+    /// window otherwise (recovery only; a live append seals on the
+    /// boundary).
+    fn seal(&mut self, stale_frames: bool) -> Result<(), MqdError> {
         let Some(disk) = self.disk.as_mut() else {
             return Ok(());
         };
-        let window = disk.window as usize;
-        let sealed = disk.pending.len() / window * window;
-        if sealed == 0 {
-            return Ok(());
-        }
-        let mut first_seq = disk.next_seq - disk.pending.len() as u64;
-        for chunk in disk.pending.chunks_exact(window) {
+        let mut shrink = stale_frames;
+        let full_window = |rows: &&[Record]| rows.len() as u64 == disk.window;
+        while let Some(rows) = self
+            .store
+            .segment_rows(disk.blocks.len())
+            .filter(full_window)
+        {
+            let first_seq = disk.sealed_seq;
             let path = disk.dir.join(format!("seg-{first_seq:016}.mqds"));
-            fsio::write_atomic(&path, &encode_segment(first_seq, chunk), disk.fsync)?;
+            fsio::write_atomic(&path, &encode_segment(first_seq, rows), disk.fsync)?;
             disk.blocks.push(BlockMeta {
-                max_value: chunk.last().map_or(0, |r| r.value),
+                max_value: rows.last().map_or(0, |r| r.value),
                 path,
             });
-            first_seq += disk.window;
+            disk.sealed_seq += disk.window;
             self.segments_flushed += 1;
+            shrink = true;
         }
-        disk.pending.drain(..sealed);
-        if disk.pending.is_empty() {
-            disk.wal.reset()
-        } else {
-            disk.wal.rewrite(first_seq, &disk.pending)
+        if !shrink {
+            return Ok(());
+        }
+        match self.store.segment_rows(disk.blocks.len()) {
+            Some(tail) => disk.wal.rewrite(disk.sealed_seq, tail),
+            None => disk.wal.reset(),
         }
     }
 
@@ -717,6 +726,133 @@ mod tests {
         drop(ds);
         let ds = DurableStore::open(&dir, &o).unwrap();
         assert_eq!(ds.store_stats(), want);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a SIGKILL leaves behind: a copy of the data dir's files as
+    /// they are on disk right now (the live dir holds the `LOCK`).
+    fn killed_copy(dir: &Path, tag: &str) -> PathBuf {
+        let copy = tmpdir(tag);
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        copy
+    }
+
+    fn wal_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join("wal")).unwrap().len()
+    }
+
+    #[test]
+    fn write_path_a_window_sized_batch_never_touches_the_wal() {
+        let dir = tmpdir("bypass");
+        let mut o = opts(8);
+        o.fsync = true;
+        let mut ds = DurableStore::open(&dir, &o).unwrap();
+        for i in 0..8u64 {
+            ds.append(&row(i, i as i64 * 10, &[(i % 3) as u16]))
+                .unwrap();
+            assert_eq!(wal_len(&dir), crate::wal::HEADER_LEN, "row {i}");
+        }
+        ds.sync().unwrap();
+        assert_eq!(wal_len(&dir), crate::wal::HEADER_LEN);
+        assert_eq!(ds.durable_stats().wal_bytes, crate::wal::HEADER_LEN);
+        assert_eq!(ds.durable_stats().segments_flushed, 1);
+        assert_eq!(full_window_blocks(&dir, 8), ["seg-0000000000000000.mqds"]);
+        let want = ds.store_stats();
+        let killed = killed_copy(&dir, "bypass-killed");
+        drop(ds);
+        for d in [&dir, &killed] {
+            let ds = DurableStore::open(d, &o).unwrap();
+            assert_eq!(ds.store_stats(), want);
+            assert_eq!(ds.durable_stats().recovered_rows, 8);
+            drop(ds);
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    #[test]
+    fn write_path_a_batch_straddling_a_window_reopens_to_the_acked_prefix() {
+        for fsync in [true, false] {
+            let dir = tmpdir(&format!("straddle-{fsync}"));
+            let mut o = opts(4);
+            o.fsync = fsync;
+            let mut ds = DurableStore::open(&dir, &o).unwrap();
+            ingest(&mut ds, 0..3); // acked, in the WAL file
+            ingest(&mut ds, 3..10); // seals [0,4) and [4,8) on the way, tail [8,10)
+            assert_eq!(ds.durable_stats().segments_flushed, 2);
+            assert_eq!(wal_len(&dir), ds.durable_stats().wal_bytes);
+            let want = ds.store_stats();
+            let killed = killed_copy(&dir, &format!("straddle-killed-{fsync}"));
+            let ds2 = DurableStore::open(&killed, &o).unwrap();
+            assert_eq!(ds2.store_stats(), want, "every acked row, fsync {fsync}");
+            assert_eq!(ds2.durable_stats().wal_bytes, wal_len(&dir));
+            let a = ds2.store().slice(&[0, 1, 2], i64::MIN, i64::MAX);
+            let b = ds.store().slice(&[0, 1, 2], i64::MIN, i64::MAX);
+            assert_eq!(a.instance.posts(), b.instance.posts());
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&killed).unwrap();
+        }
+    }
+
+    #[test]
+    fn write_path_a_kill_before_sync_leaves_exactly_the_last_synced_prefix() {
+        let dir = tmpdir("unsynced");
+        let mut ds = DurableStore::open(&dir, &opts(4)).unwrap();
+        ingest(&mut ds, 0..6); // block [0,4) + acked tail [4,6)
+        let acked = ds.store_stats();
+        // A request dies between its appends and its sync: one that stays
+        // inside the window, then one that crosses the boundary (the seal
+        // makes [4,8) durable early, which is allowed; a gap is not).
+        ds.append(&row(6, 60, &[0])).unwrap();
+        let killed = killed_copy(&dir, "unsynced-killed-a");
+        let re = DurableStore::open(&killed, &opts(4)).unwrap();
+        assert_eq!(re.store_stats(), acked, "unsynced rows were never acked");
+        std::fs::remove_dir_all(&killed).unwrap();
+
+        ds.append(&row(7, 70, &[1])).unwrap();
+        ds.append(&row(8, 80, &[2])).unwrap();
+        let killed = killed_copy(&dir, "unsynced-killed-b");
+        let re = DurableStore::open(&killed, &opts(4)).unwrap();
+        assert_eq!(re.store_stats().rows, 8, "sealed window, no row past it");
+        assert_eq!(re.durable_stats().wal_bytes, crate::wal::HEADER_LEN);
+        std::fs::remove_dir_all(&killed).unwrap();
+
+        ds.sync().unwrap();
+        let killed = killed_copy(&dir, "unsynced-killed-c");
+        let re = DurableStore::open(&killed, &opts(4)).unwrap();
+        assert_eq!(re.store_stats(), ds.store_stats());
+        std::fs::remove_dir_all(&killed).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_path_a_failed_log_write_stops_the_store_for_writes() {
+        let dir = tmpdir("fail-stop");
+        let mut o = opts(8);
+        o.fsync = true;
+        let mut ds = DurableStore::open(&dir, &o).unwrap();
+        ingest(&mut ds, 0..3);
+        let acked = ds.store_stats();
+        ds.disk.as_mut().unwrap().wal.break_writes();
+        ds.append(&row(3, 30, &[0])).unwrap(); // buffered: no I/O yet
+        assert!(matches!(ds.sync(), Err(MqdError::Io(_))));
+        let generation = ds.generation();
+        for i in 4..7u64 {
+            let refused = ds.append(&row(i, i as i64 * 10, &[0]));
+            assert!(matches!(refused, Err(MqdError::Io(_))), "{refused:?}");
+        }
+        assert_eq!(ds.generation(), generation, "a refused row enters nothing");
+        assert!(matches!(ds.sync(), Err(MqdError::Io(_))));
+        drop(ds);
+        let ds = DurableStore::open(&dir, &o).unwrap();
+        assert_eq!(
+            ds.store_stats(),
+            acked,
+            "reopen yields the last acked prefix"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,15 +6,18 @@
 //! * [`wal`] — an append-only, fsync'd write-ahead log. Every row is one
 //!   independently-checksummed frame (no cross-frame delta coding), so a
 //!   torn or truncated final frame is detected and cleanly truncated on
-//!   replay — never a panic, never a phantom row.
+//!   replay — never a panic, never a phantom row. Frames are encoded into
+//!   one buffer and reach the file at the ack: one write and one fsync
+//!   per request, fail-stop after the first write that fails.
 //! * [`segment`] — sealed, immutable on-disk blocks of one window of rows
 //!   each, in the MQDL row codec [`mqd_core::record`] owns. A block carries
 //!   nothing derived from its rows; recovery rebuilds the in-memory index
 //!   by replaying them.
 //! * [`durable`] — [`DurableStore`]: the orchestration layer. What it
 //!   keeps in a data dir is `LOCK` + `wal` + full-window blocks. Appends go
-//!   WAL-first (ack only after [`DurableStore::sync`]), the WAL is sealed
-//!   into a block whenever a segment-sized window of rows completes, and
+//!   WAL-first (ack only after [`DurableStore::sync`]), a segment-sized
+//!   window of rows that completes is sealed into a block straight from
+//!   the store's segment (its frames leave the WAL, or never reach it), and
 //!   retention GC drops whole windows that no live λ-window lease can
 //!   ever touch again. Recovery replays blocks + WAL tail and restores the
 //!   store byte-identically (rows, generation, stats) to the
