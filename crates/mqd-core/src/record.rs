@@ -22,10 +22,23 @@
 //!   checksum turns truncation or bit rot into a typed
 //!   [`MqdError::Corrupt`] carrying the byte offset.
 //!
-//! * **TSV row** ([`parse_tsv_line`] / [`format_tsv`]):
+//! * **TSV row** ([`parse_tsv_line`] / [`write_tsv`]):
 //!   `id \t value \t label,label,...` — the line-oriented form used by the
 //!   CLI files and the server's line protocol. Malformed rows are typed
 //!   [`MqdError::Parse`] errors carrying the 1-based line number.
+//!   [`write_tsv`] is the one renderer: it appends a row's bytes to a
+//!   caller's buffer, and [`format_tsv`] is its `String` face.
+//!
+//! * **Rendered rows** ([`TsvRows`]): a whole answer in the form it is
+//!   served in — every row's TSV bytes, newline-terminated, in one buffer,
+//!   plus the row count. It is what the serving cache holds (once, behind
+//!   an `Arc`) and what a response writes, so the renderer *is* the wire:
+//!   a row holds digits, `-`, tabs and commas only, never a line break and
+//!   never a leading `.`, which is why the protocol writes these bytes
+//!   without looking at them again. There is no per-row index: a row's
+//!   `(value, id)` key is parsed from its text on the few probes of
+//!   [`TsvRows::truncate_from`]'s search, so the bytes held per row
+//!   are the bytes sent per row and no offset can outgrow its integer.
 
 use std::io::{Read, Write};
 
@@ -194,15 +207,186 @@ pub fn parse_tsv_line(line: &str, line_no: usize) -> Result<Option<Record>, MqdE
     Ok(Some(Record { id, value, labels }))
 }
 
-/// Formats one record as its TSV row (no trailing newline).
+/// Appends the decimal digits of `n` to `buf`.
+fn put_decimal(buf: &mut Vec<u8>, mut n: u64) {
+    // u64::MAX has 20 digits; filled from the back.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Appends one record's TSV row (no trailing newline) to `buf`: the one
+/// row renderer of the workspace. The bytes are ASCII digits, `-`, tabs
+/// and commas only.
+pub fn write_tsv(buf: &mut Vec<u8>, r: &Record) {
+    put_decimal(buf, r.id);
+    buf.push(b'\t');
+    if r.value < 0 {
+        buf.push(b'-');
+    }
+    put_decimal(buf, r.value.unsigned_abs());
+    buf.push(b'\t');
+    for (i, &l) in r.labels.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        put_decimal(buf, l as u64);
+    }
+}
+
+/// Formats one record as its TSV row (no trailing newline): the `String`
+/// face of [`write_tsv`].
 pub fn format_tsv(r: &Record) -> String {
-    let labels: Vec<String> = r.labels.iter().map(|l| l.to_string()).collect();
-    format!("{}\t{}\t{}", r.id, r.value, labels.join(","))
+    // Most rows fit; a longer one grows the buffer as usual.
+    let mut buf = Vec::with_capacity(32);
+    write_tsv(&mut buf, r);
+    String::from_utf8(buf).expect("a rendered row is ASCII")
+}
+
+/// The `(value, id)` sort key of the rendered row starting at byte `start`
+/// of `text` (the row runs to the next `\n` or the end of `text`).
+fn row_key(text: &[u8], start: usize) -> Result<(i64, u64), MqdError> {
+    let corrupt = |reason: &str| MqdError::Corrupt {
+        offset: start,
+        reason: format!("rendered row: {reason}"),
+    };
+    let row = text.get(start..).unwrap_or_default();
+    let mut fields = row.split(|&b| b == b'\t' || b == b'\n');
+    let mut field = |what: &str| {
+        let bytes = fields.next().ok_or_else(|| corrupt(what))?;
+        std::str::from_utf8(bytes).map_err(|_| corrupt(what))
+    };
+    let id = field("missing id")?;
+    let value = field("missing value")?;
+    let id: u64 = id.parse().map_err(|_| corrupt("bad id"))?;
+    let value: i64 = value.parse().map_err(|_| corrupt("bad value"))?;
+    Ok((value, id))
+}
+
+/// A rendered answer: its rows' TSV bytes, each newline-terminated, in
+/// one buffer, in the order given (see the module docs). Immutable once
+/// shared; a holder that patches the tail of a cover does so on its own
+/// copy ([`TsvRows::truncate_from`] then [`TsvRows::push`]).
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct TsvRows {
+    text: Vec<u8>,
+    /// Rows in `text`, i.e. its `\n` count.
+    len: usize,
+}
+
+impl TsvRows {
+    /// No rows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Renders `rows` in order. The buffer is cut to size, so a value kept
+    /// for long holds no growth slack.
+    pub fn from_records(rows: &[Record]) -> Self {
+        let mut out = TsvRows {
+            // A typical row is ~25 bytes; the guess only saves regrowth.
+            text: Vec::with_capacity(rows.len().saturating_mul(32)),
+            len: 0,
+        };
+        for r in rows {
+            out.push(r);
+        }
+        out.text.shrink_to_fit();
+        out
+    }
+
+    /// Appends one row.
+    pub fn push(&mut self, r: &Record) {
+        write_tsv(&mut self.text, r);
+        self.text.push(b'\n');
+        self.len += 1;
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The payload bytes: every row followed by `\n`.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.text
+    }
+
+    /// Parses the rows back. Text this type rendered always parses; bytes
+    /// that do not (a blank row, a bad field, a row count that disagrees)
+    /// are a typed error.
+    pub fn to_records(&self) -> Result<Vec<Record>, MqdError> {
+        let text = std::str::from_utf8(&self.text).map_err(|e| MqdError::Corrupt {
+            offset: e.valid_up_to(),
+            reason: "rendered rows: not UTF-8".into(),
+        })?;
+        let mut rows = Vec::with_capacity(self.len);
+        for (i, line) in text.split_terminator('\n').enumerate() {
+            let row = parse_tsv_line(line, i + 1)?.ok_or_else(|| parse_err(i + 1, "blank row"))?;
+            rows.push(row);
+        }
+        if rows.len() != self.len || !(text.is_empty() || text.ends_with('\n')) {
+            return Err(parse_err(rows.len(), "row count disagrees with the text"));
+        }
+        Ok(rows)
+    }
+
+    /// Drops every row whose `(value, id)` key is at or after `key`. The
+    /// rows must be in ascending key order, as a cover's are. The cut is
+    /// searched for over byte positions (a probe steps back to its row's
+    /// start and parses the two leading fields): first backwards from the
+    /// end in doubling strides, because a repaired cover is cut a few rows
+    /// from its end, then by bisection, so it costs O(log of the bytes
+    /// dropped) row parses plus a count of the rows dropped. On a typed
+    /// error nothing has changed.
+    pub fn truncate_from(&mut self, key: (i64, u64)) -> Result<(), MqdError> {
+        let text = &self.text;
+        // Invariant: `lo` and `hi` are row starts (or the end); rows
+        // before `lo` sort below `key`, rows from `hi` on do not.
+        let (mut lo, mut hi) = (0, text.len());
+        let mut stride = Some(32usize); // about a row; `None` once bisecting
+        while lo < hi {
+            let at = match stride {
+                Some(back) if back < hi - lo => hi - back,
+                _ => lo + (hi - lo) / 2,
+            };
+            let start = text[lo..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(lo, |nl| lo + nl + 1);
+            if row_key(text, start)? < key {
+                let end = text[at..hi].iter().position(|&b| b == b'\n');
+                lo = end.map_or(hi, |nl| at + nl + 1);
+                stride = None;
+            } else {
+                hi = start;
+                stride = stride.map(|back| back.saturating_mul(2));
+            }
+        }
+        let dropped = text[lo..].iter().filter(|&&b| b == b'\n').count();
+        self.len = self.len.saturating_sub(dropped);
+        self.text.truncate(lo);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqd_rng::{RngExt, SeedableRng, StdRng};
 
     fn sample() -> Vec<Record> {
         vec![
@@ -309,6 +493,173 @@ mod tests {
             let line = format_tsv(&r);
             assert_eq!(parse_tsv_line(&line, 1).unwrap(), Some(r));
         }
+    }
+
+    /// The renderer as it stood before `write_tsv`, kept as the reference
+    /// the new one must match byte for byte.
+    fn format_tsv_reference(r: &Record) -> String {
+        let labels: Vec<String> = r.labels.iter().map(|l| l.to_string()).collect();
+        format!("{}\t{}\t{}", r.id, r.value, labels.join(","))
+    }
+
+    fn reference_text(rows: &[Record]) -> Vec<u8> {
+        let lines = rows.iter().map(|r| format_tsv_reference(r) + "\n");
+        lines.collect::<String>().into_bytes()
+    }
+
+    /// Rows in ascending `(value, id)` order with distinct keys; the
+    /// extremes of every field are drawn often.
+    fn random_cover(rng: &mut StdRng, n: usize) -> Vec<Record> {
+        let mut keys: Vec<(i64, u64)> = (0..n)
+            .map(|_| {
+                let value = match rng.random_range(0..8u32) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => 0,
+                    3 => -1,
+                    _ => rng.random_range(-50..50i64), // runs of tied values
+                };
+                let id = match rng.random_range(0..6u32) {
+                    0 => u64::MAX,
+                    1 => 0,
+                    _ => rng.random_range(0..1_000_000u64),
+                };
+                (value, id)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
+            .map(|(value, id)| {
+                let k = rng.random_range(0..4usize); // 0: an empty label list
+                let labels = (0..k).map(|_| match rng.random_range(0..4u32) {
+                    0 => u16::MAX,
+                    1 => 0,
+                    _ => rng.random_range(0..500u16),
+                });
+                Record {
+                    id,
+                    value,
+                    labels: labels.collect(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rendered_rows_are_the_reference_bytes_and_round_trip() {
+        let mut rng = StdRng::seed_from_u64(0x7513);
+        for case in 0..300 {
+            let n = [0, 1, 2, 7, 60][case % 5];
+            let rows = random_cover(&mut rng, n);
+            let rendered = TsvRows::from_records(&rows);
+            assert_eq!(rendered.as_bytes(), reference_text(&rows), "case {case}");
+            assert_eq!(rendered.len(), rows.len());
+            assert_eq!(rendered.is_empty(), rows.is_empty());
+            assert_eq!(rendered.to_records().unwrap(), rows, "case {case}");
+            let mut at = 0;
+            for r in &rows {
+                assert_eq!(format_tsv(r), format_tsv_reference(r));
+                assert_eq!(row_key(rendered.as_bytes(), at).unwrap(), (r.value, r.id));
+                at += format_tsv(r).len() + 1;
+            }
+        }
+        assert_eq!(TsvRows::new(), TsvRows::from_records(&[]));
+        assert!(TsvRows::new().as_bytes().is_empty());
+    }
+
+    #[test]
+    fn truncate_then_push_equals_rendering_the_patched_rows() {
+        let mut rng = StdRng::seed_from_u64(0xc07e5);
+        for case in 0..300 {
+            let rows = random_cover(&mut rng, [0, 1, 3, 40, 200][case % 5]);
+            let tail = random_cover(&mut rng, case % 4);
+            // Cut at a row's own key, between rows, below all and above all.
+            let key = match (case % 3, rows.is_empty()) {
+                (0, false) => {
+                    let r = &rows[rng.random_range(0..rows.len())];
+                    (r.value, r.id)
+                }
+                (1, _) => (
+                    rng.random_range(-60..60i64),
+                    rng.random_range(0..1_000_000u64),
+                ),
+                _ => [(i64::MIN, 0), (i64::MAX, u64::MAX)][case % 2],
+            };
+            let mut patched: Vec<Record> = rows.clone();
+            patched.retain(|r| (r.value, r.id) < key);
+            patched.extend(tail.iter().cloned());
+            let mut rendered = TsvRows::from_records(&rows);
+            rendered.truncate_from(key).unwrap();
+            for r in &tail {
+                rendered.push(r);
+            }
+            assert_eq!(rendered, TsvRows::from_records(&patched), "case {case}");
+            assert_eq!(rendered.len(), patched.len());
+        }
+    }
+
+    #[test]
+    fn a_rendered_row_cannot_break_the_line_framing() {
+        // The protocol writes these bytes unexamined between a status line
+        // and the `.` terminator line.
+        let mut rng = StdRng::seed_from_u64(0xf4a3e);
+        let rows = random_cover(&mut rng, 500);
+        let rendered = TsvRows::from_records(&rows);
+        assert!(rendered
+            .as_bytes()
+            .iter()
+            .all(|b| b.is_ascii_digit() || b"-\t,\n".contains(b)));
+        let mut lines = 0;
+        for line in rendered.as_bytes().split_inclusive(|&b| b == b'\n') {
+            assert!(line[0].is_ascii_digit(), "a row starts with its id");
+            assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
+            lines += 1;
+        }
+        assert_eq!(lines, rows.len());
+    }
+
+    #[test]
+    fn corrupted_rendered_text_is_a_typed_error() {
+        let rows = sample();
+        let good = TsvRows::from_records(&rows);
+        let corrupt = |edit: &dyn Fn(&mut TsvRows)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            bad
+        };
+        let cases: Vec<(&str, TsvRows)> = vec![
+            ("bad id", corrupt(&|t| t.text[0] = b'x')),
+            ("not utf-8", corrupt(&|t| t.text[1] = 0xff)),
+            (
+                "missing field",
+                corrupt(&|t| t.text.retain(|&b| b != b'\t')),
+            ),
+            ("blank row", corrupt(&|t| t.text.insert(0, b'\n'))),
+            (
+                "unterminated",
+                corrupt(&|t| t.text.truncate(t.text.len() - 1)),
+            ),
+            ("count too high", corrupt(&|t| t.len += 1)),
+            ("count too low", corrupt(&|t| t.len -= 1)),
+            (
+                "label overflow",
+                corrupt(&|t| drop(t.text.splice(8..8, *b"99999"))),
+            ),
+        ];
+        for (what, mut bad) in cases {
+            assert!(bad.to_records().is_err(), "{what}: {bad:?}");
+            // Whatever the text, the cut is an error or a cut: no panic.
+            let before = bad.clone();
+            if bad.truncate_from((1_000, 10)).is_err() {
+                assert_eq!(bad, before, "{what}: an error leaves the rows alone");
+            }
+        }
+        let mut bad = corrupt(&|t| t.text[0] = b'x');
+        assert!(matches!(
+            bad.truncate_from((0, 0)).unwrap_err(),
+            MqdError::Corrupt { offset: 0, .. }
+        ));
     }
 
     #[test]

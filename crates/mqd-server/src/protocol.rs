@@ -30,7 +30,7 @@
 
 use std::io::Write;
 
-use mqd_core::record::{decode_records, Record};
+use mqd_core::record::{decode_records, Record, TsvRows};
 use mqd_core::MqdError;
 use mqd_store::{Algorithm, QuerySpec};
 use mqd_stream::ShardEngineKind;
@@ -411,18 +411,43 @@ pub fn error_kind(e: &MqdError) -> &'static str {
     }
 }
 
-fn one_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
+/// Writes `head`, then `s` with every line break turned into a space,
+/// then `\n`: whatever a message or a payload line holds, it stays one
+/// line on the wire.
+fn write_line<W: Write>(w: &mut W, head: &str, s: &str) -> std::io::Result<()> {
+    w.write_all(head.as_bytes())?;
+    for (i, part) in s.split(['\n', '\r']).enumerate() {
+        if i > 0 {
+            w.write_all(b" ")?;
+        }
+        w.write_all(part.as_bytes())?;
+    }
+    w.write_all(b"\n")
+}
+
+/// Writes the terminator line and flushes: the end of every response.
+fn finish<W: Write>(w: &mut W) -> std::io::Result<()> {
+    writeln!(w, "{TERMINATOR}")?;
+    w.flush()
 }
 
 /// Writes `+OK <json>`, the payload lines, and the terminator.
 pub fn write_ok<W: Write>(w: &mut W, json: &str, payload: &[String]) -> std::io::Result<()> {
-    writeln!(w, "+OK {}", one_line(json))?;
+    write_line(w, "+OK ", json)?;
     for line in payload {
-        writeln!(w, "{}", one_line(line))?;
+        write_line(w, "", line)?;
     }
-    writeln!(w, "{TERMINATOR}")?;
-    w.flush()
+    finish(w)
+}
+
+/// [`write_ok`] for a payload that is already rendered: `+OK <json>`, the
+/// rows' bytes as they stand, and the terminator. [`TsvRows`] lines cannot
+/// break the framing (digits, `-`, tabs and commas; `mqd_core::record`
+/// pins that), so they are written, not examined.
+pub fn write_ok_rows<W: Write>(w: &mut W, json: &str, rows: &TsvRows) -> std::io::Result<()> {
+    write_line(w, "+OK ", json)?;
+    w.write_all(rows.as_bytes())?;
+    finish(w)
 }
 
 /// Writes the `INGEST` / `INGESTB` acknowledgement — one function, so the
@@ -434,17 +459,16 @@ pub fn write_ingested<W: Write>(w: &mut W, n: usize, generation: u64) -> std::io
 
 /// Writes `-ERR <Kind> <msg>` and the terminator.
 pub fn write_err<W: Write>(w: &mut W, e: &MqdError) -> std::io::Result<()> {
-    writeln!(w, "-ERR {} {}", error_kind(e), one_line(&e.to_string()))?;
-    writeln!(w, "{TERMINATOR}")?;
-    w.flush()
+    write!(w, "-ERR {}", error_kind(e))?;
+    write_line(w, " ", &e.to_string())?;
+    finish(w)
 }
 
 /// Writes `-OVERLOADED <msg>` and the terminator — the typed admission-
 /// control rejection.
 pub fn write_overloaded<W: Write>(w: &mut W, msg: &str) -> std::io::Result<()> {
-    writeln!(w, "-OVERLOADED {}", one_line(msg))?;
-    writeln!(w, "{TERMINATOR}")?;
-    w.flush()
+    write_line(w, "-OVERLOADED ", msg)?;
+    finish(w)
 }
 
 #[cfg(test)]
@@ -629,6 +653,21 @@ mod tests {
             String::from_utf8(buf).unwrap(),
             "+OK {\"n\":1}\n1\t2\t0\n.\n"
         );
+        // The rendered-rows writer frames the same bytes.
+        let rows = TsvRows::from_records(&[Record {
+            id: 1,
+            value: 2,
+            labels: vec![0],
+        }]);
+        let mut buf = Vec::new();
+        write_ok_rows(&mut buf, "{\"n\":1}\r\n", &rows).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "+OK {\"n\":1}  \n1\t2\t0\n.\n"
+        );
+        let mut buf = Vec::new();
+        write_ok(&mut buf, "a\nb", &["x\ry\n".into()]).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), "+OK a b\nx y \n.\n");
         let mut buf = Vec::new();
         write_err(
             &mut buf,

@@ -7,10 +7,10 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use mqd_core::record::{format_tsv, Record};
+use mqd_core::record::{Record, TsvRows};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
@@ -23,7 +23,8 @@ use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
 use crate::conn::{Counters, Engine, Fail, Handler};
 use crate::lineio::READ_TICK;
 use crate::protocol::{
-    decode_batch, error_kind, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
+    decode_batch, error_kind, write_ingested, write_ok, write_ok_rows, Request, SubscribeSpec,
+    TERMINATOR,
 };
 use crate::subs::{self, LeaseRegistry, SubParams};
 
@@ -318,6 +319,7 @@ impl Handler for State {
                         run_query_cover(store.store(), spec, cover)?,
                     )
                 };
+                let rows = TsvRows::from_records(&rows);
                 write_cover(w, spec, &rows, generation, false, false)?;
             }
             Request::Slice { labels, from, to } => {
@@ -326,16 +328,18 @@ impl Handler for State {
                 // row's labels already intersected with the requested set —
                 // identical rendering on every shard, so a dedup-by-id merge
                 // reconstructs the single-node slice byte-for-byte.
-                let (generation, rows) = {
+                let (generation, slice) = {
                     let store = read_or_poisoned(&self.store)?;
-                    let slice = store.store().slice(labels, *from, *to);
-                    let rows: Vec<String> = (0..slice.instance.len() as u32)
-                        .map(|i| format_tsv(&slice.record_for(i)))
-                        .collect();
-                    (store.generation(), rows)
+                    (store.generation(), store.store().slice(labels, *from, *to))
                 };
+                // The slice is a snapshot: rendered with the lock released,
+                // so a large gather does not hold ingest up.
+                let mut rows = TsvRows::new();
+                for i in 0..slice.instance.len() as u32 {
+                    rows.push(&slice.record_for(i));
+                }
                 let json = format!(r#"{{"count":{},"generation":{}}}"#, rows.len(), generation);
-                write_ok(w, &json, &rows)?;
+                write_ok_rows(w, &json, &rows)?;
             }
             Request::Hello { .. } => write_ok(w, &hello(self, body)?, &[])?,
             Request::Subscribe(spec) => {
@@ -350,56 +354,62 @@ impl Handler for State {
     }
 }
 
-/// Answers a `QUERY` (cached or cold) or a `COVER` half with its rows.
+/// Answers a `QUERY` (cached or cold) or a `COVER` half with its rows,
+/// which are written as they stand.
 fn write_cover(
     w: &mut impl Write,
     spec: &QuerySpec,
-    rows: &[Record],
+    rows: &TsvRows,
     generation: u64,
     cached: bool,
     stale: bool,
 ) -> std::io::Result<()> {
-    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
     let json = format!(
         r#"{{"algorithm":"{}","count":{},"cached":{cached},"stale":{stale},"generation":{generation}}}"#,
         spec.algorithm.as_str(),
         rows.len(),
     );
-    write_ok(w, &json, &payload)
+    write_ok_rows(w, &json, rows)
 }
 
 /// Serves a query through the repairable cache. The hot path is one store
-/// read-lock (for the generation) plus one cache lookup — nothing solves
-/// under a lock. A stale hit is served at its watermark generation and
+/// read-lock (for the generation) plus one cache lookup — a hit neither
+/// solves, copies nor renders: it takes a reference to the entry's
+/// rendered rows and the caller writes them once both locks are released.
+/// The rows are immutable while shared, so a repair or refresh that lands
+/// meanwhile cannot change the bytes of a response already stamped with
+/// its generation. A stale hit is served at its watermark generation and
 /// hands the entry to the refresher. A miss solves against a slice
-/// *snapshot* with the store lock released; if ingest advances the store
-/// mid-solve, the answer is inserted already-stale at its watermark and
-/// the refresher catches it up.
+/// *snapshot* with the store lock released and serves the very rows
+/// `insert_fresh` rendered for its entry (the one render of the answer,
+/// under the cache lock); if ingest advances the store mid-solve,
+/// the answer is inserted already-stale at its watermark and the
+/// refresher catches it up.
 ///
 /// Returns `(rows, watermark generation, cached, stale)`.
 fn answer_query(
     state: &State,
     spec: &QuerySpec,
-) -> Result<(Vec<Record>, u64, bool, bool), MqdError> {
+) -> Result<(Arc<TsvRows>, u64, bool, bool), MqdError> {
     validate_spec(spec)?;
     // Lock order everywhere: store, then cache.
     let (generation, looked) = {
         let store = read_or_poisoned(&state.store)?;
         let generation = store.generation();
         let mut cache = lock_or_poisoned(&state.cache, "cache")?;
-        (generation, cache.lookup(spec, generation))
+        (generation, cache.lookup_shared(spec, generation))
     };
     match looked {
-        Lookup::Fresh(records) => Ok((records, generation, true, false)),
+        Lookup::Fresh(rows) => Ok((rows, generation, true, false)),
         Lookup::Stale {
-            records,
+            records: rows,
             generation: watermark,
             enqueue_refresh,
         } => {
             if enqueue_refresh && state.refresh_tx.try_send(spec.clone()).is_err() {
                 lock_or_poisoned(&state.cache, "cache")?.refresh_not_queued(spec);
             }
-            Ok((records, watermark, true, true))
+            Ok((rows, watermark, true, true))
         }
         Lookup::Miss => {
             let (snap_gen, slice) = {
@@ -412,8 +422,8 @@ fn answer_query(
             let records = solve_slice(&slice, spec)?;
             let repair = repair_state(&slice, spec);
             let mut cache = lock_or_poisoned(&state.cache, "cache")?;
-            cache.insert_fresh(spec, records.clone(), snap_gen, repair);
-            Ok((records, snap_gen, false, false))
+            let rows = cache.insert_fresh(spec, records, snap_gen, repair);
+            Ok((rows, snap_gen, false, false))
         }
     }
 }

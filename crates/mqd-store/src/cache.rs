@@ -11,16 +11,28 @@
 //!   joins that entry's slice: it carries one of the spec's labels *and*
 //!   its value lies in `[from, to]`. Entries outside the footprint are
 //!   revalidated at the new generation untouched.
+//! * **One representation** — an entry holds its cover once, in the form
+//!   it is served in: the rendered rows ([`TsvRows`]) behind an [`Arc`].
+//!   A hit ([`CoverCache::lookup_shared`]) is a reference-count bump and
+//!   the response writes those bytes; nothing is cloned or rendered per
+//!   request. The value is immutable while shared: a repair that finds a
+//!   reader still holding it patches a copy (`Arc::make_mut`), so a
+//!   response stamped generation *g* carries *g*'s bytes whatever lands
+//!   while it is written. [`CoverCache::lookup`] is the decoding face of
+//!   the same lookup, for callers that want `Vec<Record>`.
 //! * **In-place repair** — fixed-lambda Scan entries carry a
 //!   [`CoverRepair`] tail state; posts inside the footprint are folded in
 //!   (O(query labels) each) and the entry stays byte-identical to a cold
 //!   solve at the new generation. The fold names the key below which the
-//!   cover is frozen, so the entry's records are patched from that key on
-//!   (a few rows) rather than rendered again, and a repair costs what
-//!   changed, not the cover's length. Each entry tracks its *repair debt*
-//!   (rows folded since the last full solve); past [`DEFAULT_DEBT_BOUND`]
-//!   the entry falls back to a full re-solve like the non-repairable
-//!   cases.
+//!   cover is frozen, so the entry's rows are cut at that key and the few
+//!   rows after it rendered again, and a repair costs what changed, not
+//!   the cover's length. The entry's rows are the cover; the repair state
+//!   beside them keeps only the picks a later fold can still read (those
+//!   at or after its oldest open pick, `CoverRepair::release_frozen`), so
+//!   the frozen prefix is held once, as text. Each entry tracks its
+//!   *repair debt* (rows folded since the last full solve); past
+//!   [`DEFAULT_DEBT_BOUND`] the entry falls back to a full re-solve like
+//!   the non-repairable cases.
 //! * **Stale-but-bounded serving** — entries whose solver cannot be
 //!   repaired locally (Scan+ cascades across labels, GreedySC re-ranks
 //!   globally, OPT is a global DP, proportional lambda is density-coupled)
@@ -43,8 +55,9 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use mqd_core::record::Record;
+use mqd_core::record::{Record, TsvRows};
 use mqd_stream::CoverRepair;
 
 use crate::query::QuerySpec;
@@ -82,11 +95,13 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Outcome of [`CoverCache::lookup`].
+/// Outcome of a cache lookup, over the form the cover comes back in:
+/// the shared rendered rows from [`CoverCache::lookup_shared`], decoded
+/// records (the default) from [`CoverCache::lookup`].
 #[derive(Clone, Debug)]
-pub enum Lookup {
+pub enum Lookup<T = Vec<Record>> {
     /// The records are exact at the looked-up generation.
-    Fresh(Vec<Record>),
+    Fresh(T),
     /// The entry lags the store: records are exact at `generation` (the
     /// watermark to stamp on the response). When `enqueue_refresh` is
     /// true the caller owns scheduling a background re-solve (the cache
@@ -94,7 +109,7 @@ pub enum Lookup {
     /// [`CoverCache::refresh_not_queued`] if scheduling fails).
     Stale {
         /// The cached cover, exact at `generation`.
-        records: Vec<Record>,
+        records: T,
         /// Watermark generation the records were computed against.
         generation: u64,
         /// True when this lookup claimed responsibility for queueing a
@@ -106,20 +121,37 @@ pub enum Lookup {
 }
 
 struct Entry {
-    records: Vec<Record>,
-    /// Store generation the records are exact at (the watermark).
+    /// The cover as it is served, exact at `generation`. Shared with the
+    /// responses being written; patched through `Arc::make_mut`.
+    rows: Arc<TsvRows>,
+    /// Store generation the rows are exact at (the watermark).
     generation: u64,
-    /// Incremental tail state, for fixed-lambda Scan entries only.
+    /// Incremental tail state, for fixed-lambda Scan entries only. Holds
+    /// no frozen pick below its oldest open one: `rows` has them.
     repair: Option<CoverRepair>,
     /// Rows folded into `repair` since the last full solve.
     debt: u64,
-    /// True when the records lag the latest generation and a background
+    /// True when the rows lag the latest generation and a background
     /// re-solve is wanted.
     dirty: bool,
     /// True while a refresh job for this entry is (believed) queued.
     refresh_queued: bool,
     /// Second-chance bit: set on hit, cleared by the clock hand.
     referenced: bool,
+}
+
+/// Renders a solved cover for an entry and lets its repair state go of
+/// what the rendered rows now hold.
+fn take_cover(
+    records: &[Record],
+    repair: Option<CoverRepair>,
+) -> (Arc<TsvRows>, Option<CoverRepair>) {
+    let rows = Arc::new(TsvRows::from_records(records));
+    let repair = repair.map(|mut rep| {
+        rep.release_frozen();
+        rep
+    });
+    (rows, repair)
 }
 
 /// A bounded, repairable cover cache keyed by [`QuerySpec`] (see the
@@ -183,8 +215,13 @@ impl CoverCache {
 
     /// Looks up `spec` against the store generation the caller is serving
     /// at. Never computes: on [`Lookup::Miss`] the caller computes and
-    /// [`CoverCache::insert_fresh`]es.
-    pub fn lookup(&mut self, spec: &QuerySpec, store_generation: u64) -> Lookup {
+    /// [`CoverCache::insert_fresh`]es. A hit hands out the entry's own
+    /// rows: a reference-count bump, no copy.
+    pub fn lookup_shared(
+        &mut self,
+        spec: &QuerySpec,
+        store_generation: u64,
+    ) -> Lookup<Arc<TsvRows>> {
         let Some(entry) = self.map.get_mut(spec) else {
             self.misses += 1;
             return Lookup::Miss;
@@ -192,7 +229,7 @@ impl CoverCache {
         if entry.generation == store_generation {
             entry.referenced = true;
             self.hits += 1;
-            return Lookup::Fresh(entry.records.clone());
+            return Lookup::Fresh(Arc::clone(&entry.rows));
         }
         let lag = store_generation.saturating_sub(entry.generation);
         if lag > self.max_lag {
@@ -207,9 +244,33 @@ impl CoverCache {
         let enqueue_refresh = !entry.refresh_queued;
         entry.refresh_queued = true;
         Lookup::Stale {
-            records: entry.records.clone(),
+            records: Arc::clone(&entry.rows),
             generation: entry.generation,
             enqueue_refresh,
+        }
+    }
+
+    /// [`CoverCache::lookup_shared`] with the rows parsed back into
+    /// records: the face for callers that compare or re-render covers
+    /// (the oracle, the benchmark's replay, tests). The server does not
+    /// come through here.
+    pub fn lookup(&mut self, spec: &QuerySpec, store_generation: u64) -> Lookup {
+        // The rows were rendered by this cache, so they parse; if they
+        // ever did not, recomputing is the safe answer.
+        match self.lookup_shared(spec, store_generation) {
+            Lookup::Fresh(rows) => rows.to_records().map_or(Lookup::Miss, Lookup::Fresh),
+            Lookup::Stale {
+                records,
+                generation,
+                enqueue_refresh,
+            } => records
+                .to_records()
+                .map_or(Lookup::Miss, |records| Lookup::Stale {
+                    records,
+                    generation,
+                    enqueue_refresh,
+                }),
+            Lookup::Miss => Lookup::Miss,
         }
     }
 
@@ -222,7 +283,8 @@ impl CoverCache {
         }
     }
 
-    /// Caches a freshly computed answer. `generation` is the store
+    /// Caches a freshly computed answer and returns it in the form it was
+    /// cached in, for the caller to serve. `generation` is the store
     /// generation the computation was exact at; if deltas were sealed
     /// past it while the caller was solving, the entry comes in already
     /// stale (records remain exact at their watermark) and the repair
@@ -233,7 +295,7 @@ impl CoverCache {
         records: Vec<Record>,
         generation: u64,
         repair: Option<CoverRepair>,
-    ) {
+    ) -> Arc<TsvRows> {
         debug_assert!(
             repair.as_ref().is_none_or(|r| {
                 r.cover().iter().zip(records.iter()).all(|(a, b)| a == b)
@@ -243,10 +305,11 @@ impl CoverCache {
         );
         self.latest_generation = self.latest_generation.max(generation);
         let dirty = generation < self.latest_generation;
+        let (rows, repair) = take_cover(&records, if dirty { None } else { repair });
         let entry = Entry {
-            records,
+            rows: Arc::clone(&rows),
             generation,
-            repair: if dirty { None } else { repair },
+            repair,
             debt: 0,
             dirty,
             refresh_queued: false,
@@ -257,13 +320,14 @@ impl CoverCache {
         };
         if let Some(slot) = self.map.get_mut(spec) {
             *slot = entry;
-            return;
+            return rows;
         }
         if self.map.len() >= self.capacity {
             self.evict_one();
         }
         self.ring.push(spec.clone());
         self.map.insert(spec.clone(), entry);
+        rows
     }
 
     /// Seals `rows` (the rows appended since the last call, in append
@@ -299,6 +363,8 @@ impl CoverCache {
                 Cow::Owned(r)
             })
             .collect();
+        // Indexes into `rows_norm` inside the current entry's footprint.
+        let mut relevant: Vec<usize> = Vec::new();
         for i in 0..self.ring.len() {
             let spec = &self.ring[i];
             let Some(entry) = self.map.get_mut(spec) else {
@@ -318,16 +384,13 @@ impl CoverCache {
             }
             // The footprint test: a row matters iff it joins this spec's
             // slice (value in range, shares a label).
-            let relevant: Vec<usize> = rows_norm
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| {
-                    r.value >= spec.from
-                        && r.value <= spec.to
-                        && r.labels.iter().any(|l| spec.labels.contains(l))
-                })
-                .map(|(j, _)| j)
-                .collect();
+            relevant.clear();
+            relevant.extend((0..rows_norm.len()).filter(|&j| {
+                let r = &rows_norm[j];
+                r.value >= spec.from
+                    && r.value <= spec.to
+                    && r.labels.iter().any(|l| spec.labels.contains(l))
+            }));
             if relevant.is_empty() {
                 // Outside the footprint: the slice is unchanged, so the
                 // cover is exact at the new generation as-is.
@@ -339,22 +402,37 @@ impl CoverCache {
             if repairable {
                 if let Some(rep) = entry.repair.as_mut() {
                     let folded = relevant.iter().map(|&j| &*rows_norm[j]);
-                    if let Some((from, tail)) = rep.observe_tail(folded) {
+                    let patched = match rep.observe_tail(folded) {
                         // Below `from` the cover is frozen: keep those
-                        // rows, replace the rest.
-                        let keep = entry.records.partition_point(|r| (r.value, r.id) < from);
-                        entry.records.truncate(keep);
-                        entry.records.extend(tail);
+                        // rows, render the rest again. A reader still
+                        // writing the old rows keeps them; the entry
+                        // patches a copy.
+                        Some((from, tail)) => {
+                            let rows = Arc::make_mut(&mut entry.rows);
+                            let cut = rows.truncate_from(from).is_ok();
+                            if cut {
+                                tail.iter().for_each(|r| rows.push(r));
+                            }
+                            cut
+                        }
+                        None => true,
+                    };
+                    if patched {
+                        rep.release_frozen();
+                        debug_assert!(
+                            (entry.rows.to_records()).is_ok_and(|all| all.ends_with(&rep.cover())),
+                            "tail patch drifted from the fold"
+                        );
+                        entry.debt += relevant.len() as u64;
+                        entry.generation = new_generation;
+                        self.repairs += 1;
+                        continue;
                     }
-                    debug_assert_eq!(
-                        entry.records,
-                        rep.cover(),
-                        "tail patch drifted from the fold"
-                    );
-                    entry.debt += relevant.len() as u64;
-                    entry.generation = new_generation;
-                    self.repairs += 1;
-                    continue;
+                    // The entry's rows did not parse (rows this cache
+                    // rendered always do). They are untouched, so still
+                    // exact at the watermark, but the fold has moved past
+                    // them: re-solve.
+                    entry.repair = None;
                 }
             }
             entry.dirty = true;
@@ -391,9 +469,8 @@ impl CoverCache {
         };
         if generation >= entry.generation {
             let dirty = generation < latest;
-            entry.records = records;
+            (entry.rows, entry.repair) = take_cover(&records, if dirty { None } else { repair });
             entry.generation = generation;
-            entry.repair = if dirty { None } else { repair };
             entry.debt = 0;
             entry.dirty = dirty;
             entry.refresh_queued = dirty;
@@ -790,22 +867,36 @@ mod tests {
         }
     }
 
+    /// The cover an entry holds, parsed back.
+    fn held(c: &CoverCache, q: &QuerySpec) -> Vec<Record> {
+        c.map[q].rows.to_records().unwrap()
+    }
+
     /// After a delta, a clean entry must hold exactly the cold answer at
-    /// the store's generation and, when it repairs, exactly its fold's
-    /// cover. Returns whether the entry was clean.
+    /// the store's generation, as the bytes a fresh render gives, and,
+    /// when it repairs, a fold that kept exactly the cover's open tail.
+    /// Returns whether the entry was clean.
     fn assert_exact(c: &CoverCache, s: &Store, q: &QuerySpec, what: &str) -> bool {
         let entry = &c.map[q];
         if entry.dirty {
             return false;
         }
         assert_eq!(entry.generation, s.generation(), "{what}: watermark");
+        let records = held(c, q);
+        assert_eq!(records, run_query(s, q).unwrap(), "{what}: cold solve");
         assert_eq!(
-            entry.records,
-            run_query(s, q).unwrap(),
-            "{what}: cold solve"
+            *entry.rows,
+            TsvRows::from_records(&records),
+            "{what}: patched rows are the rendering"
         );
         if let Some(rep) = &entry.repair {
-            assert_eq!(entry.records, rep.cover(), "{what}: fold");
+            // A cold fold of the slice, released, holds the cover rows at
+            // or after its oldest open pick (`mqd-stream` pins that); the
+            // entry's fold must hold the same, and they end the cover.
+            let mut cold = repair_state(&s.slice(&q.labels, q.from, q.to), q).unwrap();
+            cold.release_frozen();
+            assert_eq!(rep.cover(), cold.cover(), "{what}: retained picks");
+            assert!(records.ends_with(&rep.cover()), "{what}: fold");
         }
         true
     }
@@ -833,7 +924,7 @@ mod tests {
         // Lane 0 freezes post 2 here; lane 1 still holds it open.
         ingest(&mut c, &mut s, &[row(3, 11, &[0])]);
         assert!(assert_exact(&c, &s, &q, "frozen and open"));
-        assert_eq!(c.map[&q].records, vec![row(2, 5, &[0, 1])]);
+        assert_eq!(held(&c, &q), vec![row(2, 5, &[0, 1])]);
         // Lane 1 freezes it too and opens a group of its own.
         ingest(&mut c, &mut s, &[row(4, 30, &[1]), row(5, 31, &[0, 1])]);
         assert!(assert_exact(&c, &s, &q, "frozen twice"));
@@ -851,8 +942,156 @@ mod tests {
         // lane: the new cover row goes in *before* it.
         ingest(&mut c, &mut s, &[row(3, 100, &[1])]);
         assert!(assert_exact(&c, &s, &q, "tied, lower id"));
-        let ids: Vec<u64> = c.map[&q].records.iter().map(|r| r.id).collect();
+        let ids: Vec<u64> = held(&c, &q).iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 3, 9]);
+    }
+
+    #[test]
+    fn tail_patch_survives_a_quiet_lane_that_returns_tied_with_a_lower_id() {
+        let mut s = Store::new();
+        let q = spec(Algorithm::Scan, &[0, 1], 15);
+        let mut c = CoverCache::new();
+        ingest(&mut c, &mut s, &[row(5_000, 0, &[1]), row(1_000, 10, &[0])]);
+        prime(&mut c, &s, &q);
+        // Label 1 goes quiet with its group open: the fold has to keep
+        // every pick label 0 freezes meanwhile.
+        for i in 1..200u64 {
+            ingest(&mut c, &mut s, &[row(1_000 + i, 10 * (i as i64 + 1), &[0])]);
+            assert!(assert_exact(&c, &s, &q, &format!("quiet, row {i}")));
+        }
+        let pinned = c.map[&q].repair.as_ref().unwrap().len();
+        assert!(
+            pinned > 60,
+            "the quiet lane pins the picks after it: {pinned}"
+        );
+        // It returns at label 0's last value with a lower id, then once
+        // more in a batch that also carries label 0.
+        ingest(&mut c, &mut s, &[row(7, 2_000, &[1])]);
+        assert!(assert_exact(&c, &s, &q, "returned, tied, lower id"));
+        ingest(
+            &mut c,
+            &mut s,
+            &[row(8, 2_000, &[0, 1]), row(3, 2_040, &[1])],
+        );
+        assert!(assert_exact(&c, &s, &q, "returned again"));
+        assert!(c.map[&q].repair.as_ref().unwrap().len() <= 3);
+        assert_eq!(c.stats().repairs, 201);
+    }
+
+    /// What a server would put on the wire for `q` at the store's state.
+    fn cold_bytes(s: &Store, q: &QuerySpec) -> Vec<u8> {
+        TsvRows::from_records(&run_query(s, q).unwrap())
+            .as_bytes()
+            .to_vec()
+    }
+
+    #[test]
+    fn shared_reader_keeps_its_generation_while_a_repair_lands() {
+        let mut s = store(6);
+        let q = spec(Algorithm::Scan, &[0, 1], 15);
+        let mut c = CoverCache::new();
+        prime(&mut c, &s, &q);
+        let (gen_before, bytes_before) = (s.generation(), cold_bytes(&s, &q));
+        let Lookup::Fresh(reader) = c.lookup_shared(&q, gen_before) else {
+            panic!("expected a fresh hit");
+        };
+        assert!(Arc::ptr_eq(&reader, &c.map[&q].rows), "a hit is no copy");
+        // An in-footprint row lands while the reader is still writing.
+        ingest(&mut c, &mut s, &[row(6, 60, &[0]), row(7, 70, &[1])]);
+        assert_eq!(reader.as_bytes(), bytes_before, "generation {gen_before}");
+        let Lookup::Fresh(next) = c.lookup_shared(&q, s.generation()) else {
+            panic!("expected a fresh (repaired) hit");
+        };
+        assert_eq!(next.as_bytes(), cold_bytes(&s, &q));
+        assert_ne!(next.as_bytes(), bytes_before, "the delta changed the cover");
+        drop((reader, next));
+        assert_eq!(Arc::strong_count(&c.map[&q].rows), 1, "no copy leaked");
+        // With no reader the next repair patches the rows where they are.
+        let at = Arc::as_ptr(&c.map[&q].rows);
+        ingest(&mut c, &mut s, &[row(8, 80, &[0])]);
+        assert_eq!(Arc::as_ptr(&c.map[&q].rows), at);
+        assert!(assert_exact(&c, &s, &q, "patched in place"));
+    }
+
+    #[test]
+    fn shared_insert_fresh_returns_the_rows_it_cached() {
+        let s = store(8);
+        let q = spec(Algorithm::ScanPlus, &[0, 1], 15);
+        let mut c = CoverCache::new();
+        let served = c.insert_fresh(&q, run_query(&s, &q).unwrap(), s.generation(), None);
+        assert_eq!(served.as_bytes(), cold_bytes(&s, &q));
+        assert_eq!(served.len(), run_query(&s, &q).unwrap().len());
+        let Lookup::Fresh(hit) = c.lookup_shared(&q, s.generation()) else {
+            panic!("expected a fresh hit");
+        };
+        assert!(Arc::ptr_eq(&served, &hit));
+        // The decoding face reads the same entry.
+        let Lookup::Fresh(records) = c.lookup(&q, s.generation()) else {
+            panic!("expected a fresh hit");
+        };
+        assert_eq!(records, run_query(&s, &q).unwrap());
+    }
+
+    #[test]
+    fn shared_stale_and_refreshed_lookups_return_their_watermarks_bytes() {
+        let mut s = store(6);
+        let q = spec(Algorithm::GreedySc, &[0, 1], 15);
+        let mut c = CoverCache::new();
+        prime(&mut c, &s, &q);
+        let (watermark, stale_bytes) = (s.generation(), cold_bytes(&s, &q));
+        let r = row(100, 100, &[0]);
+        s.append(r.clone()).unwrap();
+        c.apply_delta(std::slice::from_ref(&r), s.generation());
+        let Lookup::Stale {
+            records,
+            generation,
+            ..
+        } = c.lookup_shared(&q, s.generation())
+        else {
+            panic!("expected a stale hit");
+        };
+        assert_eq!(
+            (records.as_bytes(), generation),
+            (&stale_bytes[..], watermark)
+        );
+        // The refresh lands while that response is still being written.
+        let renewed = run_query(&s, &q).unwrap();
+        assert!(!c.install_refreshed(&q, renewed, s.generation(), None));
+        assert_eq!(records.as_bytes(), stale_bytes);
+        let Lookup::Fresh(fresh) = c.lookup_shared(&q, s.generation()) else {
+            panic!("expected a fresh hit after refresh");
+        };
+        assert_eq!(fresh.as_bytes(), cold_bytes(&s, &q));
+        assert_ne!(fresh.as_bytes(), stale_bytes);
+    }
+
+    #[test]
+    fn shared_insert_fresh_behind_sealed_deltas_is_stale_and_drops_its_repair_state() {
+        let mut s = store(6);
+        let q = spec(Algorithm::Scan, &[0, 1], 15);
+        let mut c = CoverCache::new();
+        // Solved at generation 6 ...
+        let slice = s.slice(&q.labels, q.from, q.to);
+        let (solved_at, records) = (s.generation(), solve_slice(&slice, &q).unwrap());
+        let repair = repair_state(&slice, &q);
+        assert!(repair.is_some());
+        let bytes = cold_bytes(&s, &q);
+        // ... but a delta is sealed before the insert: the repair state
+        // never saw that row.
+        let r = row(6, 60, &[0]);
+        s.append(r.clone()).unwrap();
+        c.apply_delta(std::slice::from_ref(&r), s.generation());
+        let served = c.insert_fresh(&q, records, solved_at, repair);
+        assert_eq!(served.as_bytes(), bytes);
+        assert!(c.map[&q].dirty && c.map[&q].repair.is_none());
+        match c.lookup_shared(&q, s.generation()) {
+            Lookup::Stale {
+                records,
+                generation,
+                ..
+            } => assert_eq!((records.as_bytes(), generation), (&bytes[..], solved_at)),
+            other => panic!("expected stale at the solve's watermark, got {other:?}"),
+        }
     }
 
     struct Lcg(u64);

@@ -30,7 +30,7 @@
 //! row inside an open group's window replaces that group's candidate.
 //! Keeping it beside the lane makes the replacement an overwrite of a
 //! reused buffer; only a group that freezes (once per cover row) inserts
-//! into the map, and nothing is ever removed from it. The price is that
+//! into the map, and only a release (below) removes from it. The price is that
 //! the map alone is not the cover: [`CoverRepair::cover`] merges the at
 //! most one open pick per lane into the frozen rows, once each (a post can
 //! be the open pick of several lanes and a frozen pick of another).
@@ -45,6 +45,22 @@
 //! rendered cover keeps that prefix and replaces only the rows from there
 //! on, which [`CoverRepair::observe_tail`] returns — O(lanes + changed
 //! tail) per batch instead of [`CoverRepair::cover`]'s O(cover).
+//!
+//! It also bounds what the state has to keep. A fold reads the map only
+//! from that key on, and no later key can sort below the oldest pick that
+//! is open now: open picks are only replaced by later rows, and a row yet
+//! to come sorts after every frozen pick (a pick froze because a row past
+//! its group's window arrived, and values never decrease after that). So
+//! a holder that has taken the cover elsewhere calls
+//! [`CoverRepair::release_frozen`], and the map keeps the frozen picks at
+//! or after the oldest open pick only: usually none, at most the cover
+//! rows since the open pick of the lane that has been quiet the longest.
+//! That is a property of the stream, not a constant: a label that stops
+//! arriving pins its last open pick, and every pick frozen after it stays
+//! until the label returns. A pick one lane has frozen and another still
+//! holds open is some lane's open pick, so it is kept and freezing it a
+//! second time finds it. After a release [`CoverRepair::cover`] and
+//! [`CoverRepair::len`] speak of the cover from the retained key on.
 //!
 //! Why byte-identity holds: `scan_label` opens a group at the leftmost
 //! uncovered post `left` and picks the candidate maximizing
@@ -108,7 +124,8 @@ pub struct CoverRepair {
     lanes: Vec<Lane>,
     /// Picks of frozen groups with their rendered labels, keyed by
     /// `(value, id)` — exactly the slice order the offline answer is
-    /// rendered in. Only ever grows.
+    /// rendered in. Grows by one per freeze; [`CoverRepair::release_frozen`]
+    /// drops the prefix no later fold reads.
     picks: BTreeMap<(i64, u64), Vec<u16>>,
 }
 
@@ -192,9 +209,10 @@ impl CoverRepair {
     /// Renders the current cover: selected records in ascending
     /// `(value, id)` order, labels intersected with the query labels —
     /// byte-identical (via `format_tsv`) to a cold offline solve over
-    /// the same rows. The result is allocated once, for the frozen picks
-    /// plus one slot per lane, so callers that keep it hold no slack
-    /// beyond the lane count.
+    /// the same rows. After [`CoverRepair::release_frozen`] it is the
+    /// cover from the retained key on. The result is allocated once, for
+    /// the frozen picks plus one slot per lane, so callers that keep it
+    /// hold no slack beyond the lane count.
     pub fn cover(&self) -> Vec<Record> {
         let mut cover = Vec::with_capacity(self.picks.len().saturating_add(self.lanes.len()));
         cover.extend(self.picks.iter().map(frozen_record));
@@ -213,11 +231,7 @@ impl CoverRepair {
         &mut self,
         rows: impl IntoIterator<Item = &'a Record>,
     ) -> Option<((i64, u64), Vec<Record>)> {
-        let oldest_open = self
-            .lanes
-            .iter()
-            .filter_map(|lane| lane.open.as_ref().map(|g| g.pick))
-            .min();
+        let oldest_open = self.oldest_open();
         let lowest_joined = rows
             .into_iter()
             .filter(|row| self.observe(row))
@@ -227,6 +241,29 @@ impl CoverRepair {
         let mut tail: Vec<Record> = self.picks.range(from..).map(frozen_record).collect();
         self.merge_open_picks(&mut tail);
         Some((from, tail))
+    }
+
+    /// The smallest `(value, id)` any lane holds open.
+    fn oldest_open(&self) -> Option<(i64, u64)> {
+        let open = self.lanes.iter().filter_map(|lane| lane.open.as_ref());
+        open.map(|group| group.pick).min()
+    }
+
+    /// Drops the frozen picks below the oldest open pick (all of them when
+    /// no lane is open): no later [`CoverRepair::observe_tail`] reads them
+    /// (module docs). For a holder that keeps the cover itself and patches
+    /// it from what `observe_tail` returns; call it once the cover has
+    /// been taken and after every fold.
+    pub fn release_frozen(&mut self) {
+        let Some(keep_from) = self.oldest_open() else {
+            self.picks.clear();
+            return;
+        };
+        // After a fold there is usually nothing below the key: look first,
+        // `split_off` allocates.
+        if (self.picks.first_key_value()).is_some_and(|(first, _)| *first < keep_from) {
+            self.picks = self.picks.split_off(&keep_from);
+        }
     }
 
     /// Inserts each lane's open pick into `cover` — the frozen picks from
@@ -253,7 +290,8 @@ impl CoverRepair {
     }
 
     /// Number of currently selected posts: the frozen picks plus each
-    /// distinct open pick that no lane has frozen.
+    /// distinct open pick that no lane has frozen (after
+    /// [`CoverRepair::release_frozen`]: from the retained key on).
     pub fn len(&self) -> usize {
         let open = |lane: &Lane| lane.open.as_ref().map(|g| g.pick);
         let unfrozen = self.lanes.iter().enumerate().filter(|&(i, lane)| {
@@ -265,7 +303,7 @@ impl CoverRepair {
         self.picks.len().saturating_add(unfrozen.count())
     }
 
-    /// True when nothing is selected yet.
+    /// True when [`CoverRepair::len`] is 0.
     pub fn is_empty(&self) -> bool {
         self.picks.is_empty() && self.lanes.iter().all(|lane| lane.open.is_none())
     }
@@ -513,6 +551,91 @@ mod tests {
             labels: vec![7],
         };
         assert!(repair.observe_tail([&stranger]).is_none());
+    }
+
+    /// Applies an `observe_tail` patch to a kept cover, as the cache does.
+    fn patch(kept: &mut Vec<Record>, patch: Option<((i64, u64), Vec<Record>)>) {
+        if let Some((from, tail)) = patch {
+            kept.truncate(kept.partition_point(|r| (r.value, r.id) < from));
+            kept.extend(tail);
+        }
+    }
+
+    #[test]
+    fn a_released_state_patches_like_the_full_one_and_keeps_only_the_open_tail() {
+        for seed in 300..340u64 {
+            let mut rows = random_rows(seed, 240, 5, if seed % 2 == 0 { 2 } else { 30 });
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x51ab);
+            for r in &mut rows {
+                r.id = rng.random_range(0..1u64 << 40);
+            }
+            let labels: Vec<u16> = vec![0, 2, 3, 4];
+            let lambda = [0, 3, 25, 200][seed as usize % 4];
+            let mut full = CoverRepair::new(&labels, lambda);
+            let mut lean = full.clone();
+            let mut kept: Vec<Record> = Vec::new();
+            let mut fed = 0usize;
+            while fed < rows.len() {
+                let batch = rng.random_range(1..=12usize).min(rows.len() - fed);
+                let expected = full.observe_tail(&rows[fed..fed + batch]);
+                let got = lean.observe_tail(&rows[fed..fed + batch]);
+                fed += batch;
+                assert_eq!(got, expected, "seed {seed} after {fed} rows: same patch");
+                patch(&mut kept, got);
+                lean.release_frozen();
+                let what = format!("seed {seed} after {fed} rows");
+                assert_eq!(kept, full.cover(), "{what}: patched cover");
+                // Exactly the cover rows at or after the oldest open pick.
+                let open = lean.oldest_open();
+                assert_eq!(open, full.oldest_open(), "{what}");
+                let mut tail = full.cover();
+                tail.retain(|r| open.is_some_and(|k| (r.value, r.id) >= k));
+                assert_eq!(lean.cover(), tail, "{what}: retained rows");
+                assert_eq!(lean.len(), tail.len(), "{what}: len");
+                assert!(lean.picks.keys().all(|&k| open.is_some_and(|o| k >= o)));
+            }
+            assert!(lean.picks.len() < full.picks.len() / 4, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_quiet_lane_pins_its_open_pick_and_returns_exact() {
+        // Label 1 opens a group at value 0 and then goes quiet while label
+        // 0 freezes a pick every third row: the quiet lane's open pick is
+        // the oldest, so nothing frozen after it may be released.
+        let row = |id: u64, value: i64, labels: &[u16]| Record {
+            id,
+            value,
+            labels: labels.to_vec(),
+        };
+        let mut rows = vec![row(5_000, 0, &[1])];
+        rows.extend((0..200).map(|i| row(1_000 + i, 10 * (i as i64 + 1), &[0])));
+        // It returns tied with label 0's last row, with a lower id.
+        rows.push(row(7, 2_000, &[1]));
+        rows.push(row(9_000, 2_000, &[0, 1]));
+        let (labels, lambda) = (vec![0u16, 1], 15);
+        let mut lean = CoverRepair::new(&labels, lambda);
+        let mut kept: Vec<Record> = Vec::new();
+        for (i, r) in rows.iter().enumerate() {
+            patch(&mut kept, lean.observe_tail([r]));
+            lean.release_frozen();
+            let got: Vec<String> = kept.iter().map(format_tsv).collect();
+            assert_eq!(got, offline_scan(&rows[..=i], &labels, lambda), "row {i}");
+            if (1..=200).contains(&i) {
+                // Pinned: every pick label 0 froze so far is still held.
+                assert_eq!(lean.picks.len(), i / 3, "row {i}");
+            }
+        }
+        // The lane came back: the pin is gone.
+        assert!(lean.picks.len() <= 1, "{:?}", lean.picks);
+        // With no lane open nothing is kept at all.
+        let mut closed = CoverRepair::new(&[0], 10);
+        closed.observe(&row(1, 0, &[0]));
+        closed.observe(&row(2, 11, &[0])); // freezes 1, opens at 2
+        closed.observe(&row(3, 30, &[0])); // freezes 2, opens at 3
+        closed.lanes[0].open = None;
+        closed.release_frozen();
+        assert!(closed.picks.is_empty() && closed.is_empty());
     }
 
     #[test]
