@@ -2,6 +2,8 @@
 //!
 //! A [`Record`] is the external representation of one labeled post —
 //! `(id, value, labels)` — before it becomes an [`crate::Instance`] post.
+//! [`RowRef`] is the same row borrowed: [`put_rows`] reads rows through
+//! it, so the store's columnar segments are encoded in place.
 //! Historically the TSV row format and the MQDL binary-log framing lived in
 //! the CLI crate while the server and store grew their own copies; this
 //! module is now the **single** implementation of both encodings, so an
@@ -60,12 +62,42 @@ pub struct Record {
     pub labels: Vec<u16>,
 }
 
+/// One row borrowed from wherever it lives: the face every row encoder
+/// reads, so a store that keeps its rows in columns encodes them without
+/// building a [`Record`] per row.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RowRef<'a> {
+    /// External post id.
+    pub id: u64,
+    /// Diversity-dimension value.
+    pub value: i64,
+    /// Matched label ids.
+    pub labels: &'a [u16],
+}
+
+impl Record {
+    /// This row as a [`RowRef`].
+    pub fn as_row(&self) -> RowRef<'_> {
+        RowRef {
+            id: self.id,
+            value: self.value,
+            labels: &self.labels,
+        }
+    }
+}
+
+impl<'a> From<&'a Record> for RowRef<'a> {
+    fn from(r: &'a Record) -> Self {
+        r.as_row()
+    }
+}
+
 /// Serializes records into the MQDL binary-log format.
 pub fn encode_records(rows: &[Record]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + rows.len() * 8);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
-    put_rows(&mut buf, rows);
+    put_rows(&mut buf, rows.iter().map(Record::as_row));
     seal_framed(&mut buf, FOOTER);
     buf
 }
@@ -73,7 +105,7 @@ pub fn encode_records(rows: &[Record]) -> Vec<u8> {
 /// Appends the MQDL row section (`varint(count) record*`, see the module
 /// docs) to `buf`. The durable store's sealed blocks carry the same
 /// section behind their own header, so there is one row codec.
-pub fn put_rows(buf: &mut Vec<u8>, rows: &[Record]) {
+pub fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = RowRef<'a>>) {
     put_varint(buf, rows.len() as u64);
     let mut prev_id = 0u64;
     let mut prev_value = 0i64;
@@ -81,7 +113,7 @@ pub fn put_rows(buf: &mut Vec<u8>, rows: &[Record]) {
         put_varint(buf, zigzag(r.id.wrapping_sub(prev_id) as i64));
         put_varint(buf, zigzag(r.value.wrapping_sub(prev_value)));
         put_varint(buf, r.labels.len() as u64);
-        for &l in &r.labels {
+        for &l in r.labels {
             put_varint(buf, l as u64);
         }
         prev_id = r.id;

@@ -1,8 +1,27 @@
 //! The time-partitioned store: append-only segments with inverted indexes.
+//!
+//! A segment holds its rows in columns, never as a [`Record`] per row:
+//!
+//! ```text
+//! ids        : Vec<u64>   row i's external id
+//! values     : Vec<i64>   row i's value; non-decreasing, so arrival order is value order
+//! label_ends : Vec<u32>   row i's labels are labels[label_ends[i-1]..label_ends[i]]
+//! labels     : Vec<u16>   the label arena: every row's sorted, deduped labels, back to back
+//! postings   : label -> ascending row indices (the inverted index)
+//! ```
+//!
+//! A row costs 8 + 8 + 4 bytes, plus 2 per label in the arena and 4 per
+//! posting: about 32 bytes for the usual one to three labels, where a
+//! `Record` with its own label `Vec` cost about 82 once the allocator's
+//! per-block overhead is counted (DESIGN.md §12). A segment that reaches
+//! its target never changes again, so its arena and posting lists are cut
+//! to size then. [`Store::slice`] reads `values`, `ids` and the postings;
+//! [`Store::segment_rows`] lends a segment's rows as [`RowRef`]s, which is
+//! what the durable layer seals blocks and rewrites its log from.
 
 use std::collections::HashMap;
 
-use mqd_core::record::Record;
+use mqd_core::record::{Record, RowRef};
 use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
 
 /// Rows per segment before a new one is opened. Segments are partitioned by
@@ -10,37 +29,61 @@ use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
 /// and stay overflow-free for values near the `i64` extremes.
 pub const SEGMENT_TARGET_ROWS: usize = 4096;
 
-/// One bounded run of rows in arrival order, with its own inverted index.
+/// The largest segment target: a row carries at most 65 536 distinct
+/// labels, so a segment of this many rows keeps its label arena
+/// addressable by the `u32` ends.
+const MAX_SEGMENT_ROWS: usize = u16::MAX as usize;
+
+/// One bounded run of rows in arrival order, in columns (see the module
+/// docs), with its own inverted index.
+#[derive(Default)]
 struct Segment {
-    /// Rows in arrival order; values are non-decreasing within a segment.
-    rows: Vec<Record>,
-    /// label -> indices into `rows`, ascending (arrival order).
+    ids: Vec<u64>,
+    values: Vec<i64>,
+    label_ends: Vec<u32>,
+    labels: Vec<u16>,
+    /// label -> indices of the rows carrying it, ascending (arrival order).
     postings: HashMap<u16, Vec<u32>>,
-    min_value: i64,
-    max_value: i64,
 }
 
 impl Segment {
-    fn new(first: Record) -> Self {
-        let (min_value, max_value) = (first.value, first.value);
-        let mut seg = Segment {
-            rows: Vec::new(),
-            postings: HashMap::new(),
-            min_value,
-            max_value,
-        };
-        seg.push(first);
-        seg
+    fn len(&self) -> usize {
+        self.ids.len()
     }
 
-    fn push(&mut self, row: Record) {
-        let idx = self.rows.len() as u32;
-        for &l in &row.labels {
+    /// Appends a row whose labels are sorted and deduped.
+    fn push(&mut self, row: RowRef<'_>) {
+        let idx = self.ids.len() as u32;
+        for &l in row.labels {
             self.postings.entry(l).or_default().push(idx);
         }
-        self.min_value = self.min_value.min(row.value);
-        self.max_value = self.max_value.max(row.value);
-        self.rows.push(row);
+        self.ids.push(row.id);
+        self.values.push(row.value);
+        self.labels.extend_from_slice(row.labels);
+        self.label_ends.push(self.labels.len() as u32);
+    }
+
+    /// Drops the growth slack of every column and posting list: called
+    /// once, when the segment is full and so immutable.
+    fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.label_ends.shrink_to_fit();
+        self.labels.shrink_to_fit();
+        // lint:allow(nondet-iter): each list is shrunk alone; the order cannot show
+        self.postings.values_mut().for_each(Vec::shrink_to_fit);
+        self.postings.shrink_to_fit();
+    }
+
+    /// Row `i` (`i < len`), borrowed from the columns.
+    fn row(&self, i: usize) -> RowRef<'_> {
+        let start = i.checked_sub(1).map_or(0, |p| self.label_ends[p] as usize);
+        let end = self.label_ends[i] as usize;
+        RowRef {
+            id: self.ids[i],
+            value: self.values[i],
+            labels: self.labels.get(start..end).unwrap_or_default(),
+        }
     }
 }
 
@@ -113,6 +156,8 @@ pub struct Store {
     label_counts: HashMap<u16, u64>,
     generation: u64,
     last_value: Option<i64>,
+    /// Reused to normalize a row whose labels arrive unsorted or repeated.
+    scratch: Vec<u16>,
 }
 
 impl Store {
@@ -121,25 +166,38 @@ impl Store {
         Self::with_segment_target(SEGMENT_TARGET_ROWS)
     }
 
-    /// An empty store whose segments roll over after `target` rows
-    /// (test hook; serving uses [`SEGMENT_TARGET_ROWS`]).
+    /// An empty store whose segments roll over after `target` rows, clamped
+    /// to 1..=65 535 (test hook; serving uses [`SEGMENT_TARGET_ROWS`]).
     pub fn with_segment_target(target: usize) -> Self {
         Store {
             segments: Vec::new(),
-            segment_target: target.max(1),
+            segment_target: target.clamp(1, MAX_SEGMENT_ROWS),
             total_rows: 0,
             label_counts: HashMap::new(),
             generation: 0,
             last_value: None,
+            scratch: Vec::new(),
         }
     }
 
     /// Appends one row. The row's labels are normalized (sorted, deduped)
     /// on the way in; `row` numbers in errors are 1-based ingest positions.
-    pub fn append(&mut self, mut row: Record) -> Result<(), MqdError> {
+    pub fn append(&mut self, row: Record) -> Result<(), MqdError> {
+        self.append_logged(row.as_row(), |_| Ok(()))
+    }
+
+    /// [`Store::append`] with a write-ahead hook: the row is validated
+    /// against the append contract and its labels normalized, once, then
+    /// `log` sees the normalized row, and only if it succeeds does the row
+    /// enter the store. On any error the store is unchanged. The durable
+    /// layer writes its WAL frame in `log`, so an invalid row is never
+    /// logged and a row whose frame was refused is never appended.
+    pub fn append_logged(
+        &mut self,
+        row: RowRef<'_>,
+        log: impl FnOnce(RowRef<'_>) -> Result<(), MqdError>,
+    ) -> Result<(), MqdError> {
         let row_no = self.total_rows as usize + 1;
-        row.labels.sort_unstable();
-        row.labels.dedup();
         if row.labels.is_empty() {
             return Err(MqdError::EmptyLabelSet { row: row_no });
         }
@@ -152,45 +210,43 @@ impl Store {
                 });
             }
         }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let labels = if row.labels.is_sorted_by(|a, b| a < b) {
+            row.labels
+        } else {
+            scratch.clear();
+            scratch.extend_from_slice(row.labels);
+            scratch.sort_unstable();
+            scratch.dedup();
+            &scratch
+        };
+        let row = RowRef { labels, ..row };
+        let logged = log(row);
+        if logged.is_ok() {
+            self.push(row);
+        }
+        self.scratch = scratch;
+        logged
+    }
+
+    /// Adds a validated, normalized row.
+    fn push(&mut self, row: RowRef<'_>) {
         self.last_value = Some(row.value);
-        for &l in &row.labels {
+        for &l in row.labels {
             *self.label_counts.entry(l).or_insert(0) += 1;
         }
-        match self.segments.last_mut() {
-            Some(seg) if seg.rows.len() < self.segment_target => seg.push(row),
-            _ => self.segments.push(Segment::new(row)),
+        let target = self.segment_target;
+        if self.segments.last().is_none_or(|seg| seg.len() >= target) {
+            self.segments.push(Segment::default());
+        }
+        if let Some(seg) = self.segments.last_mut() {
+            seg.push(row);
+            if seg.len() == target {
+                seg.shrink_to_fit();
+            }
         }
         self.total_rows += 1;
         self.generation += 1;
-        Ok(())
-    }
-
-    /// Validates `row` against the append contract *without* mutating the
-    /// store, returning the normalized (sorted, deduped labels) record.
-    /// The durable layer uses this to reject a row before it is written to
-    /// the WAL — an invalid row must never be acked, logged, or replayed.
-    pub fn check_append(&self, row: &Record) -> Result<Record, MqdError> {
-        let row_no = self.total_rows as usize + 1;
-        let mut labels = row.labels.clone();
-        labels.sort_unstable();
-        labels.dedup();
-        if labels.is_empty() {
-            return Err(MqdError::EmptyLabelSet { row: row_no });
-        }
-        if let Some(prev) = self.last_value {
-            if row.value < prev {
-                return Err(MqdError::NonMonotoneTimestamp {
-                    row: row_no,
-                    prev,
-                    got: row.value,
-                });
-            }
-        }
-        Ok(Record {
-            id: row.id,
-            value: row.value,
-            labels,
-        })
     }
 
     /// Seeds the cumulative counters of an **empty** store before recovery
@@ -217,26 +273,29 @@ impl Store {
         if n == 0 {
             return 0;
         }
-        // lint:allow(panic-path): n is clamped to segments.len() - 1 above
-        let dropped: u64 = self.segments[..n].iter().map(|s| s.rows.len() as u64).sum();
-        self.segments.drain(..n);
+        let dropped = self.segments.drain(..n).map(|seg| seg.len() as u64).sum();
+        // A posting list holds one entry per row carrying its label.
         self.label_counts.clear();
         for seg in &self.segments {
-            for row in &seg.rows {
-                for &l in &row.labels {
-                    *self.label_counts.entry(l).or_insert(0) += 1;
-                }
+            // lint:allow(nondet-iter): per-label sums; the visiting order cannot show
+            for (&l, rows) in &seg.postings {
+                *self.label_counts.entry(l).or_insert(0) += rows.len() as u64;
             }
         }
         dropped
     }
 
     /// The rows of the `index`-th retained segment, in arrival order with
-    /// normalized labels (`None` past the newest). A segment holding
-    /// [`Store::segment_target`] rows is complete and never changes again;
-    /// the durable layer seals its blocks from these.
-    pub fn segment_rows(&self, index: usize) -> Option<&[Record]> {
-        self.segments.get(index).map(|seg| seg.rows.as_slice())
+    /// normalized labels, as [`RowRef`]s borrowed from its columns: nothing
+    /// is copied (`None` past the newest). A segment holding [`Store::segment_target`] rows is
+    /// complete and never changes again; the durable layer seals its
+    /// blocks, and rewrites its log, straight from these.
+    pub fn segment_rows(
+        &self,
+        index: usize,
+    ) -> Option<impl ExactSizeIterator<Item = RowRef<'_>> + DoubleEndedIterator + Clone> {
+        let seg = self.segments.get(index)?;
+        Some((0..seg.len()).map(|i| seg.row(i)))
     }
 
     /// Rows per segment before a new one is opened.
@@ -270,15 +329,19 @@ impl Store {
             segments: self.segments.len(),
             labels: self.label_counts.len(),
             generation: self.generation,
-            min_value: self.segments.first().map(|s| s.min_value),
-            max_value: self.segments.last().map(|s| s.max_value),
+            min_value: self
+                .segments
+                .first()
+                .and_then(|s| s.values.first().copied()),
+            max_value: self.segments.last().and_then(|s| s.values.last().copied()),
         }
     }
 
     /// Carves the `(labels, [from, to])` slice out of the store (semantics
     /// documented on [`Slice`]). Only segments whose value span intersects
     /// the range are visited. Within one, rows are in value order, so the
-    /// range is a contiguous run of row indices found by binary search, and
+    /// range is a contiguous run of row indices found by binary search over
+    /// the `values` column, and
     /// the query labels' postings restricted to that run are merged: each
     /// row comes out once, in arrival order, together with the local ids of
     /// the lists it was in. Cost: O(segments + matching rows × query
@@ -297,11 +360,15 @@ impl Store {
         // order only inside a run of tied values.
         let mut ties_in_order = true;
         for seg in &self.segments {
-            if seg.min_value > to || seg.max_value < from {
+            let (Some(&min_value), Some(&max_value)) = (seg.values.first(), seg.values.last())
+            else {
+                continue;
+            };
+            if min_value > to || max_value < from {
                 continue;
             }
-            let lo = seg.rows.partition_point(|r| r.value < from);
-            let hi = seg.rows.partition_point(|r| r.value <= to);
+            let lo = seg.values.partition_point(|&v| v < from);
+            let hi = seg.values.partition_point(|&v| v <= to);
             heads.clear();
             let mut listed = 0usize;
             for (local, global) in label_map.iter().enumerate() {
@@ -327,11 +394,11 @@ impl Store {
                         }
                     }
                 }
-                let row = &seg.rows[idx as usize];
+                let (id, value) = (seg.ids[idx as usize], seg.values[idx as usize]);
                 ties_in_order &= posts
                     .last()
-                    .is_none_or(|p| (p.value(), p.id().0) <= (row.value, row.id));
-                posts.push(Post::from_sorted_labels(PostId(row.id), row.value, &locals));
+                    .is_none_or(|p| (p.value(), p.id().0) <= (value, id));
+                posts.push(Post::from_sorted_labels(PostId(id), value, &locals));
             }
         }
         if !ties_in_order {
@@ -460,5 +527,52 @@ mod tests {
         assert!(sl.instance.is_empty());
         assert_eq!(sl.instance.num_labels(), 2);
         assert_eq!(s.stats().min_value, None);
+    }
+
+    #[test]
+    fn append_logged_logs_the_normalized_row_and_keeps_refused_rows_out() {
+        let mut s = Store::with_segment_target(2);
+        let mut logged = Vec::new();
+        s.append_logged(row(1, 10, &[3, 1, 3]).as_row(), |r| {
+            logged.push(r.labels.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(logged, [vec![1, 3]]);
+        let disk = || MqdError::Io("disk".into());
+        let refused = s.append_logged(row(2, 20, &[0]).as_row(), |_| Err(disk()));
+        assert_eq!(refused, Err(disk()));
+        assert_eq!(s.generation(), 1);
+        assert_eq!(s.last_value(), Some(10));
+        assert_eq!(s.labels(), [1, 3]);
+        let invalid = s.append_logged(row(3, 5, &[0]).as_row(), |_| panic!("logged"));
+        assert!(matches!(
+            invalid,
+            Err(MqdError::NonMonotoneTimestamp { row: 2, .. })
+        ));
+        s.append(row(2, 20, &[0])).unwrap();
+        let rows: Vec<(u64, i64, Vec<u16>)> = s
+            .segment_rows(0)
+            .unwrap()
+            .map(|r| (r.id, r.value, r.labels.to_vec()))
+            .collect();
+        assert_eq!(rows, [(1, 10, vec![1, 3]), (2, 20, vec![0])]);
+    }
+
+    #[test]
+    fn gc_recounts_labels_from_the_retained_postings() {
+        let mut s = Store::with_segment_target(2);
+        let mut retained = Store::with_segment_target(2);
+        for (i, labels) in [[5, 0], [5, 1], [1, 2], [2, 2], [3, 0]].iter().enumerate() {
+            s.append(row(i as u64, i as i64, labels)).unwrap();
+            if i >= 2 {
+                retained.append(row(i as u64, i as i64, labels)).unwrap();
+            }
+        }
+        assert_eq!(s.drop_leading_segments(1), 2);
+        assert_eq!(s.labels(), [0, 1, 2, 3], "label 5 left with its segment");
+        assert_eq!(s.label_counts, retained.label_counts);
+        assert_eq!(s.stats().labels, 4);
+        assert_eq!(s.stats().min_value, Some(2));
     }
 }

@@ -16,15 +16,18 @@
 //!
 //! ## Write path
 //!
-//! `append` validates the row against the store contract **first** (an
-//! invalid row is never logged), encodes its WAL frame into the log's
-//! buffer, then applies the row in memory. [`DurableStore::sync`] is the
-//! ack barrier: it writes the request's frames through in one write and
-//! fsyncs them, and the server calls it before answering `+OK`, so an
+//! `append` is one [`Store::append_logged`] pass: the row is validated
+//! against the store contract **first** (an invalid row is never logged)
+//! and its labels normalized once, its WAL frame is encoded from that
+//! normalized row into the log's buffer, then the row enters memory.
+//! [`DurableStore::sync`] is the ack barrier: it writes the request's
+//! frames through in one write and fsyncs them, and the server calls it
+//! before answering `+OK`, so an
 //! acked row is always replayable (and a row that was only appended is
 //! not: a kill before `sync` loses it, unacked). When a window completes,
 //! it is sealed into one block (atomic tempfile+rename, directory synced)
-//! straight from the store's own segment — memory segment *k* is disk
+//! straight from the store's own segment ([`Store::segment_rows`], a view
+//! of its columns: no row is copied) — memory segment *k* is disk
 //! window *k* — and the WAL is reset, which discards the window's
 //! still-buffered frames: a window that fills inside one request costs
 //! the block's two fsyncs and never reaches the log. A crash between seal
@@ -156,10 +159,10 @@ impl DurableStore {
     /// covers. Complete windows the crash left in the WAL are sealed
     /// before returning.
     pub fn open(dir: &Path, opts: &DurableOptions) -> Result<Self, MqdError> {
-        let window = opts.segment_rows.max(1) as u64;
         fsio::ensure_dir(dir)?;
         let lock = fsio::lock_dir(dir)?;
-        let mut store = Store::with_segment_target(window as usize);
+        let mut store = Store::with_segment_target(opts.segment_rows);
+        let window = store.segment_target() as u64;
 
         let mut paths: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -292,12 +295,14 @@ impl DurableStore {
     /// ingest request, before acking. After a failed log write every call
     /// returns [`MqdError::Io`] and appends nothing.
     pub fn append(&mut self, row: &Record) -> Result<(), MqdError> {
-        let normalized = self.store.check_append(row)?;
-        if let Some(disk) = self.disk.as_mut() {
-            disk.wal.append(disk.next_seq, &normalized)?;
-            disk.next_seq += 1;
-        }
-        self.store.append(normalized)?;
+        let disk = &mut self.disk;
+        self.store.append_logged(row.as_row(), |normalized| {
+            if let Some(disk) = disk.as_mut() {
+                disk.wal.append(disk.next_seq, normalized)?;
+                disk.next_seq += 1;
+            }
+            Ok(())
+        })?;
         if self
             .disk
             .as_ref()
@@ -331,19 +336,16 @@ impl DurableStore {
             return Ok(());
         };
         let mut shrink = stale_frames;
-        let full_window = |rows: &&[Record]| rows.len() as u64 == disk.window;
         while let Some(rows) = self
             .store
             .segment_rows(disk.blocks.len())
-            .filter(full_window)
+            .filter(|rows| rows.len() as u64 == disk.window)
         {
             let first_seq = disk.sealed_seq;
             let path = disk.dir.join(format!("seg-{first_seq:016}.mqds"));
+            let max_value = rows.clone().next_back().map_or(0, |r| r.value);
             fsio::write_atomic(&path, &encode_segment(first_seq, rows), disk.fsync)?;
-            disk.blocks.push(BlockMeta {
-                max_value: rows.last().map_or(0, |r| r.value),
-                path,
-            });
+            disk.blocks.push(BlockMeta { max_value, path });
             disk.sealed_seq += disk.window;
             self.segments_flushed += 1;
             shrink = true;

@@ -13,7 +13,7 @@
 //! block that passes its checksum still cannot smuggle an unsorted label
 //! list or a backwards value into the store.
 
-use mqd_core::record::{get_rows, put_rows, Record};
+use mqd_core::record::{get_rows, put_rows, Record, RowRef};
 use mqd_core::wire::{check_framed, put_varint, seal_framed, Cursor};
 use mqd_core::MqdError;
 
@@ -38,13 +38,18 @@ pub struct SegmentFile {
 
 /// Encodes `rows` (which must be non-empty, label-normalized, and
 /// value-monotone — the durable layer only seals rows the store already
-/// accepted) into a sealed block.
-pub fn encode_segment(first_seq: u64, rows: &[Record]) -> Vec<u8> {
+/// accepted) into a sealed block. The rows are borrowed ([`RowRef`]s, e.g.
+/// a store segment's view) or owned (`&[Record]`); the bytes are the same.
+pub fn encode_segment<'a, I>(first_seq: u64, rows: I) -> Vec<u8>
+where
+    I: IntoIterator<Item: Into<RowRef<'a>>, IntoIter: ExactSizeIterator>,
+{
+    let rows = rows.into_iter();
     let mut buf = Vec::with_capacity(32 + rows.len() * 8);
     buf.extend_from_slice(&MAGIC);
     put_varint(&mut buf, VERSION);
     put_varint(&mut buf, first_seq);
-    put_rows(&mut buf, rows);
+    put_rows(&mut buf, rows.map(Into::into));
     seal_framed(&mut buf, &FOOTER);
     buf
 }

@@ -44,7 +44,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use mqd_core::record::Record;
+use mqd_core::record::{Record, RowRef};
 use mqd_core::wire::{fnv1a, put_varint, zigzag, Cursor};
 use mqd_core::MqdError;
 
@@ -197,9 +197,9 @@ impl Wal {
 
     /// Appends one frame to the buffer — not in the file, let alone
     /// durable, until [`Wal::sync`].
-    pub fn append(&mut self, seq: u64, row: &Record) -> Result<(), MqdError> {
+    pub fn append<'a>(&mut self, seq: u64, row: impl Into<RowRef<'a>>) -> Result<(), MqdError> {
         self.mutate(|wal| {
-            put_frame(&mut wal.buf, seq, row);
+            put_frame(&mut wal.buf, seq, row.into());
             Ok(())
         })
     }
@@ -223,14 +223,19 @@ impl Wal {
     /// loses acked rows. Used when the log must shrink to a *non-empty*
     /// suffix (recovery finds frames a block already covers, or complete
     /// windows, ahead of an unfinished tail); a shrink to empty can use the
-    /// cheaper [`Wal::reset`] because no unsealed acked row remains.
-    pub fn rewrite(&mut self, first_seq: u64, rows: &[Record]) -> Result<(), MqdError> {
+    /// cheaper [`Wal::reset`] because no unsealed acked row remains. The
+    /// rows are borrowed ([`RowRef`]s, e.g. a store segment's view) or owned.
+    pub fn rewrite<'a, I>(&mut self, first_seq: u64, rows: I) -> Result<(), MqdError>
+    where
+        I: IntoIterator<Item: Into<RowRef<'a>>, IntoIter: ExactSizeIterator>,
+    {
+        let rows = rows.into_iter();
         self.mutate(|wal| {
             let mut image = Vec::with_capacity(HEADER_LEN as usize + 32 * rows.len());
             image.extend_from_slice(&MAGIC);
             image.push(VERSION);
-            for (i, row) in rows.iter().enumerate() {
-                put_frame(&mut image, first_seq + i as u64, row);
+            for (i, row) in rows.enumerate() {
+                put_frame(&mut image, first_seq + i as u64, row.into());
             }
             fsio::write_atomic(&wal.path, &image, wal.fsync)?;
             // The old handle points at the replaced inode; reopen the new
@@ -305,7 +310,7 @@ fn varint_len(v: u64) -> usize {
 /// Encodes one frame (length-prefixed checksummed body) onto `buf`. The
 /// body's length is computed ahead of the body, so the prefix, the body
 /// and the checksum all go straight onto `buf`.
-fn put_frame(buf: &mut Vec<u8>, seq: u64, row: &Record) {
+fn put_frame(buf: &mut Vec<u8>, seq: u64, row: RowRef<'_>) {
     let labels = row.labels.iter().map(|&l| varint_len(l as u64));
     let body_len = varint_len(seq)
         + varint_len(row.id)
@@ -319,7 +324,7 @@ fn put_frame(buf: &mut Vec<u8>, seq: u64, row: &Record) {
     put_varint(buf, row.id);
     put_varint(buf, zigzag(row.value));
     put_varint(buf, row.labels.len() as u64);
-    for &l in &row.labels {
+    for &l in row.labels {
         put_varint(buf, l as u64);
     }
     let body = buf.get(body_at..).unwrap_or_default();
@@ -580,7 +585,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut want = Vec::new();
         for (seq, r) in &cases {
-            put_frame(&mut buf, *seq, r);
+            put_frame(&mut buf, *seq, r.as_row());
             want.extend_from_slice(&reference_frame(*seq, r));
             assert_eq!(buf, want, "seq {seq}");
         }
