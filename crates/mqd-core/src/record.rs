@@ -3,14 +3,20 @@
 //! A [`Record`] is the external representation of one labeled post —
 //! `(id, value, labels)` — before it becomes an [`crate::Instance`] post.
 //! [`RowRef`] is the same row borrowed: [`put_rows`] reads rows through
-//! it, so the store's columnar segments are encoded in place.
+//! it, so the store's columnar segments are encoded in place. [`Rows`] is
+//! a batch of rows in columns — a store segment's row columns, and what
+//! every bulk path decodes into: an `INGESTB` body on the server and the
+//! router, a sealed block on recovery. One decode loop serves both
+//! [`Rows`] and the `Vec<Record>` of [`decode_records`]; it is generic over
+//! where a decoded row goes, so neither converts into the other.
 //! Historically the TSV row format and the MQDL binary-log framing lived in
 //! the CLI crate while the server and store grew their own copies; this
 //! module is now the **single** implementation of both encodings, so an
 //! `INGEST` batch on the wire, a CLI binlog and an on-disk store segment can
 //! never drift apart:
 //!
-//! * **MQDL binary log** ([`encode_records`] / [`decode_records`]):
+//! * **MQDL binary log** ([`encode_records`] / [`decode_records`], and
+//!   [`encode_rows`] / [`decode_rows`] for a [`Rows`] batch):
 //!
 //!   ```text
 //!   header : b"MQDL" + version(u8)
@@ -92,12 +98,131 @@ impl<'a> From<&'a Record> for RowRef<'a> {
     }
 }
 
+/// A batch of rows in columns, never a [`Record`] per row:
+///
+/// ```text
+/// ids        : Vec<u64>   row i's external id
+/// values     : Vec<i64>   row i's value
+/// label_ends : Vec<u32>   row i's labels are labels[label_ends[i-1]..label_ends[i]]
+/// labels     : Vec<u16>   the label arena: every row's labels, back to back
+/// ```
+///
+/// Rows keep their labels as given (the store normalizes on append). The
+/// arena is addressed by `u32` ends, so a batch holds at most `u32::MAX`
+/// labels in all: a store segment is bounded far below that, and a
+/// decoded batch cannot exceed it (a label takes a byte of a section
+/// checked to be smaller).
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct Rows {
+    ids: Vec<u64>,
+    values: Vec<i64>,
+    label_ends: Vec<u32>,
+    labels: Vec<u16>,
+}
+
+impl Rows {
+    /// No rows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// No rows, with room for `rows` rows carrying `labels` labels in all.
+    pub fn with_capacity(rows: usize, labels: usize) -> Self {
+        Rows {
+            ids: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows),
+            label_ends: Vec::with_capacity(rows),
+            labels: Vec::with_capacity(labels),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Appends a row, copying its labels into the arena.
+    pub fn push(&mut self, row: RowRef<'_>) {
+        self.ids.push(row.id);
+        self.values.push(row.value);
+        self.labels.extend_from_slice(row.labels);
+        self.end_row();
+    }
+
+    /// Closes the row whose labels were appended to the arena last.
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.labels.len()).expect("a batch holds at most u32::MAX labels");
+        self.label_ends.push(end);
+    }
+
+    /// Row `i`, borrowed from the columns. Panics when `i >= len`.
+    pub fn get(&self, i: usize) -> RowRef<'_> {
+        let start = i.checked_sub(1).map_or(0, |p| self.label_ends[p] as usize);
+        let end = self.label_ends[i] as usize;
+        RowRef {
+            id: self.ids[i],
+            value: self.values[i],
+            labels: self.labels.get(start..end).unwrap_or_default(),
+        }
+    }
+
+    /// The rows in order, borrowed.
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = RowRef<'_>> + DoubleEndedIterator + Clone + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The id column.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// The value column.
+    pub fn values(&self) -> &[i64] {
+        &self.values
+    }
+
+    /// Drops the growth slack of every column.
+    pub fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.label_ends.shrink_to_fit();
+        self.labels.shrink_to_fit();
+    }
+}
+
+impl<'a, R: Into<RowRef<'a>>> FromIterator<R> for Rows {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Self {
+        let mut out = Rows::new();
+        for r in rows {
+            out.push(r.into());
+        }
+        out
+    }
+}
+
 /// Serializes records into the MQDL binary-log format.
 pub fn encode_records(rows: &[Record]) -> Vec<u8> {
+    encode_log(rows.iter().map(Record::as_row))
+}
+
+/// Serializes a [`Rows`] batch into the MQDL binary-log format: the bytes
+/// [`encode_records`] writes for the same rows.
+pub fn encode_rows(rows: &Rows) -> Vec<u8> {
+    encode_log(rows.iter())
+}
+
+fn encode_log<'a>(rows: impl ExactSizeIterator<Item = RowRef<'a>>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + rows.len() * 8);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
-    put_rows(&mut buf, rows.iter().map(Record::as_row));
+    put_rows(&mut buf, rows);
     seal_framed(&mut buf, FOOTER);
     buf
 }
@@ -125,6 +250,19 @@ pub fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = RowRe
 /// Every failure is an [`MqdError::Corrupt`] naming the byte offset
 /// (offset 0 for whole-file checks such as the checksum).
 pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
+    decode_log(data, usize::MAX)
+}
+
+/// [`decode_records`] into a [`Rows`] batch, one allocation per column.
+/// A section announcing more than `max_rows` rows is refused from its
+/// header, before anything is reserved for it, with a
+/// [`MqdError::Protocol`] error `batch of N rows exceeds limit M`; a count
+/// the bytes cannot hold is [`MqdError::Corrupt`] first, as always.
+pub fn decode_rows(data: &[u8], max_rows: usize) -> Result<Rows, MqdError> {
+    decode_log(data, max_rows)
+}
+
+fn decode_log<S: RowSink>(data: &[u8], max_rows: usize) -> Result<S, MqdError> {
     let body = check_framed(data, FOOTER, MAGIC.len() + 1)?;
 
     let mut buf = Cursor::new(body);
@@ -142,22 +280,103 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
             reason: format!("unsupported version {version}"),
         });
     }
-    let rows = get_rows(&mut buf)?;
+    let rows = read_rows(&mut buf, max_rows)?;
     if buf.has_remaining() {
         return Err(buf.corrupt("trailing bytes after last record"));
     }
     Ok(rows)
 }
 
-/// Reads one MQDL row section (the inverse of [`put_rows`]) at the cursor.
-/// Counts are checked against the bytes left before anything is allocated
-/// for them.
-pub fn get_rows(buf: &mut Cursor) -> Result<Vec<Record>, MqdError> {
+/// Reads one MQDL row section (the inverse of [`put_rows`]) at the cursor
+/// into a [`Rows`] batch. Counts are checked against the bytes left
+/// before anything is allocated for them.
+pub fn get_rows(buf: &mut Cursor) -> Result<Rows, MqdError> {
+    read_rows(buf, usize::MAX)
+}
+
+/// Where the decode loop puts a row.
+trait RowSink: Sized {
+    /// Most labels one section may carry into this sink.
+    const MAX_LABELS: usize;
+    /// An empty sink for `rows` rows carrying at most `labels` labels in
+    /// all.
+    fn for_section(rows: usize, labels: usize) -> Self;
+    /// Appends row `(id, value)`, whose `n` labels `decode` appends to the
+    /// buffer it is given.
+    fn push_with(
+        &mut self,
+        id: u64,
+        value: i64,
+        n: usize,
+        decode: impl FnOnce(&mut Vec<u16>) -> Result<(), MqdError>,
+    ) -> Result<(), MqdError>;
+}
+
+impl RowSink for Rows {
+    const MAX_LABELS: usize = u32::MAX as usize;
+
+    fn for_section(rows: usize, labels: usize) -> Self {
+        Rows::with_capacity(rows, labels)
+    }
+
+    /// The labels are decoded into the arena itself, reserved already.
+    fn push_with(
+        &mut self,
+        id: u64,
+        value: i64,
+        _n: usize,
+        decode: impl FnOnce(&mut Vec<u16>) -> Result<(), MqdError>,
+    ) -> Result<(), MqdError> {
+        decode(&mut self.labels)?;
+        self.ids.push(id);
+        self.values.push(value);
+        self.end_row();
+        Ok(())
+    }
+}
+
+/// The `Vec<Record>` of [`decode_records`]: a row's labels are decoded into
+/// a `Vec` of their exact size, which its `Record` keeps.
+impl RowSink for Vec<Record> {
+    const MAX_LABELS: usize = usize::MAX;
+
+    fn for_section(rows: usize, _labels: usize) -> Self {
+        Vec::with_capacity(rows)
+    }
+
+    fn push_with(
+        &mut self,
+        id: u64,
+        value: i64,
+        n: usize,
+        decode: impl FnOnce(&mut Vec<u16>) -> Result<(), MqdError>,
+    ) -> Result<(), MqdError> {
+        let mut labels = Vec::with_capacity(n);
+        decode(&mut labels)?;
+        self.push(Record { id, value, labels });
+        Ok(())
+    }
+}
+
+/// The one MQDL row-section decode loop, handing each row to a sink of
+/// type `S` and returning it filled.
+fn read_rows<S: RowSink>(buf: &mut Cursor, max_rows: usize) -> Result<S, MqdError> {
     let count = buf.get_varint()?;
     // Each record encodes at least 3 bytes (id + value + label count), so
     // this also rejects a hostile count before allocating for it.
     let count = buf.plausible_len(count, 3, "record")?;
-    let mut rows = Vec::with_capacity(count);
+    if count > max_rows {
+        return Err(MqdError::protocol(format!(
+            "batch of {count} rows exceeds limit {max_rows}"
+        )));
+    }
+    // Past those 3 bytes a row spends one more per label, which bounds
+    // the labels of the whole section.
+    let max_labels = buf.remaining().saturating_sub(count.saturating_mul(3));
+    if max_labels > S::MAX_LABELS {
+        return Err(buf.corrupt("row section too large for one batch"));
+    }
+    let mut sink = S::for_section(count, max_labels);
     let mut prev_id = 0u64;
     let mut prev_value = 0i64;
     for _ in 0..count {
@@ -168,19 +387,20 @@ pub fn get_rows(buf: &mut Cursor) -> Result<Vec<Record>, MqdError> {
             return Err(buf.corrupt("label count out of range"));
         }
         let n_labels = buf.plausible_len(n_labels, 1, "label")?;
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            let l = buf.get_varint()?;
-            if l > u16::MAX as u64 {
-                return Err(buf.corrupt("label id out of range"));
+        sink.push_with(id, value, n_labels, |labels| {
+            for _ in 0..n_labels {
+                let l = buf.get_varint()?;
+                if l > u16::MAX as u64 {
+                    return Err(buf.corrupt("label id out of range"));
+                }
+                labels.push(l as u16);
             }
-            labels.push(l as u16);
-        }
-        rows.push(Record { id, value, labels });
+            Ok(())
+        })?;
         prev_id = id;
         prev_value = value;
     }
-    Ok(rows)
+    Ok(sink)
 }
 
 /// Writes records to a writer in binary-log format.
@@ -462,6 +682,83 @@ mod tests {
             },
         ];
         assert_eq!(decode_records(&encode_records(&rows)).unwrap(), rows);
+    }
+
+    #[test]
+    fn rows_hold_the_records_in_columns() {
+        let records = sample();
+        let rows: Rows = records.iter().collect();
+        assert_eq!(rows.len(), 3);
+        assert!(!rows.is_empty() && Rows::new().is_empty());
+        assert_eq!(rows.ids(), [10, 11, 15]);
+        assert_eq!(rows.values(), [1_000, 1_050, 980]);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(rows.get(i), r.as_row());
+        }
+        assert!(rows.iter().eq(records.iter().map(Record::as_row)));
+        assert!(rows
+            .iter()
+            .rev()
+            .eq(records.iter().rev().map(Record::as_row)));
+        let mut it = rows.iter();
+        assert_eq!(
+            (it.next(), it.next_back()),
+            (Some(rows.get(0)), Some(rows.get(2)))
+        );
+        assert_eq!(
+            (it.len(), it.next(), it.next()),
+            (1, Some(rows.get(1)), None)
+        );
+        assert_eq!(encode_rows(&rows), encode_records(&records));
+        let mut sized = Rows::with_capacity(3, 3);
+        records.iter().for_each(|r| sized.push(r.as_row()));
+        sized.shrink_to_fit();
+        assert_eq!(sized, rows);
+    }
+
+    #[test]
+    fn decode_rows_is_decode_records_in_columns() {
+        let mut rng = StdRng::seed_from_u64(0xc01);
+        for case in 0..200 {
+            let mut records = random_cover(&mut rng, [0, 1, 5, 80][case % 4]);
+            // Repeated and unsorted labels are kept as given.
+            if let Some(r) = records.first_mut() {
+                r.labels.extend([7, 3, 7]);
+            }
+            let data = encode_records(&records);
+            let rows = decode_rows(&data, usize::MAX).unwrap();
+            assert!(
+                rows.iter().eq(records.iter().map(Record::as_row)),
+                "case {case}"
+            );
+            assert_eq!(decode_records(&data).unwrap(), records);
+            let mut bad = data.clone();
+            let at = rng.random_range(0..bad.len());
+            bad[at] ^= 0x10;
+            match (decode_rows(&bad, usize::MAX), decode_records(&bad)) {
+                (Ok(rows), Ok(recs)) => assert!(rows.iter().eq(recs.iter().map(Record::as_row))),
+                (Err(a), Err(b)) => assert_eq!(a, b, "case {case}"),
+                (a, b) => panic!("case {case}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rows_refuses_a_batch_over_its_row_limit_from_the_header() {
+        let data = encode_records(&sample());
+        assert_eq!(decode_rows(&data, 3).unwrap().len(), 3);
+        assert_eq!(
+            decode_rows(&data, 2).unwrap_err(),
+            MqdError::protocol("batch of 3 rows exceeds limit 2")
+        );
+        // A count the bytes cannot hold stays a corruption, limit or not.
+        let mut body = data[..MAGIC.len() + 1].to_vec();
+        put_varint(&mut body, 1 << 40);
+        seal_framed(&mut body, FOOTER);
+        assert!(matches!(
+            decode_rows(&body, 2).unwrap_err(),
+            MqdError::Corrupt { .. }
+        ));
     }
 
     #[test]

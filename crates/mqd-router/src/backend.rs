@@ -15,8 +15,7 @@
 //! the next use — which is exactly the failover path the chaos tests
 //! exercise by killing backends mid-stream.
 
-use std::collections::BTreeSet;
-
+use mqd_core::record::Rows;
 use mqd_core::wire::{shard_of_label, ShardIdentity, MAX_SHARD_COUNT};
 use mqd_core::MqdError;
 use mqd_server::{Client, Response};
@@ -85,11 +84,50 @@ impl Topology {
 
     /// The sorted set of shards owning at least one of `labels`.
     pub fn owning_shards(&self, labels: &[u16]) -> Vec<u32> {
-        let set: BTreeSet<u32> = labels
+        let mut shards = Vec::new();
+        for_each_shard(self.shard_mask(labels), |s| shards.push(s as u32));
+        shards
+    }
+
+    /// The shards owning at least one of `labels`, as a bitmask: bit `s`
+    /// for shard `s` (the shard count is at most [`MAX_SHARD_COUNT`] = 64).
+    fn shard_mask(&self, labels: &[u16]) -> u64 {
+        labels.iter().fold(0, |mask, &l| {
+            mask | 1 << shard_of_label(l, self.shard_count)
+        })
+    }
+
+    /// Splits an ingest batch into one batch per shard: every row goes, in
+    /// order, to each shard owning one of its labels, and to none when it
+    /// has no label. Two passes over a shard bitmask per row: the first
+    /// sizes each shard's batch exactly, the second copies the rows in,
+    /// so a split allocates per shard, not per row.
+    pub fn split(&self, rows: &Rows) -> Vec<Rows> {
+        let masks: Vec<u64> = rows.iter().map(|r| self.shard_mask(r.labels)).collect();
+        // Per shard: (rows, labels).
+        let mut sizes = vec![(0usize, 0usize); self.shard_count as usize];
+        for (row, &mask) in rows.iter().zip(&masks) {
+            for_each_shard(mask, |s| {
+                sizes[s].0 += 1;
+                sizes[s].1 += row.labels.len();
+            });
+        }
+        let mut parts: Vec<Rows> = sizes
             .iter()
-            .map(|&l| shard_of_label(l, self.shard_count))
+            .map(|&(rows, labels)| Rows::with_capacity(rows, labels))
             .collect();
-        set.into_iter().collect()
+        for (row, &mask) in rows.iter().zip(&masks) {
+            for_each_shard(mask, |s| parts[s].push(row));
+        }
+        parts
+    }
+}
+
+/// Calls `f` with each set bit of `mask`, ascending.
+fn for_each_shard(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use mqd_core::record::Record;
+use mqd_core::record::{encode_rows, Rows};
 use mqd_core::MqdError;
 use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
@@ -68,23 +68,45 @@ impl Default for RouterConfig {
 /// watermark.
 struct Ledger {
     rows: u64,
-    labels: BTreeSet<u16>,
+    /// Bit `l % 64` of word `l / 64` is set once a routed row carried
+    /// label `l`: the label set without a tree insert per label.
+    labels: Vec<u64>,
     min_value: Option<i64>,
     max_value: Option<i64>,
     watermarks: Vec<u64>,
 }
 
 impl Ledger {
-    fn apply(&mut self, rows: &[Record], per_shard: &[u64]) {
+    fn new(shard_count: usize) -> Self {
+        Ledger {
+            rows: 0,
+            labels: vec![0; (u16::MAX as usize + 1) / 64],
+            min_value: None,
+            max_value: None,
+            watermarks: vec![0; shard_count],
+        }
+    }
+
+    fn apply(&mut self, rows: &Rows, per_shard: &[u64]) {
         self.rows += rows.len() as u64;
-        for row in rows {
-            self.labels.extend(row.labels.iter().copied());
-            self.min_value = Some(self.min_value.map_or(row.value, |m| m.min(row.value)));
-            self.max_value = Some(self.max_value.map_or(row.value, |m| m.max(row.value)));
+        for row in rows.iter() {
+            for &l in row.labels {
+                self.labels[l as usize / 64] |= 1 << (l % 64);
+            }
+        }
+        let values = rows.values().iter().copied();
+        if let (Some(lo), Some(hi)) = (values.clone().min(), values.max()) {
+            self.min_value = Some(self.min_value.map_or(lo, |m| m.min(lo)));
+            self.max_value = Some(self.max_value.map_or(hi, |m| m.max(hi)));
         }
         for (w, add) in self.watermarks.iter_mut().zip(per_shard) {
             *w += add;
         }
+    }
+
+    /// Distinct labels routed so far.
+    fn label_count(&self) -> usize {
+        self.labels.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -118,13 +140,7 @@ impl Router {
             engine,
             state: RouterState {
                 topo,
-                ledger: Mutex::new(Ledger {
-                    rows: 0,
-                    labels: BTreeSet::new(),
-                    min_value: None,
-                    max_value: None,
-                    watermarks: vec![0; shard_count],
-                }),
+                ledger: Mutex::new(Ledger::new(shard_count)),
             },
         })
     }
@@ -172,7 +188,7 @@ impl Handler for RouterState {
         match req {
             Request::Stats => write_ok(w, &cluster_stats(self, engine, pool)?, &[])?,
             Request::Ingest(row) => {
-                route_ingest(self, counters, pool, std::slice::from_ref(row), w)?
+                route_ingest(self, counters, pool, &std::iter::once(row).collect(), w)?
             }
             Request::IngestBatch { .. } => {
                 route_ingest(self, counters, pool, &decode_batch(body)?, w)?
@@ -213,26 +229,22 @@ impl Handler for RouterState {
 /// Fans `rows` to every replica of every owning shard (order preserved —
 /// each backend sees the monotone subsequence of the feed its labels
 /// select) and answers with the single-node ingest acknowledgement shape,
-/// `generation` being the router's global row count.
+/// `generation` being the router's global row count. A shard's part is
+/// encoded once, for all its replicas.
 fn route_ingest(
     state: &RouterState,
     counters: &Counters,
     pool: &mut BackendPool,
-    rows: &[Record],
+    rows: &Rows,
     w: &mut impl Write,
 ) -> Result<(), Fail> {
-    let shard_count = state.topo.shard_count() as usize;
-    let mut per_shard: Vec<Vec<Record>> = vec![Vec::new(); shard_count];
-    for row in rows {
-        for shard in state.topo.owning_shards(&row.labels) {
-            per_shard[shard as usize].push(row.clone());
-        }
-    }
+    let per_shard = state.topo.split(rows);
     for (shard, part) in per_shard.iter().enumerate() {
         if part.is_empty() {
             continue;
         }
-        let resp = pool.fan_write(shard as u32, &mut |c| c.ingest_batch(part))?;
+        let body = encode_rows(part);
+        let resp = pool.fan_write(shard as u32, &mut |c| c.ingest_body(&body))?;
         if !resp.is_ok() {
             // A typed backend rejection (non-monotone row, …): relay it
             // verbatim. Shards already written keep their prefix — the
@@ -545,7 +557,7 @@ fn cluster_stats(
         let ledger = lock_ledger(state)?;
         (
             ledger.rows,
-            ledger.labels.len(),
+            ledger.label_count(),
             ledger.min_value,
             ledger.max_value,
             ledger.watermarks.clone(),
@@ -781,6 +793,53 @@ mod tests {
         assert!(c.request("DRAIN").unwrap().is_ok());
         h1.join().unwrap();
         hr.join().unwrap();
+    }
+
+    #[test]
+    fn the_ledger_counts_what_a_label_set_counted() {
+        // The reference: the `BTreeSet` and per-row min/max the ledger
+        // kept before it read batches in columns.
+        let mut seed = 0x1ed9e4u64;
+        let mut below = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for shards in 1..=8u32 {
+            let topo = Topology::new((0..shards).map(|s| s.to_string()).collect(), shards).unwrap();
+            let mut ledger = Ledger::new(shards as usize);
+            let (mut rows, mut labels) = (0u64, BTreeSet::new());
+            let (mut min, mut max) = (None::<i64>, None::<i64>);
+            let mut marks = vec![0u64; shards as usize];
+            for _ in 0..20 {
+                let records: Vec<mqd_core::record::Record> = (0..below(30))
+                    .map(|_| mqd_core::record::Record {
+                        id: below(1000),
+                        value: [i64::MIN, i64::MAX, below(100) as i64 - 50][below(3) as usize],
+                        labels: (0..below(4))
+                            .map(|_| [0, u16::MAX, below(70) as u16][below(3) as usize])
+                            .collect(),
+                    })
+                    .collect();
+                let batch: Rows = records.iter().collect();
+                let per_shard: Vec<u64> = (topo.split(&batch).iter())
+                    .map(|p| p.len() as u64)
+                    .collect();
+                ledger.apply(&batch, &per_shard);
+                rows += batch.len() as u64;
+                for row in batch.iter() {
+                    labels.extend(row.labels.iter().copied());
+                    min = Some(min.map_or(row.value, |m| m.min(row.value)));
+                    max = Some(max.map_or(row.value, |m| m.max(row.value)));
+                }
+                marks.iter_mut().zip(&per_shard).for_each(|(m, n)| *m += n);
+                assert_eq!(ledger.rows, rows);
+                assert_eq!(ledger.label_count(), labels.len());
+                assert_eq!((ledger.min_value, ledger.max_value), (min, max));
+                assert_eq!(ledger.watermarks, marks);
+            }
+        }
     }
 
     #[test]

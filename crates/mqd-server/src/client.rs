@@ -142,9 +142,13 @@ impl Client {
 
     /// Ingests a batch of rows as one MQDL-framed `INGESTB` request.
     pub fn ingest_batch(&mut self, rows: &[Record]) -> Result<Response, MqdError> {
-        let body = encode_records(rows);
+        self.ingest_body(&encode_records(rows))
+    }
+
+    /// Sends an already-encoded MQDL body as one `INGESTB` request.
+    pub fn ingest_body(&mut self, body: &[u8]) -> Result<Response, MqdError> {
         writeln!(self.writer, "INGESTB {}", body.len())?;
-        self.writer.write_all(&body)?;
+        self.writer.write_all(body)?;
         self.writer.flush()?;
         self.read_response()
     }

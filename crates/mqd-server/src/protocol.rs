@@ -30,7 +30,7 @@
 
 use std::io::Write;
 
-use mqd_core::record::{decode_records, Record, TsvRows};
+use mqd_core::record::{decode_rows, Record, Rows, TsvRows};
 use mqd_core::MqdError;
 use mqd_store::{Algorithm, QuerySpec};
 use mqd_stream::ShardEngineKind;
@@ -379,16 +379,11 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
     }
 }
 
-/// Decodes an `INGESTB` body and enforces the [`MAX_BATCH_ROWS`] limit.
-pub fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
-    let rows = decode_records(body)?;
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(MqdError::protocol(format!(
-            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-            rows.len()
-        )));
-    }
-    Ok(rows)
+/// Decodes a whole `INGESTB` body into columns, or fails with nothing
+/// decoded. The [`MAX_BATCH_ROWS`] limit is checked on the body's row
+/// count, before anything is reserved for the rows.
+pub fn decode_batch(body: &[u8]) -> Result<Rows, MqdError> {
+    decode_rows(body, MAX_BATCH_ROWS)
 }
 
 /// The wire name of an error: its [`MqdError`] variant name.

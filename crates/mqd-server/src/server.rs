@@ -10,7 +10,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use mqd_core::record::{Record, TsvRows};
+use mqd_core::record::{RowRef, TsvRows};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
@@ -293,11 +293,14 @@ impl Handler for State {
         match req {
             Request::Stats => write_ok(w, &stats_json(self, engine)?, &[])?,
             Request::Ingest(row) => {
-                let (n, generation) = ingest_rows(self, counters, std::slice::from_ref(row))?;
+                let (n, generation) = ingest_rows(self, counters, std::iter::once(row.as_row()))?;
                 write_ingested(w, n, generation)?;
             }
             Request::IngestBatch { .. } => {
-                let (n, generation) = ingest_rows(self, counters, &decode_batch(body)?)?;
+                // The whole body is decoded before a row is appended, so a
+                // corrupt body appends nothing.
+                let rows = decode_batch(body)?;
+                let (n, generation) = ingest_rows(self, counters, rows.iter())?;
                 write_ingested(w, n, generation)?;
             }
             Request::Query(spec) => {
@@ -456,7 +459,10 @@ fn hello(state: &State, body: &[u8]) -> Result<String, MqdError> {
 /// this shard owns — anything else is a router bug (or a client bypassing
 /// the router), and accepting it would silently break the cluster/single-
 /// node byte identity.
-fn check_row_ownership(shard: &ShardIdentity, rows: &[Record]) -> Result<(), MqdError> {
+fn check_row_ownership<'a>(
+    shard: &ShardIdentity,
+    rows: impl IntoIterator<Item = RowRef<'a>>,
+) -> Result<(), MqdError> {
     for row in rows {
         if !row
             .labels
@@ -478,22 +484,24 @@ fn check_row_ownership(shard: &ShardIdentity, rows: &[Record]) -> Result<(), Mqd
 /// revalidated, or dirtied). Newly-dirty specs go to the refresher after
 /// the locks drop. On a mid-batch append failure the valid prefix stays
 /// (stream-prefix semantics) and is still sealed before the error returns.
-fn ingest_rows(
+/// The rows are borrowed ([`RowRef`]s of a decoded batch): each is
+/// appended, logged and folded into the cache from there.
+fn ingest_rows<'a>(
     state: &State,
     counters: &Counters,
-    rows: &[Record],
+    rows: impl ExactSizeIterator<Item = RowRef<'a>> + Clone,
 ) -> Result<(usize, u64), MqdError> {
     // Whole-batch ownership check up front: a misrouted row fails before
     // anything is WAL-logged, so the batch is all-or-nothing with respect
     // to routing mistakes.
     if let Some(shard) = &state.shard {
-        check_row_ownership(shard, rows)?;
+        check_row_ownership(shard, rows.clone())?;
     }
     let mut appended = 0usize;
     let (failure, generation, to_refresh) = {
         let mut store = write_or_poisoned(&state.store)?;
         let mut failure = None;
-        for row in rows {
+        for row in rows.clone() {
             // WAL-first: the row is validated, logged, then applied in
             // memory; an invalid row fails before it is ever logged.
             match store.append(row) {
@@ -516,7 +524,7 @@ fn ingest_rows(
         let generation = store.generation();
         let (to_refresh, cache_floor) = match lock_or_poisoned(&state.cache, "cache") {
             Ok(mut cache) => (
-                cache.apply_delta(rows.get(..appended).unwrap_or(&[]), generation),
+                cache.apply_delta(rows.take(appended), generation),
                 // Smallest value any live cached cover may still touch on
                 // repair/refresh: its slice start, widened by its λ.
                 cache
@@ -829,6 +837,7 @@ fn subscribe(
 mod tests {
     use super::*;
     use crate::client::{json_u64, Client};
+    use mqd_core::record::Record;
     use std::net::TcpStream;
 
     fn start(threads: usize, max_queue: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {

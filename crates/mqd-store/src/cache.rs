@@ -53,11 +53,10 @@
 //! contract. Staleness is always sound: an entry's records are exact at
 //! its watermark generation no matter what, because appends never retract.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mqd_core::record::{Record, TsvRows};
+use mqd_core::record::{Record, RowRef, TsvRows};
 use mqd_stream::CoverRepair;
 
 use crate::query::QuerySpec;
@@ -334,37 +333,30 @@ impl CoverCache {
     /// order) at `new_generation`. Every entry is either revalidated
     /// (footprint miss), repaired in place (fixed-lambda Scan, within the
     /// debt bound), or marked dirty. Returns the specs newly needing a
-    /// background re-solve; the caller owns scheduling them.
-    pub fn apply_delta(&mut self, rows: &[Record], new_generation: u64) -> Vec<QuerySpec> {
+    /// background re-solve; the caller owns scheduling them. The rows are
+    /// read as [`RowRef`]s: a prefix of a decoded batch, or `&[Record]`.
+    /// Their labels need not be normalized: the footprint test and the
+    /// repair fold read them as a set.
+    pub fn apply_delta<'a, I>(&mut self, rows: I, new_generation: u64) -> Vec<QuerySpec>
+    where
+        I: IntoIterator<IntoIter: ExactSizeIterator + Clone>,
+        I::Item: Into<RowRef<'a>>,
+    {
         if self.ring.is_empty() {
             // No entry to classify (every bulk load into a cold cache):
             // the rows need no looking at.
             self.latest_generation = self.latest_generation.max(new_generation);
             return Vec::new();
         }
+        let rows = rows.into_iter().map(Into::into);
         // Contract check: the delta must be exactly the rows between the
         // sealed generation and the new one. On a gap (a caller that
         // appended without telling the cache), freshness can no longer be
         // certified — degrade every entry to stale instead of lying.
         let contiguous = new_generation.saturating_sub(rows.len() as u64) == self.latest_generation;
         let mut to_refresh = Vec::new();
-        // Rows as the store holds them: labels ascending and distinct.
-        // Ingested rows nearly always are already; only the others are
-        // copied.
-        let rows_norm: Vec<Cow<'_, Record>> = rows
-            .iter()
-            .map(|r| {
-                if r.labels.is_sorted_by(|a, b| a < b) {
-                    return Cow::Borrowed(r);
-                }
-                let mut r = r.clone();
-                r.labels.sort_unstable();
-                r.labels.dedup();
-                Cow::Owned(r)
-            })
-            .collect();
-        // Indexes into `rows_norm` inside the current entry's footprint.
-        let mut relevant: Vec<usize> = Vec::new();
+        // The rows inside the current entry's footprint.
+        let mut relevant: Vec<RowRef<'a>> = Vec::new();
         for i in 0..self.ring.len() {
             let spec = &self.ring[i];
             let Some(entry) = self.map.get_mut(spec) else {
@@ -385,8 +377,7 @@ impl CoverCache {
             // The footprint test: a row matters iff it joins this spec's
             // slice (value in range, shares a label).
             relevant.clear();
-            relevant.extend((0..rows_norm.len()).filter(|&j| {
-                let r = &rows_norm[j];
+            relevant.extend(rows.clone().filter(|r: &RowRef<'a>| {
                 r.value >= spec.from
                     && r.value <= spec.to
                     && r.labels.iter().any(|l| spec.labels.contains(l))
@@ -401,8 +392,7 @@ impl CoverCache {
                 && entry.debt.saturating_add(relevant.len() as u64) <= self.debt_bound;
             if repairable {
                 if let Some(rep) = entry.repair.as_mut() {
-                    let folded = relevant.iter().map(|&j| &*rows_norm[j]);
-                    let patched = match rep.observe_tail(folded) {
+                    let patched = match rep.observe_tail(relevant.iter().copied()) {
                         // Below `from` the cover is frozen: keep those
                         // rows, render the rest again. A reader still
                         // writing the old rows keeps them; the entry

@@ -1,13 +1,14 @@
 //! The time-partitioned store: append-only segments with inverted indexes.
 //!
-//! A segment holds its rows in columns, never as a [`Record`] per row:
+//! A segment holds its rows in columns, never as a [`Record`] per row: one
+//! [`Rows`] batch (the type every bulk path decodes into) plus its
+//! postings:
 //!
 //! ```text
-//! ids        : Vec<u64>   row i's external id
-//! values     : Vec<i64>   row i's value; non-decreasing, so arrival order is value order
-//! label_ends : Vec<u32>   row i's labels are labels[label_ends[i-1]..label_ends[i]]
-//! labels     : Vec<u16>   the label arena: every row's sorted, deduped labels, back to back
-//! postings   : label -> ascending row indices (the inverted index)
+//! rows       : Rows       ids, values, label_ends and the label arena; values
+//!                          non-decreasing, so arrival order is value order, and
+//!                          every row's labels sorted and deduped
+//! postings   : (label, ascending row indices) sorted by label (the inverted index)
 //! ```
 //!
 //! A row costs 8 + 8 + 4 bytes, plus 2 per label in the arena and 4 per
@@ -15,13 +16,13 @@
 //! `Record` with its own label `Vec` cost about 82 once the allocator's
 //! per-block overhead is counted (DESIGN.md §12). A segment that reaches
 //! its target never changes again, so its arena and posting lists are cut
-//! to size then. [`Store::slice`] reads `values`, `ids` and the postings;
-//! [`Store::segment_rows`] lends a segment's rows as [`RowRef`]s, which is
-//! what the durable layer seals blocks and rewrites its log from.
+//! to size then. The labels the store holds are its segments' posting
+//! keys; nothing counts them per row. [`Store::slice`] reads `values`,
+//! `ids` and the postings; [`Store::segment_rows`] lends a segment's rows
+//! as [`RowRef`]s, which is what the durable layer seals blocks and
+//! rewrites its log from.
 
-use std::collections::HashMap;
-
-use mqd_core::record::{Record, RowRef};
+use mqd_core::record::{Record, RowRef, Rows};
 use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
 
 /// Rows per segment before a new one is opened. Segments are partitioned by
@@ -38,52 +39,45 @@ const MAX_SEGMENT_ROWS: usize = u16::MAX as usize;
 /// docs), with its own inverted index.
 #[derive(Default)]
 struct Segment {
-    ids: Vec<u64>,
-    values: Vec<i64>,
-    label_ends: Vec<u32>,
-    labels: Vec<u16>,
-    /// label -> indices of the rows carrying it, ascending (arrival order).
-    postings: HashMap<u16, Vec<u32>>,
+    rows: Rows,
+    /// Per label carried, ascending by label: the indices of the rows
+    /// carrying it, ascending (arrival order).
+    postings: Vec<(u16, Vec<u32>)>,
 }
 
 impl Segment {
     fn len(&self) -> usize {
-        self.ids.len()
+        self.rows.len()
     }
 
     /// Appends a row whose labels are sorted and deduped.
     fn push(&mut self, row: RowRef<'_>) {
-        let idx = self.ids.len() as u32;
+        let idx = self.rows.len() as u32;
         for &l in row.labels {
-            self.postings.entry(l).or_default().push(idx);
+            match self.postings.binary_search_by_key(&l, |&(label, _)| label) {
+                Ok(at) => self.postings[at].1.push(idx),
+                Err(at) => self.postings.insert(at, (l, vec![idx])),
+            }
         }
-        self.ids.push(row.id);
-        self.values.push(row.value);
-        self.labels.extend_from_slice(row.labels);
-        self.label_ends.push(self.labels.len() as u32);
+        self.rows.push(row);
+    }
+
+    /// The posting list of `label`, if a row here carries it.
+    fn postings(&self, label: u16) -> Option<&[u32]> {
+        let at = (self.postings)
+            .binary_search_by_key(&label, |&(l, _)| l)
+            .ok()?;
+        Some(&self.postings[at].1)
     }
 
     /// Drops the growth slack of every column and posting list: called
     /// once, when the segment is full and so immutable.
     fn shrink_to_fit(&mut self) {
-        self.ids.shrink_to_fit();
-        self.values.shrink_to_fit();
-        self.label_ends.shrink_to_fit();
-        self.labels.shrink_to_fit();
-        // lint:allow(nondet-iter): each list is shrunk alone; the order cannot show
-        self.postings.values_mut().for_each(Vec::shrink_to_fit);
-        self.postings.shrink_to_fit();
-    }
-
-    /// Row `i` (`i < len`), borrowed from the columns.
-    fn row(&self, i: usize) -> RowRef<'_> {
-        let start = i.checked_sub(1).map_or(0, |p| self.label_ends[p] as usize);
-        let end = self.label_ends[i] as usize;
-        RowRef {
-            id: self.ids[i],
-            value: self.values[i],
-            labels: self.labels.get(start..end).unwrap_or_default(),
+        self.rows.shrink_to_fit();
+        for (_, list) in &mut self.postings {
+            list.shrink_to_fit();
         }
+        self.postings.shrink_to_fit();
     }
 }
 
@@ -153,7 +147,6 @@ pub struct Store {
     segments: Vec<Segment>,
     segment_target: usize,
     total_rows: u64,
-    label_counts: HashMap<u16, u64>,
     generation: u64,
     last_value: Option<i64>,
     /// Reused to normalize a row whose labels arrive unsorted or repeated.
@@ -173,7 +166,6 @@ impl Store {
             segments: Vec::new(),
             segment_target: target.clamp(1, MAX_SEGMENT_ROWS),
             total_rows: 0,
-            label_counts: HashMap::new(),
             generation: 0,
             last_value: None,
             scratch: Vec::new(),
@@ -232,9 +224,6 @@ impl Store {
     /// Adds a validated, normalized row.
     fn push(&mut self, row: RowRef<'_>) {
         self.last_value = Some(row.value);
-        for &l in row.labels {
-            *self.label_counts.entry(l).or_insert(0) += 1;
-        }
         let target = self.segment_target;
         if self.segments.last().is_none_or(|seg| seg.len() >= target) {
             self.segments.push(Segment::default());
@@ -264,25 +253,13 @@ impl Store {
     /// Retention GC: drops the `n` oldest segments (the durable layer
     /// decides `n` from its sealed-window metadata and the live λ-window
     /// leases). Cumulative counters (`rows`, `generation`) are untouched —
-    /// they count ingest history, not residency — but `labels` and the
-    /// value span are recomputed from the retained rows, so a restarted
+    /// they count ingest history, not residency — while `labels` and the
+    /// value span are read from the retained segments, so a restarted
     /// process replaying only the retained suffix reports identical stats.
     /// The newest segment is never dropped. Returns the rows dropped.
     pub fn drop_leading_segments(&mut self, n: usize) -> u64 {
         let n = n.min(self.segments.len().saturating_sub(1));
-        if n == 0 {
-            return 0;
-        }
-        let dropped = self.segments.drain(..n).map(|seg| seg.len() as u64).sum();
-        // A posting list holds one entry per row carrying its label.
-        self.label_counts.clear();
-        for seg in &self.segments {
-            // lint:allow(nondet-iter): per-label sums; the visiting order cannot show
-            for (&l, rows) in &seg.postings {
-                *self.label_counts.entry(l).or_insert(0) += rows.len() as u64;
-            }
-        }
-        dropped
+        self.segments.drain(..n).map(|seg| seg.len() as u64).sum()
     }
 
     /// The rows of the `index`-th retained segment, in arrival order with
@@ -294,8 +271,7 @@ impl Store {
         &self,
         index: usize,
     ) -> Option<impl ExactSizeIterator<Item = RowRef<'_>> + DoubleEndedIterator + Clone> {
-        let seg = self.segments.get(index)?;
-        Some((0..seg.len()).map(|i| seg.row(i)))
+        Some(self.segments.get(index)?.rows.iter())
     }
 
     /// Rows per segment before a new one is opened.
@@ -314,11 +290,15 @@ impl Store {
         self.generation
     }
 
-    /// Every label some retained row carries, ascending.
+    /// Every label some retained row carries, ascending: the segments'
+    /// posting keys.
     pub fn labels(&self) -> Vec<u16> {
-        // lint:allow(nondet-iter): sorted on the next line, before any caller sees the order
-        let mut labels: Vec<u16> = self.label_counts.keys().copied().collect();
+        let mut labels: Vec<u16> = Vec::new();
+        for seg in &self.segments {
+            labels.extend(seg.postings.iter().map(|&(l, _)| l));
+        }
         labels.sort_unstable();
+        labels.dedup();
         labels
     }
 
@@ -327,13 +307,16 @@ impl Store {
         StoreStats {
             rows: self.total_rows,
             segments: self.segments.len(),
-            labels: self.label_counts.len(),
+            labels: self.labels().len(),
             generation: self.generation,
             min_value: self
                 .segments
                 .first()
-                .and_then(|s| s.values.first().copied()),
-            max_value: self.segments.last().and_then(|s| s.values.last().copied()),
+                .and_then(|s| s.rows.values().first().copied()),
+            max_value: self
+                .segments
+                .last()
+                .and_then(|s| s.rows.values().last().copied()),
         }
     }
 
@@ -360,19 +343,19 @@ impl Store {
         // order only inside a run of tied values.
         let mut ties_in_order = true;
         for seg in &self.segments {
-            let (Some(&min_value), Some(&max_value)) = (seg.values.first(), seg.values.last())
-            else {
+            let (ids, values) = (seg.rows.ids(), seg.rows.values());
+            let (Some(&min_value), Some(&max_value)) = (values.first(), values.last()) else {
                 continue;
             };
             if min_value > to || max_value < from {
                 continue;
             }
-            let lo = seg.values.partition_point(|&v| v < from);
-            let hi = seg.values.partition_point(|&v| v <= to);
+            let lo = values.partition_point(|&v| v < from);
+            let hi = values.partition_point(|&v| v <= to);
             heads.clear();
             let mut listed = 0usize;
             for (local, global) in label_map.iter().enumerate() {
-                let Some(list) = seg.postings.get(global) else {
+                let Some(list) = seg.postings(*global) else {
                     continue;
                 };
                 let start = list.partition_point(|&i| (i as usize) < lo);
@@ -394,7 +377,7 @@ impl Store {
                         }
                     }
                 }
-                let (id, value) = (seg.ids[idx as usize], seg.values[idx as usize]);
+                let (id, value) = (ids[idx as usize], values[idx as usize]);
                 ties_in_order &= posts
                     .last()
                     .is_none_or(|p| (p.value(), p.id().0) <= (value, id));
@@ -560,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_recounts_labels_from_the_retained_postings() {
+    fn gc_leaves_the_labels_of_the_retained_postings() {
         let mut s = Store::with_segment_target(2);
         let mut retained = Store::with_segment_target(2);
         for (i, labels) in [[5, 0], [5, 1], [1, 2], [2, 2], [3, 0]].iter().enumerate() {
@@ -571,8 +554,9 @@ mod tests {
         }
         assert_eq!(s.drop_leading_segments(1), 2);
         assert_eq!(s.labels(), [0, 1, 2, 3], "label 5 left with its segment");
-        assert_eq!(s.label_counts, retained.label_counts);
+        assert_eq!(s.labels(), retained.labels());
         assert_eq!(s.stats().labels, 4);
+        assert_eq!(retained.stats().labels, 4);
         assert_eq!(s.stats().min_value, Some(2));
     }
 }

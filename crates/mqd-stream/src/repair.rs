@@ -84,7 +84,7 @@
 
 use std::collections::BTreeMap;
 
-use mqd_core::record::Record;
+use mqd_core::record::{Record, RowRef};
 
 /// The open (not yet frozen) tail group of one label's interval greedy.
 #[derive(Clone, Debug)]
@@ -153,8 +153,10 @@ impl CoverRepair {
     /// query label are ignored; returns `true` iff the row joined.
     ///
     /// Allocates only when a group freezes (its pick's labels enter the
-    /// map) or a lane's label buffer first grows.
-    pub fn observe(&mut self, row: &Record) -> bool {
+    /// map) or a lane's label buffer first grows. The row's labels are read
+    /// as a set: unsorted or repeated is the same row.
+    pub fn observe<'a>(&mut self, row: impl Into<RowRef<'a>>) -> bool {
+        let row: RowRef<'a> = row.into();
         let CoverRepair {
             labels: query,
             lambda,
@@ -167,7 +169,7 @@ impl CoverRepair {
         let mut joined = false;
         // A label the row repeats reaches its lane twice; the second visit
         // finds the row already the open pick, or covered, and is a no-op.
-        for l in &row.labels {
+        for l in row.labels {
             let Ok(lane_idx) = query.binary_search(l) else {
                 continue;
             };
@@ -227,14 +229,15 @@ impl CoverRepair {
     /// oldest open pick before the fold, or the smallest joining row if
     /// that sorts lower). `None` when no row joined, which leaves the
     /// cover as it was.
-    pub fn observe_tail<'a>(
+    pub fn observe_tail<'a, R: Into<RowRef<'a>>>(
         &mut self,
-        rows: impl IntoIterator<Item = &'a Record>,
+        rows: impl IntoIterator<Item = R>,
     ) -> Option<((i64, u64), Vec<Record>)> {
         let oldest_open = self.oldest_open();
         let lowest_joined = rows
             .into_iter()
-            .filter(|row| self.observe(row))
+            .map(Into::into)
+            .filter(|&row| self.observe(row))
             .map(|row| (row.value, row.id))
             .min()?;
         let from = oldest_open.map_or(lowest_joined, |k| k.min(lowest_joined));
@@ -322,7 +325,7 @@ fn frozen_record((&(value, id), labels): (&(i64, u64), &Vec<u16>)) -> Record {
 /// `query` labels, ascending and deduplicated — the rendering
 /// `Slice::record_for` produces. Ingested rows are store-normalized
 /// already; raw input is tolerated by normalizing here.
-fn render_into(buf: &mut Vec<u16>, row: &Record, query: &[u16]) {
+fn render_into(buf: &mut Vec<u16>, row: RowRef<'_>, query: &[u16]) {
     buf.clear();
     let matched = row.labels.iter().filter(|l| query.binary_search(l).is_ok());
     buf.extend(matched);

@@ -52,7 +52,7 @@
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use mqd_core::record::Record;
+use mqd_core::record::RowRef;
 use mqd_core::MqdError;
 use mqd_store::{Store, StoreStats, SEGMENT_TARGET_ROWS};
 
@@ -203,11 +203,12 @@ impl DurableStore {
                 });
             }
             blocks.push(BlockMeta {
-                max_value: seg.rows.last().map_or(0, |r| r.value),
+                max_value: seg.rows.values().last().copied().unwrap_or(0),
                 path,
             });
-            for row in seg.rows {
-                store.append(row)?;
+            // Straight from the block's columns: no row is a `Record`.
+            for row in seg.rows.iter() {
+                store.append_logged(row, |_| Ok(()))?;
             }
             expected += window;
         }
@@ -290,13 +291,14 @@ impl DurableStore {
         self.disk.as_ref().is_some_and(|d| d.retain.is_some())
     }
 
-    /// Appends one row: validate, WAL frame (buffered), then memory. Not
-    /// durable until [`DurableStore::sync`] — the server syncs once per
-    /// ingest request, before acking. After a failed log write every call
-    /// returns [`MqdError::Io`] and appends nothing.
-    pub fn append(&mut self, row: &Record) -> Result<(), MqdError> {
+    /// Appends one row (a [`RowRef`] of a decoded batch, or a `&Record`):
+    /// validate, WAL frame (buffered), then memory. Not durable until
+    /// [`DurableStore::sync`] — the server syncs once per ingest request,
+    /// before acking. After a failed log write every call returns
+    /// [`MqdError::Io`] and appends nothing.
+    pub fn append<'a>(&mut self, row: impl Into<RowRef<'a>>) -> Result<(), MqdError> {
         let disk = &mut self.disk;
-        self.store.append_logged(row.as_row(), |normalized| {
+        self.store.append_logged(row.into(), |normalized| {
             if let Some(disk) = disk.as_mut() {
                 disk.wal.append(disk.next_seq, normalized)?;
                 disk.next_seq += 1;
@@ -397,6 +399,7 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqd_core::record::Record;
 
     fn row(id: u64, value: i64, labels: &[u16]) -> Record {
         Record {

@@ -7,13 +7,14 @@
 //!         (nrows:varint, then id/value delta-coded rows)
 //! ```
 //!
-//! A block carries rows and nothing derived from them: recovery replays
-//! the rows through [`mqd_store::Store::append`], which builds the only
-//! index there is. The decoder re-checks the store's row contract, so a
+//! A block carries rows and nothing derived from them: it decodes into
+//! one [`Rows`] batch, and recovery replays those rows through
+//! [`mqd_store::Store::append_logged`], which builds the only index there
+//! is. The decoder re-checks the store's row contract, so a
 //! block that passes its checksum still cannot smuggle an unsorted label
 //! list or a backwards value into the store.
 
-use mqd_core::record::{get_rows, put_rows, Record, RowRef};
+use mqd_core::record::{get_rows, put_rows, RowRef, Rows};
 use mqd_core::wire::{check_framed, put_varint, seal_framed, Cursor};
 use mqd_core::MqdError;
 
@@ -32,8 +33,8 @@ const MAX_ROWS: usize = 1 << 22;
 pub struct SegmentFile {
     /// Global sequence number of the first row.
     pub first_seq: u64,
-    /// Rows in arrival order (values non-decreasing).
-    pub rows: Vec<Record>,
+    /// Rows in arrival order (values non-decreasing), in columns.
+    pub rows: Rows,
 }
 
 /// Encodes `rows` (which must be non-empty, label-normalized, and
@@ -77,7 +78,7 @@ pub fn decode_segment(data: &[u8]) -> Result<SegmentFile, MqdError> {
         return Err(c.corrupt(format!("implausible row count {}", rows.len())));
     }
     let mut prev_value = i64::MIN;
-    for row in &rows {
+    for row in rows.iter() {
         if row.labels.is_empty() || !row.labels.is_sorted_by(|a, b| a < b) {
             return Err(c.corrupt("row labels empty or not sorted/deduped"));
         }
@@ -94,6 +95,7 @@ pub fn decode_segment(data: &[u8]) -> Result<SegmentFile, MqdError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqd_core::record::Record;
     use mqd_core::wire::put_varint_i64;
 
     fn rows(n: u64) -> Vec<Record> {
@@ -112,7 +114,7 @@ mod tests {
         let blob = encode_segment(4096, &rs);
         let seg = decode_segment(&blob).unwrap();
         assert_eq!(seg.first_seq, 4096);
-        assert_eq!(seg.rows, rs);
+        assert_eq!(seg.rows, rs.iter().collect::<Rows>());
     }
 
     #[test]
@@ -255,7 +257,7 @@ mod tests {
         // The MIN -> MAX delta does not fit i64; the codec's wrapping
         // deltas must carry it.
         match decode_segment(&blob) {
-            Ok(seg) => assert_eq!(seg.rows, rs),
+            Ok(seg) => assert_eq!(seg.rows, rs.iter().collect::<Rows>()),
             Err(e) => panic!("extreme round trip failed: {e}"),
         }
     }
