@@ -59,7 +59,7 @@ pub fn serve(mut out: impl Write, log: &mut impl Write, opts: &ServeOpts) -> Res
     writeln!(
         log,
         "serving with {} worker thread(s), queue bound {}",
-        mqd_par::configured_threads(),
+        server.threads(),
         opts.max_queue
     )
     .map_err(|e| e.to_string())?;

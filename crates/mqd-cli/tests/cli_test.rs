@@ -2,8 +2,9 @@
 //! drive the full gen → match → diversify → stream → pack → unpack surface.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mqdiv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mqdiv"))
@@ -234,4 +235,30 @@ fn ingest_query_store_workflow() {
     );
     let _ = fs::remove_dir_all(&not_a_store);
     let _ = fs::remove_dir_all(&store);
+}
+
+#[test]
+fn serve_logs_the_worker_pool_it_runs() {
+    // A thread budget of 1 still runs 4 workers (the pool's floor); the
+    // log must say what runs, not what was asked for.
+    let mut child = mqdiv()
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .env("MQD_THREADS", "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line.strip_prefix("listening on ").unwrap().trim();
+    let mut c = mqd_server::Client::connect(addr).unwrap();
+    assert!(c.request("DRAIN").unwrap().is_ok());
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        log.contains("serving with 4 worker thread(s), queue bound"),
+        "{log}"
+    );
 }

@@ -3,10 +3,10 @@
 //! A [`Record`] is the external representation of one labeled post —
 //! `(id, value, labels)` — before it becomes an [`crate::Instance`] post.
 //! [`RowRef`] is the same row borrowed: [`put_rows`] reads rows through
-//! it, so the store's columnar segments are encoded in place. [`Rows`] is
-//! a batch of rows in columns — a store segment's row columns, and what
-//! every bulk path decodes into: an `INGESTB` body on the server and the
-//! router, a sealed block on recovery. One decode loop serves both
+//! it, so a batch is encoded in place. [`Rows`] is a batch of rows in
+//! columns — what every bulk path decodes into (an `INGESTB` body on the
+//! server and the router, a sealed block on recovery) and what the store
+//! rebuilds a segment into to seal it. One decode loop serves both
 //! [`Rows`] and the `Vec<Record>` of [`decode_records`]; it is generic over
 //! where a decoded row goes, so neither converts into the other.
 //! Historically the TSV row format and the MQDL binary-log framing lived in
@@ -109,9 +109,9 @@ impl<'a> From<&'a Record> for RowRef<'a> {
 ///
 /// Rows keep their labels as given (the store normalizes on append). The
 /// arena is addressed by `u32` ends, so a batch holds at most `u32::MAX`
-/// labels in all: a store segment is bounded far below that, and a
-/// decoded batch cannot exceed it (a label takes a byte of a section
-/// checked to be smaller).
+/// labels in all: a rebuilt store segment (at most 65 535 rows of at most
+/// 65 536 labels) stays below that, and a decoded batch cannot exceed it
+/// (a label takes a byte of a section checked to be smaller).
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Rows {
     ids: Vec<u64>,
@@ -160,6 +160,49 @@ impl Rows {
         self.label_ends.push(end);
     }
 
+    /// The rows an inverted index holds: row `i` is `ids[i]` and
+    /// `values[i]` carrying every label whose offset list holds `i`, in
+    /// the order `postings` yields the labels. One pass counts each row's
+    /// labels, a second writes them into its run of the arena. Panics
+    /// when `values` is not as long as `ids` or an offset is not below it.
+    pub fn from_postings<'a, P>(ids: &[u64], values: &[i64], postings: P) -> Rows
+    where
+        P: IntoIterator<Item = (u16, &'a [u16])>,
+        P::IntoIter: Clone,
+    {
+        assert_eq!(ids.len(), values.len(), "one value per id");
+        let postings = postings.into_iter();
+        // Row i's label count, then where its run starts, then (once its
+        // labels are written) where it ends.
+        let mut label_ends = vec![0u32; ids.len()];
+        for (_, list) in postings.clone() {
+            for &i in list {
+                label_ends[i as usize] += 1;
+            }
+        }
+        let mut start = 0u32;
+        for end in &mut label_ends {
+            let n = std::mem::replace(end, start);
+            start = start
+                .checked_add(n)
+                .expect("a batch holds at most u32::MAX labels");
+        }
+        let mut labels = vec![0u16; start as usize];
+        for (label, list) in postings {
+            for &i in list {
+                let at = &mut label_ends[i as usize];
+                labels[*at as usize] = label;
+                *at += 1;
+            }
+        }
+        Rows {
+            ids: ids.to_vec(),
+            values: values.to_vec(),
+            label_ends,
+            labels,
+        }
+    }
+
     /// Row `i`, borrowed from the columns. Panics when `i >= len`.
     pub fn get(&self, i: usize) -> RowRef<'_> {
         let start = i.checked_sub(1).map_or(0, |p| self.label_ends[p] as usize);
@@ -178,22 +221,9 @@ impl Rows {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// The id column.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     /// The value column.
     pub fn values(&self) -> &[i64] {
         &self.values
-    }
-
-    /// Drops the growth slack of every column.
-    pub fn shrink_to_fit(&mut self) {
-        self.ids.shrink_to_fit();
-        self.values.shrink_to_fit();
-        self.label_ends.shrink_to_fit();
-        self.labels.shrink_to_fit();
     }
 }
 
@@ -690,7 +720,6 @@ mod tests {
         let rows: Rows = records.iter().collect();
         assert_eq!(rows.len(), 3);
         assert!(!rows.is_empty() && Rows::new().is_empty());
-        assert_eq!(rows.ids(), [10, 11, 15]);
         assert_eq!(rows.values(), [1_000, 1_050, 980]);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(rows.get(i), r.as_row());
@@ -712,8 +741,34 @@ mod tests {
         assert_eq!(encode_rows(&rows), encode_records(&records));
         let mut sized = Rows::with_capacity(3, 3);
         records.iter().for_each(|r| sized.push(r.as_row()));
-        sized.shrink_to_fit();
         assert_eq!(sized, rows);
+    }
+
+    #[test]
+    fn rows_come_back_from_their_postings() {
+        let records = sample();
+        let rows: Rows = records.iter().collect();
+        // The inverted index of `sample()`, labels ascending.
+        let mut postings: Vec<(u16, Vec<u16>)> = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            for &l in &r.labels {
+                match postings.iter_mut().find(|(label, _)| *label == l) {
+                    Some((_, list)) => list.push(i as u16),
+                    None => postings.push((l, vec![i as u16])),
+                }
+            }
+        }
+        postings.sort_unstable();
+        let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+        let values: Vec<i64> = records.iter().map(|r| r.value).collect();
+        let index = || postings.iter().map(|(l, list)| (*l, list.as_slice()));
+        assert_eq!(Rows::from_postings(&ids, &values, index()), rows);
+        // Labels come out in the order the postings yield them.
+        let reversed = Rows::from_postings(&ids, &values, index().rev());
+        for (r, want) in reversed.iter().zip(&records) {
+            assert!(r.labels.iter().rev().eq(&want.labels));
+        }
+        assert_eq!(Rows::from_postings(&[], &[], index().take(0)), Rows::new());
     }
 
     #[test]

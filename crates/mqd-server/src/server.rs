@@ -14,7 +14,7 @@ use mqd_core::record::{RowRef, TsvRows};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
-    repair_state, run_query_cover, solve_slice, validate_spec, CacheStats, CoverCache, Lookup,
+    open_repair_state, run_query_cover, solve_slice, validate_spec, CacheStats, CoverCache, Lookup,
     QuerySpec, StoreStats,
 };
 use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun, SupervisorConfig};
@@ -179,6 +179,11 @@ impl Server {
         self.engine.local_addr()
     }
 
+    /// The resolved worker-pool size (see [`ServerConfig::threads`]).
+    pub fn threads(&self) -> usize {
+        self.engine.threads()
+    }
+
     /// Serves until drained (see [`Engine::serve`]), with the refresher
     /// pool running beside the connection workers.
     pub fn run(self) -> Result<(), MqdError> {
@@ -252,10 +257,11 @@ fn refresh_entry(state: &State, spec: &QuerySpec) {
     let snapshot = read_or_poisoned(&state.store).map(|store| {
         (
             store.generation(),
+            store.store().last_value(),
             store.store().slice(&spec.labels, spec.from, spec.to),
         )
     });
-    let Ok((generation, slice)) = snapshot else {
+    let Ok((generation, newest, slice)) = snapshot else {
         return;
     };
     let Ok(records) = solve_slice(&slice, spec) else {
@@ -266,7 +272,7 @@ fn refresh_entry(state: &State, spec: &QuerySpec) {
         }
         return;
     };
-    let repair = repair_state(&slice, spec);
+    let repair = open_repair_state(&slice, spec, newest);
     let Ok(mut cache) = lock_or_poisoned(&state.cache, "cache") else {
         return;
     };
@@ -385,7 +391,8 @@ fn write_cover(
 /// hands the entry to the refresher. A miss solves against a slice
 /// *snapshot* with the store lock released and serves the very rows
 /// `insert_fresh` rendered for its entry (the one render of the answer,
-/// under the cache lock); if ingest advances the store mid-solve,
+/// under the cache lock), with a repair state only if the cover can still
+/// grow ([`open_repair_state`]); if ingest advances the store mid-solve,
 /// the answer is inserted already-stale at its watermark and the
 /// refresher catches it up.
 ///
@@ -415,15 +422,18 @@ fn answer_query(
             Ok((rows, watermark, true, true))
         }
         Lookup::Miss => {
-            let (snap_gen, slice) = {
+            let (snap_gen, newest, slice) = {
                 let store = read_or_poisoned(&state.store)?;
                 (
                     store.generation(),
+                    store.store().last_value(),
                     store.store().slice(&spec.labels, spec.from, spec.to),
                 )
             };
             let records = solve_slice(&slice, spec)?;
-            let repair = repair_state(&slice, spec);
+            // A range closed below the newest row can never grow: its
+            // cover is cached with no fold to keep.
+            let repair = open_repair_state(&slice, spec, newest);
             let mut cache = lock_or_poisoned(&state.cache, "cache")?;
             let rows = cache.insert_fresh(spec, records, snap_gen, repair);
             Ok((rows, snap_gen, false, false))

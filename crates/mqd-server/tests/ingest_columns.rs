@@ -291,7 +291,11 @@ fn stored(ds: &DurableStore) -> Vec<Vec<(u64, i64, Vec<u16>)>> {
     let store = ds.store();
     (0..)
         .map_while(|k| store.segment_rows(k))
-        .map(|rows| rows.map(|r| (r.id, r.value, r.labels.to_vec())).collect())
+        .map(|rows| {
+            rows.iter()
+                .map(|r| (r.id, r.value, r.labels.to_vec()))
+                .collect()
+        })
         .collect()
 }
 

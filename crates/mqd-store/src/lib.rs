@@ -36,7 +36,7 @@ mod store;
 
 pub use cache::{CacheStats, CoverCache, Lookup, DEFAULT_DEBT_BOUND, DEFAULT_MAX_LAG};
 pub use query::{
-    repair_state, repairable, run_query, run_query_cover, run_query_with_repair, solve_slice,
-    validate_spec, Algorithm, QuerySpec,
+    open_repair_state, repair_state, repairable, run_query, run_query_cover, run_query_with_repair,
+    solve_slice, validate_spec, Algorithm, QuerySpec,
 };
 pub use store::{Slice, Store, StoreStats, SEGMENT_TARGET_ROWS};

@@ -208,6 +208,23 @@ pub fn repair_state(slice: &Slice, spec: &QuerySpec) -> Option<CoverRepair> {
     Some(rep)
 }
 
+/// [`repair_state`] for a cover that can still grow: `None` as well when
+/// the spec's range closed below `newest`, the store's newest value
+/// ([`Store::last_value`]) read under the same lock as `slice`. The store
+/// only appends values at or above its newest, so no row can join such a
+/// slice and its cover stays exact as it is; with `to == newest` a tie
+/// may still arrive, so that cover keeps its fold.
+pub fn open_repair_state(
+    slice: &Slice,
+    spec: &QuerySpec,
+    newest: Option<i64>,
+) -> Option<CoverRepair> {
+    if newest.is_some_and(|newest| spec.to < newest) {
+        return None;
+    }
+    repair_state(slice, spec)
+}
+
 /// Solves an already-carved slice (see [`run_query`]; the spec must have
 /// passed [`validate_spec`]). Split out so the background refresher can
 /// solve against a slice snapshot without holding the store lock.

@@ -1,26 +1,27 @@
 //! The time-partitioned store: append-only segments with inverted indexes.
 //!
-//! A segment holds its rows in columns, never as a [`Record`] per row: one
-//! [`Rows`] batch (the type every bulk path decodes into) plus its
-//! postings:
+//! A segment holds its rows in columns, never as a [`Record`] per row, and
+//! each (row, label) pair once, as an offset in that label's posting list:
 //!
 //! ```text
-//! rows       : Rows       ids, values, label_ends and the label arena; values
-//!                          non-decreasing, so arrival order is value order, and
-//!                          every row's labels sorted and deduped
-//! postings   : (label, ascending row indices) sorted by label (the inverted index)
+//! ids        : Vec<u64>               row i's external id
+//! values     : Vec<i64>               row i's value; non-decreasing, so
+//!                                      arrival order is value order
+//! postings   : Vec<(u16, Vec<u16>)>   (label, ascending row offsets), sorted
+//!                                      by label: the inverted index, and the
+//!                                      only copy of the rows' labels
 //! ```
 //!
-//! A row costs 8 + 8 + 4 bytes, plus 2 per label in the arena and 4 per
-//! posting: about 32 bytes for the usual one to three labels, where a
-//! `Record` with its own label `Vec` cost about 82 once the allocator's
-//! per-block overhead is counted (DESIGN.md §12). A segment that reaches
-//! its target never changes again, so its arena and posting lists are cut
-//! to size then. The labels the store holds are its segments' posting
-//! keys; nothing counts them per row. [`Store::slice`] reads `values`,
-//! `ids` and the postings; [`Store::segment_rows`] lends a segment's rows
-//! as [`RowRef`]s, which is what the durable layer seals blocks and
-//! rewrites its log from.
+//! A row costs 8 + 8 bytes plus 2 per label: about 20 bytes for the usual
+//! one to three labels, where a `Record` with its own label `Vec` cost
+//! about 82 once the allocator's per-block overhead is counted (DESIGN.md
+//! §12). A segment that reaches its target never changes again, so its
+//! columns and posting lists are cut to size then. The labels the store
+//! holds are its segments' posting keys; nothing counts them per row.
+//! [`Store::slice`] reads `values`, `ids` and the postings;
+//! [`Store::segment_rows`] rebuilds a segment's rows as a [`Rows`] batch
+//! from them, which is what the durable layer seals blocks and rewrites
+//! its log from.
 
 use mqd_core::record::{Record, RowRef, Rows};
 use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
@@ -30,40 +31,43 @@ use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
 /// and stay overflow-free for values near the `i64` extremes.
 pub const SEGMENT_TARGET_ROWS: usize = 4096;
 
-/// The largest segment target: a row carries at most 65 536 distinct
-/// labels, so a segment of this many rows keeps its label arena
-/// addressable by the `u32` ends.
+/// The largest segment target: a segment of this many rows has row offsets
+/// 0..=65 534, which its `u16` posting lists can address.
 const MAX_SEGMENT_ROWS: usize = u16::MAX as usize;
 
 /// One bounded run of rows in arrival order, in columns (see the module
 /// docs), with its own inverted index.
 #[derive(Default)]
 struct Segment {
-    rows: Rows,
-    /// Per label carried, ascending by label: the indices of the rows
+    ids: Vec<u64>,
+    values: Vec<i64>,
+    /// Per label carried, ascending by label: the offsets of the rows
     /// carrying it, ascending (arrival order).
-    postings: Vec<(u16, Vec<u32>)>,
+    postings: Vec<(u16, Vec<u16>)>,
 }
 
 impl Segment {
     fn len(&self) -> usize {
-        self.rows.len()
+        self.ids.len()
     }
 
-    /// Appends a row whose labels are sorted and deduped.
+    /// Appends a row whose labels are sorted and deduped. The store pushes
+    /// only into a segment holding fewer rows than its target, which is at
+    /// most [`MAX_SEGMENT_ROWS`], so the row's offset fits a `u16`.
     fn push(&mut self, row: RowRef<'_>) {
-        let idx = self.rows.len() as u32;
+        let idx = self.ids.len() as u16;
         for &l in row.labels {
             match self.postings.binary_search_by_key(&l, |&(label, _)| label) {
                 Ok(at) => self.postings[at].1.push(idx),
                 Err(at) => self.postings.insert(at, (l, vec![idx])),
             }
         }
-        self.rows.push(row);
+        self.ids.push(row.id);
+        self.values.push(row.value);
     }
 
     /// The posting list of `label`, if a row here carries it.
-    fn postings(&self, label: u16) -> Option<&[u32]> {
+    fn postings(&self, label: u16) -> Option<&[u16]> {
         let at = (self.postings)
             .binary_search_by_key(&label, |&(l, _)| l)
             .ok()?;
@@ -73,7 +77,8 @@ impl Segment {
     /// Drops the growth slack of every column and posting list: called
     /// once, when the segment is full and so immutable.
     fn shrink_to_fit(&mut self) {
-        self.rows.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        self.values.shrink_to_fit();
         for (_, list) in &mut self.postings {
             list.shrink_to_fit();
         }
@@ -263,15 +268,17 @@ impl Store {
     }
 
     /// The rows of the `index`-th retained segment, in arrival order with
-    /// normalized labels, as [`RowRef`]s borrowed from its columns: nothing
-    /// is copied (`None` past the newest). A segment holding [`Store::segment_target`] rows is
-    /// complete and never changes again; the durable layer seals its
-    /// blocks, and rewrites its log, straight from these.
-    pub fn segment_rows(
-        &self,
-        index: usize,
-    ) -> Option<impl ExactSizeIterator<Item = RowRef<'_>> + DoubleEndedIterator + Clone> {
-        Some(self.segments.get(index)?.rows.iter())
+    /// normalized labels (`None` past the newest), rebuilt from its
+    /// postings: the segment keeps no other copy of its labels. A segment
+    /// holding [`Store::segment_target`] rows is complete and never changes
+    /// again; the durable layer seals its blocks, and rewrites its log,
+    /// from these.
+    pub fn segment_rows(&self, index: usize) -> Option<Rows> {
+        let seg = self.segments.get(index)?;
+        // Sorted by label, so each row's labels come out ascending, as
+        // they were normalized on the way in.
+        let postings = seg.postings.iter().map(|(l, list)| (*l, list.as_slice()));
+        Some(Rows::from_postings(&seg.ids, &seg.values, postings))
     }
 
     /// Rows per segment before a new one is opened.
@@ -312,11 +319,8 @@ impl Store {
             min_value: self
                 .segments
                 .first()
-                .and_then(|s| s.rows.values().first().copied()),
-            max_value: self
-                .segments
-                .last()
-                .and_then(|s| s.rows.values().last().copied()),
+                .and_then(|s| s.values.first().copied()),
+            max_value: self.segments.last().and_then(|s| s.values.last().copied()),
         }
     }
 
@@ -337,13 +341,13 @@ impl Store {
         let mut posts: Vec<Post> = Vec::new();
         // Scratch, reused across segments and rows: the unread tail of each
         // query label's postings, and the row being assembled.
-        let mut heads: Vec<(LabelId, &[u32])> = Vec::with_capacity(label_map.len());
+        let mut heads: Vec<(LabelId, &[u16])> = Vec::with_capacity(label_map.len());
         let mut locals: Vec<LabelId> = Vec::with_capacity(label_map.len());
         // Arrival order is value order; it can differ from `(value, id)`
         // order only inside a run of tied values.
         let mut ties_in_order = true;
         for seg in &self.segments {
-            let (ids, values) = (seg.rows.ids(), seg.rows.values());
+            let (ids, values) = (&seg.ids, &seg.values);
             let (Some(&min_value), Some(&max_value)) = (values.first(), values.last()) else {
                 continue;
             };
@@ -537,6 +541,7 @@ mod tests {
         let rows: Vec<(u64, i64, Vec<u16>)> = s
             .segment_rows(0)
             .unwrap()
+            .iter()
             .map(|r| (r.id, r.value, r.labels.to_vec()))
             .collect();
         assert_eq!(rows, [(1, 10, vec![1, 3]), (2, 20, vec![0])]);

@@ -26,8 +26,8 @@
 //! acked row is always replayable (and a row that was only appended is
 //! not: a kill before `sync` loses it, unacked). When a window completes,
 //! it is sealed into one block (atomic tempfile+rename, directory synced)
-//! straight from the store's own segment ([`Store::segment_rows`], a view
-//! of its columns: no row is copied) — memory segment *k* is disk
+//! from the store's own segment ([`Store::segment_rows`], its rows
+//! rebuilt from the postings once per window) — memory segment *k* is disk
 //! window *k* — and the WAL is reset, which discards the window's
 //! still-buffered frames: a window that fills inside one request costs
 //! the block's two fsyncs and never reaches the log. A crash between seal
@@ -345,8 +345,8 @@ impl DurableStore {
         {
             let first_seq = disk.sealed_seq;
             let path = disk.dir.join(format!("seg-{first_seq:016}.mqds"));
-            let max_value = rows.clone().next_back().map_or(0, |r| r.value);
-            fsio::write_atomic(&path, &encode_segment(first_seq, rows), disk.fsync)?;
+            let max_value = rows.values().last().copied().unwrap_or(0);
+            fsio::write_atomic(&path, &encode_segment(first_seq, rows.iter()), disk.fsync)?;
             disk.blocks.push(BlockMeta { max_value, path });
             disk.sealed_seq += disk.window;
             self.segments_flushed += 1;
@@ -356,7 +356,7 @@ impl DurableStore {
             return Ok(());
         }
         match self.store.segment_rows(disk.blocks.len()) {
-            Some(tail) => disk.wal.rewrite(disk.sealed_seq, tail),
+            Some(tail) => disk.wal.rewrite(disk.sealed_seq, tail.iter()),
             None => disk.wal.reset(),
         }
     }

@@ -1,8 +1,9 @@
 //! Byte identity of what the durable layer writes from the store's
 //! columnar rows. A sealed block ([`encode_segment`]) and a rewritten log
-//! ([`Wal::rewrite`]) are encoded straight from [`Store::segment_rows`],
-//! a borrowed view; both must be the bytes the `&[Record]` encoders of the
-//! previous layout wrote for the same rows, kept below as the reference.
+//! ([`Wal::rewrite`]) are encoded from [`Store::segment_rows`], rows the
+//! store rebuilds from its postings; both must be the bytes the `&[Record]`
+//! encoders of the previous layout wrote for the same rows, kept below as
+//! the reference.
 //! And a data dir that layout wrote (`tests/golden/`) must open to the
 //! stats and slices it recorded.
 
@@ -149,7 +150,8 @@ fn seals_and_log_rewrites_from_the_store_view_are_the_record_encoders_bytes() {
         for (k, chunk) in want.chunks(target).enumerate() {
             let what = format!("case {case}, target {target}, window {k}");
             let first_seq = 1_000 * case + (k * target) as u64;
-            let view = store.segment_rows(k).unwrap();
+            let rows = store.segment_rows(k).unwrap();
+            let view = rows.iter();
             assert_eq!(view.len(), chunk.len(), "{what}");
             assert!(view.clone().eq(chunk.iter().map(Record::as_row)), "{what}");
 
@@ -252,7 +254,7 @@ fn a_data_dir_the_record_layout_wrote_opens_to_the_same_store() {
     for (k, (name, bytes)) in GOLDEN_FILES[..2].iter().enumerate() {
         let rows = ds.store().segment_rows(k).unwrap();
         let first_seq = (k * GOLDEN_WINDOW) as u64;
-        assert_eq!(encode_segment(first_seq, rows), *bytes, "{name}");
+        assert_eq!(encode_segment(first_seq, rows.iter()), *bytes, "{name}");
     }
     drop(ds);
     // Opening rewrote nothing.
