@@ -1,30 +1,31 @@
 //! Zero-dependency parallel execution layer built on `std::thread::scope`.
 //!
 //! The workspace has no registry access, so instead of `rayon` this crate
-//! provides the two primitives the MQDP algorithms actually need:
+//! provides the three fan-outs the workspace actually calls, each taking
+//! an explicit thread count (callers pass [`configured_threads`] or a
+//! fixed count, which also keeps nested parallelism out):
 //!
-//! * [`par_map`] / [`par_map_range`] — embarrassingly-parallel maps over a
-//!   slice (or an index range) with **deterministic output order**: the
-//!   input is split into one contiguous chunk per worker, workers run under
-//!   [`std::thread::scope`], and results are concatenated in chunk order.
-//!   The result is byte-identical to the sequential map regardless of the
-//!   thread count or scheduling.
-//! * [`par_for_each`] — the side-effect-free-aggregation variant used when
-//!   each item produces its output into its own slot.
+//! * [`par_map_range_threads`] — an embarrassingly-parallel map over the
+//!   index range `0..n` with **deterministic output order**: the range is
+//!   split into one contiguous chunk per worker, workers run under
+//!   [`std::thread::scope`], and results are concatenated in chunk order,
+//!   so the output is byte-identical to the sequential map regardless of
+//!   the thread count or scheduling. Below [`SMALL_INPUT`] items it runs
+//!   inline on the caller's thread.
+//! * [`par_map_range_coarse_threads`] — the same map for few-but-heavy
+//!   items (labels, users): it parallelizes from two items up.
+//! * [`par_for_each_threads`] — `f(i, &mut slots[i])` over owned mutable
+//!   slots (one stream shard each), also from two slots up.
 //!
-//! Thread-count resolution (the `Threads` config):
+//! Thread-count resolution ([`configured_threads`]):
 //!
 //! 1. an explicit [`set_threads`] call (the CLI's `--threads` flag),
 //! 2. the `MQD_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Every primitive also has a `*_threads` variant taking an explicit count,
-//! which tests use to compare 1/2/8-thread runs without touching the global
-//! (and which callers use to avoid nested parallelism).
-//!
-//! Work below [`SMALL_INPUT`] items, or with one thread, runs inline on the
-//! caller's thread — no spawn overhead on tiny inputs, and `threads = 1`
-//! is *exactly* the sequential code path.
+//! With one thread every fan-out is *exactly* the sequential loop. A
+//! worker's panic is re-raised on the caller's thread with its original
+//! payload.
 
 #![warn(missing_docs)]
 
@@ -91,152 +92,88 @@ fn chunks(len: usize, threads: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Maps `f` over `items` with the configured thread count. Output order is
-/// identical to the sequential `items.iter().map(f).collect()`.
-pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    par_map_threads(configured_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit thread count.
-pub fn par_map_threads<T: Sync, U: Send>(
+/// Maps `f` over the index range `0..n`; `out[i] == f(i)` exactly as in
+/// the sequential loop. Runs inline with one thread or below
+/// `min_parallel` items; otherwise one contiguous chunk per worker,
+/// concatenated in chunk order.
+fn map_range<U: Send>(
     threads: usize,
-    items: &[T],
-    f: impl Fn(&T) -> U + Sync,
+    n: usize,
+    min_parallel: usize,
+    f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
-    if threads <= 1 || items.len() < SMALL_INPUT {
-        return items.iter().map(f).collect();
+    if threads <= 1 || n < min_parallel {
+        return (0..n).map(f).collect();
     }
-    let parts = chunks(items.len(), threads);
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(parts.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                let f = &f;
-                s.spawn(move || items[lo..hi].iter().map(f).collect::<Vec<U>>())
-            })
+    let f = &f;
+    let results: Vec<Vec<U>> = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks(n, threads)
+            .into_iter()
+            .map(|(lo, hi)| s.spawn(move || (lo..hi).map(f).collect::<Vec<U>>()))
             .collect();
-        for h in handles {
-            results.push(join_propagating(h));
-        }
+        handles.into_iter().map(join_propagating).collect()
     });
-    let mut out = Vec::with_capacity(items.len());
+    let mut out = Vec::with_capacity(n);
     for r in results {
         out.extend(r);
     }
     out
 }
 
-/// Maps `f` over the index range `0..n` with the configured thread count;
-/// `out[i] == f(i)` exactly as in the sequential loop.
-pub fn par_map_range<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    par_map_range_threads(configured_threads(), n, f)
-}
-
-/// [`par_map_range`] with an explicit thread count.
+/// Maps `f` over the index range `0..n` on `threads` workers;
+/// `out[i] == f(i)` exactly as in the sequential loop. Below
+/// [`SMALL_INPUT`] items it runs inline.
 pub fn par_map_range_threads<U: Send>(
     threads: usize,
     n: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
-    if threads <= 1 || n < SMALL_INPUT {
-        return (0..n).map(f).collect();
-    }
-    let parts = chunks(n, threads);
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(parts.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                let f = &f;
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            results.push(join_propagating(h));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for r in results {
-        out.extend(r);
-    }
-    out
+    map_range(threads, n, SMALL_INPUT, f)
 }
 
-/// [`par_map_range`] for **coarse** items: parallelizes whenever there are
-/// at least two items, ignoring the [`SMALL_INPUT`] cutoff. Use when each
-/// item is a substantial unit of work (e.g. one label's whole posting
-/// list), so spawn overhead is negligible even for a handful of items.
-pub fn par_map_range_coarse<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    par_map_range_coarse_threads(configured_threads(), n, f)
-}
-
-/// [`par_map_range_coarse`] with an explicit thread count.
+/// [`par_map_range_threads`] for **coarse** items: parallelizes whenever
+/// there are at least two items, ignoring the [`SMALL_INPUT`] cutoff. Use
+/// when each item is a substantial unit of work (e.g. one label's whole
+/// posting list), so spawn overhead is negligible even for a handful of
+/// items.
 pub fn par_map_range_coarse_threads<U: Send>(
     threads: usize,
     n: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
-    if threads <= 1 || n < 2 {
-        return (0..n).map(f).collect();
-    }
-    let parts = chunks(n, threads);
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(parts.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                let f = &f;
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            results.push(join_propagating(h));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for r in results {
-        out.extend(r);
-    }
-    out
+    map_range(threads, n, 2, f)
 }
 
-/// Runs `f` over mutable output slots in parallel: `f(i, &mut slots[i])`.
-/// Each worker owns a contiguous sub-slice, so no synchronization is needed
-/// beyond the scope join.
-pub fn par_for_each<U: Send>(slots: &mut [U], f: impl Fn(usize, &mut U) + Sync) {
-    par_for_each_threads(configured_threads(), slots, f)
-}
-
-/// [`par_for_each`] with an explicit thread count.
+/// Runs `f(i, &mut slots[i])` over every slot on `threads` workers, from
+/// two slots up. Each worker owns a contiguous sub-slice, so no
+/// synchronization is needed beyond the join; slots are coarse units of
+/// work (one stream shard each).
 pub fn par_for_each_threads<U: Send>(
     threads: usize,
     slots: &mut [U],
     f: impl Fn(usize, &mut U) + Sync,
 ) {
     let n = slots.len();
-    if threads <= 1 || n < SMALL_INPUT {
+    if threads <= 1 || n < 2 {
         for (i, slot) in slots.iter_mut().enumerate() {
             f(i, slot);
         }
         return;
     }
-    let parts = chunks(n, threads);
+    let f = &f;
     std::thread::scope(|s| {
         let mut rest = slots;
-        let mut consumed = 0;
-        for &(lo, hi) in &parts {
-            let (chunk, tail) = rest.split_at_mut(hi - consumed);
+        let mut handles = Vec::new();
+        for (lo, hi) in chunks(n, threads) {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
             rest = tail;
-            let f = &f;
-            let base = lo;
-            s.spawn(move || {
+            handles.push(s.spawn(move || {
                 for (off, slot) in chunk.iter_mut().enumerate() {
-                    f(base + off, slot);
+                    f(lo + off, slot);
                 }
-            });
-            consumed = hi;
+            }));
         }
+        handles.into_iter().for_each(join_propagating);
     });
 }
 
@@ -264,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_sequential_order() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            let par = par_map_threads(threads, &items, |&x| x * 3 + 1);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn par_map_range_matches_sequential() {
         let seq: Vec<usize> = (0..5_000).map(|i| i * i % 97).collect();
         for threads in [1, 2, 8] {
@@ -283,17 +210,21 @@ mod tests {
 
     #[test]
     fn par_for_each_fills_all_slots() {
-        let mut slots = vec![0usize; 4_000];
-        par_for_each_threads(4, &mut slots, |i, s| *s = i + 1);
-        assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
+        // Few slots (one per shard) fan out too; every slot is visited once.
+        for n in [0usize, 1, 2, 3, 8, 4_000] {
+            for threads in [1, 2, 4, 8] {
+                let mut slots = vec![0usize; n];
+                par_for_each_threads(threads, &mut slots, |i, s| *s += i + 1);
+                assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
+            }
+        }
     }
 
     #[test]
     fn small_inputs_run_inline() {
         // Below SMALL_INPUT the result must still be correct (inline path).
-        let items: Vec<i32> = (0..10).collect();
         assert_eq!(
-            par_map_threads(8, &items, |&x| x - 1),
+            par_map_range_threads(8, 10, |i| i as i32 - 1),
             (-1..9).collect::<Vec<i32>>()
         );
         assert_eq!(par_map_range_threads(8, 0, |i| i), Vec::<usize>::new());

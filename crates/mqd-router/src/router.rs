@@ -17,7 +17,6 @@ use mqd_server::protocol::{
 };
 use mqd_server::{format_query, json_u64, Client, Response};
 use mqd_store::{repairable, QuerySpec};
-use mqd_stream::ShardEngineKind;
 
 use crate::backend::{BackendPool, Topology};
 use crate::merge::{merge_rows, solve_merged};
@@ -361,15 +360,6 @@ fn slice_line(labels: &[u16], from: i64, to: i64) -> String {
     line
 }
 
-fn engine_str(k: ShardEngineKind) -> &'static str {
-    match k {
-        ShardEngineKind::Scan => "scan",
-        ShardEngineKind::ScanPlus => "scanplus",
-        ShardEngineKind::Greedy => "greedy",
-        ShardEngineKind::GreedyPlus => "greedyplus",
-    }
-}
-
 /// Rebuilds the wire form of a `SUBSCRIBE` with the skip count replaced —
 /// the router's failover reissues the session with `AFTER` advanced by the
 /// emissions it already relayed.
@@ -380,7 +370,7 @@ fn subscribe_line(spec: &SubscribeSpec, after: u64) -> String {
         labels.join(","),
         spec.lambda,
         spec.tau,
-        engine_str(spec.engine),
+        spec.engine.as_str(),
     );
     if spec.from != i64::MIN {
         line.push_str(&format!(" FROM {}", spec.from));
@@ -614,6 +604,7 @@ mod tests {
     use mqd_core::wire::ShardIdentity;
     use mqd_server::protocol::parse_request;
     use mqd_server::{Server, ServerConfig};
+    use mqd_stream::ShardEngineKind;
 
     fn start_backend(shard: Option<ShardIdentity>) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let server = Server::bind(&ServerConfig {

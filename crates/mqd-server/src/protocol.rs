@@ -153,18 +153,6 @@ fn parse_i64(tok: &str, what: &str) -> Result<i64, MqdError> {
         .map_err(|e| MqdError::protocol(format!("bad {what} '{tok}': {e}")))
 }
 
-fn parse_engine(s: &str) -> Result<ShardEngineKind, MqdError> {
-    match s {
-        "scan" => Ok(ShardEngineKind::Scan),
-        "scanplus" => Ok(ShardEngineKind::ScanPlus),
-        "greedy" => Ok(ShardEngineKind::Greedy),
-        "greedyplus" => Ok(ShardEngineKind::GreedyPlus),
-        other => Err(MqdError::protocol(format!(
-            "unknown engine '{other}' (want scan|scanplus|greedy|greedyplus)"
-        ))),
-    }
-}
-
 /// Range/option tail shared by QUERY, SLICE, and SUBSCRIBE.
 struct Tail {
     from: i64,
@@ -361,7 +349,7 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
             let tau = need(&mut toks, "SUBSCRIBE needs <tau>")?;
             let tau = parse_i64(tau, "tau")?;
             let engine = need(&mut toks, "SUBSCRIBE needs <engine>")?;
-            let engine = parse_engine(engine)?;
+            let engine = ShardEngineKind::parse(engine)?;
             let tail = parse_tail(toks, false, true, false)?;
             Ok(Request::Subscribe(SubscribeSpec {
                 labels,

@@ -753,7 +753,7 @@ fn subscribe(
         w,
         r#"+OK {{"posts":{},"shards":{},"resumed":{}}}"#,
         inst.len(),
-        spec.shards,
+        run.shards(),
         resumed,
     )?;
     let mut sent: HashSet<u32> = HashSet::new();
@@ -1055,6 +1055,33 @@ mod tests {
         sorted.sort();
         assert_eq!(times, sorted);
 
+        assert!(c.request("DRAIN").unwrap().is_ok());
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn subscribe_header_reports_the_shards_that_run() {
+        let (addr, handle) = start(2, 8);
+        let mut c = Client::connect(addr).unwrap();
+        for i in 0..10 {
+            let r = c
+                .request(&format!("INGEST {} {} {}", i + 1, i * 10, i % 3))
+                .unwrap();
+            assert!(r.is_ok());
+        }
+        // A 1-label slice runs one shard whatever SHARDS asks for; three
+        // labels cap 8 requested shards at 3; 2 of 3 labels run 2.
+        for (labels, want) in [("0", 1), ("0,1,2", 3), ("0,2", 2)] {
+            let r = c
+                .request(&format!("SUBSCRIBE {labels} 5 0 scan SHARDS 8"))
+                .unwrap();
+            assert!(r.is_ok(), "{}", r.status);
+            assert!(
+                r.status.contains(&format!(r#""shards":{want},"#)),
+                "labels {labels}: {}",
+                r.status
+            );
+        }
         assert!(c.request("DRAIN").unwrap().is_ok());
         handle.join().unwrap();
     }

@@ -37,28 +37,6 @@ const VERSION: u64 = 1;
 /// Sanity bound on the wrapped engine checkpoint.
 const MAX_INNER_BYTES: u64 = 256 * 1024 * 1024;
 
-/// `ShardEngineKind`'s wire tags are crate-private to `mqd-stream`, so the
-/// wrapper maps them locally; the match is exhaustive, so a new engine kind
-/// fails compilation here instead of silently colliding on a tag.
-fn engine_tag(kind: ShardEngineKind) -> u8 {
-    match kind {
-        ShardEngineKind::Scan => 0,
-        ShardEngineKind::ScanPlus => 1,
-        ShardEngineKind::Greedy => 2,
-        ShardEngineKind::GreedyPlus => 3,
-    }
-}
-
-fn engine_from_tag(tag: u8) -> Option<ShardEngineKind> {
-    Some(match tag {
-        0 => ShardEngineKind::Scan,
-        1 => ShardEngineKind::ScanPlus,
-        2 => ShardEngineKind::Greedy,
-        3 => ShardEngineKind::GreedyPlus,
-        _ => return None,
-    })
-}
-
 /// The parameters a checkpoint wrapper pins (everything in the spec except
 /// the client-side `after` skip, which does not affect the run).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -114,7 +92,7 @@ pub fn encode_wrapper(params: &SubParams, inner: &[u8]) -> Vec<u8> {
     put_varint_i64(&mut buf, params.lambda);
     put_varint_i64(&mut buf, params.tau);
     put_varint(&mut buf, params.shards as u64);
-    buf.push(engine_tag(params.engine));
+    buf.push(params.engine.to_tag());
     put_varint_i64(&mut buf, params.from);
     put_varint_i64(&mut buf, params.to);
     put_varint(&mut buf, params.labels.len() as u64);
@@ -148,8 +126,8 @@ pub fn decode_wrapper(data: &[u8]) -> Result<(SubParams, Vec<u8>), MqdError> {
     }
     let shards = shards as usize;
     let tag = c.get_u8()?;
-    let engine =
-        engine_from_tag(tag).ok_or_else(|| c.corrupt(format!("unknown engine tag {tag}")))?;
+    let engine = ShardEngineKind::from_tag(tag)
+        .ok_or_else(|| c.corrupt(format!("unknown engine tag {tag}")))?;
     let from = c.get_varint_i64()?;
     let to = c.get_varint_i64()?;
     let nlabels = c.get_varint()?;
@@ -329,7 +307,7 @@ mod tests {
         put_varint_i64(&mut body, 50); // lambda
         put_varint_i64(&mut body, 20); // tau
         put_varint(&mut body, 4); // shards
-        body.push(engine_tag(ShardEngineKind::Scan));
+        body.push(ShardEngineKind::Scan.to_tag());
         put_varint_i64(&mut body, 0); // from
         put_varint_i64(&mut body, 100); // to
         put_varint(&mut body, u16::MAX as u64 + 1); // nlabels, passes the u16 bound
@@ -341,19 +319,6 @@ mod tests {
             }
             other => panic!("huge nlabels accepted: {other:?}"),
         }
-    }
-
-    #[test]
-    fn engine_tags_round_trip() {
-        for kind in [
-            ShardEngineKind::Scan,
-            ShardEngineKind::ScanPlus,
-            ShardEngineKind::Greedy,
-            ShardEngineKind::GreedyPlus,
-        ] {
-            assert_eq!(engine_from_tag(engine_tag(kind)), Some(kind));
-        }
-        assert_eq!(engine_from_tag(9), None);
     }
 
     #[test]

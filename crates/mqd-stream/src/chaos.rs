@@ -3,11 +3,11 @@
 //! A [`FaultPlan`] is a sorted list of faults, each pinned to a `(shard,
 //! seq)` coordinate where `seq` is the per-shard arrival sequence number.
 //! Plans are generated from a single `u64` seed via [`mqd_rng::StdRng`], so
-//! every failure scenario — which shard panics, when a channel stalls and
-//! for how long, which arrivals are duplicated or carry garbage timestamps
-//! — is reproducible byte-for-byte from the seed alone. Because faults are
-//! interpreted shard-side at well-defined sequence points (never by wall
-//! clock or thread schedule), the threaded supervised run and its
+//! every failure scenario — which shard panics, when a shard's output
+//! stalls and for how long, which arrivals are duplicated or carry garbage
+//! timestamps — is reproducible byte-for-byte from the seed alone. Because
+//! faults are interpreted shard-side at well-defined sequence points (never
+//! by wall clock or thread schedule), the parallel supervised run and its
 //! sequential reference produce identical output and identical
 //! [`FaultReport`]s for the same seed.
 
@@ -22,7 +22,7 @@ pub enum FaultKind {
     /// The shard panics while processing this arrival (caught and restarted
     /// by the supervisor). Fires once: the retry after restart proceeds.
     Panic,
-    /// The shard's output channel stalls: nothing actually leaves the shard
+    /// The shard's output stalls: nothing actually leaves the shard
     /// before `arrival_time + duration`. Emissions scheduled earlier are
     /// released late (and flagged).
     Stall {

@@ -23,7 +23,7 @@ use mqd_core::{Instance, MqdError};
 use crate::chaos::{FaultPlan, ShardCounters};
 use crate::engine::EngineSnapshot;
 use crate::shard::ShardEngineKind;
-use crate::supervisor::{SupervisedRun, SupervisorConfig};
+use crate::supervisor::{SupSnapshot, SupervisedEmission, SupervisedRun, SupervisorConfig};
 
 /// File magic of a checkpoint blob — aliased from the sanctioned wire
 /// module so the constant can never drift from the decoder's copy.
@@ -61,7 +61,7 @@ pub fn encode_checkpoint(run: &mut SupervisedRun) -> Vec<u8> {
         for p in emitted {
             put_varint(&mut buf, p as u64);
         }
-        encode_engine_snapshot(&mut buf, &sup.engine_snapshot());
+        encode_engine_snapshot(&mut buf, &sup.engine_state());
         let log = sup.emissions_so_far();
         put_varint(&mut buf, log.len() as u64);
         for e in log {
@@ -111,7 +111,7 @@ pub fn resume_supervised(
     let ck_kind = c.get_u8()?;
     let ck_digest = c.get_varint()?;
     let _ck_seed = c.get_varint()?;
-    let next_post = c.get_varint()? as u32;
+    let next_post = get_u32(&mut c, "position")?;
 
     let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan, cfg);
     if ck_lambda != lambda {
@@ -141,7 +141,7 @@ pub fn resume_supervised(
 
     for s in 0..ck_shards {
         let seq = c.get_varint()?;
-        let next_expected = c.get_varint()? as u32;
+        let next_expected = get_u32(&mut c, "next expected index")?;
         let clock = c.get_varint_i64()?;
         let stall_until = c.get_varint_i64()?;
         let degraded = c.get_u8()? != 0;
@@ -161,7 +161,7 @@ pub fn resume_supervised(
             }
             emitted_local[p] = true;
         }
-        let snap = decode_engine_snapshot(&mut c, sup.shard.inst.num_labels(), local_len)?;
+        let engine = decode_engine_snapshot(&mut c, sup.shard.inst.num_labels(), local_len)?;
         let n_emissions = c.get_varint()?;
         if n_emissions as usize > local_len {
             return Err(c.corrupt("emission log larger than shard"));
@@ -170,13 +170,13 @@ pub fn resume_supervised(
         let n_emissions = c.plausible_len(n_emissions, 3, "emission")?;
         let mut emissions = Vec::with_capacity(n_emissions);
         for _ in 0..n_emissions {
-            let post = c.get_varint()? as u32;
+            let post = get_u32(&mut c, "emission post index")?;
             if post as usize >= inst.len() {
                 return Err(c.corrupt("emission post index out of range"));
             }
             let emit_time = c.get_varint_i64()?;
             let degraded = c.get_u8()? != 0;
-            emissions.push(crate::supervisor::SupervisedEmission {
+            emissions.push(SupervisedEmission {
                 post,
                 emit_time,
                 degraded,
@@ -193,25 +193,31 @@ pub fn resume_supervised(
                 attempt: c.get_varint()? as usize,
             });
         }
-        run.sups[s].restore_checkpoint(
+        let snap = SupSnapshot {
             seq,
             next_expected,
             clock,
             stall_until,
             degraded,
             counters,
+            engine,
             emitted_local,
-            fired,
-            snap,
-            emissions,
-            restarts,
-        );
+            emission_mark: emissions.len(),
+        };
+        run.sups[s].restore_checkpoint(snap, fired, emissions, restarts);
     }
     if c.has_remaining() {
         return Err(c.corrupt("trailing bytes after checkpoint payload"));
     }
     run.next_post = next_post;
     Ok(run)
+}
+
+/// Reads a varint that must fit a `u32`: a wider value is corrupt, never
+/// truncated into range.
+fn get_u32(c: &mut Cursor<'_>, what: &str) -> Result<u32, MqdError> {
+    let v = c.get_varint()?;
+    u32::try_from(v).map_err(|_| c.corrupt(format!("{what} {v} out of range")))
 }
 
 fn mismatch(what: String) -> MqdError {
@@ -319,7 +325,7 @@ fn decode_engine_snapshot(
         let n = c.plausible_len(n, 1, "per-label emitted list")?;
         let mut list = Vec::with_capacity(n);
         for _ in 0..n {
-            let p = c.get_varint()? as u32;
+            let p = get_u32(c, "emitted post index")?;
             if p as usize >= num_posts {
                 return Err(c.corrupt("emitted post index out of range"));
             }
@@ -335,7 +341,7 @@ fn decode_engine_snapshot(
     let np = c.plausible_len(np, 2, "pending list")?;
     let mut pending = Vec::with_capacity(np);
     for _ in 0..np {
-        let post = c.get_varint()? as u32;
+        let post = get_u32(c, "pending post index")?;
         if post as usize >= num_posts {
             return Err(c.corrupt("pending post index out of range"));
         }
@@ -346,7 +352,9 @@ fn decode_engine_snapshot(
         let n = c.plausible_len(n, 1, "pending label set")?;
         let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
-            let a = c.get_varint()? as u16;
+            let a = c.get_varint()?;
+            let a = u16::try_from(a)
+                .map_err(|_| c.corrupt(format!("pending label {a} out of range")))?;
             if (a as usize) >= num_labels {
                 return Err(c.corrupt("pending label out of range"));
             }
@@ -361,7 +369,7 @@ fn decode_engine_snapshot(
     let ne = c.plausible_len(ne, 1, "emitted set")?;
     let mut emitted = Vec::with_capacity(ne);
     for _ in 0..ne {
-        let p = c.get_varint()? as u32;
+        let p = get_u32(c, "emitted post index")?;
         if p as usize >= num_posts {
             return Err(c.corrupt("emitted post index out of range"));
         }
@@ -405,6 +413,98 @@ mod tests {
             })
             .collect();
         Instance::from_values(items, labels).unwrap()
+    }
+
+    /// Re-encodes the varint at `at` (which holds `old`) as `new` and
+    /// re-seals the checksum, so only the decoder's range checks stand
+    /// between the forged value and a resumed run.
+    fn forge(bytes: &[u8], at: usize, old: u64, new: u64) -> Vec<u8> {
+        let body = &bytes[..bytes.len() - FOOTER.len() - 8];
+        let mut old_enc = Vec::new();
+        put_varint(&mut old_enc, old);
+        assert_eq!(&body[at..at + old_enc.len()], &old_enc[..]);
+        let mut out = body[..at].to_vec();
+        put_varint(&mut out, new);
+        out.extend_from_slice(&body[at + old_enc.len()..]);
+        seal_framed(&mut out, &FOOTER);
+        out
+    }
+
+    #[test]
+    fn out_of_range_wire_integers_are_corrupt_not_truncated() {
+        let inst = instance(21, 80, 2);
+        let (lambda, tau, kind) = (60, 35, ShardEngineKind::Scan);
+        let (plan, cfg) = (FaultPlan::none(), SupervisorConfig::default());
+        let mut run = SupervisedRun::new(&inst, lambda, tau, 1, kind, &plan, cfg);
+        // A boundary where the shard has released a post and buffers one.
+        while run.sups[0].emissions_so_far().is_empty()
+            || run.sups[0].engine_state().pending.is_empty()
+        {
+            assert!(
+                run.step().unwrap(),
+                "no boundary with an emission and a pending post"
+            );
+        }
+        let bytes = encode_checkpoint(&mut run);
+        assert!(resume_supervised(&inst, lambda, tau, 1, kind, &plan, cfg, &bytes).is_ok());
+
+        // Offsets of the three forged fields, in the encoder's layout.
+        let sup = &run.sups[0];
+        let mut at = MAGIC.to_vec();
+        put_varint(&mut at, VERSION);
+        put_varint_i64(&mut at, lambda);
+        put_varint_i64(&mut at, tau);
+        put_varint(&mut at, 1);
+        at.push(kind.to_tag());
+        put_varint(&mut at, run.digest);
+        put_varint(&mut at, run.seed);
+        let next_post_at = at.len();
+        put_varint(&mut at, run.next_post as u64);
+        put_varint(&mut at, sup.seq());
+        put_varint(&mut at, sup.next_expected as u64);
+        put_varint_i64(&mut at, sup.clock);
+        put_varint_i64(&mut at, sup.stall_until);
+        at.push(sup.degraded as u8);
+        encode_counters(&mut at, &sup.counters);
+        encode_flags(&mut at, &sup.fired);
+        let emitted = bitset_to_indices(sup.emitted_local_bits());
+        put_varint(&mut at, emitted.len() as u64);
+        for p in emitted {
+            put_varint(&mut at, p as u64);
+        }
+        let snap = sup.engine_state();
+        let mut label_at = at.clone();
+        put_varint(&mut label_at, snap.emitted_per_label.len() as u64);
+        for list in &snap.emitted_per_label {
+            put_varint(&mut label_at, list.len() as u64);
+            for &p in list {
+                put_varint(&mut label_at, p as u64);
+            }
+        }
+        let (pending_post, pending_labels) = &snap.pending[0];
+        put_varint(&mut label_at, snap.pending.len() as u64);
+        put_varint(&mut label_at, *pending_post as u64);
+        put_varint(&mut label_at, pending_labels.len() as u64);
+        encode_engine_snapshot(&mut at, &snap);
+        put_varint(&mut at, sup.emissions_so_far().len() as u64);
+        assert_eq!(&bytes[..label_at.len()], &label_at[..], "layout drifted");
+        assert_eq!(&bytes[..at.len()], &at[..], "layout drifted");
+
+        // Each wide value truncates to the valid one it replaces.
+        let post = sup.emissions_so_far()[0].post as u64;
+        let label = pending_labels[0] as u64;
+        let next_post = run.next_post as u64;
+        for (offset, old, wide) in [
+            (next_post_at, next_post, next_post + (1 << 32)),
+            (at.len(), post, post + (1 << 32)),
+            (label_at.len(), label, label + (1 << 16)),
+        ] {
+            let forged = forge(&bytes, offset, old, wide);
+            match resume_supervised(&inst, lambda, tau, 1, kind, &plan, cfg, &forged) {
+                Err(MqdError::Corrupt { .. }) => {}
+                other => panic!("{wide} at byte {offset} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //! Use [`run_stream`] to replay an [`mqd_core::Instance`] through an engine
 //! and obtain the emitted sub-stream plus delay statistics.
 //!
-//! Scale-out layers (built on `mqd-par` and `std::sync::mpsc` only):
+//! Scale-out layers (all parallelism comes from `mqd-par`; this crate
+//! spawns no thread and opens no channel of its own):
 //!
-//! * [`run_supervised_stream`] — labels partitioned across supervised shard
-//!   threads, each running its own engine behind a bounded channel; merged
-//!   output keeps the per-post delay bound `tau` ([`run_sharded_reference`]
-//!   is the thread-free reference of the same decomposition).
+//! * [`run_supervised_stream`] — labels partitioned across supervised
+//!   shards, each one `mqd-par` slot that runs its own engine over the
+//!   shard's arrivals; merged output keeps the per-post delay bound `tau`
+//!   ([`run_sharded_reference`] is the thread-free reference of the same
+//!   decomposition).
 //! * [`solve_batch_users`] — many users' offline digests solved in parallel
 //!   over one shared read-only instance.
 

@@ -10,14 +10,14 @@
 //! from several shards is fed to each of them (and deduplicated at merge,
 //! keeping its earliest emission, which can only tighten the delay).
 //!
-//! The threaded runner (feeder thread, one bounded channel and one worker
-//! per shard) is [`crate::supervisor::run_supervised_stream`], which under
-//! `FaultPlan::none()` is this decomposition with supervision around it.
-//! [`run_sharded_reference`] is the same decomposition and merge with no
-//! threads, channels or supervisor: each shard replays the simulator's
-//! event discipline — clock advance to `t - 1`, then the arrival — against
-//! its label-filtered sub-instance, then flushes. Tests compare the
-//! supervised runners against it.
+//! The parallel runner is [`crate::supervisor::run_supervised_stream`]
+//! (one `mqd-par` slot per shard), which under `FaultPlan::none()` is this
+//! decomposition with supervision around it. [`run_sharded_reference`] is
+//! the same decomposition with no threads or supervisor, and its own merge
+//! (`merge_emissions`) so it shares no code with what it checks: each
+//! shard replays the simulator's event discipline — clock advance to
+//! `t - 1`, then the arrival — against its label-filtered sub-instance,
+//! then flushes. Tests compare the supervised runners against it.
 //!
 //! Sharding is defined for a **uniform** threshold (`FixedLambda`):
 //! variable per-post thresholds (Section 6) are computed against a
@@ -28,7 +28,7 @@
 //! byte-identical across runs; with `shards = 1` it equals the unsharded
 //! [`run_stream`](crate::simulator::run_stream) of the same engine.
 
-use mqd_core::{FixedLambda, Instance, LabelId, Post, PostId};
+use mqd_core::{FixedLambda, Instance, LabelId, MqdError, Post, PostId};
 
 use crate::engine::{Emission, StreamContext, StreamEngine};
 use crate::greedy::StreamGreedy;
@@ -76,8 +76,31 @@ impl ShardEngineKind {
         }
     }
 
-    /// Stable on-disk tag for checkpoint files.
-    pub(crate) fn to_tag(self) -> u8 {
+    /// Wire name (`SUBSCRIBE` lines): `scan|scanplus|greedy|greedyplus`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShardEngineKind::Scan => "scan",
+            ShardEngineKind::ScanPlus => "scanplus",
+            ShardEngineKind::Greedy => "greedy",
+            ShardEngineKind::GreedyPlus => "greedyplus",
+        }
+    }
+
+    /// Inverse of [`Self::as_str`]; an unknown name is a protocol error.
+    pub fn parse(s: &str) -> Result<Self, MqdError> {
+        match s {
+            "scan" => Ok(ShardEngineKind::Scan),
+            "scanplus" => Ok(ShardEngineKind::ScanPlus),
+            "greedy" => Ok(ShardEngineKind::Greedy),
+            "greedyplus" => Ok(ShardEngineKind::GreedyPlus),
+            other => Err(MqdError::protocol(format!(
+                "unknown engine '{other}' (want scan|scanplus|greedy|greedyplus)"
+            ))),
+        }
+    }
+
+    /// Stable on-disk tag (checkpoint and subscription files).
+    pub fn to_tag(self) -> u8 {
         match self {
             ShardEngineKind::Scan => 0,
             ShardEngineKind::ScanPlus => 1,
@@ -87,7 +110,7 @@ impl ShardEngineKind {
     }
 
     /// Inverse of [`Self::to_tag`].
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+    pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(ShardEngineKind::Scan),
             1 => Some(ShardEngineKind::ScanPlus),
@@ -168,7 +191,7 @@ pub(crate) fn build_shards(inst: &Instance, shards: usize) -> Vec<Shard> {
 /// Merges per-shard emissions (already mapped to global post indices):
 /// dedup posts keeping each post's earliest emission, then order by
 /// `(emit_time, post)`.
-pub(crate) fn merge_emissions(mut all: Vec<Emission>) -> Vec<Emission> {
+fn merge_emissions(mut all: Vec<Emission>) -> Vec<Emission> {
     all.sort_unstable_by_key(|e| (e.post, e.emit_time));
     all.dedup_by_key(|e| e.post);
     all.sort_unstable_by_key(|e| (e.emit_time, e.post));
@@ -261,6 +284,31 @@ mod tests {
             })
             .collect();
         Instance::from_values(items, labels).unwrap()
+    }
+
+    #[test]
+    fn engine_kind_names_and_tags_round_trip() {
+        let kinds = [
+            ShardEngineKind::Scan,
+            ShardEngineKind::ScanPlus,
+            ShardEngineKind::Greedy,
+            ShardEngineKind::GreedyPlus,
+        ];
+        for (tag, kind) in kinds.into_iter().enumerate() {
+            // Tags are on disk (checkpoints, `subs/` files): pinned values.
+            assert_eq!(kind.to_tag() as usize, tag);
+            assert_eq!(ShardEngineKind::from_tag(kind.to_tag()), Some(kind));
+            assert_eq!(ShardEngineKind::parse(kind.as_str()).unwrap(), kind);
+        }
+        let names: Vec<&str> = kinds.iter().map(|k| k.as_str()).collect();
+        assert_eq!(names, ["scan", "scanplus", "greedy", "greedyplus"]);
+        assert_eq!(ShardEngineKind::from_tag(9), None);
+        let err = ShardEngineKind::parse("scan+").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown engine 'scan+' (want scan|scanplus|greedy|greedyplus)"),
+            "{err}"
+        );
     }
 
     #[test]

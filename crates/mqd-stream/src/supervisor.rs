@@ -15,9 +15,17 @@
 //! quantities only: a stall fault sets `stall_until = max(stall_until,
 //! t + duration)`, the processing time of an arrival is
 //! `max(t, stall_until)`, and the shard's *lag* is their difference.
-//! Nothing depends on wall clocks, queue depths, or thread scheduling, so
-//! the threaded supervised run and its sequential reference are
-//! byte-identical — including the fault report.
+//! Nothing depends on wall clocks or thread scheduling, so the parallel
+//! supervised run and its sequential reference are byte-identical —
+//! including the fault report.
+//!
+//! **Drives.** A shard's arrival sequence is known up front: it receives
+//! its local posts `0..len` in order, however the global arrivals
+//! interleave. [`run_supervised_stream`] therefore hands each shard to a
+//! `mqd-par` slot that delivers that sequence and flushes; no thread or
+//! channel of its own. [`SupervisedRun::step`] is the interleaved drive
+//! (one global arrival to every shard that owns it), which the checkpoint
+//! codec, the server's `SUBSCRIBE` and [`run_supervised_reference`] use.
 //!
 //! **Graceful degradation.** When the lag exceeds the degrade threshold
 //! (default `tau / 2`), the shard flushes its primary engine and switches
@@ -30,7 +38,6 @@
 //! zero unless the accounting itself is broken).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
 use mqd_core::{FixedLambda, Instance, MqdError};
@@ -135,20 +142,20 @@ pub struct SupervisedRunResult {
 }
 
 /// Rolling restart point: everything needed to rebuild the shard as it was
-/// at a delivery boundary.
-#[derive(Clone)]
-struct SupSnapshot {
+/// at a delivery boundary. A checkpoint decodes into one.
+#[derive(Clone, Default)]
+pub(crate) struct SupSnapshot {
     /// Deliveries fully processed when the snapshot was taken.
-    seq: u64,
-    next_expected: u32,
-    clock: i64,
-    stall_until: i64,
-    degraded: bool,
-    counters: ShardCounters,
-    engine: EngineSnapshot,
-    emitted_local: Vec<bool>,
+    pub(crate) seq: u64,
+    pub(crate) next_expected: u32,
+    pub(crate) clock: i64,
+    pub(crate) stall_until: i64,
+    pub(crate) degraded: bool,
+    pub(crate) counters: ShardCounters,
+    pub(crate) engine: EngineSnapshot,
+    pub(crate) emitted_local: Vec<bool>,
     /// `emissions.len()` at capture; a restart truncates back to this.
-    emission_mark: usize,
+    pub(crate) emission_mark: usize,
 }
 
 /// The supervisor state machine for one shard.
@@ -191,46 +198,31 @@ impl ShardSup {
         cfg: SupervisorConfig,
         faults: Vec<Fault>,
     ) -> Self {
-        let labels = shard.inst.num_labels();
-        let engine = kind.build(labels, shard.inst.len());
-        let fired = vec![false; faults.len()];
-        let emitted_local = vec![false; shard.inst.len()];
-        let snap = SupSnapshot {
-            seq: 0,
-            next_expected: 0,
-            clock: i64::MIN,
-            stall_until: i64::MIN,
-            degraded: false,
-            counters: ShardCounters::default(),
-            engine: engine
-                .snapshot()
-                .unwrap_or_else(|| EngineSnapshot::empty(labels)),
-            emitted_local: emitted_local.clone(),
-            emission_mark: 0,
-        };
-        ShardSup {
+        let mut sup = ShardSup {
             index,
+            engine: kind.build(shard.inst.num_labels(), shard.inst.len()),
+            emitted_local: vec![false; shard.inst.len()],
             shard,
             lambda: FixedLambda(lambda),
             tau,
             kind,
             cfg,
+            fired: vec![false; faults.len()],
             faults,
-            fired,
-            engine,
             degraded: false,
             clock: i64::MIN,
             stall_until: i64::MIN,
             next_expected: 0,
             counters: ShardCounters::default(),
-            emitted_local,
             emissions: Vec::new(),
             restarts: Vec::new(),
-            snap,
+            snap: SupSnapshot::default(),
             pending_replay: Vec::new(),
             replay_done: 0,
             want_snapshot: false,
-        }
+        };
+        sup.take_snapshot();
+        sup
     }
 
     /// Total deliveries fully processed (the next arrival's seq number).
@@ -246,13 +238,23 @@ impl ShardSup {
         self.faults.binary_search_by_key(&seq, |f| f.seq).ok()
     }
 
-    /// Delivers one arrival (a local post index, in feeder order), absorbing
-    /// panics via restart.
+    /// Delivers one arrival (a local post index, in arrival order),
+    /// absorbing panics via restart.
     pub(crate) fn deliver(&mut self, idx: u32) -> Result<(), MqdError> {
         self.pending_replay.push(idx);
         self.run_pending()?;
         self.maybe_snapshot();
         Ok(())
+    }
+
+    /// Delivers this shard's whole arrival sequence — its local posts
+    /// `0..len`, in order — and flushes: the per-shard drive of
+    /// [`run_supervised_stream`].
+    fn run_to_end(&mut self) -> Result<(), MqdError> {
+        for idx in 0..self.shard.inst.len() as u32 {
+            self.deliver(idx)?;
+        }
+        self.finish()
     }
 
     fn run_pending(&mut self) -> Result<(), MqdError> {
@@ -338,19 +340,12 @@ impl ShardSup {
     /// (preserving the lambda-cover), then continue from its coverage
     /// frontier with zero buffering.
     fn degrade(&mut self) {
-        let labels = self.shard.inst.num_labels();
         let mut out = Vec::new();
         {
             let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
             self.engine.flush(&ctx, &mut out);
-            let frontier = self
-                .engine
-                .snapshot()
-                .unwrap_or_else(|| EngineSnapshot::empty(labels));
-            let mut instant = InstantScan::new(labels);
-            instant.restore(&ctx, &frontier);
-            self.engine = Box::new(instant);
         }
+        self.engine = self.engine_from(true, &self.engine_state());
         self.degraded = true;
         self.counters.mode_switches += 1;
         self.sink(out, true);
@@ -360,11 +355,7 @@ impl ShardSup {
     /// Switches back to the primary engine, seeded from the Instant cache's
     /// frontier and the cumulative emitted set.
     fn recover(&mut self) {
-        let labels = self.shard.inst.num_labels();
-        let mut snap = self
-            .engine
-            .snapshot()
-            .unwrap_or_else(|| EngineSnapshot::empty(labels));
+        let mut snap = self.engine_state();
         snap.emitted = self
             .emitted_local
             .iter()
@@ -372,12 +363,7 @@ impl ShardSup {
             .filter(|(_, &e)| e)
             .map(|(i, _)| i as u32)
             .collect();
-        let mut primary = self.kind.build(labels, self.shard.inst.len());
-        {
-            let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
-            primary.restore(&ctx, &snap);
-        }
-        self.engine = primary;
+        self.engine = self.engine_from(false, &snap);
         self.degraded = false;
         self.counters.mode_switches += 1;
         self.want_snapshot = true;
@@ -422,7 +408,6 @@ impl ShardSup {
     }
 
     fn restore_from_snap(&mut self) {
-        let labels = self.shard.inst.num_labels();
         self.next_expected = self.snap.next_expected;
         self.clock = self.snap.clock;
         self.stall_until = self.snap.stall_until;
@@ -430,17 +415,22 @@ impl ShardSup {
         self.counters = self.snap.counters;
         self.emitted_local = self.snap.emitted_local.clone();
         self.emissions.truncate(self.snap.emission_mark);
-        let mut engine: Box<dyn StreamEngine> = if self.snap.degraded {
+        self.engine = self.engine_from(self.snap.degraded, &self.snap.engine);
+        self.replay_done = 0;
+    }
+
+    /// A fresh engine for the given mode — Instant when `degraded`, else
+    /// the primary kind — restored from `snap`.
+    fn engine_from(&self, degraded: bool, snap: &EngineSnapshot) -> Box<dyn StreamEngine> {
+        let labels = self.shard.inst.num_labels();
+        let mut engine: Box<dyn StreamEngine> = if degraded {
             Box::new(InstantScan::new(labels))
         } else {
             self.kind.build(labels, self.shard.inst.len())
         };
-        {
-            let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
-            engine.restore(&ctx, &self.snap.engine);
-        }
-        self.engine = engine;
-        self.replay_done = 0;
+        let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
+        engine.restore(&ctx, snap);
+        engine
     }
 
     fn maybe_snapshot(&mut self) {
@@ -453,7 +443,6 @@ impl ShardSup {
     /// Captures a restart point. Only valid at delivery boundaries.
     pub(crate) fn take_snapshot(&mut self) {
         debug_assert_eq!(self.replay_done, self.pending_replay.len());
-        let labels = self.shard.inst.num_labels();
         self.snap = SupSnapshot {
             seq: self.snap.seq + self.replay_done as u64,
             next_expected: self.next_expected,
@@ -461,10 +450,7 @@ impl ShardSup {
             stall_until: self.stall_until,
             degraded: self.degraded,
             counters: self.counters,
-            engine: self
-                .engine
-                .snapshot()
-                .unwrap_or_else(|| EngineSnapshot::empty(labels)),
+            engine: self.engine_state(),
             emitted_local: self.emitted_local.clone(),
             emission_mark: self.emissions.len(),
         };
@@ -489,72 +475,39 @@ impl ShardSup {
         &self.restarts
     }
 
-    /// The engine's current restartable snapshot (for checkpointing; call
-    /// [`Self::take_snapshot`] first so the replay buffer is empty).
-    pub(crate) fn engine_snapshot(&self) -> EngineSnapshot {
+    /// The engine's current restartable snapshot (empty for an engine
+    /// without one). For checkpointing, call [`Self::take_snapshot`] first
+    /// so the replay buffer is empty.
+    pub(crate) fn engine_state(&self) -> EngineSnapshot {
         self.engine
             .snapshot()
             .unwrap_or_else(|| EngineSnapshot::empty(self.shard.inst.num_labels()))
     }
 
-    /// Overwrites the supervisor state from checkpointed fields. The engine
-    /// is rebuilt and restored from `engine_snap`; `emissions` is the
-    /// checkpointed emission log, so the resumed run's final output is the
-    /// complete emission stream, not just the post-checkpoint tail.
-    #[allow(clippy::too_many_arguments)]
+    /// Overwrites the supervisor state from a decoded checkpoint: `snap`
+    /// becomes the restart point and the engine is rebuilt from it.
+    /// `emissions` is the checkpointed emission log (`snap.emission_mark`
+    /// is its length), so the resumed run's final output is the complete
+    /// emission stream, not just the post-checkpoint tail.
     pub(crate) fn restore_checkpoint(
         &mut self,
-        seq: u64,
-        next_expected: u32,
-        clock: i64,
-        stall_until: i64,
-        degraded: bool,
-        counters: ShardCounters,
-        emitted_local: Vec<bool>,
+        snap: SupSnapshot,
         fired: Vec<bool>,
-        engine_snap: EngineSnapshot,
         emissions: Vec<SupervisedEmission>,
         restarts: Vec<RestartRecord>,
     ) {
-        self.next_expected = next_expected;
-        self.clock = clock;
-        self.stall_until = stall_until;
-        self.degraded = degraded;
-        self.counters = counters;
-        self.emitted_local = emitted_local;
+        self.snap = snap;
         self.fired = fired;
-        let labels = self.shard.inst.num_labels();
-        let mut engine: Box<dyn StreamEngine> = if degraded {
-            Box::new(InstantScan::new(labels))
-        } else {
-            self.kind.build(labels, self.shard.inst.len())
-        };
-        {
-            let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
-            engine.restore(&ctx, &engine_snap);
-        }
-        self.engine = engine;
         self.emissions = emissions;
         self.restarts = restarts;
         self.pending_replay.clear();
-        self.replay_done = 0;
         self.want_snapshot = false;
-        self.snap = SupSnapshot {
-            seq,
-            next_expected,
-            clock,
-            stall_until,
-            degraded,
-            counters,
-            engine: engine_snap,
-            emitted_local: self.emitted_local.clone(),
-            emission_mark: self.emissions.len(),
-        };
+        self.restore_from_snap();
     }
 
-    /// End of stream: flush the engine (absorbing panics like any other
-    /// event) and return the shard's outcome.
-    pub(crate) fn finish(mut self) -> Result<ShardOutcome, MqdError> {
+    /// End of stream: flush the engine in place, absorbing panics like any
+    /// other event.
+    pub(crate) fn finish(&mut self) -> Result<(), MqdError> {
         loop {
             let res = catch_unwind(AssertUnwindSafe(|| {
                 let mut out = Vec::new();
@@ -565,7 +518,7 @@ impl ShardSup {
             match res {
                 Ok(out) => {
                     self.sink(out, false);
-                    break;
+                    return Ok(());
                 }
                 Err(_) => {
                     self.restart(self.seq())?;
@@ -573,90 +526,16 @@ impl ShardSup {
                 }
             }
         }
-        Ok(ShardOutcome {
-            index: self.index,
-            emissions: self.emissions,
-            counters: self.counters,
-            restarts: self.restarts,
-        })
     }
 }
 
-/// What one supervised shard hands back to the merger.
-pub(crate) struct ShardOutcome {
-    pub(crate) index: usize,
-    pub(crate) emissions: Vec<SupervisedEmission>,
-    pub(crate) counters: ShardCounters,
-    pub(crate) restarts: Vec<RestartRecord>,
-}
-
-/// Merges per-shard outcomes into the final result and report.
-fn assemble(
-    global_times: &[i64],
-    tau: i64,
-    seed: u64,
-    plan_faults: Vec<Fault>,
-    kind: ShardEngineKind,
-    mut outcomes: Vec<ShardOutcome>,
-) -> SupervisedRunResult {
-    outcomes.sort_by_key(|o| o.index);
-    let shards = outcomes.len();
-    let mut counters = ShardCounters::default();
-    let mut restarts = Vec::new();
-    let mut all: Vec<SupervisedEmission> = Vec::new();
-    for o in outcomes {
-        counters.add(&o.counters);
-        restarts.extend(o.restarts);
-        all.extend(o.emissions);
-    }
-    // Dedup per post, keeping the earliest release (ties prefer unflagged);
-    // then global release order.
+/// Dedups emissions per post, keeping the earliest release (a tie prefers
+/// the unflagged one), then orders them by `(emit_time, post)`.
+fn merge(mut all: Vec<SupervisedEmission>) -> Vec<SupervisedEmission> {
     all.sort_by_key(|e| (e.post, e.emit_time, e.degraded));
     all.dedup_by_key(|e| e.post);
     all.sort_by_key(|e| (e.emit_time, e.post));
-
-    let mut selected: Vec<u32> = all.iter().map(|e| e.post).collect();
-    selected.sort_unstable();
-    selected.dedup();
-    let delay = |e: &SupervisedEmission| e.emit_time.saturating_sub(global_times[e.post as usize]);
-    let max_delay = all.iter().map(delay).max().unwrap_or(0);
-    let max_unflagged_delay = all
-        .iter()
-        .filter(|e| !e.degraded)
-        .map(delay)
-        .max()
-        .unwrap_or(0);
-    let tau_violations_unflagged = all.iter().filter(|e| !e.degraded && delay(e) > tau).count();
-
-    let emissions_plain: Vec<Emission> = all
-        .iter()
-        .map(|e| Emission {
-            post: e.post,
-            emit_time: e.emit_time,
-        })
-        .collect();
-    let report = FaultReport {
-        seed,
-        shards,
-        tau,
-        faults: plan_faults,
-        restarts,
-        counters,
-        emissions: all.len(),
-        max_delay,
-        max_unflagged_delay,
-        tau_violations_unflagged,
-    };
-    SupervisedRunResult {
-        result: StreamRunResult {
-            algorithm: kind.supervised_name(),
-            emissions: emissions_plain,
-            selected,
-            max_delay,
-        },
-        emissions: all,
-        report,
-    }
+    all
 }
 
 /// A resumable sequential supervised run: the unit the checkpoint codec
@@ -720,6 +599,12 @@ impl SupervisedRun {
         }
     }
 
+    /// Shards the run uses: the requested count clamped to at least one
+    /// and at most one per label.
+    pub fn shards(&self) -> usize {
+        self.sups.len()
+    }
+
     /// Global posts delivered so far.
     pub fn position(&self) -> u32 {
         self.next_post
@@ -757,31 +642,81 @@ impl SupervisedRun {
     /// order (without the end-of-stream flush). This is what a process
     /// killed right now would have durably published.
     pub fn released_emissions(&self) -> Vec<SupervisedEmission> {
-        let mut all: Vec<SupervisedEmission> = self
-            .sups
-            .iter()
-            .flat_map(|s| s.emissions_so_far().iter().copied())
-            .collect();
-        all.sort_by_key(|e| (e.post, e.emit_time, e.degraded));
-        all.dedup_by_key(|e| e.post);
-        all.sort_by_key(|e| (e.emit_time, e.post));
-        all
+        merge(
+            self.sups
+                .iter()
+                .flat_map(|s| s.emissions_so_far().iter().copied())
+                .collect(),
+        )
     }
 
     /// Flushes every shard and assembles the merged result and report.
-    pub fn finish(self) -> Result<SupervisedRunResult, MqdError> {
-        let mut outcomes = Vec::with_capacity(self.sups.len());
-        for sup in self.sups {
-            outcomes.push(sup.finish()?);
+    pub fn finish(mut self) -> Result<SupervisedRunResult, MqdError> {
+        for sup in &mut self.sups {
+            sup.finish()?;
         }
-        Ok(assemble(
-            &self.global_times,
-            self.tau,
-            self.seed,
-            self.plan_faults,
-            self.kind,
-            outcomes,
-        ))
+        Ok(self.assemble())
+    }
+
+    /// Merges the finished shards into the final result and report.
+    fn assemble(self) -> SupervisedRunResult {
+        let shards = self.sups.len();
+        let mut counters = ShardCounters::default();
+        let mut restarts = Vec::new();
+        let mut all: Vec<SupervisedEmission> = Vec::new();
+        for sup in self.sups {
+            counters.add(&sup.counters);
+            restarts.extend(sup.restarts);
+            all.extend(sup.emissions);
+        }
+        let all = merge(all);
+
+        let mut selected: Vec<u32> = all.iter().map(|e| e.post).collect();
+        selected.sort_unstable();
+        selected.dedup();
+        let delay = |e: &SupervisedEmission| {
+            e.emit_time
+                .saturating_sub(self.global_times[e.post as usize])
+        };
+        let max_delay = all.iter().map(delay).max().unwrap_or(0);
+        let max_unflagged_delay = all
+            .iter()
+            .filter(|e| !e.degraded)
+            .map(delay)
+            .max()
+            .unwrap_or(0);
+        let tau = self.tau;
+        let tau_violations_unflagged = all.iter().filter(|e| !e.degraded && delay(e) > tau).count();
+
+        let emissions_plain: Vec<Emission> = all
+            .iter()
+            .map(|e| Emission {
+                post: e.post,
+                emit_time: e.emit_time,
+            })
+            .collect();
+        let report = FaultReport {
+            seed: self.seed,
+            shards,
+            tau,
+            faults: self.plan_faults,
+            restarts,
+            counters,
+            emissions: all.len(),
+            max_delay,
+            max_unflagged_delay,
+            tau_violations_unflagged,
+        };
+        SupervisedRunResult {
+            result: StreamRunResult {
+                algorithm: self.kind.supervised_name(),
+                emissions: emissions_plain,
+                selected,
+                max_delay,
+            },
+            emissions: all,
+            report,
+        }
     }
 }
 
@@ -801,8 +736,9 @@ pub(crate) fn instance_digest(inst: &Instance) -> u64 {
     mqd_core::wire::fnv1a(&buf)
 }
 
-/// Sequential supervised run: build, drive to completion, finish. The
-/// reference implementation the threaded runner must match byte-for-byte.
+/// Sequential supervised run: build, drive to completion in global arrival
+/// order ([`SupervisedRun::run_all`]), finish. The reference the parallel
+/// runner must match byte-for-byte.
 pub fn run_supervised_reference(
     inst: &Instance,
     lambda: i64,
@@ -817,10 +753,13 @@ pub fn run_supervised_reference(
     run.finish()
 }
 
-/// Threaded supervised run: the PR-1 feeder/worker topology with every
-/// worker wrapped in a [`ShardSup`]. Fault interpretation is keyed by the
-/// per-shard arrival sequence, so the output — emissions *and* report — is
-/// byte-identical to [`run_supervised_reference`] for any thread schedule.
+/// Parallel supervised run: each shard is one `mqd-par` slot that
+/// delivers its local arrivals `0..len` and flushes, on at most
+/// `min(shards, configured_threads())` workers. Fault interpretation is
+/// keyed by the per-shard arrival sequence, so the output — emissions
+/// *and* report — is byte-identical to [`run_supervised_reference`] at any
+/// thread count. A failed shard's error is returned; with several, the
+/// lowest shard's.
 pub fn run_supervised_stream(
     inst: &Instance,
     lambda: i64,
@@ -830,70 +769,20 @@ pub fn run_supervised_stream(
     plan: &FaultPlan,
     cfg: SupervisorConfig,
 ) -> Result<SupervisedRunResult, MqdError> {
-    silence_injected_panics();
-    let shards = clamp_shards(inst, shards);
-    let built = build_shards(inst, shards);
-    let routing: Vec<Vec<u32>> = built.iter().map(|s| s.to_local.clone()).collect();
-    let mut sups: Vec<ShardSup> = built
-        .into_iter()
-        .enumerate()
-        .map(|(s, sh)| ShardSup::new(s, sh, lambda, tau, kind, cfg, plan.for_shard(s)))
-        .collect();
+    let run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan, cfg);
+    run_parallel(run, mqd_par::configured_threads())
+}
 
-    let mut results: Vec<Result<ShardOutcome, MqdError>> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for mut sup in sups.drain(..) {
-            let (tx, rx) = sync_channel::<u32>(1024);
-            senders.push(tx);
-            handles.push(scope.spawn(move || -> Result<ShardOutcome, MqdError> {
-                // lint:allow(blocking-call): the feeder drops all senders after the routing loop, ending this recv with Err
-                while let Ok(idx) = rx.recv() {
-                    if let Err(e) = sup.deliver(idx) {
-                        // Keep draining so the feeder never blocks on a
-                        // failed shard's full channel.
-                        // lint:allow(blocking-call): same sender-drop bound as the loop above
-                        while rx.recv().is_ok() {}
-                        return Err(e);
-                    }
-                }
-                sup.finish()
-            }));
-        }
-        for k in 0..inst.len() {
-            for (s, routes) in routing.iter().enumerate() {
-                let local = routes[k];
-                if local != u32::MAX && senders[s].send(local).is_err() {
-                    // The shard exited early (restart budget exhausted);
-                    // its typed error surfaces when we join below.
-                    continue;
-                }
-            }
-        }
-        drop(senders);
-        for h in handles {
-            // lint:allow(blocking-call): the sender drop above ends each shard's recv loop, so the join is bounded
-            results.push(match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            });
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(shards);
-    for r in results {
-        outcomes.push(r?);
+/// Drives every shard of a fresh `run` to its end on `threads` workers and
+/// assembles the result; the first failed shard in shard order fails it.
+fn run_parallel(mut run: SupervisedRun, threads: usize) -> Result<SupervisedRunResult, MqdError> {
+    let mut slots: Vec<(&mut ShardSup, Result<(), MqdError>)> =
+        run.sups.iter_mut().map(|sup| (sup, Ok(()))).collect();
+    mqd_par::par_for_each_threads(threads, &mut slots, |_, (sup, res)| *res = sup.run_to_end());
+    for (_, res) in slots {
+        res?;
     }
-    let global_times: Vec<i64> = (0..inst.len() as u32).map(|k| inst.value(k)).collect();
-    Ok(assemble(
-        &global_times,
-        tau,
-        plan.seed,
-        plan.faults.clone(),
-        kind,
-        outcomes,
-    ))
+    Ok(run.assemble())
 }
 
 #[cfg(test)]
@@ -1125,6 +1014,50 @@ mod tests {
         let err = run_supervised_reference(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg)
             .unwrap_err();
         assert!(matches!(err, MqdError::ShardFailed { shard: 0, .. }));
+        let err = run_supervised_stream(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg);
+        assert!(matches!(err, Err(MqdError::ShardFailed { shard: 0, .. })));
+        for threads in [1, 4] {
+            let run = SupervisedRun::new(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg);
+            let err = run_parallel(run, threads);
+            assert!(
+                matches!(err, Err(MqdError::ShardFailed { shard: 0, .. })),
+                "threads={threads}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_run_reports_the_lowest_failed_shard() {
+        // Shard 2 fails on its first arrival, shard 1 much later: the
+        // parallel drive must still name shard 1, whatever finishes first.
+        let inst = instance(4, 120, 3);
+        let plan = FaultPlan::from_faults(
+            5,
+            vec![
+                Fault {
+                    shard: 1,
+                    seq: 30,
+                    kind: FaultKind::Panic,
+                },
+                Fault {
+                    shard: 2,
+                    seq: 0,
+                    kind: FaultKind::Panic,
+                },
+            ],
+        );
+        let cfg = SupervisorConfig {
+            max_restarts: 0,
+            ..Default::default()
+        };
+        for threads in [1, 2, 3, 8] {
+            let run = SupervisedRun::new(&inst, 30, 10, 3, ShardEngineKind::Greedy, &plan, cfg);
+            let err = run_parallel(run, threads);
+            assert!(
+                matches!(err, Err(MqdError::ShardFailed { shard: 1, .. })),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     #[test]
