@@ -162,10 +162,11 @@ impl Rows {
 
     /// The rows an inverted index holds: row `i` is `ids[i]` and
     /// `values[i]` carrying every label whose offset list holds `i`, in
-    /// the order `postings` yields the labels. One pass counts each row's
-    /// labels, a second writes them into its run of the arena. Panics
-    /// when `values` is not as long as `ids` or an offset is not below it.
-    pub fn from_postings<'a, P>(ids: &[u64], values: &[i64], postings: P) -> Rows
+    /// the order `postings` yields the labels. The columns become the
+    /// batch's own. One pass counts each row's labels, a second writes
+    /// them into its run of the arena. Panics when `values` is not as long
+    /// as `ids` or an offset is not below it.
+    pub fn from_postings<'a, P>(ids: Vec<u64>, values: Vec<i64>, postings: P) -> Rows
     where
         P: IntoIterator<Item = (u16, &'a [u16])>,
         P::IntoIter: Clone,
@@ -196,8 +197,8 @@ impl Rows {
             }
         }
         Rows {
-            ids: ids.to_vec(),
-            values: values.to_vec(),
+            ids,
+            values,
             label_ends,
             labels,
         }
@@ -762,13 +763,15 @@ mod tests {
         let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
         let values: Vec<i64> = records.iter().map(|r| r.value).collect();
         let index = || postings.iter().map(|(l, list)| (*l, list.as_slice()));
-        assert_eq!(Rows::from_postings(&ids, &values, index()), rows);
+        let batch = Rows::from_postings(ids.clone(), values.clone(), index());
+        assert_eq!(batch, rows);
         // Labels come out in the order the postings yield them.
-        let reversed = Rows::from_postings(&ids, &values, index().rev());
+        let reversed = Rows::from_postings(ids, values, index().rev());
         for (r, want) in reversed.iter().zip(&records) {
             assert!(r.labels.iter().rev().eq(&want.labels));
         }
-        assert_eq!(Rows::from_postings(&[], &[], index().take(0)), Rows::new());
+        let empty = Rows::from_postings(Vec::new(), Vec::new(), index().take(0));
+        assert_eq!(empty, Rows::new());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use mqd_core::record::{RowRef, TsvRows};
+use mqd_core::record::{Record, RowRef, TsvRows};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
@@ -342,10 +342,17 @@ impl Handler for State {
                     (store.generation(), store.store().slice(labels, *from, *to))
                 };
                 // The slice is a snapshot: rendered with the lock released,
-                // so a large gather does not hold ingest up.
+                // so a large gather does not hold ingest up. One record is
+                // refilled per row.
                 let mut rows = TsvRows::new();
+                let mut row = Record {
+                    id: 0,
+                    value: 0,
+                    labels: Vec::with_capacity(slice.label_map.len()),
+                };
                 for i in 0..slice.instance.len() as u32 {
-                    rows.push(&slice.record_for(i));
+                    slice.fill_record(i, &mut row);
+                    rows.push(&row);
                 }
                 let json = format!(r#"{{"count":{},"generation":{}}}"#, rows.len(), generation);
                 write_ok_rows(w, &json, &rows)?;
@@ -847,7 +854,6 @@ fn subscribe(
 mod tests {
     use super::*;
     use crate::client::{json_u64, Client};
-    use mqd_core::record::Record;
     use std::net::TcpStream;
 
     fn start(threads: usize, max_queue: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {

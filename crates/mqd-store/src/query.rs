@@ -190,19 +190,13 @@ pub fn repair_state(slice: &Slice, spec: &QuerySpec) -> Option<CoverRepair> {
         return None;
     }
     let mut rep = CoverRepair::new(&spec.labels, spec.lambda);
-    // One record refilled per post: what `record_for` renders, minus its
-    // allocation.
     let mut row = Record {
         id: 0,
         value: 0,
         labels: Vec::with_capacity(slice.label_map.len()),
     };
-    for post in slice.instance.posts() {
-        row.id = post.id().0;
-        row.value = post.value();
-        row.labels.clear();
-        let globals = post.labels().iter().map(|l| slice.label_map[l.index()]);
-        row.labels.extend(globals);
+    for post in 0..slice.instance.len() as u32 {
+        slice.fill_record(post, &mut row);
         rep.observe(&row);
     }
     Some(rep)

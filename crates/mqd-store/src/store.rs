@@ -4,24 +4,28 @@
 //! each (row, label) pair once, as an offset in that label's posting list:
 //!
 //! ```text
-//! ids        : Vec<u64>               row i's external id
-//! values     : Vec<i64>               row i's value; non-decreasing, so
+//! ids        : Column                 row i's external id
+//! values     : Column                 row i's value as an ordered key
+//!                                      (`value_key`); non-decreasing, so
 //!                                      arrival order is value order
 //! postings   : Vec<(u16, Vec<u16>)>   (label, ascending row offsets), sorted
 //!                                      by label: the inverted index, and the
 //!                                      only copy of the rows' labels
 //! ```
 //!
-//! A row costs 8 + 8 bytes plus 2 per label: about 20 bytes for the usual
-//! one to three labels, where a `Record` with its own label `Vec` cost
-//! about 82 once the allocator's per-block overhead is counted (DESIGN.md
-//! §12). A segment that reaches its target never changes again, so its
-//! columns and posting lists are cut to size then. The labels the store
-//! holds are its segments' posting keys; nothing counts them per row.
-//! [`Store::slice`] reads `values`, `ids` and the postings;
-//! [`Store::segment_rows`] rebuilds a segment's rows as a [`Rows`] batch
-//! from them, which is what the durable layer seals blocks and rewrites
-//! its log from.
+//! A [`Column`] keeps a growing segment's rows as one `u64` word each.
+//! A segment that reaches its target never changes again, so its columns
+//! are repacked then, each row at the width its column's span needs, and
+//! its posting lists cut to size. On the benchmark corpus (a few minutes
+//! of ids and timestamps per segment) a full segment's row costs about 4
+//! bytes of columns plus 2 per label: about 8 bytes for the usual one to
+//! three labels, where a `Record` with its own label `Vec` cost about 82
+//! once the allocator's per-block overhead is counted (DESIGN.md §12).
+//! The labels the store holds are its segments' posting keys; nothing
+//! counts them per row. [`Store::slice`] reads `values`, `ids` and the
+//! postings; [`Store::segment_rows`] rebuilds a segment's rows as a
+//! [`Rows`] batch from them, which is what the durable layer seals blocks
+//! and rewrites its log from.
 
 use mqd_core::record::{Record, RowRef, Rows};
 use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
@@ -35,18 +39,151 @@ pub const SEGMENT_TARGET_ROWS: usize = 4096;
 /// 0..=65 534, which its `u16` posting lists can address.
 const MAX_SEGMENT_ROWS: usize = u16::MAX as usize;
 
+/// A value's key in the `values` column: flipping the sign bit maps `i64`
+/// order onto `u64` order, so the column is binary-searched as stored.
+fn value_key(value: i64) -> u64 {
+    value as u64 ^ 1 << 63
+}
+
+/// The value whose [`value_key`] is `key`.
+fn key_value(key: u64) -> i64 {
+    (key ^ 1 << 63) as i64
+}
+
+/// A column of `u64`s, frame-of-reference packed: row `i` is `base` plus
+/// bits `[i·width, (i+1)·width)` of `words`, least significant first.
+///
+/// A growing column is `base 0, width 64`: one word per row, pushed as it
+/// comes. [`Column::seal`] repacks it once, when its segment is full, at
+/// `base = min` and `width = bits(max − min)`. Width 64 holds any span, so
+/// there is no other layout. `words` always holds the word after the one
+/// a row's last bit is in (a zero word at the end), so [`Column::get`]
+/// reads two adjacent words with no branch on whether the row straddles
+/// them.
+struct Column {
+    base: u64,
+    width: u32,
+    /// The low `width` bits: `u64::MAX` at width 64, 0 at width 0.
+    mask: u64,
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl Column {
+    /// An empty growing column with room for `rows` rows, its segment's
+    /// target: it fills up to exactly that, so it never reallocates.
+    fn new(rows: usize) -> Self {
+        let mut words = Vec::with_capacity(rows + 1);
+        words.push(0);
+        Column {
+            base: 0,
+            width: 64,
+            mask: u64::MAX,
+            len: 0,
+            words,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends a row to a growing column (one never sealed).
+    fn push(&mut self, v: u64) {
+        // Row `len`'s word replaces the trailing zero word, which follows.
+        self.words[self.len] = v;
+        self.words.push(0);
+        self.len += 1;
+    }
+
+    /// Row `i`, for `i < len`.
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len, "row {i} of {}", self.len);
+        let bit = i * self.width as usize;
+        let (at, shift) = (bit / 64, (bit % 64) as u32);
+        let low = self.words[at] >> shift;
+        // `<< 1 << (63 - shift)` is `<< (64 - shift)`, which is 0 (not an
+        // overflow) when the row starts a word.
+        let high = self.words[at + 1] << 1 << (63 - shift);
+        self.base + ((low | high) & self.mask)
+    }
+
+    /// The last row, if any.
+    fn last(&self) -> Option<u64> {
+        Some(self.get(self.len.checked_sub(1)?))
+    }
+
+    /// The rows in order.
+    fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// The number of leading rows for which `pred` holds, as a slice's
+    /// `partition_point`: the column must be partitioned by it.
+    fn partition_point(&self, pred: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Repacks a growing column's rows at the width their span needs, into
+    /// words cut to size: called once, when the segment is full and so
+    /// immutable.
+    fn seal(&mut self) {
+        debug_assert_eq!((self.base, self.width), (0, 64), "sealed twice");
+        // Growing: row `i` is word `i`.
+        let rows = self.words.get(..self.len).unwrap_or_default();
+        let (Some(&min), Some(&max)) = (rows.iter().min(), rows.iter().max()) else {
+            return;
+        };
+        let width = u64::BITS - (max - min).leading_zeros();
+        // Row `i` is read from word `i·width / 64` and the one after it.
+        let mut words = vec![0u64; self.len * width as usize / 64 + 2];
+        for (i, &v) in rows.iter().enumerate() {
+            let (bit, d) = (i * width as usize, v - min);
+            let (at, shift) = (bit / 64, (bit % 64) as u32);
+            words[at] |= d << shift;
+            words[at + 1] |= d >> 1 >> (63 - shift);
+        }
+        *self = Column {
+            base: min,
+            width,
+            mask: u64::MAX.checked_shr(u64::BITS - width).unwrap_or(0),
+            len: self.len,
+            words,
+        };
+    }
+}
+
 /// One bounded run of rows in arrival order, in columns (see the module
 /// docs), with its own inverted index.
-#[derive(Default)]
 struct Segment {
-    ids: Vec<u64>,
-    values: Vec<i64>,
+    ids: Column,
+    /// Each row's value as its [`value_key`].
+    values: Column,
     /// Per label carried, ascending by label: the offsets of the rows
     /// carrying it, ascending (arrival order).
     postings: Vec<(u16, Vec<u16>)>,
 }
 
 impl Segment {
+    /// An empty segment that will hold `rows` rows.
+    fn new(rows: usize) -> Self {
+        Segment {
+            ids: Column::new(rows),
+            values: Column::new(rows),
+            postings: Vec::new(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.ids.len()
     }
@@ -63,7 +200,7 @@ impl Segment {
             }
         }
         self.ids.push(row.id);
-        self.values.push(row.value);
+        self.values.push(value_key(row.value));
     }
 
     /// The posting list of `label`, if a row here carries it.
@@ -74,11 +211,11 @@ impl Segment {
         Some(&self.postings[at].1)
     }
 
-    /// Drops the growth slack of every column and posting list: called
-    /// once, when the segment is full and so immutable.
-    fn shrink_to_fit(&mut self) {
-        self.ids.shrink_to_fit();
-        self.values.shrink_to_fit();
+    /// Repacks the columns and drops the growth slack of every posting
+    /// list: called once, when the segment is full and so immutable.
+    fn seal(&mut self) {
+        self.ids.seal();
+        self.values.seal();
         for (_, list) in &mut self.postings {
             list.shrink_to_fit();
         }
@@ -129,16 +266,23 @@ impl Slice {
     /// an external [`Record`]: external id, value, and the post's slice
     /// labels translated back to global label ids.
     pub fn record_for(&self, post: u32) -> Record {
+        let mut row = Record {
+            id: 0,
+            value: 0,
+            labels: Vec::new(),
+        };
+        self.fill_record(post, &mut row);
+        row
+    }
+
+    /// [`Slice::record_for`] written into `row`, whose label buffer is
+    /// reused: a caller rendering every post allocates once, not per row.
+    pub fn fill_record(&self, post: u32, row: &mut Record) {
         let p = self.instance.post(post);
-        Record {
-            id: p.id().0,
-            value: p.value(),
-            labels: p
-                .labels()
-                .iter()
-                .map(|l| self.label_map[l.index()])
-                .collect(),
-        }
+        row.id = p.id().0;
+        row.value = p.value();
+        row.labels.clear();
+        (row.labels).extend(p.labels().iter().map(|l| self.label_map[l.index()]));
     }
 }
 
@@ -231,12 +375,12 @@ impl Store {
         self.last_value = Some(row.value);
         let target = self.segment_target;
         if self.segments.last().is_none_or(|seg| seg.len() >= target) {
-            self.segments.push(Segment::default());
+            self.segments.push(Segment::new(target));
         }
         if let Some(seg) = self.segments.last_mut() {
             seg.push(row);
             if seg.len() == target {
-                seg.shrink_to_fit();
+                seg.seal();
             }
         }
         self.total_rows += 1;
@@ -278,7 +422,9 @@ impl Store {
         // Sorted by label, so each row's labels come out ascending, as
         // they were normalized on the way in.
         let postings = seg.postings.iter().map(|(l, list)| (*l, list.as_slice()));
-        Some(Rows::from_postings(&seg.ids, &seg.values, postings))
+        let ids = seg.ids.iter().collect();
+        let values = seg.values.iter().map(key_value).collect();
+        Some(Rows::from_postings(ids, values, postings))
     }
 
     /// Rows per segment before a new one is opened.
@@ -316,11 +462,12 @@ impl Store {
             segments: self.segments.len(),
             labels: self.labels().len(),
             generation: self.generation,
-            min_value: self
-                .segments
-                .first()
-                .and_then(|s| s.values.first().copied()),
-            max_value: self.segments.last().and_then(|s| s.values.last().copied()),
+            min_value: (self.segments.first())
+                .and_then(|s| s.values.iter().next())
+                .map(key_value),
+            max_value: (self.segments.last())
+                .and_then(|s| s.values.last())
+                .map(key_value),
         }
     }
 
@@ -346,16 +493,17 @@ impl Store {
         // Arrival order is value order; it can differ from `(value, id)`
         // order only inside a run of tied values.
         let mut ties_in_order = true;
+        let (from_key, to_key) = (value_key(from), value_key(to));
         for seg in &self.segments {
             let (ids, values) = (&seg.ids, &seg.values);
-            let (Some(&min_value), Some(&max_value)) = (values.first(), values.last()) else {
+            let (Some(min_key), Some(max_key)) = (values.iter().next(), values.last()) else {
                 continue;
             };
-            if min_value > to || max_value < from {
+            if min_key > to_key || max_key < from_key {
                 continue;
             }
-            let lo = values.partition_point(|&v| v < from);
-            let hi = values.partition_point(|&v| v <= to);
+            let lo = values.partition_point(|k| k < from_key);
+            let hi = values.partition_point(|k| k <= to_key);
             heads.clear();
             let mut listed = 0usize;
             for (local, global) in label_map.iter().enumerate() {
@@ -381,7 +529,7 @@ impl Store {
                         }
                     }
                 }
-                let (id, value) = (ids[idx as usize], values[idx as usize]);
+                let (id, value) = (ids.get(idx as usize), key_value(values.get(idx as usize)));
                 ties_in_order &= posts
                     .last()
                     .is_none_or(|p| (p.value(), p.id().0) <= (value, id));
@@ -419,6 +567,72 @@ mod tests {
             value,
             labels: labels.to_vec(),
         }
+    }
+
+    fn column(rows: &[u64]) -> Column {
+        let mut col = Column::new(rows.len());
+        rows.iter().for_each(|&v| col.push(v));
+        col
+    }
+
+    #[test]
+    fn column_packs_rows_at_every_width() {
+        // splitmix64: every bit of a draw is usable.
+        let mut state = 0x5eed_u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ state >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ z >> 31
+        };
+        for width in 0..=64u32 {
+            let span = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            // Lengths whose last row ends mid-word and on a word boundary
+            // (64 rows of any width fill whole words).
+            for len in [2usize, 3, 64, 65, 131] {
+                let base = draw().checked_shr(width).unwrap_or(0);
+                let mut rows: Vec<u64> = (0..len).map(|_| base + (draw() & span)).collect();
+                // The span's both ends, so the column needs exactly `width`.
+                rows[0] = base;
+                rows[1 + draw() as usize % (len - 1)] = base + span;
+                let mut col = column(&rows);
+                assert!(col.iter().eq(rows.iter().copied()), "width {width}");
+                col.seal();
+                let what = format!("width {width}, {len} rows");
+                assert_eq!(col.width, width, "{what}");
+                assert_eq!(col.words.len(), len * width as usize / 64 + 2, "{what}");
+                assert!(col.iter().eq(rows.iter().copied()), "{what}");
+                assert_eq!(col.last(), rows.last().copied(), "{what}");
+
+                rows.sort_unstable();
+                let mut col = column(&rows);
+                col.seal();
+                let probes = rows
+                    .iter()
+                    .flat_map(|&v| [v.wrapping_sub(1), v, v.wrapping_add(1)]);
+                for probe in probes.chain([0, u64::MAX]) {
+                    assert_eq!(
+                        col.partition_point(|v| v < probe),
+                        rows.partition_point(|&v| v < probe),
+                        "{what}: < {probe}"
+                    );
+                    assert_eq!(
+                        col.partition_point(|v| v <= probe),
+                        rows.partition_point(|&v| v <= probe),
+                        "{what}: <= {probe}"
+                    );
+                }
+            }
+        }
+        // Width 0: a constant column is its base and two zero words.
+        let mut constant = column(&[u64::MAX; 100]);
+        constant.seal();
+        assert_eq!(
+            (constant.width, constant.words.as_slice()),
+            (0, &[0, 0][..])
+        );
+        assert!(constant.iter().all(|v| v == u64::MAX));
+        assert_eq!(constant.partition_point(|v| v < u64::MAX), 0);
     }
 
     #[test]
@@ -490,10 +704,10 @@ mod tests {
             s.append(row(i, i as i64 * 100, &[0])).unwrap();
         }
         let sl = s.slice(&[0], 250, 450);
-        let ids: Vec<u64> = (0..sl.instance.len() as u32)
+        let ids: Vec<_> = (0..sl.instance.len() as u32)
             .map(|i| sl.record_for(i).id)
             .collect();
-        assert_eq!(ids, vec![3, 4]);
+        assert_eq!(ids, [3, 4]);
     }
 
     #[test]

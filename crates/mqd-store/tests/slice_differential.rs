@@ -24,13 +24,31 @@ impl Lcg {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
+
+    /// A draw across all of `u64`: the generator's whole state.
+    fn word(&mut self) -> u64 {
+        self.next();
+        self.0
+    }
+}
+
+/// How a corpus draws its ids.
+#[derive(Clone, Copy, Debug)]
+enum Ids {
+    /// Below 10 007: a few bits per row once a segment is packed.
+    Narrow,
+    /// Across all of `u64`, 0 and `u64::MAX` included: a segment's ids
+    /// span (nearly) 64 bits.
+    Wide,
 }
 
 /// A monotone corpus: a few rows at `i64::MIN`, a body with long runs of
 /// tied values, a few rows at `i64::MAX`. Ids are unique but unrelated to
-/// arrival order, so tied rows arrive out of id order. Labels are sorted
-/// and deduplicated, as the store keeps them.
-fn corpus(seed: u64, n: usize) -> Vec<Record> {
+/// arrival order, so tied rows arrive out of id order. `Ids::Wide` also
+/// holds a run of 150 identical values, which fills whole segments of the
+/// targets below it (a values column of width 0). Labels are sorted and
+/// deduplicated, as the store keeps them.
+fn corpus(seed: u64, n: usize, ids: Ids) -> Vec<Record> {
     let mut rng = Lcg(seed);
     let mut value = -50i64;
     (0..n)
@@ -39,6 +57,8 @@ fn corpus(seed: u64, n: usize) -> Vec<Record> {
                 i64::MIN
             } else if i + 3 >= n {
                 i64::MAX
+            } else if matches!(ids, Ids::Wide) && (100..250).contains(&i) {
+                value
             } else {
                 // Two steps in three are zero: runs of ties longer than the
                 // small segment targets, so they straddle boundaries.
@@ -56,11 +76,13 @@ fn corpus(seed: u64, n: usize) -> Vec<Record> {
             };
             labels.sort_unstable();
             labels.dedup();
-            Record {
-                id: (i as u64 * 7919) % 10_007,
-                value,
-                labels,
-            }
+            let id = match (ids, i) {
+                (Ids::Narrow, _) => (i as u64 * 7919) % 10_007,
+                (Ids::Wide, 5) => 0,
+                (Ids::Wide, 6) => u64::MAX,
+                (Ids::Wide, _) => rng.word(),
+            };
+            Record { id, value, labels }
         })
         .collect()
 }
@@ -112,8 +134,21 @@ fn query_labels(rng: &mut Lcg) -> Vec<u16> {
 
 #[test]
 fn slice_matches_a_naive_reference() {
-    for (seed, target) in [(1u64, 1usize), (2, 2), (3, 3), (4, 4096), (5, 3), (6, 2)] {
-        let rows = corpus(seed, 400);
+    let shapes = [
+        (1u64, 1usize, Ids::Narrow),
+        (2, 2, Ids::Narrow),
+        (3, 3, Ids::Narrow),
+        (4, 4096, Ids::Narrow),
+        (5, 3, Ids::Narrow),
+        (6, 2, Ids::Narrow),
+        (7, 7, Ids::Narrow),
+        (8, 64, Ids::Narrow),
+        (9, 7, Ids::Wide),
+        (10, 64, Ids::Wide),
+        (11, 2, Ids::Wide),
+    ];
+    for (seed, target, ids) in shapes {
+        let rows = corpus(seed, 400, ids);
         let mut store = Store::with_segment_target(target);
         for r in &rows {
             store.append(r.clone()).unwrap();
@@ -134,8 +169,9 @@ fn slice_matches_a_naive_reference() {
             let (from, to) = (bound(&mut rng), bound(&mut rng));
             let slice = store.slice(&labels, from, to);
             let (posts, label_map) = reference(&rows, &labels, from, to);
-            let what =
-                format!("seed {seed} target {target} case {case}: {labels:?} [{from}, {to}]");
+            let what = format!(
+                "seed {seed} target {target} {ids:?} case {case}: {labels:?} [{from}, {to}]"
+            );
             assert_eq!(slice.label_map, label_map, "{what}");
             assert_eq!(slice.instance.posts(), &posts[..], "{what}");
             assert_eq!(slice.instance.num_labels(), label_map.len(), "{what}");
