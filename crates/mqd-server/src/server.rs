@@ -14,8 +14,8 @@ use mqd_core::record::{Record, RowRef, TsvRows};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
-    open_repair_state, run_query_cover, solve_slice, validate_spec, CacheStats, CoverCache, Lookup,
-    QuerySpec, StoreStats,
+    answer_cold, run_query_cover, validate_spec, CacheStats, CoverCache, Lookup, QuerySpec,
+    StoreStats,
 };
 use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun, SupervisorConfig};
 use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
@@ -248,31 +248,22 @@ fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State, engine: &Engin
     }
 }
 
-/// One background refresh: snapshot the slice under the read lock, solve
-/// with no lock held, then install the answer. If ingest moved the store
-/// on while solving, the entry is still stale at install time — re-enqueue
-/// it (or, on a full queue, release the claim so the next stale hit
-/// re-schedules it).
+/// One background refresh: a cold answer ([`answer_cold`]: the store read
+/// lock is held for a walk or a slice, never for a slice solve), then
+/// install it. If ingest moved the store on meanwhile, the entry is still
+/// stale at install time — re-enqueue it (or, on a full queue, release the
+/// claim so the next stale hit re-schedules it).
 fn refresh_entry(state: &State, spec: &QuerySpec) {
-    let snapshot = read_or_poisoned(&state.store).map(|store| {
-        (
-            store.generation(),
-            store.store().last_value(),
-            store.store().slice(&spec.labels, spec.from, spec.to),
-        )
-    });
-    let Ok((generation, newest, slice)) = snapshot else {
-        return;
-    };
-    let Ok(records) = solve_slice(&slice, spec) else {
-        // Invalid specs are rejected before ever being cached; release the
-        // claim defensively and drop the job.
+    let Ok((generation, records, repair)) = answer_cold(&state.store, DurableStore::store, spec)
+    else {
+        // Invalid specs are rejected before ever being cached, and a
+        // poisoned store answers nothing; release the claim defensively
+        // and drop the job.
         if let Ok(mut cache) = lock_or_poisoned(&state.cache, "cache") {
             cache.refresh_not_queued(spec);
         }
         return;
     };
-    let repair = open_repair_state(&slice, spec, newest);
     let Ok(mut cache) = lock_or_poisoned(&state.cache, "cache") else {
         return;
     };
@@ -317,10 +308,10 @@ impl Handler for State {
             Request::QueryCover { spec, cover } => {
                 counters.queries.fetch_add(1, Ordering::Relaxed);
                 // Cover queries are router-internal fan-out halves: always a
-                // cold solve against a slice snapshot (the router's merged
-                // answer is what user-facing caching applies to), stamped with
-                // the snapshot generation so the router can build its vector
-                // watermark.
+                // cold postings walk under the store read lock (the router's
+                // merged answer is what user-facing caching applies to),
+                // stamped with that generation so the router can build its
+                // vector watermark.
                 let (generation, rows) = {
                     let store = read_or_poisoned(&self.store)?;
                     (
@@ -395,11 +386,12 @@ fn write_cover(
 /// The rows are immutable while shared, so a repair or refresh that lands
 /// meanwhile cannot change the bytes of a response already stamped with
 /// its generation. A stale hit is served at its watermark generation and
-/// hands the entry to the refresher. A miss solves against a slice
-/// *snapshot* with the store lock released and serves the very rows
-/// `insert_fresh` rendered for its entry (the one render of the answer,
-/// under the cache lock), with a repair state only if the cover can still
-/// grow ([`open_repair_state`]); if ingest advances the store mid-solve,
+/// hands the entry to the refresher. A miss answers cold
+/// ([`answer_cold`]: a postings walk for fixed-λ Scan+ and closed Scan, a
+/// slice *snapshot* solved with the store lock released otherwise) and
+/// serves the very rows `insert_fresh` rendered for its entry (the one
+/// render of the answer, under the cache lock), with a repair state only
+/// if the cover can still grow; if ingest advances the store mid-solve,
 /// the answer is inserted already-stale at its watermark and the
 /// refresher catches it up.
 ///
@@ -429,18 +421,7 @@ fn answer_query(
             Ok((rows, watermark, true, true))
         }
         Lookup::Miss => {
-            let (snap_gen, newest, slice) = {
-                let store = read_or_poisoned(&state.store)?;
-                (
-                    store.generation(),
-                    store.store().last_value(),
-                    store.store().slice(&spec.labels, spec.from, spec.to),
-                )
-            };
-            let records = solve_slice(&slice, spec)?;
-            // A range closed below the newest row can never grow: its
-            // cover is cached with no fold to keep.
-            let repair = open_repair_state(&slice, spec, newest);
+            let (snap_gen, records, repair) = answer_cold(&state.store, DurableStore::store, spec)?;
             let mut cache = lock_or_poisoned(&state.cache, "cache")?;
             let rows = cache.insert_fresh(spec, records, snap_gen, repair);
             Ok((rows, snap_gen, false, false))

@@ -11,12 +11,12 @@
 //!   *segments*, each with an inverted label → posting-list index, so a
 //!   query touches only the segments and postings its labels and range
 //!   intersect — never the full corpus.
-//! * [`query`] — the canonical slice-and-solve path: carve a
-//!   [`mqd_core::Instance`] out of the store for a `(labels, range)` pair
-//!   and run one of the paper's solvers over it. Both the server and the
-//!   oracle's loopback agreement check go through the exact same
-//!   definitions, which is what makes "served answer == offline answer"
-//!   a checkable byte-identity.
+//! * [`query`] — the reference slice-and-solve path ([`run_query`]):
+//!   carve a [`mqd_core::Instance`] out of the store for a `(labels,
+//!   range)` pair and run one of the paper's solvers over it; and the
+//!   server's cold path ([`answer_cold`]), which answers fixed-λ Scan and
+//!   Scan+ by walking the label postings instead. The oracle's loopback
+//!   agreement check holds every served answer to the reference's bytes.
 //! * [`CoverCache`] — a per-`(labels, lambda, algorithm, range)` answer
 //!   cache maintained *incrementally*: each append is checked against every
 //!   entry's (label, value-range) footprint; entries outside it revalidate
@@ -36,7 +36,7 @@ mod store;
 
 pub use cache::{CacheStats, CoverCache, Lookup, DEFAULT_DEBT_BOUND, DEFAULT_MAX_LAG};
 pub use query::{
-    open_repair_state, repair_state, repairable, run_query, run_query_cover, run_query_with_repair,
+    answer_cold, repair_state, repairable, run_query, run_query_cover, run_query_with_repair,
     solve_slice, validate_spec, Algorithm, QuerySpec,
 };
 pub use store::{Slice, Store, StoreStats, SEGMENT_TARGET_ROWS};

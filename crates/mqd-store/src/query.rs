@@ -1,19 +1,26 @@
-//! The canonical slice-and-solve query path.
+//! Answering a [`QuerySpec`] against a [`Store`].
 //!
-//! Every served `QUERY` — whether it comes over a socket, from the CLI, or
-//! from the oracle's loopback agreement check — resolves through
-//! [`run_query`]: carve the [`crate::Slice`] for the spec's labels and
-//! range, run the requested solver, and map the selected posts back to
-//! external [`Record`]s. Keeping this in one place is what makes
-//! "served answer == offline answer on the same slice" a meaningful,
-//! checkable identity.
+//! [`run_query`] is the reference: carve the [`crate::Slice`] for the
+//! spec's labels and range, run the requested solver, and map the selected
+//! posts back to external [`Record`]s. The CLI, the oracle's agreement
+//! checks and the router's merged re-solve answer through it, and every
+//! other path is held to its bytes.
+//!
+//! The server answers a cold query through [`answer_cold`]. A fixed-λ
+//! Scan+ and a fixed-λ Scan whose range closed below the newest row are
+//! per-label interval greedies, which it runs by walking each label's
+//! postings in the store, with no slice; an open fixed-λ Scan answers
+//! from the fold it keeps for repair; everything else solves the slice as
+//! [`run_query`] does. A router `COVER` half ([`run_query_cover`]) walks
+//! the postings too.
+
+use std::sync::RwLock;
 
 use mqd_core::algorithms::{
-    solve_greedy_sc, solve_opt, solve_scan, solve_scan_cover, solve_scan_plus, LabelOrder,
-    OptConfig,
+    solve_greedy_sc, solve_opt, solve_scan, solve_scan_plus, LabelOrder, OptConfig,
 };
 use mqd_core::record::Record;
-use mqd_core::{FixedLambda, LabelId, MqdError, VariableLambda};
+use mqd_core::{FixedLambda, MqdError, VariableLambda};
 use mqd_stream::CoverRepair;
 
 use crate::store::{Slice, Store};
@@ -108,19 +115,21 @@ pub fn repairable(spec: &QuerySpec) -> bool {
     spec.algorithm == Algorithm::Scan && !spec.proportional
 }
 
-/// Runs `spec` against `store`: slice, solve, map back. The answer lists
-/// the selected posts in ascending slice order, each with its external id,
-/// value, and the intersection of its labels with the query labels.
+/// Runs `spec` against `store`: slice, solve, map back — the reference
+/// answer (module docs). The answer lists the selected posts in ascending
+/// slice order, each with its external id, value, and the intersection of
+/// its labels with the query labels.
 pub fn run_query(store: &Store, spec: &QuerySpec) -> Result<Vec<Record>, MqdError> {
     validate_spec(spec)?;
     let slice = store.slice(&spec.labels, spec.from, spec.to);
     solve_slice(&slice, spec)
 }
 
-/// Runs a fixed-lambda Scan spec restricted to a label subset: the slice
-/// is carved for the spec's **full** label set (so each answer row renders
-/// the same label intersection as the unrestricted query), but only the
-/// per-label covers of `cover` are solved and returned.
+/// Runs a fixed-lambda Scan spec restricted to a label subset: only the
+/// per-label covers of `cover` are walked and returned, but each answer
+/// row renders its labels among the spec's **full** label set, as the
+/// unrestricted query does. The same rows as `solve_scan_cover` over the
+/// spec's slice, found without carving it.
 ///
 /// This is the shard-side half of the router's scatter-gather merge: a
 /// shard holding every post that carries its labels answers
@@ -144,28 +153,95 @@ pub fn run_query_cover(
     if cover.is_empty() {
         return Err(MqdError::protocol("COVER needs at least one label"));
     }
-    let slice = store.slice(&spec.labels, spec.from, spec.to);
-    let mut locals = Vec::with_capacity(cover.len());
-    for g in cover {
-        match slice.label_map.binary_search(g) {
-            Ok(i) => locals.push(LabelId(i as u16)),
-            Err(_) => {
-                return Err(MqdError::protocol(format!(
-                    "COVER label {g} is not among the query labels"
-                )))
-            }
-        }
+    let labels = label_set(&spec.labels);
+    if let Some(g) = cover.iter().find(|g| labels.binary_search(g).is_err()) {
+        return Err(MqdError::protocol(format!(
+            "COVER label {g} is not among the query labels"
+        )));
     }
-    locals.sort_unstable();
-    locals.dedup();
-    let mut solution = solve_scan_cover(&slice.instance, &FixedLambda(spec.lambda), &locals);
-    solution.selected.sort_unstable();
-    solution.selected.dedup();
-    Ok(solution
-        .selected
-        .iter()
-        .map(|&z| slice.record_for(z))
-        .collect())
+    Ok(walk_cover(store, spec, &labels, &label_set(cover), false))
+}
+
+/// Answers `spec` cold, as the server does on a cache miss and in its
+/// refresher, holding `store`'s read lock only to read the store:
+///
+/// * a fixed-λ Scan+, and a fixed-λ Scan whose `to` is below the newest
+///   row, walk the postings (`Store::scan_picks`) under the lock and
+///   need no repair state: Scan+ has no fold, and no row can join a range
+///   closed below the newest (the store appends values at or above it);
+/// * an open fixed-λ Scan (`to` at or above the newest, where a tie may
+///   still arrive) carves the slice under the lock, then folds it into
+///   the [`CoverRepair`] the cache keeps, and answers with the fold's
+///   cover, which is byte-identical to solving the slice;
+/// * every other spec carves the slice under the lock and solves it after
+///   the lock is released, as [`run_query`] does.
+///
+/// `view` reaches the [`Store`] inside the lock. Returns the store
+/// generation the answer is exact at, the answer, and the repair state of
+/// a cover that can still grow.
+pub fn answer_cold<S>(
+    store: &RwLock<S>,
+    view: impl Fn(&S) -> &Store,
+    spec: &QuerySpec,
+) -> Result<(u64, Vec<Record>, Option<CoverRepair>), MqdError> {
+    validate_spec(spec)?;
+    let (generation, slice) = {
+        let guard = store
+            .read()
+            .map_err(|_| MqdError::Poisoned { what: "store" })?;
+        let store = view(&guard);
+        let closed = store.last_value().is_some_and(|newest| spec.to < newest);
+        // `Some(plus)`: answered by the walk, as Scan+ or as Scan.
+        let walk = match spec.algorithm {
+            _ if spec.proportional => None,
+            Algorithm::ScanPlus => Some(true),
+            Algorithm::Scan if closed => Some(false),
+            _ => None,
+        };
+        if let Some(plus) = walk {
+            let labels = label_set(&spec.labels);
+            let records = walk_cover(store, spec, &labels, &labels, plus);
+            return Ok((store.generation(), records, None));
+        }
+        (
+            store.generation(),
+            store.slice(&spec.labels, spec.from, spec.to),
+        )
+    };
+    if let Some(fold) = repair_state(&slice, spec) {
+        return Ok((generation, fold.cover(), Some(fold)));
+    }
+    Ok((generation, solve_slice(&slice, spec)?, None))
+}
+
+/// `labels` sorted and deduplicated: the slice's `label_map`.
+fn label_set(labels: &[u16]) -> Vec<u16> {
+    let mut set = labels.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// The fixed-λ Scan (Scan+ with `plus`) answer of the labels `cover` over
+/// `spec`'s range, each row rendered with its labels among `labels`: both
+/// sorted and deduplicated, `cover` within `labels`.
+fn walk_cover(
+    store: &Store,
+    spec: &QuerySpec,
+    labels: &[u16],
+    cover: &[u16],
+    plus: bool,
+) -> Vec<Record> {
+    let picks = store.scan_picks(cover, spec.from, spec.to, spec.lambda, plus);
+    (picks.iter())
+        .map(|pick| Record {
+            id: pick.id,
+            value: pick.value,
+            labels: (labels.iter().copied())
+                .filter(|&l| store.carries(pick, l))
+                .collect(),
+        })
+        .collect()
 }
 
 /// [`run_query`] plus, when the spec is [`repairable`], the
@@ -200,23 +276,6 @@ pub fn repair_state(slice: &Slice, spec: &QuerySpec) -> Option<CoverRepair> {
         rep.observe(&row);
     }
     Some(rep)
-}
-
-/// [`repair_state`] for a cover that can still grow: `None` as well when
-/// the spec's range closed below `newest`, the store's newest value
-/// ([`Store::last_value`]) read under the same lock as `slice`. The store
-/// only appends values at or above its newest, so no row can join such a
-/// slice and its cover stays exact as it is; with `to == newest` a tie
-/// may still arrive, so that cover keeps its fold.
-pub fn open_repair_state(
-    slice: &Slice,
-    spec: &QuerySpec,
-    newest: Option<i64>,
-) -> Option<CoverRepair> {
-    if newest.is_some_and(|newest| spec.to < newest) {
-        return None;
-    }
-    repair_state(slice, spec)
 }
 
 /// Solves an already-carved slice (see [`run_query`]; the spec must have

@@ -23,9 +23,11 @@
 //! once the allocator's per-block overhead is counted (DESIGN.md §12).
 //! The labels the store holds are its segments' posting keys; nothing
 //! counts them per row. [`Store::slice`] reads `values`, `ids` and the
-//! postings; [`Store::segment_rows`] rebuilds a segment's rows as a
-//! [`Rows`] batch from them, which is what the durable layer seals blocks
-//! and rewrites its log from.
+//! postings; `Store::scan_picks` answers fixed-λ Scan and Scan+ by
+//! galloping through one label's postings at a time, reading `values` and
+//! `ids` only at the rows it probes; [`Store::segment_rows`] rebuilds a
+//! segment's rows as a [`Rows`] batch from them, which is what the durable
+//! layer seals blocks and rewrites its log from.
 
 use mqd_core::record::{Record, RowRef, Rows};
 use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
@@ -554,6 +556,245 @@ impl Store {
 impl Default for Store {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A row a [`Store::scan_picks`] walk picked: its key, then where it is
+/// stored, so picks order as `(value, id, arrival)`, which is the order of
+/// a [`Slice`]'s posts.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Pick {
+    pub(crate) value: i64,
+    pub(crate) id: u64,
+    seg: usize,
+    row: u16,
+}
+
+/// A cursor position in [`Postings`]: (part, offset in its list). Tuple
+/// order is arrival order; `(parts.len(), 0)` is the end.
+type Pos = (usize, usize);
+
+/// One segment's share of a label's postings: the non-empty run of them
+/// inside a walk's range.
+struct Part<'a> {
+    /// The segment's index in the store.
+    at: usize,
+    seg: &'a Segment,
+    list: &'a [u16],
+}
+
+impl Part<'_> {
+    /// The value key of the posting at `i`.
+    #[inline]
+    fn key(&self, i: usize) -> u64 {
+        self.seg.values.get(self.list[i] as usize)
+    }
+}
+
+/// One label's postings in `[from, to]`, across segments, in arrival
+/// order: `LP(a)` of the slice, except that a run of tied values is in
+/// arrival order rather than `(value, id)` order.
+struct Postings<'a> {
+    parts: Vec<Part<'a>>,
+}
+
+impl Postings<'_> {
+    fn end(&self) -> Pos {
+        (self.parts.len(), 0)
+    }
+
+    fn key(&self, (p, i): Pos) -> u64 {
+        self.parts[p].key(i)
+    }
+
+    /// The position before `pos`, which must not be the first.
+    fn before(&self, (p, i): Pos) -> Pos {
+        match i.checked_sub(1) {
+            Some(i) => (p, i),
+            None => {
+                let p = p.saturating_sub(1);
+                (p, self.parts[p].list.len().saturating_sub(1))
+            }
+        }
+    }
+
+    /// The first position at or after `pos` whose value key exceeds
+    /// `key`: a part that ends at or below it is stepped over on its last
+    /// posting; inside the part the answer is in, galloping from `pos`
+    /// brackets it and a binary search finds it, so a jump over `d`
+    /// postings costs O(log d) reads.
+    fn past(&self, (mut p, mut i): Pos, key: u64) -> Pos {
+        while let Some(part) = self.parts.get(p) {
+            let last = part.list.len().saturating_sub(1);
+            if part.key(last) <= key {
+                (p, i) = (p + 1, 0);
+                continue;
+            }
+            if part.key(i) > key {
+                return (p, i);
+            }
+            // key(lo) <= key < key(hi).
+            let (mut lo, mut hi, mut step) = (i, last, 1);
+            while lo + step < last {
+                if part.key(lo + step) > key {
+                    hi = lo + step;
+                    break;
+                }
+                lo += step;
+                step *= 2;
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if part.key(mid) <= key {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            return (p, hi);
+        }
+        self.end()
+    }
+
+    /// The greatest `(id, arrival)` of the run of postings tied with the
+    /// one at `last`, which ends the run: the run is walked back, not
+    /// searched, and on equal ids the later arrival, met first, stays.
+    fn tie_winner(&self, last: Pos) -> Pick {
+        let key = self.key(last);
+        let pick = |(p, i): Pos| {
+            let part = &self.parts[p];
+            let row = part.list[i];
+            Pick {
+                value: key_value(key),
+                id: part.seg.ids.get(row as usize),
+                seg: part.at,
+                row,
+            }
+        };
+        let mut best = pick(last);
+        let mut pos = last;
+        while pos != (0, 0) {
+            pos = self.before(pos);
+            if self.key(pos) != key {
+                break;
+            }
+            let tied = pick(pos);
+            if tied.id > best.id {
+                best = tied;
+            }
+        }
+        best
+    }
+
+    /// The fixed-λ interval greedy over these postings, as `scan_label`
+    /// runs it: from the first uncovered posting at value `t`, pick the
+    /// last one valued at most `t + λ` (ties to the greatest `(id,
+    /// arrival)`), then go past `pick + λ`. `covered` holds disjoint
+    /// ascending value intervals that earlier labels' picks cover (Scan+):
+    /// a posting inside one is skipped with every posting up to its end.
+    fn scan(&self, lambda: i64, covered: &[(i64, i64)], picks: &mut Vec<Pick>) {
+        let mut covered = covered.iter().peekable();
+        let mut pos = (0, 0);
+        while pos < self.end() {
+            let t = key_value(self.key(pos));
+            while covered.next_if(|&&(_, hi)| hi < t).is_some() {}
+            if let Some(&&(_, hi)) = covered.peek().filter(|&&&(lo, _)| lo <= t) {
+                pos = self.past(pos, value_key(hi));
+                continue;
+            }
+            // Strictly after `pos`, whose value is at most `t + λ`.
+            let reach = self.past(pos, value_key(t.saturating_add(lambda)));
+            let pick = self.tie_winner(self.before(reach));
+            picks.push(pick);
+            pos = self.past(reach, value_key(pick.value.saturating_add(lambda)));
+        }
+    }
+}
+
+impl Store {
+    /// The fixed-λ Scan picks of the labels `walk` (sorted, deduplicated)
+    /// over the rows valued in `[from, to]`, sorted by `(value, id,
+    /// arrival)` and deduplicated: the posts `solve_scan_cover` selects on
+    /// the slice, found by galloping through each label's postings instead
+    /// of carving the slice. With `plus`, Scan+ in `walk` order: a later
+    /// label skips the values inside `[v − λ, v + λ]` of every earlier
+    /// pick that carries it, which is what `solve_scan_plus` marks covered.
+    pub(crate) fn scan_picks(
+        &self,
+        walk: &[u16],
+        from: i64,
+        to: i64,
+        lambda: i64,
+        plus: bool,
+    ) -> Vec<Pick> {
+        let mut picks = Vec::new();
+        if from > to {
+            return picks;
+        }
+        let (from_key, to_key) = (value_key(from), value_key(to));
+        // The segments meeting the range, each with its row run there.
+        let spans: Vec<(usize, &Segment, usize, usize)> = (self.segments.iter().enumerate())
+            .filter_map(|(at, seg)| {
+                let (min, max) = (seg.values.iter().next()?, seg.values.last()?);
+                if min > to_key || max < from_key {
+                    return None;
+                }
+                let lo = seg.values.partition_point(|k| k < from_key);
+                let hi = seg.values.partition_point(|k| k <= to_key);
+                Some((at, seg, lo, hi))
+            })
+            .collect();
+        // Scan+: per walked label, the intervals earlier picks cover.
+        let mut covered: Vec<Vec<(i64, i64)>> = vec![Vec::new(); walk.len()];
+        for (k, &label) in walk.iter().enumerate() {
+            let parts = spans.iter().filter_map(|&(at, seg, lo, hi)| {
+                let list = seg.postings(label)?;
+                let start = list.partition_point(|&i| (i as usize) < lo);
+                let end = list.partition_point(|&i| (i as usize) < hi);
+                let list = list.get(start..end).filter(|l| !l.is_empty())?;
+                Some(Part { at, seg, list })
+            });
+            let postings = Postings {
+                parts: parts.collect(),
+            };
+            let mut intervals = std::mem::take(&mut covered[k]);
+            intervals.sort_unstable();
+            // Merged into disjoint ascending intervals.
+            intervals.dedup_by(|next, run| {
+                let overlaps = next.0 <= run.1;
+                if overlaps {
+                    run.1 = run.1.max(next.1);
+                }
+                overlaps
+            });
+            let first = picks.len();
+            postings.scan(lambda, &intervals, &mut picks);
+            if !plus {
+                continue;
+            }
+            for pick in picks.iter().skip(first) {
+                let span = (
+                    pick.value.saturating_sub(lambda),
+                    pick.value.saturating_add(lambda),
+                );
+                for (later, &b) in walk.iter().enumerate().skip(k + 1) {
+                    if self.carries(pick, b) {
+                        covered[later].push(span);
+                    }
+                }
+            }
+        }
+        picks.sort_unstable();
+        picks.dedup();
+        picks
+    }
+
+    /// Whether the row `pick` names carries `label`: one search in the
+    /// label's postings of the row's segment.
+    pub(crate) fn carries(&self, pick: &Pick, label: u16) -> bool {
+        (self.segments.get(pick.seg))
+            .and_then(|seg| seg.postings(label))
+            .is_some_and(|list| list.binary_search(&pick.row).is_ok())
     }
 }
 

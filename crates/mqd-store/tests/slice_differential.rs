@@ -1,10 +1,14 @@
-//! Seeded differential: `Store::slice` against a reference that reads the
+//! Seeded differentials: `Store::slice` against a reference that reads the
 //! canonical mapping documented on `Slice` literally (scan every row,
-//! range-filter, intersect, sort by `(value, id)`).
+//! range-filter, intersect, sort by `(value, id)`), and the fixed-λ
+//! Scan/Scan+ postings walk against the solvers run on that slice.
 
+use std::sync::RwLock;
+
+use mqd_core::algorithms::{solve_scan, solve_scan_cover, solve_scan_plus, LabelOrder};
 use mqd_core::record::Record;
-use mqd_core::{LabelId, Post, PostId};
-use mqd_store::Store;
+use mqd_core::{FixedLambda, LabelId, Post, PostId};
+use mqd_store::{answer_cold, run_query_cover, Algorithm, QuerySpec, Store};
 
 /// Labels 0..UNIVERSE occur in the corpus; more of them than a `Post`
 /// stores inline, so a query over all of them spills.
@@ -132,36 +136,49 @@ fn query_labels(rng: &mut Lcg) -> Vec<u16> {
     labels
 }
 
+/// The corpus shapes, `(seed, segment target, ids)`: segment targets 1 to
+/// 4096, so tie runs straddle segment boundaries, over narrow and
+/// full-`u64` ids.
+const SHAPES: [(u64, usize, Ids); 11] = [
+    (1, 1, Ids::Narrow),
+    (2, 2, Ids::Narrow),
+    (3, 3, Ids::Narrow),
+    (4, 4096, Ids::Narrow),
+    (5, 3, Ids::Narrow),
+    (6, 2, Ids::Narrow),
+    (7, 7, Ids::Narrow),
+    (8, 64, Ids::Narrow),
+    (9, 7, Ids::Wide),
+    (10, 64, Ids::Wide),
+    (11, 2, Ids::Wide),
+];
+
+fn store_of(rows: &[Record], target: usize) -> Store {
+    let mut store = Store::with_segment_target(target);
+    for r in rows {
+        store.append(r.clone()).unwrap();
+    }
+    store
+}
+
+/// A range bound: drawn from stored values, it lands on ties; the
+/// extremes and values between stored ones are mixed in.
+fn bound(rng: &mut Lcg, rows: &[Record]) -> i64 {
+    match rng.below(8) {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => rng.below(900) as i64 - 60,
+        _ => rows[rng.below(rows.len() as u64) as usize].value,
+    }
+}
+
 #[test]
 fn slice_matches_a_naive_reference() {
-    let shapes = [
-        (1u64, 1usize, Ids::Narrow),
-        (2, 2, Ids::Narrow),
-        (3, 3, Ids::Narrow),
-        (4, 4096, Ids::Narrow),
-        (5, 3, Ids::Narrow),
-        (6, 2, Ids::Narrow),
-        (7, 7, Ids::Narrow),
-        (8, 64, Ids::Narrow),
-        (9, 7, Ids::Wide),
-        (10, 64, Ids::Wide),
-        (11, 2, Ids::Wide),
-    ];
-    for (seed, target, ids) in shapes {
+    for (seed, target, ids) in SHAPES {
         let rows = corpus(seed, 400, ids);
-        let mut store = Store::with_segment_target(target);
-        for r in &rows {
-            store.append(r.clone()).unwrap();
-        }
+        let store = store_of(&rows, target);
         let mut rng = Lcg(seed ^ 0xC01D);
-        // Bounds drawn from stored values land on ties; the extremes and
-        // values between stored ones are mixed in.
-        let bound = |rng: &mut Lcg| match rng.below(8) {
-            0 => i64::MIN,
-            1 => i64::MAX,
-            2 => rng.below(900) as i64 - 60,
-            _ => rows[rng.below(rows.len() as u64) as usize].value,
-        };
+        let bound = |rng: &mut Lcg| bound(rng, &rows);
         let mut spilled = 0;
         let mut reordered = 0;
         for case in 0..300 {
@@ -187,6 +204,90 @@ fn slice_matches_a_naive_reference() {
             reordered > 0,
             "seed {seed}: no tie run out of arrival order"
         );
+    }
+}
+
+/// The postings walk behind `answer_cold` (fixed-λ Scan+, and Scan whose
+/// range closed below the newest row) and `run_query_cover` against the
+/// solvers on `Store::slice`: the same rows, each with the same labels, at
+/// every λ from 0 to `i64::MAX`. An open Scan (`to` at the corpus's newest
+/// value, `i64::MAX`) answers from its fold, checked here as well.
+#[test]
+fn scan_walk_matches_the_solvers_on_the_slice() {
+    let lambdas = [0, 1, 3, 7, 40, 1000, i64::MAX / 2, i64::MAX];
+    for (seed, target, ids) in SHAPES {
+        let rows = corpus(seed, 400, ids);
+        let store = RwLock::new(store_of(&rows, target));
+        let newest = rows.last().unwrap().value;
+        let mut rng = Lcg(seed ^ 0x5CA4);
+        let (mut pruned, mut tied, mut walked) = (0, 0, 0);
+        for case in 0..300 {
+            let labels = query_labels(&mut rng);
+            let (from, to) = (bound(&mut rng, &rows), bound(&mut rng, &rows));
+            let slice = store.read().unwrap().slice(&labels, from, to);
+            let inst = &slice.instance;
+            // A random non-empty subset of the query labels for `COVER`.
+            let mut cover: Vec<u16> = Vec::new();
+            let mut locals: Vec<LabelId> = Vec::new();
+            let must = rng.below(slice.label_map.len() as u64) as usize;
+            for (local, &g) in slice.label_map.iter().enumerate() {
+                if local == must || rng.below(2) == 0 {
+                    cover.push(g);
+                    locals.push(LabelId(local as u16));
+                }
+            }
+            if rng.below(2) == 0 {
+                cover.reverse();
+            }
+            for lambda in lambdas {
+                let what = format!(
+                    "seed {seed} target {target} {ids:?} case {case}: {labels:?} \
+                     [{from}, {to}] λ {lambda}"
+                );
+                let f = FixedLambda(lambda);
+                let render = |mut selected: Vec<u32>| -> Vec<Record> {
+                    selected.sort_unstable();
+                    selected.dedup();
+                    selected.iter().map(|&z| slice.record_for(z)).collect()
+                };
+                let spec = |algorithm| QuerySpec {
+                    labels: labels.clone(),
+                    lambda,
+                    proportional: false,
+                    algorithm,
+                    from,
+                    to,
+                };
+                let cold = |spec: &QuerySpec| answer_cold(&store, |s: &Store| s, spec).unwrap();
+
+                let scan = render(solve_scan(inst, &f).selected);
+                let (_, records, fold) = cold(&spec(Algorithm::Scan));
+                assert_eq!(records, scan, "{what}: scan");
+                assert_eq!(fold.is_some(), to >= newest, "{what}: scan fold");
+                let full = run_query_cover(&store.read().unwrap(), &spec(Algorithm::Scan), &labels);
+                assert_eq!(full.unwrap(), scan, "{what}: cover of every label");
+
+                let plus = render(solve_scan_plus(inst, &f, LabelOrder::Input).selected);
+                let (_, records, fold) = cold(&spec(Algorithm::ScanPlus));
+                assert_eq!(records, plus, "{what}: scan+");
+                assert!(fold.is_none(), "{what}: scan+ fold");
+
+                let part = render(solve_scan_cover(inst, &f, &locals).selected);
+                let got = run_query_cover(&store.read().unwrap(), &spec(Algorithm::Scan), &cover);
+                assert_eq!(got.unwrap(), part, "{what}: cover of {cover:?}");
+
+                walked += usize::from(to < newest);
+                pruned += usize::from(plus.len() < scan.len());
+                let posts = inst.posts();
+                tied += (scan.iter())
+                    .filter(|r| posts.iter().filter(|p| p.value() == r.value).count() > 1)
+                    .count();
+            }
+        }
+        // The cases the sweep exists for did occur.
+        assert!(walked > 0, "seed {seed}: no closed Scan range");
+        assert!(pruned > 0, "seed {seed}: Scan+ never pruned");
+        assert!(tied > 0, "seed {seed}: no pick from a tie run");
     }
 }
 
