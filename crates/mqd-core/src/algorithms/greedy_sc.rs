@@ -9,11 +9,12 @@
 //! Three interchangeable implementations:
 //!
 //! * [`solve_greedy_sc`] — *implicit lazy greedy* (default). Sets are never
-//!   materialized; a post's current gain is computed in `O(s log n)` with
-//!   one [`PresenceFenwick`] per label, and selection uses the standard
-//!   lazy-evaluation max-heap (gains are submodular, so a stale top entry
-//!   that revalidates is safe to pick). This is what the experiment harness
-//!   runs on day-scale data.
+//!   materialized; a post's current gain is counted with one bit-packed
+//!   [`PresenceFenwick`] per label (a popcount or two per label, plus a
+//!   word-tree prefix difference for wide windows), and selection uses lazy
+//!   evaluation over a [`GainQueue`] (gains are submodular, so a stale top
+//!   entry that revalidates is safe to pick). This is what the experiment
+//!   harness runs on day-scale data.
 //! * [`solve_greedy_sc_scan_max`] — implicit gains, but each round linearly
 //!   rescans all posts for the maximum, mirroring the implementation the
 //!   paper describes in Section 7.3 ("we iterate all sets to find the set
@@ -28,29 +29,28 @@
 //! With one uniform lambda every occurrence's coverage window is a function
 //! of the occurrence alone, so [`GainOracle`] takes all of them from one
 //! two-pointer sweep ([`Instance::pair_windows`]): the initial gain of a
-//! post is then a sum of window widths, and a re-evaluation is two Fenwick
-//! prefixes per label with no binary search.
+//! post is then a sum of window widths, and a re-evaluation is one presence
+//! count per label with no binary search.
 //!
 //! Under the variable lambda of Section 6 windows depend on the coverer, so
 //! the oracle searches per evaluation and the lazy variant's dominant cost
 //! on large instances is the initial `gain(k)` pass over every post;
 //! [`solve_greedy_sc`] computes that in parallel with `mqd-par`. This is
 //! deterministically byte-identical to the sequential solver at any thread
-//! count: the heap entries `(gain, Reverse(k))` are distinct
-//! totally-ordered values, so a `BinaryHeap` pops them in the same order no
-//! matter how (or on how many threads) they were produced. The selection
-//! loop itself stays sequential — each pick changes the gains of later
-//! picks, which is inherent to greedy set cover.
+//! count: the parallel map returns the same gains vector in index order
+//! whatever the thread count, and from that vector on the queue's drain
+//! order is fixed — highest gain first, each bucket in ascending post
+//! index, every re-filed entry strictly below the bucket being drained.
+//! The selection loop itself stays sequential — each pick changes the gains
+//! of later picks, which is inherent to greedy set cover.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use crate::instance::Instance;
 use crate::lambda::LambdaProvider;
 use crate::post::LabelId;
 use crate::solution::Solution;
-use mqd_setcover::{greedy_cover, BitSet, Goal, PresenceFenwick};
+use mqd_setcover::{greedy_cover, BitSet, GainQueue, Goal, PresenceFenwick};
 
 /// Shared implicit-gain machinery: per-label Fenwick trees over `LP(a)`
 /// positions, where "present" means the occurrence is still uncovered.
@@ -124,21 +124,18 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         let inst = self.inst;
         let mut newly = 0u32;
         for (slot, &a) in inst.labels(k).iter().enumerate() {
-            for pos in self.window(k, slot, a) {
-                if self.fenwicks[a.index()].clear(pos) {
-                    newly += 1;
-                }
-            }
+            let w = self.window(k, slot, a);
+            newly += self.fenwicks[a.index()].clear_range(w.start, w.end);
         }
         self.remaining -= newly as usize;
         newly
     }
 
-    /// The lazy greedy selection over a max-heap of every post's current
-    /// gain (highest gain, then smallest post index): pops the stalest-best
-    /// entry, re-evaluates it, and picks it only if it is still at least as
-    /// good as recorded (gains only shrink, so a revalidated top entry is
-    /// the true maximum). Appends the picks to `selected`.
+    /// The lazy greedy selection over a [`GainQueue`] of every post's
+    /// current gain (highest gain, then smallest post index): pops the
+    /// stalest-best entry, re-evaluates it, and picks it only if it is still
+    /// at least as good as recorded (gains only shrink, so a revalidated top
+    /// entry is the true maximum). Appends the picks to `selected`.
     fn select_lazily(&mut self, threads: usize, selected: &mut Vec<u32>)
     where
         L: Sync,
@@ -146,23 +143,16 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         // With the windows in hand a gain is a few subtractions or prefix
         // sums: not worth a thread.
         let threads = if self.windows.is_some() { 1 } else { threads };
-        let gains = mqd_par::par_map_range_threads(threads, self.inst.len(), |k| {
-            let k = k as u32;
-            (self.gain(k), Reverse(k))
-        });
-        let mut heap = BinaryHeap::from(gains);
+        let gains =
+            mqd_par::par_map_range_threads(threads, self.inst.len(), |k| self.gain(k as u32));
+        let mut queue = GainQueue::new(&gains);
         while self.remaining > 0 {
-            let Some((stale, Reverse(k))) = heap.pop() else {
+            let Some((stale, k)) = queue.pop() else {
                 break;
             };
-            if stale == 0 {
-                break;
-            }
             let fresh = self.gain(k);
             if fresh < stale {
-                if fresh > 0 {
-                    heap.push((fresh, Reverse(k)));
-                }
+                queue.refile(k, fresh);
                 continue;
             }
             selected.push(k);

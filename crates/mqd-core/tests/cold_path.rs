@@ -5,7 +5,7 @@
 use mqd_core::algorithms::{
     complete_cover, solve_greedy_sc, solve_greedy_sc_naive, solve_greedy_sc_scan_max,
 };
-use mqd_core::{FixedLambda, Instance, LabelId, Post, PostId};
+use mqd_core::{coverage, FixedLambda, Instance, LabelId, Post, PostId, VariableLambda};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_setcover::{greedy_cover, BitSet, Goal};
 
@@ -116,6 +116,62 @@ fn fixed_lambda_greedy_variants_equal_the_materialized_sets() {
                 "{what}: pins {pins:?}"
             );
         }
+    }
+}
+
+/// Instances of 300–3000 posts whose label-0 postings span many 64-position
+/// presence words (9 to 31 for the seeds below), so gain windows cover
+/// single words, neighbouring words and whole runs of inner words. Odd
+/// seeds add posts at both ends of the `i64` range.
+fn wide_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let labels = rng.random_range(1..=4usize);
+    let n = rng.random_range(300..=3000usize);
+    let span = rng.random_range(n as i64 / 16..=n as i64 / 2);
+    let mut items: Vec<(i64, Vec<u16>)> = (0..n)
+        .map(|_| {
+            let value = rng.random_range(0..span);
+            // Label 0 is the heavy one: about half the posts carry it.
+            let mut ls = vec![rng.random_range(0..labels as u16)];
+            if rng.random_range(0..2u32) == 0 {
+                ls.push(0);
+            }
+            (value, ls)
+        })
+        .collect();
+    if seed % 2 == 1 {
+        for value in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+            items.push((value, vec![0]));
+        }
+    }
+    Instance::from_values(items, labels).unwrap()
+}
+
+#[test]
+fn lazy_greedy_equals_scan_max_on_postings_many_words_long() {
+    for seed in 0..6u64 {
+        let inst = wide_instance(seed);
+        assert!(inst.postings(LabelId(0)).len() >= 6 * 64, "seed {seed}");
+        for lambda in [0, 1, 40, 1_000, i64::MAX] {
+            let f = FixedLambda(lambda);
+            let lazy = solve_greedy_sc(&inst, &f).selected;
+            let what = format!("seed {seed} lambda {lambda}");
+            // The materialized sets count nothing through the presence
+            // sets; they stay affordable while the windows are narrow.
+            if lambda <= 40 {
+                let sets = materialized_completion(&inst, lambda, &[]);
+                assert_eq!(lazy, sets, "{what}: materialized");
+            }
+            let scan = solve_greedy_sc_scan_max(&inst, &f).selected;
+            assert_eq!(lazy, scan, "{what}: scan-max");
+            assert_eq!(complete_cover(&inst, &f, &[]).selected, scan, "{what}");
+            assert!(coverage::is_cover(&inst, &f, &scan), "{what}");
+        }
+        let v = VariableLambda::compute(&inst, 40);
+        let scan = solve_greedy_sc_scan_max(&inst, &v).selected;
+        assert_eq!(solve_greedy_sc(&inst, &v).selected, scan, "seed {seed}");
+        assert_eq!(complete_cover(&inst, &v, &[]).selected, scan, "seed {seed}");
+        assert!(coverage::is_cover(&inst, &v, &scan), "seed {seed}");
     }
 }
 

@@ -14,15 +14,13 @@
 //! * [`solve_geo_brute`] — branch-and-bound oracle for tests.
 
 use mqd_core::{LabelId, Solution};
-use mqd_setcover::BitSet;
+use mqd_setcover::{BitSet, GainQueue};
 
 use crate::instance::GeoInstance;
 
-/// Greedy set cover over the spatiotemporal coverage sets (lazy heap).
+/// Greedy set cover over the spatiotemporal coverage sets (lazy
+/// evaluation over a [`GainQueue`]).
 pub fn solve_geo_greedy(inst: &GeoInstance) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut covered = BitSet::new(inst.num_pairs());
     let gain = |k: u32, covered: &BitSet| -> u32 {
         let mut g = 0u32;
@@ -49,22 +47,16 @@ pub fn solve_geo_greedy(inst: &GeoInstance) -> Solution {
         }
     };
 
-    let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..inst.len() as u32)
-        .map(|k| (gain(k, &covered), Reverse(k)))
-        .collect();
+    let gains: Vec<u32> = (0..inst.len() as u32).map(|k| gain(k, &covered)).collect();
+    let mut queue = GainQueue::new(&gains);
     let mut selected = Vec::new();
     while covered.count_ones() < inst.num_pairs() {
-        let Some((stale, Reverse(k))) = heap.pop() else {
+        let Some((stale, k)) = queue.pop() else {
             break;
         };
-        if stale == 0 {
-            break;
-        }
         let fresh = gain(k, &covered);
         if fresh < stale {
-            if fresh > 0 {
-                heap.push((fresh, Reverse(k)));
-            }
+            queue.refile(k, fresh);
             continue;
         }
         selected.push(k);

@@ -8,13 +8,14 @@
 //!   most uncovered elements. This mirrors the paper's implementation note
 //!   in Section 7.3 (they found a scan to beat a heap on their data).
 //! * [`lazy_greedy_cover`] — the standard lazy-evaluation variant exploiting
-//!   submodularity: set sizes only shrink, so a stale max-heap entry whose
-//!   recomputed gain still tops the heap is safe to pick.
+//!   submodularity: set sizes only shrink, so a stale queue entry whose
+//!   recomputed gain still tops the [`GainQueue`] is safe to pick.
 //!
 //! Both produce identical covers when ties are broken identically; the
 //! ablation benchmark `ablation_greedy_heap` compares their running times.
 
 use crate::bitset::BitSet;
+use crate::queue::GainQueue;
 
 /// When the greedy loop may stop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,40 +76,28 @@ pub fn greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) -> Vec<
     picked
 }
 
-/// Greedy set cover, lazy-evaluation (stale max-heap) selection. Produces a
-/// cover with the same guarantee; typically far fewer gain recomputations.
+/// Greedy set cover, lazy-evaluation selection from a [`GainQueue`].
+/// Produces a cover with the same guarantee; typically far fewer gain
+/// recomputations.
 pub fn lazy_greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) -> Vec<usize> {
-    use std::collections::BinaryHeap;
+    let gain = |s: &[u32], covered: &BitSet| s.iter().filter(|&&e| !covered.get(e)).count() as u32;
+    let gains: Vec<u32> = sets.iter().map(|s| gain(s, covered)).collect();
+    let mut queue = GainQueue::new(&gains);
     let mut picked = Vec::new();
-    let mut heap: BinaryHeap<(u32, std::cmp::Reverse<usize>)> = sets
-        .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            (
-                s.iter().filter(|&&e| !covered.get(e)).count() as u32,
-                std::cmp::Reverse(k),
-            )
-        })
-        .collect();
     while !goal_met(goal, covered) {
-        let (stale_gain, std::cmp::Reverse(k)) = match heap.pop() {
-            Some(top) => top,
-            None => break,
-        };
-        if stale_gain == 0 {
+        let Some((stale, k)) = queue.pop() else {
             break;
-        }
-        let fresh: u32 = sets[k].iter().filter(|&&e| !covered.get(e)).count() as u32;
-        if fresh < stale_gain {
-            // Stale entry: push back with the corrected gain. Submodularity
+        };
+        let set = &sets[k as usize];
+        let fresh = gain(set, covered);
+        if fresh < stale {
+            // Stale entry: re-file at the corrected gain. Submodularity
             // guarantees gains never grow, so this converges.
-            if fresh > 0 {
-                heap.push((fresh, std::cmp::Reverse(k)));
-            }
+            queue.refile(k, fresh);
             continue;
         }
-        picked.push(k);
-        for &e in &sets[k] {
+        picked.push(k as usize);
+        for &e in set {
             covered.set(e);
         }
     }

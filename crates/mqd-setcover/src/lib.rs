@@ -6,8 +6,11 @@
 //!
 //! * [`bitset::BitSet`] — flat coverage bitmaps,
 //! * [`fenwick::PresenceFenwick`] — windowed uncovered-element counting for
-//!   the implicit (non-materialized) greedy used on large instances,
-//! * [`greedy`] — scan-max and lazy-heap greedy set cover over materialized
+//!   the implicit (non-materialized) greedy used on large instances: one
+//!   bit per element, popcounts plus a per-word Fenwick tree,
+//! * [`queue::GainQueue`] — the gain-bucket queue every lazy greedy in the
+//!   workspace selects from,
+//! * [`greedy`] — scan-max and lazy greedy set cover over materialized
 //!   sets.
 
 #![warn(missing_docs)]
@@ -15,7 +18,9 @@
 pub mod bitset;
 pub mod fenwick;
 pub mod greedy;
+pub mod queue;
 
 pub use bitset::BitSet;
 pub use fenwick::PresenceFenwick;
 pub use greedy::{greedy_cover, lazy_greedy_cover, Goal};
+pub use queue::GainQueue;

@@ -284,7 +284,7 @@ pub fn repair_state(slice: &Slice, spec: &QuerySpec) -> Option<CoverRepair> {
 pub fn solve_slice(slice: &Slice, spec: &QuerySpec) -> Result<Vec<Record>, MqdError> {
     validate_spec(spec)?;
     let inst = &slice.instance;
-    let mut solution = match spec.algorithm {
+    let solution = match spec.algorithm {
         Algorithm::Opt => solve_opt(inst, spec.lambda, &OptConfig::default())?,
         _ if spec.proportional => {
             let v = VariableLambda::compute(inst, spec.lambda);
@@ -300,8 +300,6 @@ pub fn solve_slice(slice: &Slice, spec: &QuerySpec) -> Result<Vec<Record>, MqdEr
         Algorithm::Scan => solve_scan(inst, &FixedLambda(spec.lambda)),
         Algorithm::ScanPlus => solve_scan_plus(inst, &FixedLambda(spec.lambda), LabelOrder::Input),
     };
-    solution.selected.sort_unstable();
-    solution.selected.dedup();
     Ok(solution
         .selected
         .iter()

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use mqd_core::{coverage, LabelId};
-use mqd_setcover::PresenceFenwick;
+use mqd_setcover::{GainQueue, PresenceFenwick};
 
 use crate::engine::{Emission, EngineSnapshot, StreamContext, StreamEngine};
 
@@ -85,15 +85,13 @@ impl StreamGreedy {
     /// Greedy set cover over the window's uncovered occurrences, with the
     /// window posts as candidate sets. Gains are counted with one
     /// [`PresenceFenwick`] per label over the window's uncovered-occurrence
-    /// lists (`O(s log W)` per evaluation) and selection uses the
-    /// lazy-evaluation heap — the same implicit-greedy machinery as the
-    /// offline `solve_greedy_sc`, which keeps day-scale streams with large
-    /// tau windows tractable. Ties break toward the earliest window post,
-    /// matching the naive scan-max selection exactly.
+    /// lists (`O(s log W)` per evaluation, for the window searches) and
+    /// selection is lazy evaluation over a [`GainQueue`] — the same
+    /// implicit-greedy machinery as the offline `solve_greedy_sc`, which
+    /// keeps day-scale streams with large tau windows tractable. Ties break
+    /// toward the earliest window post, matching the naive scan-max
+    /// selection exactly.
     fn run_window(&mut self, ctx: &StreamContext<'_>, deadline: i64, out: &mut Vec<Emission>) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let inst = ctx.inst;
         // The window: buffered posts with timestamp <= deadline (the buffer
         // is timestamp-ordered and its front defines the deadline).
@@ -154,9 +152,8 @@ impl StreamGreedy {
             g
         };
 
-        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..window_len)
-            .map(|pos| (gain(pos, &fens), Reverse(pos as u32)))
-            .collect();
+        let gains: Vec<u32> = (0..window_len).map(|pos| gain(pos, &fens)).collect();
+        let mut queue = GainQueue::new(&gains);
         let mut picked: Vec<u32> = Vec::new();
         loop {
             let done = if self.plus {
@@ -167,17 +164,12 @@ impl StreamGreedy {
             if done {
                 break;
             }
-            let Some((stale, Reverse(pos))) = heap.pop() else {
+            let Some((stale, pos)) = queue.pop() else {
                 break;
             };
-            if stale == 0 {
-                break;
-            }
             let fresh = gain(pos as usize, &fens);
             if fresh < stale {
-                if fresh > 0 {
-                    heap.push((fresh, Reverse(pos)));
-                }
+                queue.refile(pos, fresh);
                 continue;
             }
             let z = self.buffer[pos as usize].post;
@@ -195,14 +187,12 @@ impl StreamGreedy {
                     t.saturating_sub(lam),
                     t.saturating_add(lam),
                 );
-                for lp in r {
-                    if fens[a.index()].clear(lp) {
-                        remaining -= 1;
-                        if lists[a.index()][lp] == 0 {
-                            front_remaining -= 1;
-                        }
-                    }
+                let fen = &mut fens[a.index()];
+                // The front post's occurrence, if uncovered, heads its list.
+                if r.contains(&0) && lists[a.index()].first() == Some(&0) && fen.is_present(0) {
+                    front_remaining -= 1;
                 }
+                remaining -= fen.clear_range(r.start, r.end) as usize;
             }
         }
 
