@@ -1,7 +1,7 @@
 //! `mqdiv lint` — run the workspace's own static-analysis pass
 //! (`mqd-lint`) from the CLI.
 //!
-//! The linter enforces the determinism/overflow/panic/blocking invariants
+//! The linter enforces the determinism/overflow/panic/durability invariants
 //! the serving guarantees depend on, plus the cross-file workspace rules
 //! (lock-order cycles, blocking under a live guard, unclamped wire
 //! lengths); the rule catalog and the incidents behind each rule are in
@@ -101,7 +101,7 @@ mod tests {
         root
     }
 
-    const BAD: &str = "fn f(rx: &Receiver<u8>) { let _ = rx.recv(); }\n";
+    const BAD: &str = "pub fn f(slot: Option<u8>) -> u8 { slot.unwrap() }\n";
 
     fn opts(root: &Path, deny: bool, json: bool, rules: Option<&str>) -> LintOpts {
         LintOpts {
@@ -131,7 +131,7 @@ mod tests {
         let mut out = Vec::new();
         run(&mut out, io::sink(), &opts(&root, false, false, None)).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("[blocking-call]"), "{text}");
+        assert!(text.contains("[panic-path]"), "{text}");
 
         let err = run(io::sink(), io::sink(), &opts(&root, true, false, None)).unwrap_err();
         assert!(err.contains("1 finding(s) under --deny"), "{err}");
@@ -149,7 +149,7 @@ mod tests {
             text.contains(r#""file":"crates/mqd-server/src/server.rs""#),
             "{text}"
         );
-        assert!(text.contains(r#""rule":"blocking-call""#), "{text}");
+        assert!(text.contains(r#""rule":"panic-path""#), "{text}");
         assert!(text.contains(r#""col":"#), "{text}");
         let _ = fs::remove_dir_all(&root);
     }
@@ -169,34 +169,44 @@ mod tests {
         let opens = text.matches('{').count();
         let closes = text.matches('}').count();
         assert_eq!(opens, closes, "unbalanced JSON: {text}");
-        assert!(text.contains(r#""rule":"blocking-call""#), "{text}");
+        assert!(text.contains(r#""rule":"panic-path""#), "{text}");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn rule_subset_restricts_the_pass() {
         let root = synth_workspace("subset", &[("crates/mqd-server/src/server.rs", BAD)]);
-        // blocking-call disabled -> the recv() finding disappears.
+        // panic-path disabled -> the unwrap() finding disappears.
         run(
             io::sink(),
             io::sink(),
-            &opts(&root, true, false, Some("panic-path,wire-drift")),
+            &opts(&root, true, false, Some("nondet-iter,overflow-arith")),
         )
         .unwrap();
+        let err = run(
+            io::sink(),
+            io::sink(),
+            &opts(&root, true, false, Some("nondet-iter,panic-path")),
+        )
+        .unwrap_err();
+        assert!(err.contains("1 finding(s) under --deny"), "{err}");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn unknown_rule_name_is_an_error_listing_valid_ids() {
         let root = synth_workspace("unknown", &[]);
-        let err = run(
-            io::sink(),
-            io::sink(),
-            &opts(&root, false, false, Some("no-such-rule")),
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown rule"), "{err}");
-        assert!(err.contains("nondet-iter"), "{err}");
+        // Retired rule ids are unknown like any typo.
+        for name in ["no-such-rule", "blocking-call", "wire-drift"] {
+            let err = run(
+                io::sink(),
+                io::sink(),
+                &opts(&root, false, false, Some(name)),
+            )
+            .unwrap_err();
+            assert!(err.contains(&format!("unknown rule '{name}'")), "{err}");
+            assert!(err.contains("nondet-iter"), "{err}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -159,7 +159,8 @@ pub fn client_script(
     let mut line = String::new();
     loop {
         line.clear();
-        // lint:allow(blocking-call): reads the local script/stdin the operator controls, not a network peer
+        // Reads the local script/stdin the operator controls, not a
+        // network peer.
         if input.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
             break;
         }

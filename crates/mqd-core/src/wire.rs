@@ -11,9 +11,19 @@ use crate::error::MqdError;
 
 /// Footer magic sealing every framed blob (binlog, store segment,
 /// checkpoint) ahead of its FNV-1a checksum. This module and
-/// `mqd_core::record` are the only places wire magic may be minted —
-/// everywhere else aliases these constants (enforced by the `wire-drift`
-/// lint), so a format bump can never leave a stale copy behind.
+/// `mqd_core::record` are the only places wire magic is minted;
+/// everywhere else aliases these constants. A copy that drifts still
+/// round-trips through its own module, so each format's bytes are
+/// pinned by a named test:
+/// - `WAL!`, `MQDS` and the segment's `END!`: `mqd-wal`'s
+///   `tests/seal_bytes.rs`, which opens a data dir written with them
+///   (`tests/golden/`);
+/// - the binlog's `END!`: `mqd-server`'s `tests/ingest_columns.rs`;
+/// - `MQDC` and `MQSB`, each with its `END!`:
+///   `framing_is_the_literal_magic_and_footer` in
+///   `mqd_stream::checkpoint` and in `mqd_server::subs`;
+/// - `MQRT` and its `END!`: `hello_frame_round_trips_and_rejects_bad_maps`
+///   below (encoder and decoder both live in this module).
 pub const FRAME_FOOTER: &[u8; 4] = b"END!";
 
 /// File magic of a streaming checkpoint blob (`mqd-stream::checkpoint`).

@@ -55,11 +55,6 @@ impl LintConfig {
     fn on(&self, id: &str) -> bool {
         self.enabled.contains(&id)
     }
-
-    /// Whether the full rule set is active.
-    pub fn is_full(&self) -> bool {
-        self.enabled.len() == rules::ALL.len()
-    }
 }
 
 /// One parsed `// lint:allow(rule-a,rule-b): reason` annotation.
@@ -580,7 +575,7 @@ fn f(seen: &mut HashSet<u32>) {
     fn suppression_parsing() {
         let src = "\
 let a = 1; // lint:allow(panic-path): buffer is non-empty by construction
-// lint:allow(nondet-iter,blocking-call): keyed access only
+// lint:allow(nondet-iter,overflow-arith): keyed access only
 // lint:allow(panic-path)
 ";
         let toks = tokenize(src);
@@ -588,7 +583,7 @@ let a = 1; // lint:allow(panic-path): buffer is non-empty by construction
         assert_eq!(sups.len(), 3);
         assert_eq!(sups[0].rules, ["panic-path"]);
         assert!(sups[0].reason.starts_with("buffer is non-empty"));
-        assert_eq!(sups[1].rules, ["nondet-iter", "blocking-call"]);
+        assert_eq!(sups[1].rules, ["nondet-iter", "overflow-arith"]);
         assert!(sups[2].reason.is_empty());
     }
 

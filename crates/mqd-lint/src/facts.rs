@@ -364,10 +364,10 @@ fn let_binding(
     name.map(|n| (n, if conditional { depth + 1 } else { depth }))
 }
 
-/// If `code[i]` is a blocking operation, returns its label. The set is the
-/// same bug class `blocking-call` polices per-file — unbounded channel
-/// recv, thread join, line-buffered socket reads — plus fsync, which is
-/// bounded but milliseconds-slow: exactly what must not run under a guard.
+/// If `code[i]` is a blocking operation, returns its label: unbounded
+/// channel recv, thread join, line-buffered socket reads, plus fsync,
+/// which is bounded but milliseconds-slow — exactly what must not run
+/// under a guard.
 fn blocking_op(code: &[crate::lexer::Tok], i: usize) -> Option<&'static str> {
     let t = &code[i];
     if t.kind != TokKind::Ident || i == 0 || !code[i - 1].is_punct('.') {

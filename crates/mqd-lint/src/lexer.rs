@@ -5,7 +5,7 @@
 //! and column.
 //!
 //! This is deliberately **not** a parser. The rules in [`crate::rules`]
-//! match short token sequences (`. unwrap ( )`, `const MAGIC =`, ...),
+//! match short token sequences (`. unwrap ( )`, `. iter ( )`, ...),
 //! which is exactly the granularity a tokenizer provides; building a full
 //! grammar would buy nothing for these checks and cost a dependency or a
 //! thousand lines of tree plumbing. The workspace pass in [`crate::parse`]
@@ -21,11 +21,10 @@ pub enum TokKind {
     Lifetime,
     /// Numeric literal (`42`, `0x7f`, `1_000i64`, `2.5`).
     Num,
-    /// String literal: `"..."`, `r"..."`, `r#"..."#`.
+    /// String or byte-string literal: `"..."`, `r#"..."#`, `b"..."`,
+    /// `br"..."`. `text` keeps the raw source form including the prefix
+    /// and quotes.
     Str,
-    /// Byte-string literal: `b"..."`, `br#"..."#`. `text` keeps the raw
-    /// source form including the prefix and quotes.
-    ByteStr,
     /// Char or byte literal: `'x'`, `b'\n'`.
     Char,
     /// A single punctuation character (`.`, `(`, `+`, ...). Multi-char
@@ -118,14 +117,14 @@ impl<'a> Lexer<'a> {
                 }
                 '/' if self.peek(1) == Some('/') => out.push(self.line_comment(line, col)),
                 '/' if self.peek(1) == Some('*') => out.push(self.block_comment(line, col)),
-                '"' => out.push(self.string(line, col, String::new(), TokKind::Str)),
+                '"' => out.push(self.string(line, col, String::new())),
                 'r' if matches!(self.peek(1), Some('"') | Some('#')) && self.raw_ahead(1) => {
                     self.bump();
-                    out.push(self.raw_string(line, col, "r".into(), TokKind::Str));
+                    out.push(self.raw_string(line, col, "r".into()));
                 }
                 'b' if self.peek(1) == Some('"') => {
                     self.bump();
-                    out.push(self.string(line, col, "b".into(), TokKind::ByteStr));
+                    out.push(self.string(line, col, "b".into()));
                 }
                 'b' if self.peek(1) == Some('\'') => {
                     self.bump();
@@ -135,7 +134,7 @@ impl<'a> Lexer<'a> {
                 'b' if self.peek(1) == Some('r') && self.raw_ahead(2) => {
                     self.bump();
                     self.bump();
-                    out.push(self.raw_string(line, col, "br".into(), TokKind::ByteStr));
+                    out.push(self.raw_string(line, col, "br".into()));
                 }
                 '\'' => out.push(self.quote(line, col)),
                 c if c.is_ascii_digit() => out.push(self.number(line, col)),
@@ -206,7 +205,7 @@ impl<'a> Lexer<'a> {
 
     /// Regular (escaped) string; `prefix` is `""` or `"b"`. Consumes the
     /// opening quote itself.
-    fn string(&mut self, line: u32, col: u32, prefix: String, kind: TokKind) -> Tok {
+    fn string(&mut self, line: u32, col: u32, prefix: String) -> Tok {
         let mut text = prefix;
         text.push('"');
         self.bump(); // opening quote
@@ -221,7 +220,7 @@ impl<'a> Lexer<'a> {
             }
         }
         Tok {
-            kind,
+            kind: TokKind::Str,
             text,
             line,
             col,
@@ -230,7 +229,7 @@ impl<'a> Lexer<'a> {
 
     /// Raw string starting at the `#`-or-quote position; `prefix` is the
     /// already-consumed `r`/`br`.
-    fn raw_string(&mut self, line: u32, col: u32, prefix: String, kind: TokKind) -> Tok {
+    fn raw_string(&mut self, line: u32, col: u32, prefix: String) -> Tok {
         let mut text = prefix;
         let mut hashes = 0usize;
         while self.peek(0) == Some('#') {
@@ -250,7 +249,7 @@ impl<'a> Lexer<'a> {
             }
         }
         Tok {
-            kind,
+            kind: TokKind::Str,
             text,
             line,
             col,
@@ -398,10 +397,9 @@ mod tests {
     fn raw_and_byte_strings() {
         let t = kinds(r##"let a = r#"raw "x" body"#; let b = b"MQDC"; let c = br"rb";"##);
         let strs: Vec<_> = t.iter().filter(|(k, _)| *k == TokKind::Str).collect();
-        let bytes: Vec<_> = t.iter().filter(|(k, _)| *k == TokKind::ByteStr).collect();
-        assert_eq!(strs.len(), 1);
-        assert_eq!(bytes.len(), 2);
-        assert_eq!(bytes[0].1, "b\"MQDC\"");
+        assert_eq!(strs.len(), 3);
+        assert_eq!(strs[1].1, "b\"MQDC\"");
+        assert_eq!(strs[2].1, "br\"rb\"");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! The engine is two-pass. Pass 1 is per file: a lightweight tokenizer
 //! (comments/strings/attributes aware — deliberately not a parser), the
-//! token-pattern file rules, plus a brace-matched item tree and
+//! token-pattern file rules — `nondet-iter`, `panic-path`,
+//! `overflow-arith`, `durability-path` — plus a brace-matched item tree and
 //! per-function facts (lock-guard liveness, blocking operations,
 //! outgoing calls). Pass 2 runs the workspace rules — `lock-order`,
 //! `guard-held-blocking`, `unchecked-len` — over the cross-file call
@@ -20,6 +21,12 @@
 //! snippet; per-site suppression is `// lint:allow(<rule>): <reason>`
 //! with the reason mandatory. Run it as
 //! `mqdiv lint [--deny] [--json] [--rules]`.
+//!
+//! A rule stays only while it guards a bug class that no compiler error,
+//! clippy lint or named test covers. Blocking with no lock held and wire
+//! constants copied out of `mqd_core::wire` have no rule: the first never
+//! caused a defect here (a block under a lock is `guard-held-blocking`),
+//! and literal-bytes tests of each format catch the second (DESIGN.md §13).
 //!
 //! ```
 //! use mqd_lint::{lint_source, LintConfig};

@@ -15,6 +15,11 @@
 //! the rule polices mutation, not access. The fix is calling the `fsio`
 //! wrapper; a deliberate exception documents itself with
 //! `// lint:allow(durability-path): <why this needs no fsync pairing>`.
+//!
+//! The rule has never fired, and it stays anyway: a lost power-cut
+//! guarantee is invisible to every test (no test pulls the plug between
+//! a rename and its directory fsync), and CI's grep guard pins only
+//! `fs::rename`, not the other mutations listed above.
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;

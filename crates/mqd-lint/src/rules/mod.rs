@@ -9,7 +9,6 @@ use crate::engine::FileCtx;
 use crate::lexer::TokKind;
 use crate::report::Finding;
 
-mod blocking;
 mod durability;
 mod guard_blocking;
 mod lock_order;
@@ -17,7 +16,6 @@ mod nondet;
 mod overflow;
 mod panics;
 mod unchecked_len;
-mod wire;
 
 /// A rule's check: per-file token patterns, or a workspace-level analysis
 /// over the call-graph context.
@@ -54,16 +52,6 @@ pub const ALL: &[Rule] = &[
         id: overflow::ID,
         summary: "raw i64 arithmetic on F/lambda values outside the i128 helpers",
         check: Check::File(overflow::check),
-    },
-    Rule {
-        id: blocking::ID,
-        summary: "recv()/join()/read_line without timeout in worker loops",
-        check: Check::File(blocking::check),
-    },
-    Rule {
-        id: wire::ID,
-        summary: "wire magic/opcodes defined outside mqd_core::{wire, record}",
-        check: Check::File(wire::check),
     },
     Rule {
         id: durability::ID,
@@ -118,19 +106,6 @@ pub const SCOPES: &[(&str, &[&str])] = &[
             "crates/mqd-stream/src",
             "crates/mqd-store/src",
             "crates/mqd-wal/src",
-            "crates/mqd-router/src",
-            "crates/mqd-load/src",
-            "crates/mqd-cli/src",
-            "crates/mqd-datagen/src",
-            "crates/mqd-bench/src",
-        ],
-    ),
-    (
-        blocking::ID,
-        &[
-            "crates/mqd-server/src",
-            "crates/mqd-stream/src",
-            "crates/mqd-par/src",
             "crates/mqd-router/src",
             "crates/mqd-load/src",
             "crates/mqd-cli/src",

@@ -32,16 +32,6 @@ const CATALOG: &[(&str, Group, Group)] = &[
         &[("overflow_good.rs", "crates/mqd-stream/src/engine.rs")],
     ),
     (
-        "blocking-call",
-        &[("blocking_bad.rs", "crates/mqd-server/src/server.rs")],
-        &[("blocking_good.rs", "crates/mqd-server/src/server.rs")],
-    ),
-    (
-        "wire-drift",
-        &[("wire_bad.rs", "crates/mqd-stream/src/checkpoint.rs")],
-        &[("wire_good.rs", "crates/mqd-stream/src/checkpoint.rs")],
-    ),
-    (
         "durability-path",
         &[("durability_bad.rs", "crates/mqd-wal/src/segment.rs")],
         &[("durability_good.rs", "crates/mqd-wal/src/segment.rs")],

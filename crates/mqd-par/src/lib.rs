@@ -69,7 +69,8 @@ pub fn configured_threads() -> usize {
 /// `expect` message would hide the root cause from supervisors and test
 /// harnesses sitting above this layer; `resume_unwind` preserves it.
 fn join_propagating<U>(h: std::thread::ScopedJoinHandle<'_, U>) -> U {
-    // lint:allow(blocking-call): every spawned closure is a bounded chunk of work with no inbound channel to wedge on
+    // Bounded: every spawned closure is a bounded chunk of work with no
+    // inbound channel to wedge on.
     match h.join() {
         Ok(v) => v,
         Err(payload) => std::panic::resume_unwind(payload),

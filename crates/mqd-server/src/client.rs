@@ -128,7 +128,8 @@ impl Client {
     /// must not be forwarded as if it were a complete emission.
     pub fn next_line(&mut self) -> Result<Option<String>, MqdError> {
         let mut buf = Vec::new();
-        // lint:allow(blocking-call): mid-stream read; the caller opted into line-granular streaming
+        // Blocks mid-stream by design: the caller opted into line-granular
+        // streaming.
         let n = self.reader.by_ref().read_until(b'\n', &mut buf)?;
         if n == 0 || buf.last() != Some(&b'\n') {
             return Ok(None);
@@ -171,7 +172,8 @@ impl Client {
 
     /// Reads one framed response: status line, payload lines, `.`.
     pub fn read_response(&mut self) -> Result<Response, MqdError> {
-        // lint:allow(blocking-call): a request is outstanding — blocking for the server's reply IS the request/response contract
+        // A request is outstanding: blocking for the server's reply is the
+        // request/response contract.
         let status = match self.read_line()? {
             Some(s) => s,
             None => {
@@ -180,7 +182,8 @@ impl Client {
         };
         let mut lines = Vec::new();
         loop {
-            // lint:allow(blocking-call): mid-response read; the server frames every response with a terminator line
+            // Mid-response read: the server frames every response with a
+            // terminator line, so this ends.
             match self.read_line()? {
                 Some(l) if l == TERMINATOR => break,
                 Some(l) => lines.push(l),

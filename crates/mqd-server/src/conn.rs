@@ -221,7 +221,7 @@ impl Engine {
                 // mid-recv; the pool is already compromised, so this worker
                 // retires instead of panicking too.
                 let Ok(guard) = rx.lock() else { return };
-                // lint:allow(blocking-call,guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
+                // lint:allow(guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
                 guard.recv()
             };
             match conn {

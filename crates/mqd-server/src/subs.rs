@@ -252,6 +252,16 @@ mod tests {
         assert_eq!(i, inner);
     }
 
+    /// The format's framing as literal bytes. Encoder and decoder share
+    /// `MAGIC` and `FOOTER`, so a stale copy of either still round-trips;
+    /// only a comparison against the bytes themselves catches it.
+    #[test]
+    fn framing_is_the_literal_magic_and_footer() {
+        let blob = encode_wrapper(&params(), &[1, 2, 3]);
+        assert_eq!(&blob[..4], b"MQSB");
+        assert_eq!(&blob[blob.len() - 12..blob.len() - 8], b"END!");
+    }
+
     #[test]
     fn wrapper_corruption_is_typed() {
         let blob = encode_wrapper(&params(), &[1, 2, 3]);

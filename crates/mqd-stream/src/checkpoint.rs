@@ -619,4 +619,18 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, MqdError::Corrupt { .. }), "{err}");
     }
+
+    /// The format's framing as literal bytes. Encoder and decoder share
+    /// `MAGIC` and `FOOTER`, so a stale copy of either still round-trips;
+    /// only a comparison against the bytes themselves catches it.
+    #[test]
+    fn framing_is_the_literal_magic_and_footer() {
+        let inst = instance(7, 40, 2);
+        let plan = FaultPlan::none();
+        let cfg = SupervisorConfig::default();
+        let mut run = SupervisedRun::new(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, cfg);
+        let bytes = encode_checkpoint(&mut run);
+        assert_eq!(&bytes[..4], b"MQDC");
+        assert_eq!(&bytes[bytes.len() - 12..bytes.len() - 8], b"END!");
+    }
 }

@@ -30,7 +30,8 @@
 //!
 //! All formats use the shared [`mqd_core::wire`] varint + FNV-1a framing;
 //! the file magics (`WAL!`, `MQDS`) are minted in `mqd_core::wire` and
-//! only aliased here, so the `wire-drift` lint stays authoritative.
+//! only aliased here. `tests/seal_bytes.rs` opens a data dir written with
+//! those bytes (`tests/golden/`), so an alias that drifts fails there.
 //! Like the rest of the workspace, this crate depends only on `std`.
 
 #![warn(missing_docs)]
