@@ -10,11 +10,9 @@ pub mod args;
 mod experiments;
 mod grid;
 mod measure;
-pub mod microbench;
 pub mod report;
 pub mod workloads;
 
 pub use args::BenchArgs;
 pub use experiments::{Experiment, EXPERIMENTS};
-pub use microbench::{Bencher, BenchmarkId, Criterion};
 pub use workloads::{ten_minute_instance, OPT_FEASIBLE_PER_LABEL_PER_MIN};

@@ -1,4 +1,4 @@
-//! Workload construction shared by the experiments and micro-benches.
+//! Workload construction shared by the experiments.
 
 use mqd_core::{Instance, MqdError};
 use mqd_datagen::{generate_labeled_posts, LabeledStreamConfig, DAY_MS, MINUTE_MS};

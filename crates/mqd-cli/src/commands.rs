@@ -1,5 +1,10 @@
 //! The `mqdiv` subcommand implementations, written against generic readers
 //! and writers so they are unit-testable without touching the filesystem.
+//!
+//! Labeled posts are `mqd_core::record`'s TSV rows
+//! (`id \t value \t label,label,...`); raw microblog posts for `match` are
+//! text rows (`id \t timestamp_ms \t text`, [`TextRow`]). In both, lines
+//! starting with `#` and blank lines are ignored.
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -7,13 +12,12 @@ use std::path::PathBuf;
 use mqd_core::algorithms::{
     solve_greedy_sc, solve_opt, solve_scan, solve_scan_plus, LabelOrder, OptConfig,
 };
-use mqd_core::{coverage, metrics, FixedLambda, Solution, VariableLambda};
+use mqd_core::record::{read_tsv_records, to_instance, validate_stream, write_tsv_records, Record};
+use mqd_core::{coverage, metrics, FixedLambda, MqdError, Solution, VariableLambda};
 use mqd_datagen::{
     generate_labeled_posts, generate_tweets, LabeledStreamConfig, TweetStreamConfig, MINUTE_MS,
 };
 use mqd_text::{KeywordMatcher, NearDuplicateFilter, SentimentScorer};
-
-use crate::tsv::{self, LabeledRow, TextRow};
 
 /// Offline diversification options.
 #[derive(Clone, Debug)]
@@ -34,8 +38,8 @@ pub fn diversify(
     log: &mut impl Write,
     opts: &DiversifyOpts,
 ) -> Result<(), String> {
-    let rows = tsv::read_labeled(input).map_err(|e| e.to_string())?;
-    let inst = tsv::to_instance(&rows, None).map_err(|e| e.to_string())?;
+    let rows = read_tsv_records(input).map_err(|e| e.to_string())?;
+    let inst = to_instance(&rows).map_err(|e| e.to_string())?;
 
     let solution: Solution = if opts.proportional {
         let lam = VariableLambda::compute(&inst, opts.lambda);
@@ -67,16 +71,16 @@ pub fn diversify(
         }
     }
 
-    let selected_rows: Vec<LabeledRow> = solution
+    let selected_rows: Vec<Record> = solution
         .selected
         .iter()
-        .map(|&i| LabeledRow {
+        .map(|&i| Record {
             id: inst.post(i).id().0,
             value: inst.value(i),
             labels: inst.labels(i).iter().map(|l| l.0).collect(),
         })
         .collect();
-    tsv::write_labeled(out, &selected_rows).map_err(|e| e.to_string())?;
+    write_tsv_records(out, &selected_rows).map_err(|e| e.to_string())?;
 
     let rep = metrics::representation_error(&inst, &solution.selected);
     writeln!(
@@ -114,9 +118,9 @@ pub fn stream(
     opts: &StreamOpts,
 ) -> Result<(), String> {
     use mqd_stream::{run_stream, InstantScan, StreamEngine, StreamGreedy, StreamScan};
-    let rows = tsv::read_labeled(input).map_err(|e| e.to_string())?;
-    tsv::validate_stream(&rows).map_err(|e| e.to_string())?;
-    let inst = tsv::to_instance(&rows, None).map_err(|e| e.to_string())?;
+    let rows = read_tsv_records(input).map_err(|e| e.to_string())?;
+    validate_stream(&rows).map_err(|e| e.to_string())?;
+    let inst = to_instance(&rows).map_err(|e| e.to_string())?;
     let lam = FixedLambda(opts.lambda);
     let l = inst.num_labels();
     let n = inst.len();
@@ -223,9 +227,9 @@ pub fn stream_supervised(
         encode_checkpoint, resume_supervised, run_supervised_stream, FaultPlan, SupervisedRun,
         SupervisorConfig,
     };
-    let rows = tsv::read_labeled(input).map_err(|e| e.to_string())?;
-    tsv::validate_stream(&rows).map_err(|e| e.to_string())?;
-    let inst = tsv::to_instance(&rows, None).map_err(|e| e.to_string())?;
+    let rows = read_tsv_records(input).map_err(|e| e.to_string())?;
+    validate_stream(&rows).map_err(|e| e.to_string())?;
+    let inst = to_instance(&rows).map_err(|e| e.to_string())?;
     let lam = FixedLambda(opts.lambda);
     let kind = shard_engine_kind(&opts.engine)?;
     let plan = match opts.chaos_seed {
@@ -332,6 +336,67 @@ pub fn stream_supervised(
     Ok(())
 }
 
+/// One raw text row.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct TextRow {
+    /// External post id.
+    pub id: u64,
+    /// Timestamp (ms).
+    pub time: i64,
+    /// Post text.
+    pub text: String,
+}
+
+fn parse_err(line_no: usize, msg: impl std::fmt::Display) -> MqdError {
+    MqdError::Parse {
+        line: line_no,
+        msg: msg.to_string(),
+    }
+}
+
+/// Parses text rows from a reader. Malformed rows are typed
+/// [`MqdError::Parse`] errors carrying the 1-based line number.
+pub fn read_text(r: impl BufRead) -> Result<Vec<TextRow>, MqdError> {
+    let mut out = Vec::new();
+    for (i, line) in r.lines().enumerate() {
+        let line = line.map_err(MqdError::from)?;
+        if line.trim().is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.splitn(3, '\t');
+        let id: u64 = parts
+            .next()
+            .ok_or_else(|| parse_err(i + 1, "missing id"))?
+            .parse()
+            .map_err(|e| parse_err(i + 1, format!("bad id: {e}")))?;
+        let time: i64 = parts
+            .next()
+            .ok_or_else(|| parse_err(i + 1, "missing timestamp"))?
+            .parse()
+            .map_err(|e| parse_err(i + 1, format!("bad timestamp: {e}")))?;
+        let text = parts
+            .next()
+            .ok_or_else(|| parse_err(i + 1, "missing text"))?
+            .to_string();
+        out.push(TextRow { id, time, text });
+    }
+    Ok(out)
+}
+
+/// Writes text rows; tabs and newlines inside a text become spaces.
+pub fn write_text(mut w: impl Write, rows: &[TextRow]) -> std::io::Result<()> {
+    for r in rows {
+        writeln!(
+            w,
+            "{}\t{}\t{}",
+            r.id,
+            r.time,
+            r.text.replace(['\t', '\n'], " ")
+        )?;
+    }
+    Ok(())
+}
+
 /// Matching options.
 #[derive(Clone, Debug)]
 pub struct MatchOpts {
@@ -362,7 +427,7 @@ pub fn match_posts(
         .collect();
     let matcher = KeywordMatcher::new(&queries);
     let scorer = SentimentScorer::new();
-    let rows = tsv::read_text(input).map_err(|e| e.to_string())?;
+    let rows = read_text(input).map_err(|e| e.to_string())?;
     let total = rows.len();
     let mut dedup = NearDuplicateFilter::new(3);
     let mut matched = Vec::new();
@@ -381,14 +446,14 @@ pub fn match_posts(
         } else {
             r.time
         };
-        matched.push(LabeledRow {
+        matched.push(Record {
             id: r.id,
             value,
             labels,
         });
     }
     let kept = matched.len();
-    tsv::write_labeled(out, &matched).map_err(|e| e.to_string())?;
+    write_tsv_records(out, &matched).map_err(|e| e.to_string())?;
     writeln!(
         log,
         "matched {kept} of {total} posts ({dropped_dups} near-duplicates dropped)"
@@ -433,7 +498,7 @@ pub fn generate(out: impl Write, log: &mut impl Write, opts: &GenOpts) -> Result
                 text: t.text.clone(),
             })
             .collect();
-        tsv::write_text(out, &rows).map_err(|e| e.to_string())?;
+        write_text(out, &rows).map_err(|e| e.to_string())?;
         writeln!(log, "generated {} text posts", rows.len()).map_err(|e| e.to_string())?;
     } else {
         let posts = generate_labeled_posts(&LabeledStreamConfig {
@@ -444,15 +509,15 @@ pub fn generate(out: impl Write, log: &mut impl Write, opts: &GenOpts) -> Result
             seed: opts.seed,
             ..Default::default()
         });
-        let rows: Vec<LabeledRow> = posts
+        let rows: Vec<Record> = posts
             .iter()
-            .map(|p| LabeledRow {
+            .map(|p| Record {
                 id: p.id().0,
                 value: p.value(),
                 labels: p.labels().iter().map(|l| l.0).collect(),
             })
             .collect();
-        tsv::write_labeled(out, &rows).map_err(|e| e.to_string())?;
+        write_tsv_records(out, &rows).map_err(|e| e.to_string())?;
         writeln!(log, "generated {} labeled posts", rows.len()).map_err(|e| e.to_string())?;
     }
     Ok(())
@@ -555,8 +620,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let selected = tsv::read_labeled(out.as_slice()).unwrap();
-            let input = tsv::read_labeled(data.as_slice()).unwrap();
+            let selected = read_tsv_records(out.as_slice()).unwrap();
+            let input = read_tsv_records(data.as_slice()).unwrap();
             assert!(!selected.is_empty());
             assert!(selected.len() < input.len());
             let log_s = String::from_utf8(log).unwrap();
@@ -777,7 +842,7 @@ mod tests {
             },
         )
         .unwrap();
-        let rows = tsv::read_labeled(out.as_slice()).unwrap();
+        let rows = read_tsv_records(out.as_slice()).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].value > 0, "victory should score positive");
         assert!(rows[1].value < 0, "fails should score negative");
@@ -800,6 +865,23 @@ mod tests {
     }
 
     #[test]
+    fn text_round_trip_preserves_tabs_as_spaces() {
+        let rows = vec![TextRow {
+            id: 3,
+            time: 42,
+            text: "hello\tworld".into(),
+        }];
+        let mut buf = Vec::new();
+        write_text(&mut buf, &rows).unwrap();
+        let parsed = read_text(buf.as_slice()).unwrap();
+        assert_eq!(parsed[0].text, "hello world");
+        // text may contain further tabs on read (splitn keeps them)
+        let raw = b"1\t5\ta\tb\tc\n";
+        let parsed = read_text(&raw[..]).unwrap();
+        assert_eq!(parsed[0].text, "a\tb\tc");
+    }
+
+    #[test]
     fn gen_text_mode() {
         let mut out = Vec::new();
         let mut log = Vec::new();
@@ -816,7 +898,7 @@ mod tests {
             },
         )
         .unwrap();
-        let rows = tsv::read_text(out.as_slice()).unwrap();
+        let rows = read_text(out.as_slice()).unwrap();
         assert!(!rows.is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! Library backing the `mqdiv` command-line tool: TSV formats and the
-//! subcommand implementations (`gen`, `match`, `diversify`, `stream`).
+//! Library backing the `mqdiv` command-line tool: the subcommand
+//! implementations (`gen`, `match`, `diversify`, `stream`).
 //! Everything operates on generic readers/writers so the behaviour is
 //! covered by unit tests; `main.rs` only parses flags and wires files.
 
@@ -9,4 +9,3 @@ pub mod commands;
 pub mod lint;
 pub mod load;
 pub mod serve;
-pub mod tsv;

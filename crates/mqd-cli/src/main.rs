@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use mqd_cli::commands::{
     self, DiversifyOpts, GenOpts, MatchOpts, OracleOpts, StreamOpts, SupervisedStreamOpts,
 };
-use mqd_core::record::Record;
+use mqd_core::record::{read_tsv_records, write_tsv_records, Record};
 use mqd_store::{solve_slice, Algorithm, QuerySpec};
 use mqd_wal::{DurableOptions, DurableStore};
 
@@ -235,8 +235,7 @@ fn run() -> Result<(), String> {
             }
         }
         "pack" => {
-            let rows =
-                mqd_cli::tsv::read_labeled(open_input(&flags)?).map_err(|e| e.to_string())?;
+            let rows = read_tsv_records(open_input(&flags)?).map_err(|e| e.to_string())?;
             mqd_core::record::write_records(open_output(&flags)?, &rows)
                 .map_err(|e| e.to_string())?;
             eprintln!("packed {} posts", rows.len());
@@ -245,14 +244,13 @@ fn run() -> Result<(), String> {
         "unpack" => {
             let rows =
                 mqd_core::record::read_records(open_input(&flags)?).map_err(|e| e.to_string())?;
-            mqd_cli::tsv::write_labeled(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
+            write_tsv_records(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
             eprintln!("unpacked {} posts", rows.len());
             Ok(())
         }
         "ingest" => {
             let dir = flags.get("store").ok_or("--store is required")?;
-            let rows =
-                mqd_cli::tsv::read_labeled(open_input(&flags)?).map_err(|e| e.to_string())?;
+            let rows = read_tsv_records(open_input(&flags)?).map_err(|e| e.to_string())?;
             let mut store = DurableStore::open(Path::new(dir), &DurableOptions::default())
                 .map_err(|e| e.to_string())?;
             let mut kept = 0usize;
@@ -308,7 +306,7 @@ fn run() -> Result<(), String> {
                 }
             };
             let n = rows.len();
-            mqd_cli::tsv::write_labeled(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
+            write_tsv_records(open_output(&flags)?, &rows).map_err(|e| e.to_string())?;
             eprintln!("{n} posts");
             Ok(())
         }

@@ -36,6 +36,8 @@
 //!   [`MqdError::Parse`] errors carrying the 1-based line number.
 //!   [`write_tsv`] is the one renderer: it appends a row's bytes to a
 //!   caller's buffer, and [`format_tsv`] is its `String` face.
+//!   [`read_tsv_records`] / [`write_tsv_records`] read and write a whole
+//!   file of them.
 //!
 //! * **Rendered rows** ([`TsvRows`]): a whole answer in the form it is
 //!   served in — every row's TSV bytes, newline-terminated, in one buffer,
@@ -48,10 +50,11 @@
 //!   [`TsvRows::truncate_from`]'s search, so the bytes held per row
 //!   are the bytes sent per row and no offset can outgrow its integer.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use crate::error::MqdError;
 use crate::wire::{check_framed, put_varint, seal_framed, unzigzag, zigzag, Cursor};
+use crate::{Instance, LabelId, Post, PostId};
 
 const MAGIC: &[u8; 4] = b"MQDL";
 const FOOTER: &[u8; 4] = crate::wire::FRAME_FOOTER;
@@ -96,6 +99,56 @@ impl<'a> From<&'a Record> for RowRef<'a> {
     fn from(r: &'a Record) -> Self {
         r.as_row()
     }
+}
+
+/// Converts records into an [`Instance`] whose label space is the
+/// largest label id + 1 (at least 1).
+pub fn to_instance(rows: &[Record]) -> Result<Instance, MqdError> {
+    let num_labels = rows
+        .iter()
+        .flat_map(|r| r.labels.iter().copied())
+        .max()
+        .map_or(0, |m| m as usize + 1)
+        .max(1);
+    let posts: Vec<Post> = rows
+        .iter()
+        .map(|r| {
+            Post::new(
+                PostId(r.id),
+                r.value,
+                r.labels.iter().map(|&l| LabelId(l)).collect(),
+            )
+        })
+        .collect();
+    Instance::from_posts(posts, num_labels)
+}
+
+/// Enforces the streaming input contract on parsed rows: timestamps must
+/// be non-decreasing (arrival order) and every post must carry at least one
+/// label (a post matching no query has no place in the pipeline).
+///
+/// Offline commands tolerate both — [`to_instance`] re-sorts and unlabeled
+/// posts are simply never selected — but a streaming deployment must reject
+/// such input up front rather than silently reorder or drop it. Row numbers
+/// are 1-based positions in the parsed stream.
+pub fn validate_stream(rows: &[Record]) -> Result<(), MqdError> {
+    let mut prev: Option<i64> = None;
+    for (i, r) in rows.iter().enumerate() {
+        if r.labels.is_empty() {
+            return Err(MqdError::EmptyLabelSet { row: i + 1 });
+        }
+        if let Some(p) = prev {
+            if r.value < p {
+                return Err(MqdError::NonMonotoneTimestamp {
+                    row: i + 1,
+                    prev: p,
+                    got: r.value,
+                });
+            }
+        }
+        prev = Some(r.value);
+    }
+    Ok(())
 }
 
 /// A batch of rows in columns, never a [`Record`] per row:
@@ -444,6 +497,28 @@ pub fn read_records(mut r: impl Read) -> Result<Vec<Record>, MqdError> {
     let mut data = Vec::new();
     r.read_to_end(&mut data)?;
     decode_records(&data)
+}
+
+/// Reads a whole TSV file of rows ([`parse_tsv_line`]), skipping blank
+/// lines and `#` comments. Malformed rows are typed [`MqdError::Parse`]
+/// errors carrying the 1-based line number.
+pub fn read_tsv_records(r: impl BufRead) -> Result<Vec<Record>, MqdError> {
+    let mut out = Vec::new();
+    for (i, line) in r.lines().enumerate() {
+        if let Some(row) = parse_tsv_line(&line?, i + 1)? {
+            out.push(row);
+        }
+    }
+    Ok(out)
+}
+
+/// Writes rows as a TSV file ([`format_tsv`]), one newline-terminated row
+/// per line.
+pub fn write_tsv_records(mut w: impl Write, rows: &[Record]) -> std::io::Result<()> {
+    for r in rows {
+        writeln!(w, "{}", format_tsv(r))?;
+    }
+    Ok(())
 }
 
 fn parse_err(line_no: usize, msg: impl std::fmt::Display) -> MqdError {
@@ -880,6 +955,9 @@ mod tests {
             let line = format_tsv(&r);
             assert_eq!(parse_tsv_line(&line, 1).unwrap(), Some(r));
         }
+        let mut file = Vec::new();
+        write_tsv_records(&mut file, &sample()).unwrap();
+        assert_eq!(read_tsv_records(file.as_slice()).unwrap(), sample());
     }
 
     /// The renderer as it stood before `write_tsv`, kept as the reference
@@ -1054,6 +1132,8 @@ mod tests {
         assert_eq!(parse_tsv_line("# header", 1).unwrap(), None);
         assert_eq!(parse_tsv_line("", 2).unwrap(), None);
         assert_eq!(parse_tsv_line("   ", 3).unwrap(), None);
+        let rows = read_tsv_records(&b"# header\n\n1\t10\t0\n"[..]).unwrap();
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
@@ -1070,5 +1150,56 @@ mod tests {
         assert!(err("1\ty\t0").contains("bad value"));
         assert!(err("1\t2\tz").contains("bad label"));
         assert!(err("1\t2\t0\textra").contains("too many fields"));
+        // The file reader numbers lines from 1, comment lines included.
+        match read_tsv_records(&b"# skip\n1\t10\n"[..]).unwrap_err() {
+            MqdError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stream_validation_catches_contract_violations() {
+        let ok = vec![
+            Record {
+                id: 0,
+                value: 10,
+                labels: vec![0],
+            },
+            Record {
+                id: 1,
+                value: 10,
+                labels: vec![1],
+            },
+        ];
+        validate_stream(&ok).unwrap();
+
+        let mut unlabeled = ok.clone();
+        unlabeled[1].labels.clear();
+        assert_eq!(
+            validate_stream(&unlabeled).unwrap_err(),
+            MqdError::EmptyLabelSet { row: 2 }
+        );
+
+        let mut backwards = ok;
+        backwards[1].value = 5;
+        assert_eq!(
+            validate_stream(&backwards).unwrap_err(),
+            MqdError::NonMonotoneTimestamp {
+                row: 2,
+                prev: 10,
+                got: 5
+            }
+        );
+    }
+
+    #[test]
+    fn to_instance_infers_label_space() {
+        let rows = vec![Record {
+            id: 0,
+            value: 1,
+            labels: vec![4],
+        }];
+        let inst = to_instance(&rows).unwrap();
+        assert_eq!(inst.num_labels(), 5);
     }
 }

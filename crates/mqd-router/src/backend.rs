@@ -189,6 +189,25 @@ impl<'a> BackendPool<'a> {
         }
     }
 
+    /// Sends `DRAIN` to backend `idx` and drops its session: over the live
+    /// session if there is one, else over a bare connection. `DRAIN` is not
+    /// scoped to a shard and a backend serves it without `HELLO`, so drain
+    /// never handshakes and a backend that refused the shard map still
+    /// stops with the cluster.
+    pub fn drain(&mut self, idx: usize) -> Result<Response, MqdError> {
+        match self.conns.get_mut(idx).and_then(Option::take) {
+            Some(mut c) => c.request("DRAIN"),
+            None => {
+                let Some(addr) = self.topo.backends().get(idx) else {
+                    return Err(MqdError::protocol(format!(
+                        "backend index {idx} out of range"
+                    )));
+                };
+                Client::connect(addr.as_str())?.request("DRAIN")
+            }
+        }
+    }
+
     /// One request/response against the first live replica of `shard`.
     /// Transport failures drop the session and fall through to the next
     /// replica; a response — `+OK` or a typed backend rejection alike — is

@@ -219,8 +219,7 @@ impl Handler for RouterState {
         // Drain the backends first (best-effort: a dead backend is already
         // drained for our purposes), then the router itself.
         for idx in 0..self.topo.backends().len() {
-            let _ = pool.session(idx).and_then(|c| c.request("DRAIN"));
-            pool.drop_session(idx);
+            let _ = pool.drain(idx);
         }
     }
 }
@@ -783,6 +782,37 @@ mod tests {
 
         assert!(c.request("DRAIN").unwrap().is_ok());
         h1.join().unwrap();
+        hr.join().unwrap();
+    }
+
+    #[test]
+    fn a_backend_that_refused_the_shard_map_still_drains() {
+        // The backend serves shard 1/2; the router's one-shard map calls
+        // it shard 0/1, so every HELLO is refused.
+        let (b, hb) = start_backend(Some(ShardIdentity {
+            shard_id: 1,
+            shard_count: 2,
+        }));
+        let (router, hr) = start_router(vec![b.to_string()], 1);
+        let mut c = Client::connect(router).unwrap();
+        let refused = c.request("QUERY 0 10 scan").unwrap();
+        assert!(refused.status.starts_with("-ERR "), "{}", refused.status);
+        assert!(
+            refused.status.contains("rejected the shard map"),
+            "{}",
+            refused.status
+        );
+
+        // A routed DRAIN must still stop the backend. Wait through a
+        // channel so a backend that never drains fails the test instead
+        // of hanging it.
+        assert!(c.request("DRAIN").unwrap().is_ok());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(hb.join().is_ok());
+        });
+        let exited = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(exited, Ok(true), "the backend did not drain within 10 s");
         hr.join().unwrap();
     }
 

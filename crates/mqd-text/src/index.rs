@@ -1,72 +1,10 @@
-//! In-memory inverted index and streaming keyword matcher — the "tweets
-//! inverted index" and "posts/label matching" modules of the paper's Figure
-//! 1 system architecture (the paper used Apache Lucene; indexing itself is
-//! out of the paper's scope, so a compact exact-term index suffices).
+//! Streaming keyword matcher — the "posts/label matching" module of the
+//! paper's Figure 1 system architecture. The static option's inverted
+//! index (the paper used Apache Lucene) is [`crate::RtIndex`].
 
 use std::collections::HashMap;
 
 use crate::tokenize::tokenize;
-
-/// Append-only inverted index over documents. Document ids are assigned
-/// densely in insertion order.
-#[derive(Default, Debug)]
-pub struct InvertedIndex {
-    postings: HashMap<String, Vec<u32>>,
-    num_docs: u32,
-}
-
-impl InvertedIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Indexes `text`; returns the new document id.
-    pub fn add_document(&mut self, text: &str) -> u32 {
-        let id = self.num_docs;
-        self.num_docs += 1;
-        let mut terms = tokenize(text);
-        terms.sort_unstable();
-        terms.dedup();
-        for term in terms {
-            self.postings.entry(term).or_default().push(id);
-        }
-        id
-    }
-
-    /// Number of indexed documents.
-    pub fn len(&self) -> usize {
-        self.num_docs as usize
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.num_docs == 0
-    }
-
-    /// Number of distinct terms.
-    pub fn num_terms(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// The posting list of a term (sorted doc ids), empty if unseen.
-    pub fn postings(&self, term: &str) -> &[u32] {
-        self.postings.get(term).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Documents matching **any** of the query's keywords (the paper's
-    /// matching rule: a post matches a topic if it contains at least one of
-    /// the topic's keywords). Returns sorted, de-duplicated doc ids.
-    pub fn match_any(&self, keywords: &[String]) -> Vec<u32> {
-        let mut out: Vec<u32> = keywords
-            .iter()
-            .flat_map(|k| self.postings(k).iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
 
 /// Streaming matcher: maps each incoming post to the set of queries (label
 /// ids) whose keyword lists it hits. This is the "matching module working
@@ -124,26 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn index_and_match_any() {
-        let mut idx = InvertedIndex::new();
-        let d0 = idx.add_document("Obama speaks about the economy");
-        let d1 = idx.add_document("The senate votes on the budget");
-        let d2 = idx.add_document("Obama and the senate clash");
-        assert_eq!((d0, d1, d2), (0, 1, 2));
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.match_any(&q(&["obama"])), vec![0, 2]);
-        assert_eq!(idx.match_any(&q(&["senate", "economy"])), vec![0, 1, 2]);
-        assert!(idx.match_any(&q(&["unknown"])).is_empty());
-    }
-
-    #[test]
-    fn duplicate_terms_in_doc_counted_once() {
-        let mut idx = InvertedIndex::new();
-        idx.add_document("golf golf golf");
-        assert_eq!(idx.postings("golf"), &[0]);
-    }
-
-    #[test]
     fn matcher_maps_posts_to_labels() {
         let m = KeywordMatcher::new(&[
             q(&["obama", "president"]),
@@ -163,10 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_index_and_matcher() {
-        let idx = InvertedIndex::new();
-        assert!(idx.is_empty());
-        assert!(idx.match_any(&q(&["x"])).is_empty());
+    fn empty_matcher() {
         let m = KeywordMatcher::new(&[]);
         assert!(m.match_labels("anything").is_empty());
     }

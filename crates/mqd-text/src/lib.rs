@@ -1,6 +1,6 @@
 //! Text substrate for the MQDP pipeline (Figure 1 of the paper): tokenizer,
-//! in-memory inverted index and streaming keyword matcher, SimHash
-//! near-duplicate elimination, and lexicon-based sentiment scoring (the
+//! streaming keyword matcher, time-partitioned real-time inverted index,
+//! SimHash near-duplicate elimination, and lexicon-based sentiment scoring (the
 //! alternative diversity dimension of Sections 2 and 6).
 
 #![warn(missing_docs)]
@@ -11,7 +11,7 @@ pub mod sentiment;
 pub mod simhash;
 pub mod tokenize;
 
-pub use index::{InvertedIndex, KeywordMatcher};
+pub use index::KeywordMatcher;
 pub use rt_index::RtIndex;
 pub use sentiment::SentimentScorer;
 pub use simhash::{hamming, simhash, NearDuplicateFilter};

@@ -4,8 +4,8 @@
 //! never a panic and never silent garbage. Each assertion carries its seed
 //! so a failure is reproducible with a one-line filter.
 
-use mqd_cli::tsv::{self, LabeledRow};
-use mqd_core::record::{decode_records, encode_records};
+use mqd_cli::commands::read_text;
+use mqd_core::record::{decode_records, encode_records, read_tsv_records, to_instance, Record};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
     encode_checkpoint, resume_supervised, FaultPlan, ShardEngineKind, SupervisedRun,
@@ -15,14 +15,14 @@ use mqdiv::core::{Instance, MqdError};
 
 const CASES: u64 = 64;
 
-fn random_rows(rng: &mut StdRng) -> Vec<LabeledRow> {
+fn random_rows(rng: &mut StdRng) -> Vec<Record> {
     let n = rng.random_range(1..40usize);
     let mut t = 0i64;
     (0..n)
         .map(|i| {
             t += rng.random_range(0..1_000i64);
             let k = rng.random_range(1..4usize);
-            LabeledRow {
+            Record {
                 id: i as u64,
                 value: t,
                 labels: (0..k).map(|_| rng.random_range(0..6u32) as u16).collect(),
@@ -33,7 +33,7 @@ fn random_rows(rng: &mut StdRng) -> Vec<LabeledRow> {
 
 fn stream_instance(rng: &mut StdRng) -> Instance {
     let rows = random_rows(rng);
-    tsv::to_instance(&rows, None).expect("generated rows are valid")
+    to_instance(&rows).expect("generated rows are valid")
 }
 
 #[test]
@@ -81,8 +81,8 @@ fn tsv_garbage_never_panics() {
             })
             .collect();
         // Any outcome is fine except a panic.
-        let _ = tsv::read_labeled(bytes.as_slice());
-        let _ = tsv::read_text(bytes.as_slice());
+        let _ = read_tsv_records(bytes.as_slice());
+        let _ = read_text(bytes.as_slice());
     }
 }
 

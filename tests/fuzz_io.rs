@@ -3,12 +3,13 @@
 //! (ported from the former proptest suite to plain loops over `mqd_rng`
 //! seeds).
 
-use mqd_cli::tsv::{self, LabeledRow};
-use mqd_core::record::{decode_records, encode_records};
+use mqd_core::record::{
+    decode_records, encode_records, read_tsv_records, write_tsv_records, Record,
+};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqdiv::stream::WindowedTimeline;
 
-fn random_rows(rng: &mut StdRng) -> Vec<LabeledRow> {
+fn random_rows(rng: &mut StdRng) -> Vec<Record> {
     let n = rng.random_range(0..50usize);
     (0..n)
         .map(|_| {
@@ -16,7 +17,7 @@ fn random_rows(rng: &mut StdRng) -> Vec<LabeledRow> {
             let value = rng.random::<u64>() as i64;
             let k = rng.random_range(0..4usize);
             let labels: Vec<u16> = (0..k).map(|_| rng.random::<u32>() as u16).collect();
-            LabeledRow { id, value, labels }
+            Record { id, value, labels }
         })
         .collect()
 }
@@ -55,9 +56,9 @@ fn tsv_round_trips() {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = random_rows(&mut rng);
         let mut buf = Vec::new();
-        tsv::write_labeled(&mut buf, &rows).unwrap();
+        write_tsv_records(&mut buf, &rows).unwrap();
         assert_eq!(
-            tsv::read_labeled(buf.as_slice()).unwrap(),
+            read_tsv_records(buf.as_slice()).unwrap(),
             rows,
             "seed {seed}"
         );
