@@ -32,9 +32,23 @@
 //! post is then a sum of window widths, and a re-evaluation is one presence
 //! count per label with no binary search.
 //!
+//! The same sweep finds the *dominated* posts, which [`solve_greedy_sc`]
+//! and [`complete_cover`] never queue. A post `k` is dominated when it
+//! carries a single label `a` and its window in `LP(a)` ends where that of
+//! its predecessor `j` in `LP(a)` ends. `j` is valued no higher, so its
+//! window starts no later, and `S_k ⊆ S_j`: whatever is covered, `k`'s gain
+//! is at most `j`'s. The greedy takes the highest gain and, among equal
+//! gains, the smallest index, which `j < k` is. So `k` is never the pick
+//! while `j` is unpicked, and gains nothing once `j` is picked. This is the
+//! classic exact reduction for greedy set cover (a set contained in an
+//! earlier one is never chosen): every round picks the post it picked
+//! before, with or without pins. [`solve_greedy_sc_scan_max`] and
+//! [`solve_greedy_sc_naive`] do not prune, and serve as its oracles.
+//!
 //! Under the variable lambda of Section 6 windows depend on the coverer, so
-//! the oracle searches per evaluation and the lazy variant's dominant cost
-//! on large instances is the initial `gain(k)` pass over every post;
+//! nothing is pruned, the oracle searches per evaluation and the lazy
+//! variant's dominant cost on large instances is the initial `gain(k)`
+//! pass over every post;
 //! [`solve_greedy_sc`] computes that in parallel with `mqd-par`. This is
 //! deterministically byte-identical to the sequential solver at any thread
 //! count: the parallel map returns the same gains vector in index order
@@ -62,6 +76,9 @@ pub(crate) struct GainOracle<'a, L: LambdaProvider + ?Sized> {
     /// Every occurrence's coverage window by pair id, when the provider is
     /// one uniform lambda.
     windows: Option<Vec<(u32, u32)>>,
+    /// With `windows`, per post: its windows' widths, or 0 for a post the
+    /// greedy never picks (module docs).
+    widths: Vec<u32>,
 }
 
 impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
@@ -70,12 +87,20 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
             .map(|a| PresenceFenwick::all_present(inst.postings(LabelId(a as u16)).len()))
             .collect();
         let remaining = inst.num_pairs();
+        let (windows, widths) = match lp.as_fixed() {
+            Some(lambda) => {
+                let (windows, widths) = inst.pair_windows_with_gains(lambda);
+                (Some(windows), widths)
+            }
+            None => (None, Vec::new()),
+        };
         GainOracle {
             inst,
             lp,
             fenwicks,
             remaining,
-            windows: lp.as_fixed().map(|lambda| inst.pair_windows(lambda)),
+            windows,
+            widths,
         }
     }
 
@@ -135,16 +160,21 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
     /// current gain (highest gain, then smallest post index): pops the
     /// stalest-best entry, re-evaluates it, and picks it only if it is still
     /// at least as good as recorded (gains only shrink, so a revalidated top
-    /// entry is the true maximum). Appends the picks to `selected`.
+    /// entry is the true maximum). Dominated posts are never queued.
+    /// Appends the picks to `selected`.
     fn select_lazily(&mut self, threads: usize, selected: &mut Vec<u32>)
     where
         L: Sync,
     {
-        // With the windows in hand a gain is a few subtractions or prefix
-        // sums: not worth a thread.
-        let threads = if self.windows.is_some() { 1 } else { threads };
-        let gains =
-            mqd_par::par_map_range_threads(threads, self.inst.len(), |k| self.gain(k as u32));
+        let gains = match self.windows {
+            // A post's windows' widths are its gain before any pick, and
+            // after pins a bound on it from above, which is all a lazy
+            // greedy needs.
+            Some(_) => std::mem::take(&mut self.widths),
+            None => {
+                mqd_par::par_map_range_threads(threads, self.inst.len(), |k| self.gain(k as u32))
+            }
+        };
         let mut queue = GainQueue::new(&gains);
         while self.remaining > 0 {
             let Some((stale, k)) = queue.pop() else {

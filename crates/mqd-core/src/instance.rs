@@ -55,27 +55,11 @@ impl Instance {
                 sizes[l.index()] += 1;
             }
         }
-        let mut postings: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        let mut pair_offsets = Vec::with_capacity(posts.len() + 1);
-        let mut num_pairs = 0u32;
-        let mut max_labels = 0usize;
-        for (i, p) in posts.iter().enumerate() {
-            pair_offsets.push(num_pairs);
-            max_labels = max_labels.max(p.labels().len());
-            for &l in p.labels() {
-                postings[l.index()].push(i as u32);
-            }
-            num_pairs += p.labels().len() as u32;
+        let mut builder = InstanceBuilder::with_capacity(posts.len(), &sizes);
+        for p in posts {
+            builder.push(p);
         }
-        pair_offsets.push(num_pairs);
-
-        Instance {
-            posts,
-            postings,
-            pair_offsets,
-            num_pairs: num_pairs as usize,
-            max_labels_per_post: max_labels,
-        }
+        builder.assemble()
     }
 
     /// Convenience constructor from `(value, labels)` tuples; ids are assigned
@@ -221,27 +205,48 @@ impl Instance {
     /// one two-pointer sweep replaces two binary searches per pair. A
     /// negative radius reaches nothing: every window is empty.
     pub fn pair_windows(&self, radius: i64) -> Vec<(u32, u32)> {
+        self.pair_windows_with_gains(radius).0
+    }
+
+    /// [`Instance::pair_windows`], and per post the gain a greedy cover
+    /// starts it at: the occurrences its windows hold, or 0 when the post
+    /// is *dominated*. A post `k` is dominated when it carries a single
+    /// label `a` and its window in `LP(a)` ends where the window of its
+    /// predecessor `j` in `LP(a)` does: `j < k` is valued no higher, so its
+    /// window starts no later, and at this radius `j` covers every
+    /// occurrence `k` does. The sweep sees this as "`a`'s `hi` pointer did
+    /// not move since `j`"; a label's first posting always moves it.
+    pub(crate) fn pair_windows_with_gains(&self, radius: i64) -> (Vec<(u32, u32)>, Vec<u32>) {
         if radius < 0 {
-            return vec![(0, 0); self.num_pairs];
+            return (vec![(0, 0); self.num_pairs], vec![0; self.posts.len()]);
         }
         let mut bounds = vec![(0usize, 0usize); self.postings.len()];
         let mut windows = Vec::with_capacity(self.num_pairs);
+        let mut gains = Vec::with_capacity(self.posts.len());
         for p in &self.posts {
             let min_value = p.value().saturating_sub(radius);
             let max_value = p.value().saturating_add(radius);
+            let (mut gain, mut moved) = (0, true);
             for &a in p.labels() {
                 let lp = &self.postings[a.index()];
                 let (lo, hi) = &mut bounds[a.index()];
                 while lp.get(*lo).is_some_and(|&i| self.value(i) < min_value) {
                     *lo += 1;
                 }
+                // The predecessor's window end, then this post's.
+                let hp = *hi;
                 while lp.get(*hi).is_some_and(|&i| self.value(i) <= max_value) {
                     *hi += 1;
                 }
-                windows.push((*lo as u32, *hi as u32));
+                let hk = *hi;
+                moved = hp < hk;
+                gain += (hk - *lo) as u32;
+                windows.push((*lo as u32, hk as u32));
             }
+            let dominated = !moved && p.labels().len() == 1;
+            gains.push(if dominated { 0 } else { gain });
         }
-        windows
+        (windows, gains)
     }
 
     /// Restricts the instance to posts whose value lies in
@@ -251,6 +256,100 @@ impl Instance {
         let r = self.window(min_value, max_value);
         let posts = self.posts[r].to_vec();
         Instance::from_posts(posts, self.num_labels()).expect("slice of a valid instance is valid")
+    }
+}
+
+/// Builds an [`Instance`] from posts pushed one at a time in instance order
+/// (ascending `(value, id)`), indexing each as it comes: the postings and
+/// pair ids are filled in the same pass that produces the posts, with no
+/// check or index pass over them afterwards. This is how `mqd-store` turns
+/// the rows its merge yields into a slice.
+///
+/// A post pushed out of order is accepted: [`InstanceBuilder::finish`] then
+/// sorts the posts and indexes them again, as [`Instance::from_posts`] does.
+/// A post with no labels is dropped, and one with a label `>= num_labels`
+/// makes `finish` fail.
+#[derive(Debug)]
+pub struct InstanceBuilder {
+    posts: Vec<Post>,
+    postings: Vec<Vec<u32>>,
+    /// Starts with 0; one more entry per post.
+    pair_offsets: Vec<u32>,
+    max_labels_per_post: usize,
+    /// Every post so far came after the one before in `(value, id)` order.
+    in_order: bool,
+    /// The first label out of range, in push order.
+    error: Option<MqdError>,
+}
+
+impl InstanceBuilder {
+    /// A builder for up to `posts` posts over `label_sizes.len()` labels,
+    /// of which `label_sizes[a]` carry label `a`. Both are capacities: a
+    /// builder that gets more posts grows.
+    pub fn with_capacity(posts: usize, label_sizes: &[usize]) -> Self {
+        let mut pair_offsets = Vec::with_capacity(posts + 1);
+        pair_offsets.push(0);
+        InstanceBuilder {
+            posts: Vec::with_capacity(posts),
+            postings: label_sizes.iter().map(|&n| Vec::with_capacity(n)).collect(),
+            pair_offsets,
+            max_labels_per_post: 0,
+            in_order: true,
+            error: None,
+        }
+    }
+
+    /// Appends `post` after the posts pushed so far.
+    pub fn push(&mut self, post: Post) {
+        let labels = post.labels();
+        let Some(&last) = labels.last() else {
+            return;
+        };
+        // Labels are ascending: the last is the largest.
+        if last.index() >= self.postings.len() {
+            self.error.get_or_insert(MqdError::LabelOutOfRange {
+                label: last.0,
+                num_labels: self.postings.len(),
+            });
+            return;
+        }
+        let key = (post.value(), post.id());
+        self.in_order &= (self.posts.last()).is_none_or(|p| (p.value(), p.id()) <= key);
+        let at = self.posts.len() as u32;
+        for &l in labels {
+            self.postings[l.index()].push(at);
+        }
+        let pairs = self.pair_offsets[at as usize] + labels.len() as u32;
+        self.pair_offsets.push(pairs);
+        self.max_labels_per_post = self.max_labels_per_post.max(labels.len());
+        self.posts.push(post);
+    }
+
+    /// The instance over the posts pushed, or the first out-of-range
+    /// label's typed error.
+    pub fn finish(self) -> Result<Instance, MqdError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if !self.in_order {
+            let num_labels = self.postings.len();
+            let mut posts = self.posts;
+            posts.sort_by_key(|p| (p.value(), p.id()));
+            return Ok(Instance::index(posts, num_labels));
+        }
+        Ok(self.assemble())
+    }
+
+    /// The instance over posts pushed in order with labels in range.
+    fn assemble(self) -> Instance {
+        debug_assert!(self.in_order && self.error.is_none());
+        Instance {
+            num_pairs: self.pair_offsets.last().copied().unwrap_or(0) as usize,
+            posts: self.posts,
+            postings: self.postings,
+            pair_offsets: self.pair_offsets,
+            max_labels_per_post: self.max_labels_per_post,
+        }
     }
 }
 
@@ -352,6 +451,43 @@ mod tests {
         let i = inst();
         assert!((i.overlap_rate() - 1.5).abs() < 1e-12);
         assert_eq!(i.max_labels_per_post(), 2);
+    }
+
+    #[test]
+    fn builder_drops_unlabeled_posts_sorts_late_ones_and_rejects_bad_labels() {
+        let post = |id: u64, value: i64, ls: &[u16]| {
+            Post::new(PostId(id), value, ls.iter().map(|&l| LabelId(l)).collect())
+        };
+        let posts = [
+            post(4, 10, &[0]),
+            post(9, 20, &[1, 2]),
+            post(7, 20, &[]),
+            post(3, 20, &[0]),
+            post(5, 30, &[2]),
+        ];
+        let mut builder = InstanceBuilder::with_capacity(2, &[1, 1, 1]);
+        posts.iter().for_each(|p| builder.push(p.clone()));
+        let built = builder.finish().unwrap();
+        let sorted = Instance::from_posts(posts.to_vec(), 3).unwrap();
+        assert_eq!(built.posts(), sorted.posts());
+        assert_eq!(built.len(), 4);
+        for a in 0..3 {
+            assert_eq!(built.postings(LabelId(a)), sorted.postings(LabelId(a)));
+        }
+        assert_eq!(built.num_pairs(), 5);
+        assert_eq!(built.max_labels_per_post(), 2);
+
+        let mut builder = InstanceBuilder::with_capacity(0, &[0, 0]);
+        builder.push(post(1, 0, &[1]));
+        builder.push(post(2, 1, &[0, 4]));
+        builder.push(post(3, 2, &[7]));
+        assert_eq!(
+            builder.finish().unwrap_err(),
+            MqdError::LabelOutOfRange {
+                label: 4,
+                num_labels: 2
+            }
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod solution;
 pub mod wire;
 
 pub use error::MqdError;
-pub use instance::Instance;
+pub use instance::{Instance, InstanceBuilder};
 pub use lambda::{FixedLambda, LambdaProvider, VariableLambda};
 pub use post::{LabelId, Post, PostId, SENTIMENT_SCALE};
 pub use solution::Solution;

@@ -1,6 +1,6 @@
 //! The pieces the serving cold path shares: `Instance::pair_windows`, the
-//! fixed-lambda GreedySC variants built on it, and `Post`'s two label
-//! representations.
+//! fixed-lambda GreedySC variants built on it (and the domination prune
+//! the lazy one applies), and `Post`'s two label representations.
 
 use mqd_core::algorithms::{
     complete_cover, solve_greedy_sc, solve_greedy_sc_naive, solve_greedy_sc_scan_max,
@@ -117,6 +117,107 @@ fn fixed_lambda_greedy_variants_equal_the_materialized_sets() {
             );
         }
     }
+}
+
+/// Seeded instances where GreedySC's domination prune has work to do: most
+/// posts carry one label, values come from a narrow range (long runs of
+/// ties), and a quarter of the seeds add posts at both ends of the `i64`
+/// range, some of them multi-label.
+fn tied_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let labels = rng.random_range(1..=4usize);
+    let n = rng.random_range(1..=70usize);
+    let span = rng.random_range(1..=120i64);
+    let mut items: Vec<(i64, Vec<u16>)> = (0..n)
+        .map(|_| {
+            let value = rng.random_range(0..span);
+            let count = match rng.random_range(0..5u32) {
+                0 | 1 => rng.random_range(1..=labels),
+                _ => 1,
+            };
+            let ls = (0..count).map(|_| rng.random_range(0..labels as u16));
+            (value, ls.collect())
+        })
+        .collect();
+    if seed % 4 == 3 {
+        for value in [
+            i64::MIN,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX - 1,
+            i64::MAX,
+            i64::MAX,
+        ] {
+            let l = rng.random_range(0..labels as u16);
+            let ls = if rng.random_range(0..2u32) == 0 {
+                vec![l]
+            } else {
+                vec![l, 0]
+            };
+            items.push((value, ls));
+        }
+    }
+    Instance::from_values(items, labels).unwrap()
+}
+
+/// The posts the domination rule applies to, derived from its statement:
+/// one label `a`, and a predecessor in `LP(a)` whose window ends where the
+/// post's does.
+fn dominated_posts(inst: &Instance, lambda: i64) -> usize {
+    let windows = inst.pair_windows(lambda);
+    let end = |post: u32, a: LabelId| windows[inst.pair_id(post, a).unwrap() as usize].1;
+    (0..inst.len() as u32)
+        .filter(|&k| match inst.labels(k) {
+            &[a] => {
+                let lp = inst.postings(a);
+                let at = lp.binary_search(&k).unwrap();
+                at > 0 && end(lp[at - 1], a) == end(k, a)
+            }
+            _ => false,
+        })
+        .count()
+}
+
+/// `solve_greedy_sc` and `complete_cover` never queue a dominated post;
+/// the covers must still be exactly those of the unpruned scan-max greedy
+/// and of the materialized sets, with and without pins.
+#[test]
+fn domination_prune_keeps_greedy_covers_exact() {
+    let mut pruned = 0usize;
+    let mut instances = 0usize;
+    for seed in 0..2_000u64 {
+        let inst = tied_instance(seed);
+        for lambda in [0, 1, 40, 1_000, i64::MAX] {
+            let f = FixedLambda(lambda);
+            let what = format!("seed {seed} lambda {lambda}");
+            let scan = solve_greedy_sc_scan_max(&inst, &f).selected;
+            assert_eq!(solve_greedy_sc(&inst, &f).selected, scan, "{what}: lazy");
+            assert_eq!(
+                materialized_completion(&inst, lambda, &[]),
+                scan,
+                "{what}: materialized"
+            );
+            assert!(coverage::is_cover(&inst, &f, &scan), "{what}");
+            // One random pin and the last post, which is dominated whenever
+            // it carries one label and ties its predecessor's window end.
+            let last = inst.len() as u32 - 1;
+            let pins = [(seed as u32 * 7) % inst.len() as u32, last];
+            assert_eq!(
+                complete_cover(&inst, &f, &pins).selected,
+                materialized_completion(&inst, lambda, &pins),
+                "{what}: pins {pins:?}"
+            );
+            let found = dominated_posts(&inst, lambda);
+            pruned += found;
+            instances += usize::from(found > 0);
+        }
+    }
+    // The cases the sweep exists for did occur, often.
+    assert!(
+        instances > 5_000,
+        "only {instances} instances had a dominated post"
+    );
+    assert!(pruned > 50_000, "only {pruned} dominated posts");
 }
 
 /// Instances of 300–3000 posts whose label-0 postings span many 64-position

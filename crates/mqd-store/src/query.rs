@@ -233,15 +233,11 @@ fn walk_cover(
     plus: bool,
 ) -> Vec<Record> {
     let picks = store.scan_picks(cover, spec.from, spec.to, spec.lambda, plus);
-    (picks.iter())
-        .map(|pick| Record {
-            id: pick.id,
-            value: pick.value,
-            labels: (labels.iter().copied())
-                .filter(|&l| store.carries(pick, l))
-                .collect(),
-        })
-        .collect()
+    let mut records = store.pick_records(&picks, labels);
+    // Arrival order is value order, except that the slice orders a run of
+    // tied values by id (and equal ids by arrival: the sort is stable).
+    records.sort_by_key(|r| (r.value, r.id));
+    records
 }
 
 /// [`run_query`] plus, when the spec is [`repairable`], the

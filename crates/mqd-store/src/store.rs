@@ -30,7 +30,7 @@
 //! layer seals blocks and rewrites its log from.
 
 use mqd_core::record::{Record, RowRef, Rows};
-use mqd_core::{Instance, LabelId, MqdError, Post, PostId};
+use mqd_core::{Instance, InstanceBuilder, LabelId, MqdError, Post, PostId};
 
 /// Rows per segment before a new one is opened. Segments are partitioned by
 /// row count, not by time span: counts bound memory and index size directly
@@ -477,27 +477,30 @@ impl Store {
     /// documented on [`Slice`]). Only segments whose value span intersects
     /// the range are visited. Within one, rows are in value order, so the
     /// range is a contiguous run of row indices found by binary search over
-    /// the `values` column, and
-    /// the query labels' postings restricted to that run are merged: each
-    /// row comes out once, in arrival order, together with the local ids of
-    /// the lists it was in. Cost: O(segments + matching rows × query
-    /// labels); the corpus is never scanned, sorted or copied.
+    /// the `values` column, and the query labels' postings restricted to
+    /// that run are merged: each row comes out once, in arrival order,
+    /// together with the local ids of the lists it was in, and goes
+    /// straight into the [`InstanceBuilder`], which indexes it as it comes.
+    /// The runs' lengths, taken before the merge, size the posts and every
+    /// posting list once. Cost: O(segments + matching rows × query labels);
+    /// the corpus is never scanned, sorted or copied.
     pub fn slice(&self, labels: &[u16], from: i64, to: i64) -> Slice {
         let mut label_map: Vec<u16> = labels.to_vec();
         label_map.sort_unstable();
         label_map.dedup();
 
-        let mut posts: Vec<Post> = Vec::new();
-        // Scratch, reused across segments and rows: the unread tail of each
-        // query label's postings, and the row being assembled.
-        let mut heads: Vec<(LabelId, &[u16])> = Vec::with_capacity(label_map.len());
-        let mut locals: Vec<LabelId> = Vec::with_capacity(label_map.len());
-        // Arrival order is value order; it can differ from `(value, id)`
-        // order only inside a run of tied values.
-        let mut ties_in_order = true;
+        // Every visited segment's query-label postings in range, in
+        // ascending local id, and where its share of them ends.
+        let mut runs: Vec<(LabelId, &[u16])> = Vec::new();
+        let mut segments: Vec<(&Segment, usize)> = Vec::new();
+        // Per local label, its postings in range; and at most how many
+        // posts the slice holds: per segment, the fewer of the postings
+        // listed and the rows in range.
+        let mut sizes = vec![0usize; label_map.len()];
+        let mut posts = 0usize;
         let (from_key, to_key) = (value_key(from), value_key(to));
         for seg in &self.segments {
-            let (ids, values) = (&seg.ids, &seg.values);
+            let values = &seg.values;
             let (Some(min_key), Some(max_key)) = (values.iter().next(), values.last()) else {
                 continue;
             };
@@ -506,7 +509,6 @@ impl Store {
             }
             let lo = values.partition_point(|k| k < from_key);
             let hi = values.partition_point(|k| k <= to_key);
-            heads.clear();
             let mut listed = 0usize;
             for (local, global) in label_map.iter().enumerate() {
                 let Some(list) = seg.postings(*global) else {
@@ -516,14 +518,24 @@ impl Store {
                 let end = list.partition_point(|&i| (i as usize) < hi);
                 if let Some(list) = list.get(start..end).filter(|l| !l.is_empty()) {
                     listed = listed.saturating_add(list.len());
-                    heads.push((LabelId(local as u16), list));
+                    sizes[local] += list.len();
+                    runs.push((LabelId(local as u16), list));
                 }
             }
-            posts.reserve(listed.min(hi.saturating_sub(lo)));
-            // `heads` is in ascending local id, so are each row's `locals`.
+            posts = posts.saturating_add(listed.min(hi.saturating_sub(lo)));
+            segments.push((seg, runs.len()));
+        }
+
+        let mut builder = InstanceBuilder::with_capacity(posts, &sizes);
+        // The row being assembled: ascending local ids, as `runs` is.
+        let mut locals: Vec<LabelId> = Vec::with_capacity(label_map.len());
+        let mut start = 0;
+        for (seg, end) in segments {
+            let heads = runs.get_mut(start..end).unwrap_or_default();
+            start = end;
             while let Some(idx) = heads.iter().filter_map(|(_, l)| l.first().copied()).min() {
                 locals.clear();
-                for (local, list) in &mut heads {
+                for (local, list) in heads.iter_mut() {
                     if let Some((&first, rest)) = list.split_first() {
                         if first == idx {
                             locals.push(*local);
@@ -531,19 +543,15 @@ impl Store {
                         }
                     }
                 }
-                let (id, value) = (ids.get(idx as usize), key_value(values.get(idx as usize)));
-                ties_in_order &= posts
-                    .last()
-                    .is_none_or(|p| (p.value(), p.id().0) <= (value, id));
-                posts.push(Post::from_sorted_labels(PostId(id), value, &locals));
+                let (id, value) = (
+                    seg.ids.get(idx as usize),
+                    key_value(seg.values.get(idx as usize)),
+                );
+                builder.push(Post::from_sorted_labels(PostId(id), value, &locals));
             }
         }
-        if !ties_in_order {
-            for run in posts.chunk_by_mut(|a, b| a.value() == b.value()) {
-                run.sort_by_key(Post::id);
-            }
-        }
-        let instance = Instance::from_sorted_posts(posts, label_map.len())
+        let instance = builder
+            .finish()
             // lint:allow(panic-path): label_map assigns ids 0..len in this function, so density holds by construction
             .expect("local labels are dense by construction");
         Slice {
@@ -559,15 +567,67 @@ impl Default for Store {
     }
 }
 
-/// A row a [`Store::scan_picks`] walk picked: its key, then where it is
-/// stored, so picks order as `(value, id, arrival)`, which is the order of
-/// a [`Slice`]'s posts.
+/// A row a [`Store::scan_picks`] walk picked: where it is stored, then its
+/// key, so picks order as they arrived.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct Pick {
-    pub(crate) value: i64,
-    pub(crate) id: u64,
     seg: usize,
     row: u16,
+    pub(crate) value: i64,
+    pub(crate) id: u64,
+}
+
+/// The number of leading entries of the ascending `list` below `row`,
+/// counted sixteen at a time: a cursor moves a few postings per pick, and
+/// a count over a block has no branch to mispredict where a search has
+/// one per probe.
+fn skip_below(list: &[u16], row: u16) -> usize {
+    let below = |block: &[u16]| block.iter().filter(|&&r| r < row).count();
+    let mut at = 0;
+    while let Some(block) = list.get(at..at + 16) {
+        let n = below(block);
+        if n < 16 {
+            return at + n;
+        }
+        at += 16;
+    }
+    at + below(list.get(at..).unwrap_or_default())
+}
+
+/// One label's postings, read forward by a walk that asks about rows in
+/// arrival order: it keeps the label's postings in the segment of the last
+/// row asked about, from that row on, so a question costs a count over
+/// the postings since the last one, and a lookup of the label per segment,
+/// not per row.
+struct LabelCursor<'a> {
+    label: u16,
+    /// The segment `list` belongs to (`usize::MAX` before the first row).
+    seg: usize,
+    /// The label's unread postings in `seg`; empty if it has none.
+    list: &'a [u16],
+}
+
+impl<'a> LabelCursor<'a> {
+    fn new(label: u16) -> Self {
+        LabelCursor {
+            label,
+            seg: usize::MAX,
+            list: &[],
+        }
+    }
+
+    /// Whether the row `pick` names carries the label. Each pick must
+    /// arrive no earlier than the one asked about before it.
+    fn carries(&mut self, store: &'a Store, pick: &Pick) -> bool {
+        if pick.seg != self.seg {
+            self.seg = pick.seg;
+            self.list = (store.segments.get(pick.seg))
+                .and_then(|seg| seg.postings(self.label))
+                .unwrap_or_default();
+        }
+        self.list = (self.list.get(skip_below(self.list, pick.row)..)).unwrap_or_default();
+        self.list.first() == Some(&pick.row)
+    }
 }
 
 /// A cursor position in [`Postings`]: (part, offset in its list). Tuple
@@ -713,12 +773,12 @@ impl Postings<'_> {
 
 impl Store {
     /// The fixed-λ Scan picks of the labels `walk` (sorted, deduplicated)
-    /// over the rows valued in `[from, to]`, sorted by `(value, id,
-    /// arrival)` and deduplicated: the posts `solve_scan_cover` selects on
-    /// the slice, found by galloping through each label's postings instead
-    /// of carving the slice. With `plus`, Scan+ in `walk` order: a later
-    /// label skips the values inside `[v − λ, v + λ]` of every earlier
-    /// pick that carries it, which is what `solve_scan_plus` marks covered.
+    /// over the rows valued in `[from, to]`, in arrival order and
+    /// deduplicated: the posts `solve_scan_cover` selects on the slice,
+    /// found by galloping through each label's postings instead of carving
+    /// the slice. With `plus`, Scan+ in `walk` order: a later label skips
+    /// the values inside `[v − λ, v + λ]` of every earlier pick that
+    /// carries it, which is what `solve_scan_plus` marks covered.
     pub(crate) fn scan_picks(
         &self,
         walk: &[u16],
@@ -772,29 +832,45 @@ impl Store {
             if !plus {
                 continue;
             }
+            // One label's picks have ascending values, so they arrive in
+            // order.
+            let mut later: Vec<LabelCursor> = (walk.iter().skip(k + 1))
+                .map(|&b| LabelCursor::new(b))
+                .collect();
             for pick in picks.iter().skip(first) {
                 let span = (
                     pick.value.saturating_sub(lambda),
                     pick.value.saturating_add(lambda),
                 );
-                for (later, &b) in walk.iter().enumerate().skip(k + 1) {
-                    if self.carries(pick, b) {
-                        covered[later].push(span);
+                for (cursor, intervals) in later.iter_mut().zip(covered.iter_mut().skip(k + 1)) {
+                    if cursor.carries(self, pick) {
+                        intervals.push(span);
                     }
                 }
             }
         }
-        picks.sort_unstable();
+        // One ascending run per walked label, which a merge sort takes as
+        // runs.
+        picks.sort();
         picks.dedup();
         picks
     }
 
-    /// Whether the row `pick` names carries `label`: one search in the
-    /// label's postings of the row's segment.
-    pub(crate) fn carries(&self, pick: &Pick, label: u16) -> bool {
-        (self.segments.get(pick.seg))
-            .and_then(|seg| seg.postings(label))
-            .is_some_and(|list| list.binary_search(&pick.row).is_ok())
+    /// The rows `picks` name, which must be in arrival order (as
+    /// [`Store::scan_picks`] returns them), each with the labels among
+    /// `labels` (ascending) it carries, found by one [`LabelCursor`] per
+    /// label.
+    pub(crate) fn pick_records(&self, picks: &[Pick], labels: &[u16]) -> Vec<Record> {
+        let mut cursors: Vec<LabelCursor> = labels.iter().map(|&l| LabelCursor::new(l)).collect();
+        (picks.iter())
+            .map(|pick| Record {
+                id: pick.id,
+                value: pick.value,
+                labels: (cursors.iter_mut())
+                    .filter_map(|c| c.carries(self, pick).then_some(c.label))
+                    .collect(),
+            })
+            .collect()
     }
 }
 
@@ -1000,6 +1076,81 @@ mod tests {
             .map(|r| (r.id, r.value, r.labels.to_vec()))
             .collect();
         assert_eq!(rows, [(1, 10, vec![1, 3]), (2, 20, vec![0])]);
+    }
+
+    /// `pick_records` finds each pick's labels with one forward cursor per
+    /// label; they must be the labels `segment_rows` rebuilds for the row,
+    /// among the ones asked for. Tie runs straddle the small segments, some
+    /// labels are absent from some segments (label 9 from all of them), and
+    /// the picks are every row, a sparse subset of rows, and the walks'.
+    #[test]
+    fn cursor_labels_equal_the_rebuilt_rows() {
+        let mut state = 0x0C0F_FEE5_u64;
+        let mut below = |n: u64| {
+            state = (state.wrapping_mul(6364136223846793005)).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut rows = Vec::new();
+        let mut value = 0i64;
+        for i in 0..300u64 {
+            value += [0, 0, 0, 1, 5][below(5) as usize];
+            // Labels 6 and 7 come and go in stretches of 40 rows.
+            let mut labels: Vec<u16> = (0..1 + below(3)).map(|_| below(6) as u16).collect();
+            if (i / 40) % 2 == 0 && below(2) == 0 {
+                labels.push(6 + (i / 80 % 2) as u16);
+            }
+            rows.push(row(1_000 - i * 7 % 997, value, &labels));
+        }
+        let asked: [&[u16]; 4] = [&[0, 1, 2, 3, 4, 5, 6, 7, 9], &[6], &[2, 7, 9], &[9]];
+        for target in [1, 3, 64] {
+            let mut s = Store::with_segment_target(target);
+            rows.iter().for_each(|r| s.append(r.clone()).unwrap());
+            // Every row as a pick, in arrival order, with its rebuilt labels.
+            let mut all: Vec<(Pick, Vec<u16>)> = Vec::new();
+            for seg in 0..s.segments.len() {
+                let rebuilt = s.segment_rows(seg).unwrap();
+                for (row, r) in rebuilt.iter().enumerate() {
+                    let pick = Pick {
+                        seg,
+                        row: row as u16,
+                        value: r.value,
+                        id: r.id,
+                    };
+                    all.push((pick, r.labels.to_vec()));
+                }
+            }
+            let check = |picks: &[(Pick, Vec<u16>)], what: &str| {
+                for labels in asked {
+                    let only: Vec<Pick> = picks.iter().map(|(p, _)| *p).collect();
+                    let got = s.pick_records(&only, labels);
+                    assert_eq!(got.len(), picks.len());
+                    for (record, (pick, carried)) in got.iter().zip(picks) {
+                        let want: Vec<u16> = (labels.iter().copied())
+                            .filter(|l| carried.contains(l))
+                            .collect();
+                        let at = format!("target {target} {what} {pick:?} {labels:?}");
+                        assert_eq!((record.id, record.value), (pick.id, pick.value), "{at}");
+                        assert_eq!(record.labels, want, "{at}");
+                    }
+                }
+            };
+            check(&all, "every row");
+            let sparse: Vec<(Pick, Vec<u16>)> =
+                all.iter().filter(|_| below(7) == 0).cloned().collect();
+            check(&sparse, "sparse");
+            for lambda in [0, 3, 40] {
+                for plus in [false, true] {
+                    let walk = [0, 2, 6, 7, 9];
+                    let picks = s.scan_picks(&walk, i64::MIN, i64::MAX, lambda, plus);
+                    let picked: Vec<(Pick, Vec<u16>)> = (all.iter())
+                        .filter(|(p, _)| picks.binary_search(p).is_ok())
+                        .cloned()
+                        .collect();
+                    assert_eq!(picked.len(), picks.len(), "picks are rows");
+                    check(&picked, &format!("walk λ {lambda} plus {plus}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Seeded differentials: `Store::slice` against a reference that reads the
 //! canonical mapping documented on `Slice` literally (scan every row,
-//! range-filter, intersect, sort by `(value, id)`), and the fixed-λ
+//! range-filter, intersect, sort by `(value, id)`), its merge-built
+//! `Instance` against `Instance::from_sorted_posts`, and the fixed-λ
 //! Scan/Scan+ postings walk against the solvers run on that slice.
 
 use std::sync::RwLock;
 
 use mqd_core::algorithms::{solve_scan, solve_scan_cover, solve_scan_plus, LabelOrder};
 use mqd_core::record::Record;
-use mqd_core::{FixedLambda, LabelId, Post, PostId};
+use mqd_core::{FixedLambda, Instance, LabelId, Post, PostId};
 use mqd_store::{answer_cold, run_query_cover, Algorithm, QuerySpec, Store};
 
 /// Labels 0..UNIVERSE occur in the corpus; more of them than a `Post`
@@ -204,6 +205,89 @@ fn slice_matches_a_naive_reference() {
             reordered > 0,
             "seed {seed}: no tie run out of arrival order"
         );
+    }
+}
+
+/// `Store::slice` indexes the rows as its merge yields them
+/// (`InstanceBuilder`); the result must be the instance
+/// `Instance::from_sorted_posts` indexes from the same posts: postings,
+/// every pair id, and the coverage windows at several radii. A tie run
+/// that arrives out of id order takes the builder's fallback, which sorts
+/// and indexes again; the sweep must meet one that crosses a segment
+/// boundary.
+#[test]
+fn merged_slice_indexes_like_from_sorted_posts() {
+    for (seed, target, ids) in SHAPES {
+        let rows = corpus(seed, 400, ids);
+        let store = store_of(&rows, target);
+        let mut rng = Lcg(seed ^ 0x1DE8);
+        let mut crossing = 0;
+        for case in 0..300 {
+            let labels = query_labels(&mut rng);
+            let (from, to) = (bound(&mut rng, &rows), bound(&mut rng, &rows));
+            let slice = store.slice(&labels, from, to);
+            let merged = &slice.instance;
+            let n = slice.label_map.len();
+            let indexed = Instance::from_sorted_posts(merged.posts().to_vec(), n).unwrap();
+            let what = format!(
+                "seed {seed} target {target} {ids:?} case {case}: {labels:?} [{from}, {to}]"
+            );
+            let key = |p: &Post| (p.value(), p.id());
+            assert!(merged.posts().is_sorted_by_key(key), "{what}: order");
+            assert_eq!(merged.posts(), indexed.posts(), "{what}");
+            assert_eq!(merged.num_labels(), n, "{what}");
+            assert_eq!(merged.num_pairs(), indexed.num_pairs(), "{what}");
+            let s = merged.max_labels_per_post();
+            assert_eq!(s, indexed.max_labels_per_post(), "{what}");
+            // Both sides index through the same code, so the postings and
+            // pair ids are also read off the posts here: `LP(a)` lists the
+            // posts carrying `a`, and pair ids count occurrences in order.
+            for a in (0..n as u16).map(LabelId) {
+                let carrying = (0..merged.len() as u32).filter(|&p| merged.post(p).has_label(a));
+                let lp: Vec<u32> = carrying.collect();
+                assert_eq!(merged.postings(a), lp, "{what}: LP({a})");
+                assert_eq!(merged.postings(a), indexed.postings(a), "{what}: LP({a})");
+            }
+            let mut pairs = 0u32;
+            for post in 0..merged.len() as u32 {
+                let range = merged.pair_range(post);
+                assert_eq!(range, indexed.pair_range(post), "{what}: post {post}");
+                for (slot, &a) in merged.labels(post).iter().enumerate() {
+                    assert_eq!(merged.pair_id(post, a), Some(pairs), "{what}: slot {slot}");
+                    pairs += 1;
+                }
+                for a in (0..n as u16).map(LabelId) {
+                    let pair = merged.pair_id(post, a);
+                    assert_eq!(pair, indexed.pair_id(post, a), "{what}: ({post}, {a})");
+                }
+                assert_eq!(range.end, pairs, "{what}: post {post}");
+            }
+            assert_eq!(merged.num_pairs(), pairs as usize, "{what}");
+            for radius in [-1, 0, 1, 7, 40, 1_000, i64::MAX] {
+                assert_eq!(
+                    merged.pair_windows(radius),
+                    indexed.pair_windows(radius),
+                    "{what}: radius {radius}"
+                );
+            }
+            // Rows of the slice in arrival order, with the segment each is
+            // in: a tied pair out of id order across a boundary.
+            let label_map = &slice.label_map;
+            let joined = (rows.iter().enumerate())
+                .filter(|(_, r)| from <= r.value && r.value <= to)
+                .filter(|(_, r)| r.labels.iter().any(|l| label_map.contains(l)))
+                .map(|(i, r)| (i / target, r.value, r.id));
+            let joined: Vec<(usize, i64, u64)> = joined.collect();
+            crossing += (joined.windows(2))
+                .filter(|w| w[0].0 != w[1].0 && w[0].1 == w[1].1 && w[0].2 > w[1].2)
+                .count();
+        }
+        if target < 400 {
+            assert!(
+                crossing > 0,
+                "seed {seed}: no tie run out of id order across a segment boundary"
+            );
+        }
     }
 }
 
