@@ -64,7 +64,7 @@ use crate::instance::Instance;
 use crate::lambda::LambdaProvider;
 use crate::post::LabelId;
 use crate::solution::Solution;
-use mqd_setcover::{greedy_cover, BitSet, GainQueue, Goal, PresenceFenwick};
+use mqd_setcover::{greedy_cover, BitSet, GainQueue, PresenceFenwick};
 
 /// Shared implicit-gain machinery: per-label Fenwick trees over `LP(a)`
 /// positions, where "present" means the occurrence is still uncovered.
@@ -293,7 +293,7 @@ pub fn solve_greedy_sc_naive<L: LambdaProvider + ?Sized>(inst: &Instance, lp: &L
         set.dedup();
     }
     let mut covered = BitSet::new(inst.num_pairs());
-    let picked = greedy_cover(&sets, &mut covered, Goal::CoverAll);
+    let picked = greedy_cover(&sets, &mut covered);
     Solution::new("GreedySC", picked.into_iter().map(|k| k as u32).collect())
 }
 

@@ -34,18 +34,6 @@ impl Instance {
         Ok(Self::index(posts, num_labels))
     }
 
-    /// [`Instance::from_posts`] for posts that are already in instance
-    /// order, which the caller guarantees: ascending `(value, id)` and no
-    /// empty label set. Nothing is sorted or filtered, so building is
-    /// linear (this is how `mqd-store` hands over a slice it merged in that
-    /// order).
-    pub fn from_sorted_posts(posts: Vec<Post>, num_labels: usize) -> Result<Self, MqdError> {
-        check_labels(&posts, num_labels)?;
-        debug_assert!(posts.iter().all(|p| !p.labels().is_empty()));
-        debug_assert!(posts.is_sorted_by_key(|p| (p.value(), p.id())));
-        Ok(Self::index(posts, num_labels))
-    }
-
     /// Builds the postings and pair ids over posts in final order whose
     /// labels are all `< num_labels`.
     fn index(posts: Vec<Post>, num_labels: usize) -> Self {
@@ -247,15 +235,6 @@ impl Instance {
             gains.push(if dominated { 0 } else { gain });
         }
         (windows, gains)
-    }
-
-    /// Restricts the instance to posts whose value lies in
-    /// `[min_value, max_value]`, keeping the same label space. Used to carve
-    /// the 10-minute evaluation slices of Section 7.2 out of a full day.
-    pub fn slice(&self, min_value: i64, max_value: i64) -> Instance {
-        let r = self.window(min_value, max_value);
-        let posts = self.posts[r].to_vec();
-        Instance::from_posts(posts, self.num_labels()).expect("slice of a valid instance is valid")
     }
 }
 
@@ -488,14 +467,5 @@ mod tests {
                 num_labels: 2
             }
         );
-    }
-
-    #[test]
-    fn slice_preserves_label_space() {
-        let i = inst();
-        let s = i.slice(15, 35);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.num_labels(), 3);
-        assert_eq!(s.value(0), 20);
     }
 }

@@ -1,7 +1,5 @@
 //! Solution container shared by all MQDP algorithms.
 
-use crate::instance::Instance;
-
 /// The result of running an MQDP algorithm: the selected post indices (into
 /// `Instance::posts`, sorted ascending) plus bookkeeping for the experiment
 /// harness.
@@ -30,26 +28,6 @@ impl Solution {
     pub fn size(&self) -> usize {
         self.selected.len()
     }
-
-    /// Relative solution-size error against an optimal size, the paper's
-    /// `(|estimated| - |optimal|) / |optimal|` metric (Section 7.2).
-    /// Returns 0 when both are empty.
-    pub fn relative_error(&self, optimal_size: usize) -> f64 {
-        if optimal_size == 0 {
-            if self.size() == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (self.size() as f64 - optimal_size as f64) / optimal_size as f64
-        }
-    }
-
-    /// External ids of the selected posts, in dimension order.
-    pub fn post_ids(&self, inst: &Instance) -> Vec<crate::post::PostId> {
-        self.selected.iter().map(|&i| inst.post(i).id()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -61,25 +39,5 @@ mod tests {
         let s = Solution::new("test", vec![3, 1, 3, 2]);
         assert_eq!(s.selected, vec![1, 2, 3]);
         assert_eq!(s.size(), 3);
-    }
-
-    #[test]
-    fn relative_error() {
-        let s = Solution::new("test", vec![0, 1, 2]);
-        assert!((s.relative_error(2) - 0.5).abs() < 1e-12);
-        assert_eq!(s.relative_error(3), 0.0);
-        let empty = Solution::new("test", vec![]);
-        assert_eq!(empty.relative_error(0), 0.0);
-        assert!(s.relative_error(0).is_infinite());
-    }
-
-    #[test]
-    fn post_ids_map_back() {
-        let inst = Instance::from_values(vec![(5, vec![0]), (1, vec![0])], 1).unwrap();
-        let s = Solution::new("test", vec![0, 1]);
-        let ids = s.post_ids(&inst);
-        // Post with value 1 had input position 1, value 5 had position 0.
-        assert_eq!(ids[0].0, 1);
-        assert_eq!(ids[1].0, 0);
     }
 }

@@ -7,7 +7,7 @@ use mqd_core::algorithms::{
 };
 use mqd_core::{coverage, FixedLambda, Instance, LabelId, Post, PostId, VariableLambda};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
-use mqd_setcover::{greedy_cover, BitSet, Goal};
+use mqd_setcover::{greedy_cover, BitSet};
 
 /// Seeded instances with ties, multi-label posts and, for odd seeds, posts
 /// at both ends of the `i64` range.
@@ -55,7 +55,7 @@ fn materialized_completion(inst: &Instance, lambda: i64, pins: &[u32]) -> Vec<u3
         }
     }
     let mut selected: Vec<u32> = pins.to_vec();
-    let rest = greedy_cover(&sets, &mut covered, Goal::CoverAll);
+    let rest = greedy_cover(&sets, &mut covered);
     selected.extend(rest.into_iter().map(|k| k as u32));
     selected.sort_unstable();
     selected.dedup();

@@ -81,15 +81,6 @@ impl RateShape {
         };
         m.max(0.01)
     }
-
-    /// Peak multiplier over the whole run (for report headers).
-    pub fn peak_multiplier(&self) -> f64 {
-        match *self {
-            RateShape::Constant => 1.0,
-            RateShape::Diurnal { amplitude, .. } => 1.0 + amplitude.clamp(0.0, 0.99),
-            RateShape::FlashCrowd { peak, .. } => peak.max(1.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +92,6 @@ mod tests {
         let s = RateShape::Constant;
         assert_eq!(s.multiplier_at(0), 1.0);
         assert_eq!(s.multiplier_at(1_000_000), 1.0);
-        assert_eq!(s.peak_multiplier(), 1.0);
     }
 
     #[test]

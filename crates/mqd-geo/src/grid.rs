@@ -41,11 +41,6 @@ impl SpatialGrid {
             })
         })
     }
-
-    /// Number of non-empty cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
     #[test]
     fn negative_coordinates_bucket_correctly() {
         let g = SpatialGrid::build(10, vec![(-1, -1), (-11, -11)]);
-        assert_eq!(g.num_cells(), 2);
         let n: Vec<u32> = g.neighbourhood(-1, -1).collect();
         assert!(n.contains(&0));
         assert!(n.contains(&1)); // adjacent cell

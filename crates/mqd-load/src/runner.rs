@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use mqd_core::MqdError;
-use mqd_server::Client;
+use mqd_server::{retryable, Client};
 
 use crate::clock::{Clock, RealClock};
 use crate::hist::Hist;
@@ -56,15 +56,6 @@ struct Agg {
     slow: SlowOutcome,
     all_hist: Hist,
     query_hist: Hist,
-}
-
-fn retryable(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-            | std::io::ErrorKind::Interrupted
-    )
 }
 
 /// Timeout-tolerant line reader that keeps partial bytes across ticks

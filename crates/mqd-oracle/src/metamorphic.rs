@@ -23,15 +23,6 @@ use crate::generate::Case;
 use crate::invariants::Failure;
 use crate::reference::ref_violations;
 
-/// The transform set, for reports.
-pub const TRANSFORMS: &[&str] = &[
-    "translate",
-    "reflect",
-    "permute-labels",
-    "duplicate-post",
-    "self-concat",
-];
-
 /// Translates every value by `c`, or `None` when that would leave the
 /// supported domain (`i64::MIN` is reserved; see the instance contract).
 pub fn translate(case: &Case, c: i64) -> Option<Case> {

@@ -146,11 +146,6 @@ impl<'a> BackendPool<'a> {
         }
     }
 
-    /// The pool's topology.
-    pub fn topology(&self) -> &Topology {
-        self.topo
-    }
-
     /// The live session for backend `idx`, dialing and `HELLO`-pinning the
     /// shard map on first use. A backend that rejects the handshake is a
     /// configuration error, surfaced typed.

@@ -15,8 +15,8 @@ use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
     decode_batch, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
 };
-use mqd_server::{format_query, json_u64, Client, Response};
-use mqd_store::{repairable, QuerySpec};
+use mqd_server::{format_query, json_u64, stats_object, Client, Response};
+use mqd_store::{repairable, QuerySpec, StoreStats};
 
 use crate::backend::{BackendPool, Topology};
 use crate::merge::{merge_rows, solve_merged};
@@ -533,26 +533,27 @@ fn route_subscribe(
     Ok(w.flush()?)
 }
 
-/// Renders the router `STATS`: the single-node core fields from the
-/// ledger (`segments` is a per-backend physical detail, reported as 0),
-/// the cluster map with per-backend liveness probes, and the router's own
-/// serving counters.
+/// Renders the router `STATS` through [`stats_object`], as a single node
+/// does: the core fields from the ledger (`segments` is a per-backend
+/// physical detail, reported as 0), the cluster map with per-backend
+/// liveness probes, and the router's own serving counters.
 fn cluster_stats(
     state: &RouterState,
     engine: &Engine,
     pool: &mut BackendPool,
 ) -> Result<String, MqdError> {
-    let (rows, label_count, min_value, max_value, marks) = {
+    let (core, marks) = {
         let ledger = lock_ledger(state)?;
-        (
-            ledger.rows,
-            ledger.label_count(),
-            ledger.min_value,
-            ledger.max_value,
-            ledger.watermarks.clone(),
-        )
+        let core = StoreStats {
+            rows: ledger.rows,
+            segments: 0,
+            labels: ledger.label_count(),
+            generation: ledger.rows,
+            min_value: ledger.min_value,
+            max_value: ledger.max_value,
+        };
+        (core, ledger.watermarks.clone())
     };
-    let opt_i64 = |v: Option<i64>| v.map_or("null".to_string(), |x| x.to_string());
     let mut backends = String::new();
     for idx in 0..state.topo.backends().len() {
         let shard = state.topo.identity_of(idx).shard_id;
@@ -575,23 +576,15 @@ fn cluster_stats(
         ));
     }
     let marks: Vec<String> = marks.iter().map(|m| m.to_string()).collect();
-    Ok(format!(
-        concat!(
-            r#"{{"rows":{},"segments":0,"labels":{},"generation":{},"#,
-            r#""min_value":{},"max_value":{},"#,
-            r#""cluster":{{"shards":{},"backends":[{}],"watermarks":[{}]}},"#,
-            r#"{},"#,
-            r#""threads":{},"draining":{}}}"#
-        ),
-        rows,
-        label_count,
-        rows,
-        opt_i64(min_value),
-        opt_i64(max_value),
+    let cluster = format!(
+        r#""cluster":{{"shards":{},"backends":[{}],"watermarks":[{}]}}"#,
         state.topo.shard_count(),
         backends,
         marks.join(","),
-        engine.counters().served_json(),
+    );
+    Ok(stats_object(
+        &core,
+        &[&cluster, &engine.counters().served_json()],
         engine.threads(),
         engine.draining(),
     ))
@@ -735,6 +728,65 @@ mod tests {
         assert!(via_router.request("DRAIN").unwrap().is_ok());
         assert!(via_single.request("DRAIN").unwrap().is_ok());
         for h in [h0, h1, hs, hr] {
+            h.join().unwrap();
+        }
+    }
+
+    /// The router's whole `STATS` line after a fixed script, byte for
+    /// byte: the core fields a single node also reports, the cluster
+    /// section, the serving counters and the `threads`/`draining` tail, in
+    /// their wire order.
+    #[test]
+    fn router_stats_line_is_byte_stable() {
+        let (b0, h0) = start_backend(Some(ShardIdentity {
+            shard_id: 0,
+            shard_count: 2,
+        }));
+        let (b1, h1) = start_backend(Some(ShardIdentity {
+            shard_id: 1,
+            shard_count: 2,
+        }));
+        let (router, hr) = start_router(vec![b0.to_string(), b1.to_string()], 2);
+        let mut client = Client::connect(router).unwrap();
+        let empty = client.request("STATS").unwrap();
+        assert_eq!(
+            empty.status,
+            concat!(
+                r#"+OK {"rows":0,"segments":0,"labels":0,"generation":0,"#,
+                r#""min_value":null,"max_value":null,"#,
+                r#""cluster":{"shards":2,"backends":[{"shard":0,"alive":true,"generation":0},"#,
+                r#"{"shard":1,"alive":true,"generation":0}],"watermarks":[0,0]},"#,
+                r#""served":{"connections":1,"queries":0,"ingested_rows":0,"subscribes":0,"#,
+                r#""errors":0,"overloads":0,"timeouts":0},"threads":2,"draining":false}"#
+            )
+        );
+        for (id, value, labels) in feed() {
+            let r = client
+                .request(&format!("INGEST {id} {value} {labels}"))
+                .unwrap();
+            assert!(r.is_ok(), "{}", r.status);
+        }
+        for q in [
+            "QUERY 0,1,2,3 10 scan",
+            "QUERY 0,2 10 greedysc",
+            "QUERY 0 -5 scan",
+        ] {
+            client.request(q).unwrap();
+        }
+        let stats = client.request("STATS").unwrap();
+        assert_eq!(
+            stats.status,
+            concat!(
+                r#"+OK {"rows":60,"segments":0,"labels":4,"generation":60,"#,
+                r#""min_value":0,"max_value":95,"#,
+                r#""cluster":{"shards":2,"backends":[{"shard":0,"alive":true,"generation":40},"#,
+                r#"{"shard":1,"alive":true,"generation":50}],"watermarks":[40,50]},"#,
+                r#""served":{"connections":1,"queries":3,"ingested_rows":60,"subscribes":0,"#,
+                r#""errors":1,"overloads":0,"timeouts":0},"threads":2,"draining":false}"#
+            )
+        );
+        assert!(client.request("DRAIN").unwrap().is_ok());
+        for h in [h0, h1, hr] {
             h.join().unwrap();
         }
     }

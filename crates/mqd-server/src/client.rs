@@ -1,6 +1,6 @@
 //! Minimal blocking client for the serving protocol, used by `mqdiv
-//! client`, the oracle's loopback agreement check, the benches and the
-//! end-to-end tests.
+//! client`, the router's backend sessions, `mqd-load`, the oracle's
+//! loopback agreement check and the end-to-end tests.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

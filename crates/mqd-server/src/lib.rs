@@ -36,4 +36,5 @@ mod server;
 pub mod subs;
 
 pub use client::{format_query, json_u64, Client, Response};
-pub use server::{Server, ServerConfig};
+pub use lineio::retryable;
+pub use server::{stats_object, Server, ServerConfig};

@@ -251,8 +251,7 @@ fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State, engine: &Engin
 /// One background refresh: a cold answer ([`answer_cold`]: the store read
 /// lock is held for a walk or a slice, never for a slice solve), then
 /// install it. If ingest moved the store on meanwhile, the entry is still
-/// stale at install time — re-enqueue it (or, on a full queue, release the
-/// claim so the next stale hit re-schedules it).
+/// stale at install time, and it is queued again.
 fn refresh_entry(state: &State, spec: &QuerySpec) {
     let Ok((generation, records, repair)) = answer_cold(&state.store, DurableStore::store, spec)
     else {
@@ -264,13 +263,25 @@ fn refresh_entry(state: &State, spec: &QuerySpec) {
         }
         return;
     };
-    let Ok(mut cache) = lock_or_poisoned(&state.cache, "cache") else {
-        return;
+    let still_stale = match lock_or_poisoned(&state.cache, "cache") {
+        Ok(mut cache) => cache.install_refreshed(spec, records, generation, repair),
+        Err(_) => return,
     };
-    let still_stale = cache.install_refreshed(spec, records, generation, repair);
-    if still_stale && state.refresh_tx.try_send(spec.clone()).is_err() {
-        cache.refresh_not_queued(spec);
+    if still_stale {
+        // Fails only on a poisoned cache, which serves no entry again.
+        let _ = queue_refresh(state, spec);
     }
+}
+
+/// Hands a claimed refresh to the refresher pool without blocking (the
+/// request path never waits on refresh scheduling). On a full queue the
+/// claim is released instead, so the next stale hit claims and queues it
+/// again. Takes the cache lock only then, so the caller must not hold it.
+fn queue_refresh(state: &State, spec: &QuerySpec) -> Result<(), MqdError> {
+    if state.refresh_tx.try_send(spec.clone()).is_err() {
+        lock_or_poisoned(&state.cache, "cache")?.refresh_not_queued(spec);
+    }
+    Ok(())
 }
 
 impl Handler for State {
@@ -415,8 +426,8 @@ fn answer_query(
             generation: watermark,
             enqueue_refresh,
         } => {
-            if enqueue_refresh && state.refresh_tx.try_send(spec.clone()).is_err() {
-                lock_or_poisoned(&state.cache, "cache")?.refresh_not_queued(spec);
+            if enqueue_refresh {
+                queue_refresh(state, spec)?;
             }
             Ok((rows, watermark, true, true))
         }
@@ -549,12 +560,9 @@ fn ingest_rows<'a>(
     counters
         .ingested_rows
         .fetch_add(appended as u64, Ordering::Relaxed);
-    for spec in to_refresh {
-        if state.refresh_tx.try_send(spec.clone()).is_err() {
-            if let Ok(mut cache) = lock_or_poisoned(&state.cache, "cache") {
-                cache.refresh_not_queued(&spec);
-            }
-        }
+    for spec in &to_refresh {
+        // Fails only on a poisoned cache, which serves no entry again.
+        let _ = queue_refresh(state, spec);
     }
     match failure {
         Some(e) => Err(e),
@@ -593,22 +601,8 @@ fn render_stats(
     draining: bool,
     shard: Option<ShardIdentity>,
 ) -> String {
-    let opt_i64 = |v: Option<i64>| v.map_or("null".to_string(), |x| x.to_string());
-    let mut out = format!(
-        concat!(
-            r#"{{"rows":{},"segments":{},"labels":{},"generation":{},"#,
-            r#""min_value":{},"max_value":{},"#,
-            r#""cache":{{"hits":{},"misses":{},"invalidations":{},"repairs":{},"refreshes":{},"stale_served":{},"entries":{}}},"#,
-            r#"{},"#,
-            r#""durable":{{"wal_bytes":{},"segments_flushed":{},"recovered_rows":{},"gc_segments":{}}},"#,
-            r#""threads":{},"draining":{}}}"#
-        ),
-        store_stats.rows,
-        store_stats.segments,
-        store_stats.labels,
-        store_stats.generation,
-        opt_i64(store_stats.min_value),
-        opt_i64(store_stats.max_value),
+    let cache = format!(
+        r#""cache":{{"hits":{},"misses":{},"invalidations":{},"repairs":{},"refreshes":{},"stale_served":{},"entries":{}}}"#,
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.invalidations,
@@ -616,11 +610,14 @@ fn render_stats(
         cache_stats.refreshes,
         cache_stats.stale_served,
         cache_stats.entries,
-        c.served_json(),
-        durable.wal_bytes,
-        durable.segments_flushed,
-        durable.recovered_rows,
-        durable.gc_segments,
+    );
+    let durable = format!(
+        r#""durable":{{"wal_bytes":{},"segments_flushed":{},"recovered_rows":{},"gc_segments":{}}}"#,
+        durable.wal_bytes, durable.segments_flushed, durable.recovered_rows, durable.gc_segments,
+    );
+    let mut out = stats_object(
+        store_stats,
+        &[&cache, &c.served_json(), &durable],
         threads,
         draining,
     );
@@ -635,6 +632,35 @@ fn render_stats(
         ));
     }
     out
+}
+
+/// Renders a STATS object: the store's core fields (`rows` …
+/// `max_value`), then `sections` (each a `"key":value` member, at least
+/// one) in order, then the `threads`/`draining` tail. A single node and
+/// the router both answer STATS through it, so the fields oracle #16
+/// compares between them are written once.
+pub fn stats_object(
+    core: &StoreStats,
+    sections: &[&str],
+    threads: usize,
+    draining: bool,
+) -> String {
+    let opt_i64 = |v: Option<i64>| v.map_or("null".to_string(), |x| x.to_string());
+    format!(
+        concat!(
+            r#"{{"rows":{},"segments":{},"labels":{},"generation":{},"#,
+            r#""min_value":{},"max_value":{},{},"threads":{},"draining":{}}}"#
+        ),
+        core.rows,
+        core.segments,
+        core.labels,
+        core.generation,
+        opt_i64(core.min_value),
+        opt_i64(core.max_value),
+        sections.join(","),
+        threads,
+        draining,
+    )
 }
 
 /// Replays the slice through a supervised streaming engine, streaming

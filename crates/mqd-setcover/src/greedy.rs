@@ -1,39 +1,13 @@
 //! Greedy set cover over explicitly materialized sets.
 //!
-//! This is the classic `ln k`-approximate greedy used by the paper's
-//! GreedySC (Section 4.2) and by the windowed streaming variant
-//! (Section 5.2). Two selection strategies are provided:
-//!
-//! * [`greedy_cover`] — each round scans all sets for the one covering the
-//!   most uncovered elements. This mirrors the paper's implementation note
-//!   in Section 7.3 (they found a scan to beat a heap on their data).
-//! * [`lazy_greedy_cover`] — the standard lazy-evaluation variant exploiting
-//!   submodularity: set sizes only shrink, so a stale queue entry whose
-//!   recomputed gain still tops the [`GainQueue`] is safe to pick.
-//!
-//! Both produce identical covers when ties are broken identically; the
-//! ablation benchmark `ablation_greedy_heap` compares their running times.
+//! This is the classic `ln k`-approximate greedy the paper's GreedySC
+//! (Section 4.2) runs on Algorithm 2's sets. Each round scans all sets for
+//! the one covering the most uncovered elements, which mirrors the paper's
+//! implementation note in Section 7.3 (they found a scan to beat a heap on
+//! their data). `mqd-core`'s naive GreedySC runs it as the cross-check
+//! oracle of the implicit, lazy solvers.
 
 use crate::bitset::BitSet;
-use crate::queue::GainQueue;
-
-/// When the greedy loop may stop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Goal {
-    /// Run until every element is covered (or no set makes progress).
-    CoverAll,
-    /// Run only until the given element is covered — used by
-    /// StreamGreedySC+ which stops as soon as the oldest uncovered post is
-    /// covered (Section 5.2).
-    CoverElement(u32),
-}
-
-fn goal_met(goal: Goal, covered: &BitSet) -> bool {
-    match goal {
-        Goal::CoverAll => covered.all_set(),
-        Goal::CoverElement(e) => covered.get(e),
-    }
-}
 
 /// Greedy set cover, scan-max selection.
 ///
@@ -41,15 +15,16 @@ fn goal_met(goal: Goal, covered: &BitSet) -> bool {
 /// initial coverage state (elements already covered by earlier decisions)
 /// and is updated in place. Returns the picked set indices in pick order.
 ///
-/// Sets that cover no new element are never picked; if the goal is
-/// unreachable the loop stops when no set makes progress.
-pub fn greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) -> Vec<usize> {
+/// The loop runs until every element is covered. Sets that cover no new
+/// element are never picked; if some element is in no set the loop stops
+/// when no set makes progress.
+pub fn greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet) -> Vec<usize> {
     let mut picked = Vec::new();
     let mut gain: Vec<u32> = sets
         .iter()
         .map(|s| s.iter().filter(|&&e| !covered.get(e)).count() as u32)
         .collect();
-    while !goal_met(goal, covered) {
+    while !covered.all_set() {
         let (best, &best_gain) = match gain
             .iter()
             .enumerate()
@@ -63,42 +38,12 @@ pub fn greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) -> Vec<
         }
         picked.push(best);
         for &e in &sets[best] {
-            if covered.set(e) {
-                // Decrement the gain of every other set containing e lazily:
-                // gains are recomputed below instead, to keep this variant
-                // faithful to the paper's "iterate all sets" loop.
-            }
+            covered.set(e);
         }
+        // Every gain is recomputed, faithful to the paper's "iterate all
+        // sets" loop.
         for (k, g) in gain.iter_mut().enumerate() {
             *g = sets[k].iter().filter(|&&e| !covered.get(e)).count() as u32;
-        }
-    }
-    picked
-}
-
-/// Greedy set cover, lazy-evaluation selection from a [`GainQueue`].
-/// Produces a cover with the same guarantee; typically far fewer gain
-/// recomputations.
-pub fn lazy_greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) -> Vec<usize> {
-    let gain = |s: &[u32], covered: &BitSet| s.iter().filter(|&&e| !covered.get(e)).count() as u32;
-    let gains: Vec<u32> = sets.iter().map(|s| gain(s, covered)).collect();
-    let mut queue = GainQueue::new(&gains);
-    let mut picked = Vec::new();
-    while !goal_met(goal, covered) {
-        let Some((stale, k)) = queue.pop() else {
-            break;
-        };
-        let set = &sets[k as usize];
-        let fresh = gain(set, covered);
-        if fresh < stale {
-            // Stale entry: re-file at the corrected gain. Submodularity
-            // guarantees gains never grow, so this converges.
-            queue.refile(k, fresh);
-            continue;
-        }
-        picked.push(k as usize);
-        for &e in set {
-            covered.set(e);
         }
     }
     picked
@@ -108,84 +53,29 @@ pub fn lazy_greedy_cover(sets: &[Vec<u32>], covered: &mut BitSet, goal: Goal) ->
 mod tests {
     use super::*;
 
-    fn run(sets: &[Vec<u32>], n: usize, goal: Goal) -> (Vec<usize>, Vec<usize>) {
-        let mut c1 = BitSet::new(n);
-        let mut c2 = BitSet::new(n);
-        (
-            greedy_cover(sets, &mut c1, goal),
-            lazy_greedy_cover(sets, &mut c2, goal),
-        )
-    }
-
     #[test]
     fn covers_simple_universe() {
         let sets = vec![vec![0, 1, 2], vec![2, 3], vec![3, 4], vec![0, 4]];
-        let (a, b) = run(&sets, 5, Goal::CoverAll);
-        for picks in [&a, &b] {
-            let mut cov = BitSet::new(5);
-            for &k in picks.iter() {
-                for &e in &sets[k] {
-                    cov.set(e);
-                }
-            }
-            assert!(cov.all_set(), "picks {picks:?} must cover");
-        }
-        // Greedy picks the size-3 set first.
-        assert_eq!(a[0], 0);
-        assert_eq!(b[0], 0);
-    }
-
-    #[test]
-    fn identical_results_scan_vs_lazy() {
-        // Deterministic pseudo-random instances; both variants break ties by
-        // smallest set index, so they must agree exactly.
-        let mut state = 12345u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for _ in 0..30 {
-            let n = 30;
-            let sets: Vec<Vec<u32>> = (0..12)
-                .map(|_| {
-                    let mut s: Vec<u32> = (0..n as u32).filter(|_| next() % 3 == 0).collect();
-                    s.dedup();
-                    s
-                })
-                .collect();
-            let (a, b) = run(&sets, n, Goal::CoverAll);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn stops_at_target_element() {
-        let sets = vec![vec![5], vec![0, 1], vec![2, 3, 4]];
-        let (a, _) = run(&sets, 6, Goal::CoverElement(5));
-        // Element 5 is only in set 0 (gain 1); greedy first picks set 2
-        // (gain 3), then set 1 (gain 2)? No: goal check happens per round,
-        // so it keeps picking until 5 is covered.
-        let mut cov = BitSet::new(6);
-        for &k in &a {
+        let mut c = BitSet::new(5);
+        let picks = greedy_cover(&sets, &mut c);
+        let mut cov = BitSet::new(5);
+        for &k in &picks {
             for &e in &sets[k] {
                 cov.set(e);
             }
         }
-        assert!(cov.get(5));
+        assert!(cov.all_set(), "picks {picks:?} must cover");
+        // Greedy picks the size-3 set first.
+        assert_eq!(picks[0], 0);
     }
 
     #[test]
     fn unreachable_goal_terminates() {
         let sets = vec![vec![0]];
         let mut c = BitSet::new(2);
-        let picks = greedy_cover(&sets, &mut c, Goal::CoverAll);
+        let picks = greedy_cover(&sets, &mut c);
         assert_eq!(picks, vec![0]);
         assert!(!c.all_set());
-        let mut c = BitSet::new(2);
-        let picks = lazy_greedy_cover(&sets, &mut c, Goal::CoverAll);
-        assert_eq!(picks, vec![0]);
     }
 
     #[test]
@@ -194,7 +84,7 @@ mod tests {
         let mut c = BitSet::new(3);
         c.set(0);
         c.set(1);
-        let picks = greedy_cover(&sets, &mut c, Goal::CoverAll);
+        let picks = greedy_cover(&sets, &mut c);
         assert_eq!(picks, vec![1]);
     }
 
@@ -239,7 +129,7 @@ mod tests {
                 }
             }
             let mut c = BitSet::new(n);
-            let picks = greedy_cover(&sets, &mut c, Goal::CoverAll);
+            let picks = greedy_cover(&sets, &mut c);
             let max_set = sets.iter().map(|s| s.len()).max().unwrap_or(1);
             let h: f64 = (1..=max_set).map(|i| 1.0 / i as f64).sum();
             assert!(

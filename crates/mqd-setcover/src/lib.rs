@@ -10,8 +10,7 @@
 //!   bit per element, popcounts plus a per-word Fenwick tree,
 //! * [`queue::GainQueue`] — the gain-bucket queue every lazy greedy in the
 //!   workspace selects from,
-//! * [`greedy`] — scan-max and lazy greedy set cover over materialized
-//!   sets.
+//! * [`greedy`] — scan-max greedy set cover over materialized sets.
 
 #![warn(missing_docs)]
 
@@ -22,5 +21,5 @@ pub mod queue;
 
 pub use bitset::BitSet;
 pub use fenwick::PresenceFenwick;
-pub use greedy::{greedy_cover, lazy_greedy_cover, Goal};
+pub use greedy::greedy_cover;
 pub use queue::GainQueue;

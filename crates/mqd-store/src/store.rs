@@ -29,6 +29,8 @@
 //! segment's rows as a [`Rows`] batch from them, which is what the durable
 //! layer seals blocks and rewrites its log from.
 
+use std::ops::Range;
+
 use mqd_core::record::{Record, RowRef, Rows};
 use mqd_core::{Instance, InstanceBuilder, LabelId, MqdError, Post, PostId};
 
@@ -498,32 +500,17 @@ impl Store {
         // listed and the rows in range.
         let mut sizes = vec![0usize; label_map.len()];
         let mut posts = 0usize;
-        let (from_key, to_key) = (value_key(from), value_key(to));
-        for seg in &self.segments {
-            let values = &seg.values;
-            let (Some(min_key), Some(max_key)) = (values.iter().next(), values.last()) else {
-                continue;
-            };
-            if min_key > to_key || max_key < from_key {
-                continue;
-            }
-            let lo = values.partition_point(|k| k < from_key);
-            let hi = values.partition_point(|k| k <= to_key);
+        for cut in self.cuts(from, to) {
             let mut listed = 0usize;
             for (local, global) in label_map.iter().enumerate() {
-                let Some(list) = seg.postings(*global) else {
-                    continue;
-                };
-                let start = list.partition_point(|&i| (i as usize) < lo);
-                let end = list.partition_point(|&i| (i as usize) < hi);
-                if let Some(list) = list.get(start..end).filter(|l| !l.is_empty()) {
+                if let Some(Part { list, .. }) = cut.part(*global) {
                     listed = listed.saturating_add(list.len());
                     sizes[local] += list.len();
                     runs.push((LabelId(local as u16), list));
                 }
             }
-            posts = posts.saturating_add(listed.min(hi.saturating_sub(lo)));
-            segments.push((seg, runs.len()));
+            posts = posts.saturating_add(listed.min(cut.rows.len()));
+            segments.push((cut.seg, runs.len()));
         }
 
         let mut builder = InstanceBuilder::with_capacity(posts, &sizes);
@@ -558,6 +545,26 @@ impl Store {
             instance,
             label_map,
         }
+    }
+
+    /// The segments whose value span meets `[from, to]`, in order, each
+    /// cut to its rows there by binary search over the `values` column.
+    /// None when `from > to`.
+    fn cuts(&self, from: i64, to: i64) -> impl Iterator<Item = Cut<'_>> {
+        let (from_key, to_key) = (value_key(from), value_key(to));
+        (self.segments.iter().enumerate()).filter_map(move |(at, seg)| {
+            let (min, max) = (seg.values.iter().next()?, seg.values.last()?);
+            if from > to || min > to_key || max < from_key {
+                return None;
+            }
+            let lo = seg.values.partition_point(|k| k < from_key);
+            let hi = seg.values.partition_point(|k| k <= to_key);
+            Some(Cut {
+                at,
+                seg,
+                rows: lo..hi,
+            })
+        })
     }
 }
 
@@ -630,12 +637,34 @@ impl<'a> LabelCursor<'a> {
     }
 }
 
+/// A segment cut to its rows valued in a query's `[from, to]`: rows are
+/// in value order within a segment, so they are one contiguous run.
+struct Cut<'a> {
+    /// The segment's index in the store.
+    at: usize,
+    seg: &'a Segment,
+    rows: Range<usize>,
+}
+
+impl<'a> Cut<'a> {
+    /// `label`'s postings inside the cut's rows, or `None` when none of
+    /// the rows carries it.
+    fn part(&self, label: u16) -> Option<Part<'a>> {
+        let list = self.seg.postings(label)?;
+        let start = list.partition_point(|&i| (i as usize) < self.rows.start);
+        let end = list.partition_point(|&i| (i as usize) < self.rows.end);
+        let list = list.get(start..end).filter(|l| !l.is_empty())?;
+        let (at, seg) = (self.at, self.seg);
+        Some(Part { at, seg, list })
+    }
+}
+
 /// A cursor position in [`Postings`]: (part, offset in its list). Tuple
 /// order is arrival order; `(parts.len(), 0)` is the end.
 type Pos = (usize, usize);
 
 /// One segment's share of a label's postings: the non-empty run of them
-/// inside a walk's range.
+/// inside a query's range.
 struct Part<'a> {
     /// The segment's index in the store.
     at: usize,
@@ -788,34 +817,12 @@ impl Store {
         plus: bool,
     ) -> Vec<Pick> {
         let mut picks = Vec::new();
-        if from > to {
-            return picks;
-        }
-        let (from_key, to_key) = (value_key(from), value_key(to));
-        // The segments meeting the range, each with its row run there.
-        let spans: Vec<(usize, &Segment, usize, usize)> = (self.segments.iter().enumerate())
-            .filter_map(|(at, seg)| {
-                let (min, max) = (seg.values.iter().next()?, seg.values.last()?);
-                if min > to_key || max < from_key {
-                    return None;
-                }
-                let lo = seg.values.partition_point(|k| k < from_key);
-                let hi = seg.values.partition_point(|k| k <= to_key);
-                Some((at, seg, lo, hi))
-            })
-            .collect();
+        let cuts: Vec<Cut> = self.cuts(from, to).collect();
         // Scan+: per walked label, the intervals earlier picks cover.
         let mut covered: Vec<Vec<(i64, i64)>> = vec![Vec::new(); walk.len()];
         for (k, &label) in walk.iter().enumerate() {
-            let parts = spans.iter().filter_map(|&(at, seg, lo, hi)| {
-                let list = seg.postings(label)?;
-                let start = list.partition_point(|&i| (i as usize) < lo);
-                let end = list.partition_point(|&i| (i as usize) < hi);
-                let list = list.get(start..end).filter(|l| !l.is_empty())?;
-                Some(Part { at, seg, list })
-            });
             let postings = Postings {
-                parts: parts.collect(),
+                parts: cuts.iter().filter_map(|cut| cut.part(label)).collect(),
             };
             let mut intervals = std::mem::take(&mut covered[k]);
             intervals.sort_unstable();

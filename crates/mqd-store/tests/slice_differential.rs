@@ -1,7 +1,7 @@
 //! Seeded differentials: `Store::slice` against a reference that reads the
 //! canonical mapping documented on `Slice` literally (scan every row,
 //! range-filter, intersect, sort by `(value, id)`), its merge-built
-//! `Instance` against `Instance::from_sorted_posts`, and the fixed-λ
+//! `Instance` against `Instance::from_posts`, and the fixed-λ
 //! Scan/Scan+ postings walk against the solvers run on that slice.
 
 use std::sync::RwLock;
@@ -210,13 +210,14 @@ fn slice_matches_a_naive_reference() {
 
 /// `Store::slice` indexes the rows as its merge yields them
 /// (`InstanceBuilder`); the result must be the instance
-/// `Instance::from_sorted_posts` indexes from the same posts: postings,
-/// every pair id, and the coverage windows at several radii. A tie run
+/// `Instance::from_posts` indexes from the same posts (its sort leaves
+/// posts merged in instance order as they are): postings, every pair id,
+/// and the coverage windows at several radii. A tie run
 /// that arrives out of id order takes the builder's fallback, which sorts
 /// and indexes again; the sweep must meet one that crosses a segment
 /// boundary.
 #[test]
-fn merged_slice_indexes_like_from_sorted_posts() {
+fn merged_slice_indexes_like_from_posts() {
     for (seed, target, ids) in SHAPES {
         let rows = corpus(seed, 400, ids);
         let store = store_of(&rows, target);
@@ -228,7 +229,7 @@ fn merged_slice_indexes_like_from_sorted_posts() {
             let slice = store.slice(&labels, from, to);
             let merged = &slice.instance;
             let n = slice.label_map.len();
-            let indexed = Instance::from_sorted_posts(merged.posts().to_vec(), n).unwrap();
+            let indexed = Instance::from_posts(merged.posts().to_vec(), n).unwrap();
             let what = format!(
                 "seed {seed} target {target} {ids:?} case {case}: {labels:?} [{from}, {to}]"
             );

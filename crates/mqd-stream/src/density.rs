@@ -125,11 +125,6 @@ impl AdaptiveInstant {
         }
         uncovered
     }
-
-    /// The current lambda estimate for a label (for introspection/UIs).
-    pub fn current_lambda(&self, a: LabelId) -> i64 {
-        self.density.lambda_for(a)
-    }
 }
 
 /// [`AdaptiveInstant`] as a [`StreamEngine`], so it plugs into
@@ -307,7 +302,6 @@ mod tests {
         let mut eng = AdaptiveInstant::new(2, 50);
         assert!(eng.on_post(0, &[L0, L1]));
         assert!(!eng.on_post(1, &[L0]));
-        assert!(eng.current_lambda(L0) >= 0);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl MultiUserHub {
         }
     }
 
-    /// Number of users.
-    pub fn num_users(&self) -> usize {
-        self.subscriptions.len()
-    }
-
     /// Per-user statistics so far.
     pub fn stats(&self) -> &[UserStats] {
         &self.stats
@@ -212,7 +207,7 @@ mod tests {
     #[test]
     fn routes_only_to_subscribers() {
         let mut hub = MultiUserHub::new(vec![vec![0], vec![1], vec![0, 1]], 10);
-        assert_eq!(hub.num_users(), 3);
+        assert_eq!(hub.stats().len(), 3);
         let d = hub.on_post(0, &[0]);
         assert_eq!(d, vec![0, 2]);
         let d = hub.on_post(1, &[2]); // nobody subscribed
@@ -333,7 +328,7 @@ mod tests {
     fn empty_hub() {
         let mut hub = MultiUserHub::new(vec![], 5);
         assert!(hub.on_post(0, &[1]).is_empty());
-        assert_eq!(hub.num_users(), 0);
+        assert_eq!(hub.stats().len(), 0);
     }
 
     fn batch_fixture() -> (Instance, Vec<BatchUser>) {

@@ -30,10 +30,10 @@
 
 use mqd_core::{FixedLambda, Instance, LabelId, MqdError, Post, PostId};
 
-use crate::engine::{Emission, StreamContext, StreamEngine};
+use crate::engine::{Emission, StreamEngine};
 use crate::greedy::StreamGreedy;
 use crate::scan::StreamScan;
-use crate::simulator::StreamRunResult;
+use crate::simulator::{run_stream, StreamRunResult};
 
 /// Which engine each shard runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -215,19 +215,11 @@ fn result_from(
     }
 }
 
-/// Replays one shard's posts, in timestamp order, through its engine.
-/// Returns emissions with **global** post indices.
+/// Replays one shard's posts, in timestamp order, through its engine with
+/// [`run_stream`]. Returns emissions with **global** post indices.
 fn replay_shard(shard: &Shard, kind: ShardEngineKind, lambda: i64, tau: i64) -> Vec<Emission> {
-    let lp = FixedLambda(lambda);
-    let ctx = StreamContext::new(&shard.inst, &lp, tau);
     let mut engine = kind.build(shard.inst.num_labels(), shard.inst.len());
-    let mut out = Vec::new();
-    for local in 0..shard.inst.len() as u32 {
-        let t = shard.inst.value(local);
-        engine.on_time(&ctx, t.saturating_sub(1), &mut out);
-        engine.on_arrival(&ctx, local, &mut out);
-    }
-    engine.flush(&ctx, &mut out);
+    let mut out = run_stream(&shard.inst, &FixedLambda(lambda), tau, engine.as_mut()).emissions;
     for e in &mut out {
         e.post = shard.to_global[e.post as usize];
     }

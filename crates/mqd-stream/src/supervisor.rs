@@ -90,9 +90,6 @@ pub struct SupervisorConfig {
     /// Restarts a single shard may consume before the run fails with
     /// [`MqdError::ShardFailed`].
     pub max_restarts: usize,
-    /// Lag (processing time minus arrival time) above which the shard
-    /// degrades to the Instant scheme. `None` means `tau / 2`.
-    pub degrade_threshold: Option<i64>,
 }
 
 impl Default for SupervisorConfig {
@@ -100,7 +97,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             snapshot_every: 32,
             max_restarts: 8,
-            degrade_threshold: None,
         }
     }
 }
@@ -230,8 +226,10 @@ impl ShardSup {
         self.snap.seq + self.replay_done as u64
     }
 
+    /// Lag (processing time minus arrival time) above which the shard
+    /// degrades to the Instant scheme.
     fn degrade_threshold(&self) -> i64 {
-        self.cfg.degrade_threshold.unwrap_or(self.tau / 2).max(0)
+        (self.tau / 2).max(0)
     }
 
     fn fault_at(&self, seq: u64) -> Option<usize> {
