@@ -75,10 +75,20 @@ impl Topology {
         }
     }
 
+    /// Replicas per shard (the same for every shard).
+    pub(crate) fn replica_count(&self) -> usize {
+        self.backends.len() / self.shard_count as usize
+    }
+
+    /// The backend index of replica `r` of `shard`.
+    pub(crate) fn replica(&self, shard: u32, r: usize) -> usize {
+        shard as usize + r * self.shard_count as usize
+    }
+
     /// Backend indices serving `shard`, in failover order.
     pub fn replicas(&self, shard: u32) -> Vec<usize> {
-        (shard as usize..self.backends.len())
-            .step_by(self.shard_count as usize)
+        (0..self.replica_count())
+            .map(|r| self.replica(shard, r))
             .collect()
     }
 
@@ -203,63 +213,140 @@ impl<'a> BackendPool<'a> {
         }
     }
 
-    /// One request/response against the first live replica of `shard`.
-    /// Transport failures drop the session and fall through to the next
-    /// replica; a response — `+OK` or a typed backend rejection alike — is
-    /// returned as-is for the caller to relay.
-    pub fn shard_request(&mut self, shard: u32, line: &str) -> Result<Response, MqdError> {
-        let mut last: Option<MqdError> = None;
-        for idx in self.topo.replicas(shard) {
-            match self.session(idx).and_then(|c| c.request(line)) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
+    /// The pipelined exchange under [`BackendPool::scatter`]: writes each
+    /// `(backend, frame)` request to that backend's session, dialing it if
+    /// need be, and only then reads the replies, in request order. The
+    /// backends decode and answer side by side while the router reads, and
+    /// no thread is spawned: each session is its own socket. A backend
+    /// appears at most once, so none has two requests outstanding. A send
+    /// or read that fails at the transport level drops that session; every
+    /// request that went out has its reply read before this returns, on
+    /// the error paths too, so no session is left holding a stale reply
+    /// for the next request.
+    pub(crate) fn exchange(&mut self, sends: &[(usize, &[u8])]) -> Vec<Result<Response, MqdError>> {
+        let sent: Vec<Result<(), MqdError>> = sends
+            .iter()
+            .map(|&(idx, frame)| {
+                let sent = self.session(idx).and_then(|c| c.send(frame));
+                if sent.is_err() {
                     self.drop_session(idx);
-                    last = Some(e);
                 }
-            }
-        }
-        Err(no_live_backend(shard, self.topo.shard_count(), last))
+                sent
+            })
+            .collect();
+        sends
+            .iter()
+            .zip(sent)
+            .map(|(&(idx, _), sent)| {
+                let reply = sent.and_then(|()| self.session(idx)?.read_response());
+                if reply.is_err() {
+                    self.drop_session(idx);
+                }
+                reply
+            })
+            .collect()
     }
 
-    /// Fans one write to *every* replica of `shard` (replicated ingest).
-    /// Transport failures are tolerated while at least one replica acks.
-    /// Nothing rebuilds the replica that missed the write: its session is
-    /// re-dialled on the next request and it has a hole until ROADMAP item
-    /// 5(c) fences it from reads. A typed backend rejection is returned
-    /// immediately: it means the write itself is wrong (non-monotone,
-    /// unowned labels) and acking it anywhere would let the cluster diverge
-    /// from the single-node story.
-    pub fn fan_write(
+    /// Sends request `frame` of each `(shard, frame)` pair to `shard` (no
+    /// shard twice) through one [`BackendPool::exchange`] per round, and
+    /// returns the replies in request order when every shard answered
+    /// `+OK`. Otherwise it returns the first other outcome in that order:
+    /// `Ok(Err(rejection))` for a typed backend rejection to relay, `Err`
+    /// for a shard with no live backend. Either way every shard has had its
+    /// request, so a shard after a refusing one still holds its part of a
+    /// write.
+    ///
+    /// * [`Fan::Write`] sends to every replica of the shard in one round.
+    ///   A transport failure is tolerated while at least one replica acks.
+    ///   Nothing rebuilds the replica that missed the write: its session is
+    ///   re-dialled on the next request and it has a hole until ROADMAP
+    ///   item 5(c) fences it from reads. A typed rejection from any replica
+    ///   is the shard's answer: it means the write itself is wrong, and
+    ///   acking it would let the cluster diverge from the single-node
+    ///   story.
+    /// * [`Fan::Read`] sends to the shard's first replica; each round
+    ///   re-sends the requests whose replica failed at the transport level
+    ///   to the next replica. A response, `+OK` or a typed rejection alike,
+    ///   is the shard's answer.
+    pub fn scatter(
         &mut self,
-        shard: u32,
-        send: &mut dyn FnMut(&mut Client) -> Result<Response, MqdError>,
-    ) -> Result<Response, MqdError> {
-        let mut acked: Option<Response> = None;
-        let mut last: Option<MqdError> = None;
-        for idx in self.topo.replicas(shard) {
-            match self.session(idx).and_then(&mut *send) {
-                Ok(resp) if resp.is_ok() => acked = Some(resp),
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    self.drop_session(idx);
-                    last = Some(e);
-                }
+        fan: Fan,
+        requests: &[(u32, impl AsRef<[u8]>)],
+    ) -> Result<Result<Vec<Response>, Response>, MqdError> {
+        let topo = self.topo;
+        let replicas = topo.replica_count();
+        let outcomes: Vec<Result<Response, MqdError>> = match fan {
+            Fan::Write => {
+                let sends: Vec<(usize, &[u8])> = (requests.iter())
+                    .flat_map(|(shard, frame)| {
+                        (0..replicas).map(move |r| (topo.replica(*shard, r), frame.as_ref()))
+                    })
+                    .collect();
+                let mut replies = self.exchange(&sends).into_iter();
+                (0..requests.len())
+                    .map(|_| {
+                        let (mut acked, mut rejected, mut last) = (None, None, None);
+                        for reply in replies.by_ref().take(replicas) {
+                            match reply {
+                                Ok(resp) if resp.is_ok() => acked = Some(resp),
+                                Ok(resp) => rejected = rejected.or(Some(resp)),
+                                Err(e) => last = Some(e),
+                            }
+                        }
+                        rejected.or(acked).ok_or_else(|| {
+                            last.unwrap_or_else(|| MqdError::protocol("no replica answered"))
+                        })
+                    })
+                    .collect()
             }
+            Fan::Read => {
+                let first: Vec<(usize, &[u8])> = (requests.iter())
+                    .map(|(shard, frame)| (topo.replica(*shard, 0), frame.as_ref()))
+                    .collect();
+                let mut outcomes = self.exchange(&first);
+                // Round `r` re-sends each request whose replica failed at
+                // the transport level to replica `r`.
+                for r in 1..replicas {
+                    let pending: Vec<usize> = (0..requests.len())
+                        .filter(|&i| outcomes[i].is_err())
+                        .collect();
+                    if pending.is_empty() {
+                        break;
+                    }
+                    let sends: Vec<(usize, &[u8])> = (pending.iter())
+                        .map(|&i| (topo.replica(requests[i].0, r), requests[i].1.as_ref()))
+                        .collect();
+                    for (i, reply) in pending.into_iter().zip(self.exchange(&sends)) {
+                        outcomes[i] = reply;
+                    }
+                }
+                outcomes
+            }
+        };
+        let mut replies = Vec::with_capacity(outcomes.len());
+        for (outcome, &(shard, _)) in outcomes.into_iter().zip(requests) {
+            let resp = outcome.map_err(|e| no_live_backend(shard, topo.shard_count(), e))?;
+            if !resp.is_ok() {
+                return Ok(Err(resp));
+            }
+            replies.push(resp);
         }
-        match acked {
-            Some(resp) => Ok(resp),
-            None => Err(no_live_backend(shard, self.topo.shard_count(), last)),
-        }
+        Ok(Ok(replies))
     }
 }
 
-fn no_live_backend(shard: u32, shard_count: u32, last: Option<MqdError>) -> MqdError {
-    let detail = match last {
-        Some(e) => format!(": {e}"),
-        None => String::new(),
-    };
+/// How a [`BackendPool::scatter`] reaches the replicas of a shard.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fan {
+    /// Every replica: an ingest.
+    Write,
+    /// The first live replica: a query, a `COVER` half or a `SLICE`.
+    Read,
+}
+
+fn no_live_backend(shard: u32, shard_count: u32, last: MqdError) -> MqdError {
     MqdError::protocol(format!(
-        "shard {shard}/{shard_count} has no live backend{detail}"
+        "shard {shard}/{shard_count} has no live backend: {last}"
     ))
 }
 

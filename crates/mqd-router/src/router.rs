@@ -15,10 +15,10 @@ use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
     decode_batch, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
 };
-use mqd_server::{format_query, json_u64, stats_object, Client, Response};
+use mqd_server::{body_frame, format_query, json_u64, stats_object, Client, Response};
 use mqd_store::{repairable, QuerySpec, StoreStats};
 
-use crate::backend::{BackendPool, Topology};
+use crate::backend::{BackendPool, Fan, Topology};
 use crate::merge::{merge_rows, solve_merged};
 
 /// Router settings, as exposed by `mqdiv route`.
@@ -101,6 +101,34 @@ impl Ledger {
         for (w, add) in self.watermarks.iter_mut().zip(per_shard) {
             *w += add;
         }
+    }
+
+    /// Where `rows` first breaks a single node's append contract (at
+    /// least one label per row, values never below the last routed one),
+    /// checked against what the ledger has routed: the length of the valid
+    /// prefix and the error a single node returns at that row, numbered as
+    /// its store numbers rows. Every routed row passed this check, so the
+    /// largest routed value is the last one.
+    fn refusal(&self, rows: &Rows) -> Option<(usize, MqdError)> {
+        let mut prev = self.max_value;
+        for (i, row) in rows.iter().enumerate() {
+            let row_no = self.rows as usize + i + 1;
+            if row.labels.is_empty() {
+                return Some((i, MqdError::EmptyLabelSet { row: row_no }));
+            }
+            if let Some(prev) = prev.filter(|&p| row.value < p) {
+                return Some((
+                    i,
+                    MqdError::NonMonotoneTimestamp {
+                        row: row_no,
+                        prev,
+                        got: row.value,
+                    },
+                ));
+            }
+            prev = Some(row.value);
+        }
+        None
     }
 
     /// Distinct labels routed so far.
@@ -187,10 +215,10 @@ impl Handler for RouterState {
         match req {
             Request::Stats => write_ok(w, &cluster_stats(self, engine, pool)?, &[])?,
             Request::Ingest(row) => {
-                route_ingest(self, counters, pool, &std::iter::once(row).collect(), w)?
+                route_ingest(self, counters, pool, std::iter::once(row).collect(), w)?
             }
             Request::IngestBatch { .. } => {
-                route_ingest(self, counters, pool, &decode_batch(body)?, w)?
+                route_ingest(self, counters, pool, decode_batch(body)?, w)?
             }
             Request::Query(spec) => {
                 counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -224,43 +252,63 @@ impl Handler for RouterState {
     }
 }
 
-/// Fans `rows` to every replica of every owning shard (order preserved —
-/// each backend sees the monotone subsequence of the feed its labels
-/// select) and answers with the single-node ingest acknowledgement shape,
-/// `generation` being the router's global row count. A shard's part is
-/// encoded once, for all its replicas.
+/// Checks `rows` at the door against the ledger, then scatters the valid
+/// prefix to every replica of every owning shard (order preserved: each
+/// backend sees the monotone subsequence of the feed its labels select)
+/// and answers as a single node does: the ingest acknowledgement, with
+/// `generation` the router's global row count, or, for a batch the door
+/// refused, the single node's typed error after the prefix is applied. A
+/// shard's part is encoded once, for all its replicas.
 fn route_ingest(
     state: &RouterState,
     counters: &Counters,
     pool: &mut BackendPool,
-    rows: &Rows,
+    rows: Rows,
     w: &mut impl Write,
 ) -> Result<(), Fail> {
-    let per_shard = state.topo.split(rows);
-    for (shard, part) in per_shard.iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        let body = encode_rows(part);
-        let resp = pool.fan_write(shard as u32, &mut |c| c.ingest_body(&body))?;
-        if !resp.is_ok() {
-            // A typed backend rejection (non-monotone row, …): relay it
-            // verbatim. Shards already written keep their prefix — the
-            // same stream-prefix semantics a single node has for a
-            // mid-batch failure.
-            return Ok(relay(counters, w, &resp)?);
-        }
+    let refusal = lock_ledger(state)?.refusal(&rows);
+    let rows = match &refusal {
+        Some((valid, _)) => rows.iter().take(*valid).collect(),
+        None => rows,
+    };
+    let per_shard = state.topo.split(&rows);
+    let frames: Vec<(u32, Vec<u8>)> = (per_shard.iter().enumerate())
+        .filter(|(_, part)| !part.is_empty())
+        .map(|(shard, part)| (shard as u32, body_frame("INGESTB", &encode_rows(part))))
+        .collect();
+    if let Err(rejection) = pool.scatter(Fan::Write, &frames)? {
+        // A typed backend rejection: relay it verbatim. The other shards
+        // keep their parts (ROADMAP item 5(d)).
+        return Ok(relay(counters, w, &rejection)?);
     }
     let per_shard_counts: Vec<u64> = per_shard.iter().map(|p| p.len() as u64).collect();
     let generation = {
         let mut ledger = lock_ledger(state)?;
-        ledger.apply(rows, &per_shard_counts);
+        ledger.apply(&rows, &per_shard_counts);
         ledger.rows
     };
     counters
         .ingested_rows
         .fetch_add(rows.len() as u64, Ordering::Relaxed);
-    Ok(write_ingested(w, rows.len(), generation)?)
+    match refusal {
+        Some((_, e)) => Err(e.into()),
+        None => Ok(write_ingested(w, rows.len(), generation)?),
+    }
+}
+
+/// Sends each `(shard, request line)` to the first live replica of its
+/// shard in one scatter, and returns each reply's payload lines, in
+/// order, or the first rejection.
+fn read_lines(
+    pool: &mut BackendPool,
+    mut lines: Vec<(u32, String)>,
+) -> Result<Result<Vec<Vec<String>>, Response>, MqdError> {
+    for (_, line) in &mut lines {
+        line.push('\n');
+    }
+    Ok(pool
+        .scatter(Fan::Read, &lines)?
+        .map(|replies| replies.into_iter().map(|r| r.lines).collect()))
 }
 
 fn lock_ledger(state: &RouterState) -> Result<std::sync::MutexGuard<'_, Ledger>, MqdError> {
@@ -287,46 +335,40 @@ fn route_query(
     let gathered: Result<Result<Vec<String>, Response>, MqdError> = (|| {
         if owning.len() <= 1 {
             let shard = owning.first().copied().unwrap_or(0);
-            let resp = pool.shard_request(shard, &format_query(spec))?;
-            if !resp.is_ok() {
-                return Ok(Err(resp));
-            }
-            return Ok(Ok(resp.lines));
+            let reply = read_lines(pool, vec![(shard, format_query(spec))])?;
+            return Ok(reply.map(|mut parts| parts.pop().unwrap_or_default()));
         }
         if repairable(spec) {
             // Fixed-λ Scan: per-label greedy covers are independent, so
             // each shard solves exactly the labels it owns (against the
             // full query's slice) and the union is the global answer.
-            let mut parts = Vec::with_capacity(owning.len());
-            for &shard in &owning {
-                let owned: BTreeSet<u16> = spec
-                    .labels
-                    .iter()
-                    .copied()
-                    .filter(|&l| state.topo.owning_shards(&[l]) == [shard])
-                    .collect();
-                let cover: Vec<String> = owned.iter().map(|l| l.to_string()).collect();
-                let line = format!("{} COVER {}", format_query(spec), cover.join(","));
-                let resp = pool.shard_request(shard, &line)?;
-                if !resp.is_ok() {
-                    return Ok(Err(resp));
-                }
-                parts.push(resp.lines);
-            }
-            return Ok(Ok(merge_rows(&parts)?));
+            let query = format_query(spec);
+            let lines: Vec<(u32, String)> = owning
+                .iter()
+                .map(|&shard| {
+                    let owned: BTreeSet<u16> = spec
+                        .labels
+                        .iter()
+                        .copied()
+                        .filter(|&l| state.topo.owning_shards(&[l]) == [shard])
+                        .collect();
+                    let cover: Vec<String> = owned.iter().map(|l| l.to_string()).collect();
+                    (shard, format!("{query} COVER {}", cover.join(",")))
+                })
+                .collect();
+            return match read_lines(pool, lines)? {
+                Ok(parts) => Ok(Ok(merge_rows(&parts)?)),
+                Err(rejection) => Ok(Err(rejection)),
+            };
         }
         // Global objective: gather the raw shard slices, reconstruct the
         // single-node slice, and solve through the shared definition.
-        let mut parts = Vec::with_capacity(owning.len());
-        for &shard in &owning {
-            let resp = pool.shard_request(shard, &slice_line(&spec.labels, spec.from, spec.to))?;
-            if !resp.is_ok() {
-                return Ok(Err(resp));
-            }
-            parts.push(resp.lines);
+        let slice = slice_line(&spec.labels, spec.from, spec.to);
+        let lines: Vec<(u32, String)> = owning.iter().map(|&s| (s, slice.clone())).collect();
+        match read_lines(pool, lines)? {
+            Ok(parts) => Ok(Ok(solve_merged(&merge_rows(&parts)?, spec)?)),
+            Err(rejection) => Ok(Err(rejection)),
         }
-        let merged = merge_rows(&parts)?;
-        Ok(Ok(solve_merged(&merged, spec)?))
     })();
     match gathered? {
         Ok(rows) => {
@@ -554,12 +596,14 @@ fn cluster_stats(
         };
         (core, ledger.watermarks.clone())
     };
+    // One liveness probe per backend, all sent before any is read.
+    let probes: Vec<(usize, &[u8])> = (0..state.topo.backends().len())
+        .map(|idx| (idx, &b"STATS\n"[..]))
+        .collect();
     let mut backends = String::new();
-    for idx in 0..state.topo.backends().len() {
+    for (idx, reply) in pool.exchange(&probes).into_iter().enumerate() {
         let shard = state.topo.identity_of(idx).shard_id;
-        let generation = pool
-            .session(idx)
-            .and_then(|c| c.request("STATS"))
+        let generation = reply
             .ok()
             .filter(Response::is_ok)
             .and_then(|r| json_u64(&r.status, "generation"));
@@ -834,6 +878,220 @@ mod tests {
 
         assert!(c.request("DRAIN").unwrap().is_ok());
         h1.join().unwrap();
+        hr.join().unwrap();
+    }
+
+    fn shard_backends(count: u32, replicas: u32) -> Vec<(SocketAddr, std::thread::JoinHandle<()>)> {
+        (0..count * replicas)
+            .map(|j| {
+                start_backend(Some(ShardIdentity {
+                    shard_id: j % count,
+                    shard_count: count,
+                }))
+            })
+            .collect()
+    }
+
+    fn record(id: u64, value: i64, labels: &[u16]) -> mqd_core::record::Record {
+        mqd_core::record::Record {
+            id,
+            value,
+            labels: labels.to_vec(),
+        }
+    }
+
+    /// Sends `req` to the router and to the single node and asserts the
+    /// two answers agree: the whole status line unless it is a `QUERY`
+    /// `+OK` (whose watermark differs by design), and every payload line.
+    fn agree(router: &mut Client, single: &mut Client, req: &str) -> Response {
+        let a = router.request(req).unwrap();
+        let b = single.request(req).unwrap();
+        if !(req.starts_with("QUERY") && b.is_ok()) {
+            assert_eq!(a.status, b.status, "{req}");
+        }
+        assert_eq!(a.is_ok(), b.is_ok(), "{req}: {} vs {}", a.status, b.status);
+        assert_eq!(a.lines, b.lines, "{req}");
+        a
+    }
+
+    const SPOT_QUERIES: [&str; 4] = [
+        "QUERY 0,1,2,3 10 scan TO 100",
+        "QUERY 0,1,2,3 15 greedysc TO 100",
+        "QUERY 1,3 10 scan TO 100",
+        "QUERY 0,2 25 scanplus TO 100",
+    ];
+
+    #[test]
+    fn the_door_refuses_what_a_single_node_refuses() {
+        let backends = shard_backends(2, 1);
+        let (single, hs) = start_backend(None);
+        let addrs = backends.iter().map(|(a, _)| a.to_string()).collect();
+        let (router, hr) = start_router(addrs, 2);
+        let mut via_router = Client::connect(router).unwrap();
+        let mut via_single = Client::connect(single).unwrap();
+        for (id, value, labels) in feed() {
+            agree(
+                &mut via_router,
+                &mut via_single,
+                &format!("INGEST {id} {value} {labels}"),
+            );
+        }
+        // Row 2 of the batch has no label; row 3 is valued below row 2 of
+        // the next batch, which went to the other shard; a lone INGEST
+        // below everything routed.
+        for batch in [
+            vec![
+                record(101, 100, &[0]),
+                record(102, 100, &[]),
+                record(103, 101, &[1]),
+            ],
+            vec![record(104, 120, &[0]), record(105, 115, &[1])],
+        ] {
+            let a = via_router.ingest_batch(&batch).unwrap();
+            let b = via_single.ingest_batch(&batch).unwrap();
+            assert!(a.status.starts_with("-ERR "), "{}", a.status);
+            assert_eq!(a.status, b.status);
+        }
+        agree(&mut via_router, &mut via_single, "INGEST 106 110 1");
+        // The ledger counted the prefixes and nothing else: the next ack
+        // carries the single node's generation, and the STATS core agrees.
+        agree(&mut via_router, &mut via_single, "INGEST 107 130 0,1");
+        let a = via_router.request("STATS").unwrap();
+        let b = via_single.request("STATS").unwrap();
+        for key in ["rows", "labels", "generation", "min_value", "max_value"] {
+            assert_eq!(json_u64(&a.status, key), json_u64(&b.status, key), "{key}");
+        }
+        for q in SPOT_QUERIES
+            .iter()
+            .chain(&["QUERY 0,1 10 scan", "QUERY 0,1 10 greedysc"])
+        {
+            agree(&mut via_router, &mut via_single, q);
+        }
+        assert!(via_router.request("DRAIN").unwrap().is_ok());
+        assert!(via_single.request("DRAIN").unwrap().is_ok());
+        for (_, h) in backends {
+            h.join().unwrap();
+        }
+        hs.join().unwrap();
+        hr.join().unwrap();
+    }
+
+    /// A multi-shard exchange where shard 0 answers `-ERR` (then fails at
+    /// the transport level) and shard 1 answers `+OK`: shard 1's reply
+    /// must be read in the same exchange, or it answers the next request.
+    #[test]
+    fn a_refused_scatter_leaves_no_stale_reply() {
+        let mut backends = shard_backends(2, 1);
+        let (single, hs) = start_backend(None);
+        let addrs = backends.iter().map(|(a, _)| a.to_string()).collect();
+        let (router, hr) = start_router(addrs, 2);
+        let mut via_router = Client::connect(router).unwrap();
+        let mut via_single = Client::connect(single).unwrap();
+        for (id, value, labels) in feed() {
+            agree(
+                &mut via_router,
+                &mut via_single,
+                &format!("INGEST {id} {value} {labels}"),
+            );
+        }
+
+        // Behind the router's back, shard 0 takes a row valued above the
+        // next routed batch, so it alone refuses that batch.
+        let mut direct = Client::connect(backends[0].0).unwrap();
+        assert!(direct.request("INGEST 900 1000 0").unwrap().is_ok());
+        let batch = [record(500, 200, &[0]), record(501, 200, &[1])];
+        let refused = via_router.ingest_batch(&batch).unwrap();
+        assert!(
+            refused.status.starts_with("-ERR NonMonotoneTimestamp "),
+            "{}",
+            refused.status
+        );
+        for q in SPOT_QUERIES {
+            agree(&mut via_router, &mut via_single, q);
+        }
+
+        // Shard 0 goes away: a gather fails at its transport, shard 1's
+        // slice is still read.
+        assert!(direct.request("DRAIN").unwrap().is_ok());
+        backends.remove(0).1.join().unwrap();
+        let failed = via_router.request("QUERY 0,1,2,3 15 greedysc").unwrap();
+        assert!(
+            failed.status.contains("has no live backend"),
+            "{}",
+            failed.status
+        );
+        agree(&mut via_router, &mut via_single, "QUERY 1,3 10 scan TO 100");
+        agree(
+            &mut via_router,
+            &mut via_single,
+            "QUERY 1 0 greedysc TO 100",
+        );
+
+        assert!(via_router.request("DRAIN").unwrap().is_ok());
+        assert!(via_single.request("DRAIN").unwrap().is_ok());
+        for (_, h) in backends {
+            h.join().unwrap();
+        }
+        hs.join().unwrap();
+        hr.join().unwrap();
+    }
+
+    #[test]
+    fn ingest_reaches_the_live_replica_after_one_drains() {
+        // Two shards, two replicas each: backends 0 and 2 serve shard 0.
+        let mut backends = shard_backends(2, 2);
+        let (single, hs) = start_backend(None);
+        let addrs = backends.iter().map(|(a, _)| a.to_string()).collect();
+        let (router, hr) = start_router(addrs, 2);
+        let mut via_router = Client::connect(router).unwrap();
+        let mut via_single = Client::connect(single).unwrap();
+        let feed = feed();
+        let (first, second) = feed.split_at(feed.len() / 2);
+        for (id, value, labels) in first {
+            agree(
+                &mut via_router,
+                &mut via_single,
+                &format!("INGEST {id} {value} {labels}"),
+            );
+        }
+        let mut direct = Client::connect(backends[0].0).unwrap();
+        assert!(direct.request("DRAIN").unwrap().is_ok());
+        backends.remove(0).1.join().unwrap();
+        // Single rows, then one batch spanning both shards.
+        for (id, value, labels) in &second[..10] {
+            let a = agree(
+                &mut via_router,
+                &mut via_single,
+                &format!("INGEST {id} {value} {labels}"),
+            );
+            assert!(a.is_ok(), "{}", a.status);
+        }
+        let batch: Vec<_> = (second[10..].iter())
+            .map(|&(id, value, labels)| {
+                let labels: Vec<u16> = labels.split(',').map(|l| l.parse().unwrap()).collect();
+                record(id, value, &labels)
+            })
+            .collect();
+        let a = via_router.ingest_batch(&batch).unwrap();
+        let b = via_single.ingest_batch(&batch).unwrap();
+        assert!(a.is_ok(), "{}", a.status);
+        assert_eq!(a.status, b.status);
+        for q in [
+            "QUERY 0,1,2,3 10 scan",
+            "QUERY 0,1,2,3 15 greedysc",
+            "QUERY 0,1,2,3 40 scan PROP",
+            "QUERY 0,2 10 scan",
+            "QUERY 1,3 25 scanplus FROM 20 TO 90",
+        ] {
+            let a = agree(&mut via_router, &mut via_single, q);
+            assert!(a.is_ok(), "{q}: {}", a.status);
+        }
+        assert!(via_router.request("DRAIN").unwrap().is_ok());
+        assert!(via_single.request("DRAIN").unwrap().is_ok());
+        for (_, h) in backends {
+            h.join().unwrap();
+        }
+        hs.join().unwrap();
         hr.join().unwrap();
     }
 

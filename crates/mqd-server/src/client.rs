@@ -87,36 +87,41 @@ impl Client {
 
     /// Sends one request line and reads the framed response.
     pub fn request(&mut self, line: &str) -> Result<Response, MqdError> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.send_line(line)?;
         self.read_response()
     }
 
     /// Sends raw bytes verbatim (test hook for malformed traffic) and reads
     /// one framed response.
     pub fn request_raw(&mut self, bytes: &[u8]) -> Result<Response, MqdError> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()?;
+        self.send(bytes)?;
         self.read_response()
     }
 
     /// Performs the router handshake: sends the shard-map frame and reads
     /// the backend's verdict.
     pub fn hello(&mut self, identity: &ShardIdentity) -> Result<Response, MqdError> {
-        let frame = encode_hello(identity);
-        writeln!(self.writer, "HELLO {}", frame.len())?;
-        self.writer.write_all(&frame)?;
-        self.writer.flush()?;
+        self.send(&body_frame("HELLO", &encode_hello(identity)))?;
         self.read_response()
     }
 
-    /// Sends one request line without reading a response — the first half
-    /// of a streaming exchange (`SUBSCRIBE`), whose payload the caller
-    /// consumes line-by-line via [`Client::next_line`].
-    pub fn send_line(&mut self, line: &str) -> Result<(), MqdError> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+    /// The send half: writes `frame` — one or more whole requests, or any
+    /// bytes at all from a test of malformed traffic — in one `write_all`
+    /// and reads nothing. Pair it with [`Client::read_response`] (the
+    /// router sends to every shard before it reads any reply) or with
+    /// [`Client::next_line`] (a streamed `SUBSCRIBE`).
+    pub fn send(&mut self, frame: &[u8]) -> Result<(), MqdError> {
+        self.writer.write_all(frame)?;
         Ok(())
+    }
+
+    /// Sends one request line, newline-terminated, without reading a
+    /// response.
+    pub fn send_line(&mut self, line: &str) -> Result<(), MqdError> {
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.send(frame.as_bytes())
     }
 
     /// Reads one raw response line — the line-granular half of a streaming
@@ -138,7 +143,7 @@ impl Client {
         if buf.last() == Some(&b'\r') {
             buf.pop();
         }
-        Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
+        Ok(Some(utf8_line(buf)))
     }
 
     /// Ingests a batch of rows as one MQDL-framed `INGESTB` request.
@@ -148,9 +153,7 @@ impl Client {
 
     /// Sends an already-encoded MQDL body as one `INGESTB` request.
     pub fn ingest_body(&mut self, body: &[u8]) -> Result<Response, MqdError> {
-        writeln!(self.writer, "INGESTB {}", body.len())?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
+        self.send(&body_frame("INGESTB", body))?;
         self.read_response()
     }
 
@@ -201,14 +204,6 @@ impl Client {
         Ok(())
     }
 
-    /// Writes raw bytes without waiting for a response (test hook for
-    /// partial frames; pair with [`Client::read_response`]).
-    pub fn write_raw(&mut self, bytes: &[u8]) -> Result<(), MqdError> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-
     fn read_line(&mut self) -> Result<Option<String>, MqdError> {
         let mut buf = Vec::new();
         let n = self.reader.by_ref().read_until(b'\n', &mut buf)?;
@@ -221,14 +216,44 @@ impl Client {
         if buf.last() == Some(&b'\r') {
             buf.pop();
         }
-        Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
+        Ok(Some(utf8_line(buf)))
     }
+}
+
+/// A framed request, `<verb> <len>\n` then `body`, as one buffer, so it
+/// goes out in one write.
+pub fn body_frame(verb: &str, body: &[u8]) -> Vec<u8> {
+    let mut frame = format!("{verb} {}\n", body.len()).into_bytes();
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// A read line as a `String`: the buffer itself when it is valid UTF-8,
+/// else a lossy copy with U+FFFD for each invalid sequence.
+fn utf8_line(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mqd_store::Algorithm;
+
+    #[test]
+    fn read_lines_decode_as_the_lossy_copy_did() {
+        for bytes in [
+            &b"+OK {\"count\":2}"[..],
+            "1\t5\t0,1 caf\u{e9}".as_bytes(),
+            b"bad \xff\xfe byte",
+            b"torn \xe2\x82",
+            b"",
+        ] {
+            assert_eq!(
+                utf8_line(bytes.to_vec()),
+                String::from_utf8_lossy(bytes).into_owned()
+            );
+        }
+    }
 
     #[test]
     fn json_u64_extracts_first_occurrence() {

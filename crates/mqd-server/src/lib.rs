@@ -35,6 +35,6 @@ pub mod protocol;
 mod server;
 pub mod subs;
 
-pub use client::{format_query, json_u64, Client, Response};
+pub use client::{body_frame, format_query, json_u64, Client, Response};
 pub use lineio::retryable;
 pub use server::{stats_object, Server, ServerConfig};

@@ -153,7 +153,7 @@ fn truncated_body_and_half_close_is_a_typed_error() {
         // recover the frame but must still answer with the typed error.
         let mut raw = b"INGESTB 100\n".to_vec();
         raw.extend_from_slice(&[0u8; 10]);
-        client.write_raw(&raw).unwrap();
+        client.send(&raw).unwrap();
         client.shutdown_write().unwrap();
         let resp = client.read_response().unwrap();
         assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
@@ -171,7 +171,7 @@ fn half_closed_mid_line_still_gets_an_answer() {
         // Write a fragment with no trailing newline, then half-close: the
         // fragment is treated as a complete request line and answered.
         let mut c = Client::connect(addr).unwrap();
-        c.write_raw(b"PI").unwrap();
+        c.send(b"PI").unwrap();
         c.shutdown_write().unwrap();
         let resp = c.read_response().unwrap();
         assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
@@ -230,7 +230,7 @@ fn hello_frame_attacks_are_typed_and_keep_the_connection() {
     });
     let mut raw = format!("HELLO {}\n", good.len()).into_bytes();
     raw.extend_from_slice(&good[..good.len() / 2]);
-    torn.write_raw(&raw).unwrap();
+    torn.send(&raw).unwrap();
     torn.shutdown_write().unwrap();
     let resp = torn.read_response().unwrap();
     assert!(resp.status.contains("truncated body"), "{}", resp.status);
