@@ -7,7 +7,7 @@
 
 use std::io::Write;
 
-use mqd_load::{build, evaluate_slo, render_report, run_live, RunnerCfg, ScenarioCfg, CATALOG};
+use mqd_load::{build, evaluate_slo, render_report, run_live, ScenarioCfg, CATALOG};
 
 /// Options for `mqdiv load`.
 pub struct LoadOpts {
@@ -73,7 +73,7 @@ pub fn load(log: &mut impl Write, opts: &LoadOpts) -> Result<Vec<String>, String
     )
     .map_err(|e| e.to_string())?;
 
-    let outcome = run_live(&plan, &RunnerCfg::new(addr.clone())).map_err(|e| e.to_string())?;
+    let outcome = run_live(&plan, addr).map_err(|e| e.to_string())?;
     let violations = evaluate_slo(&plan.scenario, &outcome);
 
     let report = render_report(&plan, &outcome);

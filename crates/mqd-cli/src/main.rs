@@ -32,11 +32,14 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use mqd_cli::commands::{
     self, DiversifyOpts, GenOpts, MatchOpts, OracleOpts, StreamOpts, SupervisedStreamOpts,
 };
 use mqd_core::record::{read_tsv_records, write_tsv_records, Record};
+use mqd_router::RouterConfig;
+use mqd_server::ServerConfig;
 use mqd_store::{solve_slice, Algorithm, QuerySpec};
 use mqd_wal::{DurableOptions, DurableStore};
 
@@ -120,6 +123,16 @@ fn open_output(flags: &Flags) -> Result<Box<dyn Write>, String> {
             File::create(path).map_err(|e| format!("--out {path}: {e}"))?,
         ))),
         None => Ok(Box::new(BufWriter::new(io::stdout()))),
+    }
+}
+
+/// `--idle-timeout-ms N` of `serve` and `route`; absent waits forever.
+fn idle_timeout(flags: &Flags) -> Result<Option<Duration>, String> {
+    match flags.get("idle-timeout-ms") {
+        Some(_) => Ok(Some(Duration::from_millis(
+            flags.require_num("idle-timeout-ms")?,
+        ))),
+        None => Ok(None),
     }
 }
 
@@ -332,19 +345,17 @@ fn run() -> Result<(), String> {
                 }),
                 _ => return Err("--shard-id and --shard-count go together".into()),
             };
-            let opts = mqd_cli::serve::ServeOpts {
+            let cfg = ServerConfig {
                 addr: flags.get("addr").unwrap_or("127.0.0.1:7744").to_string(),
+                threads: 0, // resolved from --threads / MQD_THREADS via mqd-par
                 max_queue: flags.parse_num("max-queue", 64usize)?,
                 data_dir: flags.get("data-dir").map(PathBuf::from),
                 fsync: !flags.has("no-fsync"),
                 retain,
                 shard,
-                idle_timeout_ms: match flags.get("idle-timeout-ms") {
-                    Some(_) => Some(flags.require_num("idle-timeout-ms")?),
-                    None => None,
-                },
+                idle_timeout: idle_timeout(&flags)?,
             };
-            mqd_cli::serve::serve(io::stdout(), &mut log, &opts)
+            mqd_cli::serve::serve(io::stdout(), &mut log, &cfg)
         }
         "route" => {
             let mut backends = Vec::new();
@@ -360,17 +371,15 @@ fn run() -> Result<(), String> {
             if backends.is_empty() {
                 return Err("--backends is required (comma-separated or repeated)".into());
             }
-            let opts = mqd_cli::serve::RouteOpts {
+            let cfg = RouterConfig {
                 addr: flags.get("addr").unwrap_or("127.0.0.1:7745").to_string(),
                 backends,
                 shards: flags.require_num("shards")?,
+                threads: 0,
                 max_queue: flags.parse_num("max-queue", 64usize)?,
-                idle_timeout_ms: match flags.get("idle-timeout-ms") {
-                    Some(_) => Some(flags.require_num("idle-timeout-ms")?),
-                    None => None,
-                },
+                idle_timeout: idle_timeout(&flags)?,
             };
-            mqd_cli::serve::route(io::stdout(), &mut log, &opts)
+            mqd_cli::serve::route(io::stdout(), &mut log, &cfg)
         }
         "load" => {
             let defaults = mqd_cli::load::LoadOpts::default();

@@ -13,109 +13,52 @@
 
 use std::io::{BufRead, Write};
 
-use mqd_core::wire::ShardIdentity;
 use mqd_router::{Router, RouterConfig};
+use mqd_server::protocol::{parse_request, write_response, Request};
 use mqd_server::{Client, Server, ServerConfig};
-
-/// Options for `mqdiv serve`.
-pub struct ServeOpts {
-    /// Listen address, e.g. `127.0.0.1:7744` (`:0` picks an ephemeral port).
-    pub addr: String,
-    /// Admission-control bound: connections queued beyond the worker pool.
-    pub max_queue: usize,
-    /// Data directory for WAL + sealed segments (`--data-dir`); `None`
-    /// serves memory-only.
-    pub data_dir: Option<std::path::PathBuf>,
-    /// `--no-fsync` clears this: skip fsync on the durability points.
-    pub fsync: bool,
-    /// `--retain <span>`: GC sealed windows older than this value span.
-    pub retain: Option<i64>,
-    /// `--shard-id I --shard-count N`: serve as shard `I` of an `N`-shard
-    /// cluster — reject rows owning none of the shard's labels and pin
-    /// router `HELLO` handshakes to this map. `None` serves standalone.
-    pub shard: Option<ShardIdentity>,
-    /// `--idle-timeout-ms N`: close connections whose request line or body
-    /// stalls longer than this with a typed `-ERR Timeout`, reclaiming the
-    /// worker (slowloris defense). `None` waits forever.
-    pub idle_timeout_ms: Option<u64>,
-}
 
 /// Binds the server, announces the bound address on `out`, and serves
 /// until drained.
-pub fn serve(mut out: impl Write, log: &mut impl Write, opts: &ServeOpts) -> Result<(), String> {
-    let cfg = ServerConfig {
-        addr: opts.addr.clone(),
-        threads: 0, // resolved from --threads / MQD_THREADS via mqd-par
-        max_queue: opts.max_queue,
-        data_dir: opts.data_dir.clone(),
-        fsync: opts.fsync,
-        retain: opts.retain,
-        shard: opts.shard,
-        idle_timeout: opts.idle_timeout_ms.map(std::time::Duration::from_millis),
-    };
-    let server = Server::bind(&cfg).map_err(|e| format!("bind {}: {e}", opts.addr))?;
+pub fn serve(mut out: impl Write, log: &mut impl Write, cfg: &ServerConfig) -> Result<(), String> {
+    let server = Server::bind(cfg).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     writeln!(out, "listening on {}", server.local_addr()).map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
     writeln!(
         log,
         "serving with {} worker thread(s), queue bound {}",
         server.threads(),
-        opts.max_queue
+        cfg.max_queue
     )
     .map_err(|e| e.to_string())?;
-    if let Some(shard) = &opts.shard {
+    if let Some(shard) = &cfg.shard {
         writeln!(log, "shard {}/{}", shard.shard_id, shard.shard_count)
             .map_err(|e| e.to_string())?;
     }
-    if let Some(dir) = &opts.data_dir {
+    if let Some(dir) = &cfg.data_dir {
         writeln!(
             log,
             "durable store at {} (fsync {}, retain {})",
             dir.display(),
-            if opts.fsync { "on" } else { "off" },
-            opts.retain.map_or("off".to_string(), |r| r.to_string()),
+            if cfg.fsync { "on" } else { "off" },
+            cfg.retain.map_or("off".to_string(), |r| r.to_string()),
         )
         .map_err(|e| e.to_string())?;
     }
     server.run().map_err(|e| e.to_string())
 }
 
-/// Options for `mqdiv route`.
-pub struct RouteOpts {
-    /// Frontend listen address (`:0` picks an ephemeral port).
-    pub addr: String,
-    /// Ordered backend addresses (repeatable `--backends a --backends b`,
-    /// or comma-separated); backend `j` serves shard `j mod --shards`.
-    pub backends: Vec<String>,
-    /// Number of label shards.
-    pub shards: u32,
-    /// Admission-control bound, as on `serve`.
-    pub max_queue: usize,
-    /// `--idle-timeout-ms N`, as on `serve`: typed-timeout stalled
-    /// frontend connections instead of parking workers.
-    pub idle_timeout_ms: Option<u64>,
-}
-
 /// Binds the router, announces the frontend address on `out` (same
 /// `listening on <addr>` line as `serve`), and routes until drained.
-pub fn route(mut out: impl Write, log: &mut impl Write, opts: &RouteOpts) -> Result<(), String> {
-    let cfg = RouterConfig {
-        addr: opts.addr.clone(),
-        backends: opts.backends.clone(),
-        shards: opts.shards,
-        threads: 0,
-        max_queue: opts.max_queue,
-        idle_timeout: opts.idle_timeout_ms.map(std::time::Duration::from_millis),
-    };
-    let router = Router::bind(&cfg).map_err(|e| format!("bind {}: {e}", opts.addr))?;
+pub fn route(mut out: impl Write, log: &mut impl Write, cfg: &RouterConfig) -> Result<(), String> {
+    let router = Router::bind(cfg).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     writeln!(out, "listening on {}", router.local_addr()).map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
     writeln!(
         log,
         "routing {} shard(s) over {} backend(s): {}",
-        opts.shards,
-        opts.backends.len(),
-        opts.backends.join(", ")
+        cfg.shards,
+        cfg.backends.len(),
+        cfg.backends.join(", ")
     )
     .map_err(|e| e.to_string())?;
     router.run().map_err(|e| e.to_string())
@@ -127,21 +70,6 @@ pub struct ClientOpts {
     pub addr: String,
     /// Exit with an error if any request gets a non-`+OK` response.
     pub check: bool,
-}
-
-/// Returns the announced body size iff `line` is a well-formed `INGESTB`
-/// header. Malformed headers are forwarded as-is so the server can answer
-/// with its typed protocol error.
-fn ingestb_size(line: &str) -> Option<usize> {
-    let mut it = line.split_ascii_whitespace();
-    if !it.next()?.eq_ignore_ascii_case("INGESTB") {
-        return None;
-    }
-    let n: usize = it.next()?.parse().ok()?;
-    if it.next().is_some() || n > mqd_server::protocol::MAX_BATCH_BYTES {
-        return None;
-    }
-    Some(n)
 }
 
 /// Forwards a request script from `input` and echoes every framed response
@@ -168,7 +96,11 @@ pub fn client_script(
         if request.is_empty() || request.starts_with('#') {
             continue;
         }
-        let resp = if let Some(nbytes) = ingestb_size(request) {
+        // A well-formed `INGESTB` header is followed by its body; any
+        // other line, a malformed header included, goes out as it is and
+        // the server answers it.
+        let parsed = parse_request(request);
+        let resp = if let Ok(Request::IngestBatch { bytes: nbytes }) = parsed {
             let mut raw = request.as_bytes().to_vec();
             raw.push(b'\n');
             let at = raw.len();
@@ -176,7 +108,7 @@ pub fn client_script(
             input
                 // lint:allow(panic-path): at == the pre-resize length, so at <= raw.len() always
                 .read_exact(&mut raw[at..])
-                .map_err(|e| format!("INGESTB body ({nbytes} bytes): {e}"))?;
+                .map_err(|e| format!("body of '{request}': {e}"))?;
             client.request_raw(&raw)
         } else {
             client.request(request)
@@ -186,15 +118,10 @@ pub fn client_script(
         if !resp.is_ok() {
             failed += 1;
         }
-        writeln!(out, "{}", resp.status).map_err(|e| e.to_string())?;
-        for l in &resp.lines {
-            writeln!(out, "{l}").map_err(|e| e.to_string())?;
-        }
-        writeln!(out, "{}", mqd_server::protocol::TERMINATOR).map_err(|e| e.to_string())?;
+        write_response(&mut out, &resp).map_err(|e| e.to_string())?;
         // The server closes the connection after these; stop forwarding
         // instead of erroring on the next line of a longer script.
-        let cmd = request.split_ascii_whitespace().next().unwrap_or("");
-        if cmd.eq_ignore_ascii_case("QUIT") || cmd.eq_ignore_ascii_case("DRAIN") {
+        if matches!(parsed, Ok(Request::Quit | Request::Drain)) {
             break;
         }
     }
@@ -209,6 +136,7 @@ pub fn client_script(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqd_core::wire::ShardIdentity;
     use std::io::Cursor;
 
     fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
@@ -352,12 +280,12 @@ mod tests {
         let (b1, h1) = spawn_shard(1);
 
         let announce = SharedBuf::default();
-        let opts = RouteOpts {
+        let opts = RouterConfig {
             addr: "127.0.0.1:0".into(),
             backends: vec![b0.to_string(), b1.to_string()],
             shards: 2,
             max_queue: 8,
-            idle_timeout_ms: None,
+            ..RouterConfig::default()
         };
         let hr = {
             let mut out = announce.clone();
@@ -399,6 +327,11 @@ mod tests {
 
     #[test]
     fn malformed_ingestb_header_is_forwarded_verbatim() {
+        // The body size `client_script` reads after a header line.
+        let ingestb_size = |line: &str| match parse_request(line) {
+            Ok(Request::IngestBatch { bytes }) => Some(bytes),
+            _ => None,
+        };
         assert_eq!(ingestb_size("INGESTB 12"), Some(12));
         assert_eq!(ingestb_size("ingestb 0"), Some(0));
         assert_eq!(ingestb_size("INGESTB twelve"), None);

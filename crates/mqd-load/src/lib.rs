@@ -30,5 +30,5 @@ pub use clock::{Clock, RealClock};
 pub use hist::Hist;
 pub use plan::{Action, Op, Plan, SlowConn};
 pub use report::{evaluate_slo, render_report, Counts, RunOutcome, SlowOutcome};
-pub use runner::{run_live, RunnerCfg};
+pub use runner::run_live;
 pub use scenario::{build, ScenarioCfg, CATALOG};

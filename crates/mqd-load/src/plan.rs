@@ -9,7 +9,9 @@
 //! `(scenario, seed)` pair.
 
 use mqd_core::record::{encode_records, Record};
+use mqd_core::wire::fnv1a;
 use mqd_server::format_query;
+use mqd_server::protocol::Request;
 use mqd_store::QuerySpec;
 
 /// One client action the harness can schedule.
@@ -73,16 +75,6 @@ pub struct Plan {
     pub slow_conns: Vec<SlowConn>,
 }
 
-/// 64-bit FNV-1a, the workspace's standard content fingerprint.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -96,21 +88,12 @@ impl Action {
     /// (request line, newline, and — for `INGESTB` — the framed body).
     pub fn wire_bytes(&self) -> Vec<u8> {
         match self {
-            Action::Ping => b"PING\n".to_vec(),
-            Action::Query(spec) => {
-                let mut v = format_query(spec).into_bytes();
-                v.push(b'\n');
-                v
-            }
-            Action::Ingest(r) => {
-                let labels: Vec<String> = r.labels.iter().map(|l| l.to_string()).collect();
-                format!("INGEST {} {} {}\n", r.id, r.value, labels.join(",")).into_bytes()
-            }
+            Action::Ping => Request::Ping.frame(&[]),
+            Action::Query(spec) => Request::Query(spec.clone()).frame(&[]),
+            Action::Ingest(r) => Request::Ingest(r.clone()).frame(&[]),
             Action::IngestBatch(rows) => {
                 let body = encode_records(rows);
-                let mut v = format!("INGESTB {}\n", body.len()).into_bytes();
-                v.extend_from_slice(&body);
-                v
+                Request::IngestBatch { bytes: body.len() }.frame(&body)
             }
         }
     }
@@ -173,7 +156,7 @@ impl Plan {
 
     /// FNV-1a fingerprint of [`Plan::encode`]; stamped into every report.
     pub fn digest(&self) -> u64 {
-        fnv1a64(&self.encode())
+        fnv1a(&self.encode())
     }
 
     /// Number of query ops.

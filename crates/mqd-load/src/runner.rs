@@ -12,14 +12,16 @@
 //! (`-OVERLOADED` / `-ERR Timeout`), a close, or — the SLO failure — not
 //! at all.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use mqd_core::MqdError;
-use mqd_server::{retryable, Client};
+use mqd_server::protocol::Request;
+use mqd_server::{retryable, Client, LineEvent, LineReader};
 
 use crate::clock::{Clock, RealClock};
 use crate::hist::Hist;
@@ -30,25 +32,9 @@ use crate::report::{Counts, RunOutcome, SlowOutcome};
 /// Socket poll tick: how often blocked reads wake to check deadlines.
 const TICK: Duration = Duration::from_millis(100);
 
-/// Live-run knobs.
-#[derive(Clone, Debug)]
-pub struct RunnerCfg {
-    /// Target endpoint (`host:port` of a server or router frontend).
-    pub addr: String,
-    /// Patience per op: an op with no response this long after its
-    /// deadline counts as dropped and its lane is abandoned.
-    pub response_timeout_us: u64,
-}
-
-impl RunnerCfg {
-    /// Defaults: 15 s patience.
-    pub fn new(addr: impl Into<String>) -> Self {
-        RunnerCfg {
-            addr: addr.into(),
-            response_timeout_us: 15_000_000,
-        }
-    }
-}
+/// Patience per op: an op with no response this long after its deadline
+/// counts as dropped and its lane is abandoned.
+const RESPONSE_TIMEOUT_US: u64 = 15_000_000;
 
 #[derive(Default)]
 struct Agg {
@@ -58,57 +44,29 @@ struct Agg {
     query_hist: Hist,
 }
 
-/// Timeout-tolerant line reader that keeps partial bytes across ticks
-/// (the client-side mirror of the server's `LineReader`).
-struct TickLines {
-    inner: BufReader<TcpStream>,
-    partial: Vec<u8>,
-}
-
-enum LineOut {
-    Line(String),
-    Eof,
-    Tick,
-}
-
-impl TickLines {
-    fn next(&mut self) -> LineOut {
-        match self.inner.by_ref().read_until(b'\n', &mut self.partial) {
-            Ok(0) => LineOut::Eof,
-            Ok(_) => {
-                if self.partial.last() == Some(&b'\n') {
-                    let mut bytes = std::mem::take(&mut self.partial);
-                    bytes.pop();
-                    if bytes.last() == Some(&b'\r') {
-                        bytes.pop();
-                    }
-                    LineOut::Line(String::from_utf8_lossy(&bytes).into_owned())
-                } else {
-                    LineOut::Tick // mid-line; more bytes coming
-                }
-            }
-            Err(e) if retryable(&e) => LineOut::Tick,
-            Err(_) => LineOut::Eof,
-        }
-    }
-}
-
 enum Resp {
     Status(String),
     Closed,
     TimedOut,
 }
 
+/// A lane's response reader: the server's [`LineReader`] with a one-tick
+/// idle budget, so a blocked read returns every [`TICK`] and the caller
+/// checks its deadline. Partial lines survive the ticks.
+type Lines = LineReader<BufReader<TcpStream>>;
+
 /// Reads one framed response (status line .. `.` terminator), giving up
 /// at `deadline_us`.
-fn read_response(lines: &mut TickLines, clock: &RealClock, deadline_us: u64) -> Resp {
+fn read_response(lines: &mut Lines, clock: &RealClock, deadline_us: u64) -> Resp {
+    // Never set: the lane has no drain to observe.
+    let draining = AtomicBool::new(false);
     let mut status: Option<String> = None;
     loop {
         if clock.now_us() > deadline_us {
             return Resp::TimedOut;
         }
-        match lines.next() {
-            LineOut::Line(l) => {
+        match lines.next_line(&draining) {
+            Ok(LineEvent::Line(l)) => {
                 if status.is_none() {
                     status = Some(l);
                 } else if l == "." {
@@ -119,8 +77,10 @@ fn read_response(lines: &mut TickLines, clock: &RealClock, deadline_us: u64) -> 
                 }
                 // else: payload line, skip
             }
-            LineOut::Eof => return Resp::Closed,
-            LineOut::Tick => {}
+            Ok(LineEvent::IdleTimeout) => {}
+            Ok(LineEvent::Eof | LineEvent::Oversized | LineEvent::Drained) | Err(_) => {
+                return Resp::Closed
+            }
         }
     }
 }
@@ -188,17 +148,9 @@ fn lane_writer(
     }
 }
 
-fn lane_reader(
-    clock: &RealClock,
-    stream: TcpStream,
-    rx: Receiver<(u64, bool)>,
-    patience_us: u64,
-    agg: &Mutex<Agg>,
-) {
-    let mut lines = TickLines {
-        inner: BufReader::new(stream),
-        partial: Vec::new(),
-    };
+fn lane_reader(clock: &RealClock, stream: TcpStream, rx: Receiver<(u64, bool)>, agg: &Mutex<Agg>) {
+    let mut lines = LineReader::new(BufReader::new(stream));
+    lines.set_idle_ticks(Some(1));
     let mut counts = Counts::default();
     let mut all_hist = Hist::new();
     let mut query_hist = Hist::new();
@@ -210,7 +162,7 @@ fn lane_reader(
                     counts.dropped += 1;
                     continue;
                 }
-                match read_response(&mut lines, clock, at_us.saturating_add(patience_us)) {
+                match read_response(&mut lines, clock, at_us.saturating_add(RESPONSE_TIMEOUT_US)) {
                     Resp::Status(status) => {
                         if classify(&status, &mut counts) {
                             let latency = clock.now_us().saturating_sub(at_us);
@@ -333,7 +285,7 @@ fn run_slow_conn(clock: &RealClock, sc: &SlowConn, addr: &str, end_us: u64, agg:
 /// Grabs the raw STATS JSON from the target (best effort).
 fn fetch_stats(addr: &str) -> Option<String> {
     let mut c = Client::connect(addr).ok()?;
-    let resp = c.request("STATS").ok()?;
+    let resp = c.request(&Request::Stats.to_string()).ok()?;
     if !resp.is_ok() {
         return None;
     }
@@ -342,11 +294,11 @@ fn fetch_stats(addr: &str) -> Option<String> {
 
 /// Executes the plan against a live endpoint. Errors only on total
 /// failure to reach the target; per-op failures land in the report.
-pub fn run_live(plan: &Plan, cfg: &RunnerCfg) -> Result<RunOutcome, MqdError> {
+pub fn run_live(plan: &Plan, addr: &str) -> Result<RunOutcome, MqdError> {
     // Fail fast (and typed) when the endpoint is unreachable.
-    let probe = TcpStream::connect(&cfg.addr).map_err(|e| MqdError::Io(e.to_string()))?;
+    let probe = TcpStream::connect(addr).map_err(|e| MqdError::Io(e.to_string()))?;
     drop(probe);
-    let stats_before = fetch_stats(&cfg.addr);
+    let stats_before = fetch_stats(addr);
 
     // Materialize per-lane schedules (wire bytes rendered up front so the
     // paced path does no formatting).
@@ -370,7 +322,7 @@ pub fn run_live(plan: &Plan, cfg: &RunnerCfg) -> Result<RunOutcome, MqdError> {
             if lane_ops.is_empty() {
                 continue;
             }
-            let conn = TcpStream::connect(&cfg.addr).and_then(|c| {
+            let conn = TcpStream::connect(addr).and_then(|c| {
                 c.set_read_timeout(Some(TICK))?;
                 c.set_write_timeout(Some(Duration::from_secs(5)))?;
                 let _ = c.set_nodelay(true);
@@ -382,9 +334,8 @@ pub fn run_live(plan: &Plan, cfg: &RunnerCfg) -> Result<RunOutcome, MqdError> {
                     let (tx, rx) = channel::<(u64, bool)>();
                     let clock_ref = &clock;
                     let agg_ref = &agg;
-                    let patience = cfg.response_timeout_us;
                     s.spawn(move || lane_writer(clock_ref, lane_ops, write_half, tx, agg_ref));
-                    s.spawn(move || lane_reader(clock_ref, read_half, rx, patience, agg_ref));
+                    s.spawn(move || lane_reader(clock_ref, read_half, rx, agg_ref));
                 }
                 Err(_) => {
                     if let Ok(mut g) = agg.lock() {
@@ -396,13 +347,12 @@ pub fn run_live(plan: &Plan, cfg: &RunnerCfg) -> Result<RunOutcome, MqdError> {
         for sc in &plan.slow_conns {
             let clock_ref = &clock;
             let agg_ref = &agg;
-            let addr = cfg.addr.as_str();
             let end_us = plan.duration_us;
             s.spawn(move || run_slow_conn(clock_ref, sc, addr, end_us, agg_ref));
         }
     });
     let wall_us = clock.now_us().max(1);
-    let stats_after = fetch_stats(&cfg.addr);
+    let stats_after = fetch_stats(addr);
 
     let agg = agg.into_inner().unwrap_or_default();
     Ok(RunOutcome {

@@ -18,6 +18,7 @@
 use mqd_core::record::Rows;
 use mqd_core::wire::{shard_of_label, ShardIdentity, MAX_SHARD_COUNT};
 use mqd_core::MqdError;
+use mqd_server::protocol::Request;
 use mqd_server::{Client, Response};
 
 /// The validated cluster shape: the ordered backend addresses and the
@@ -200,15 +201,16 @@ impl<'a> BackendPool<'a> {
     /// never handshakes and a backend that refused the shard map still
     /// stops with the cluster.
     pub fn drain(&mut self, idx: usize) -> Result<Response, MqdError> {
+        let drain = Request::Drain.to_string();
         match self.conns.get_mut(idx).and_then(Option::take) {
-            Some(mut c) => c.request("DRAIN"),
+            Some(mut c) => c.request(&drain),
             None => {
                 let Some(addr) = self.topo.backends().get(idx) else {
                     return Err(MqdError::protocol(format!(
                         "backend index {idx} out of range"
                     )));
                 };
-                Client::connect(addr.as_str())?.request("DRAIN")
+                Client::connect(addr.as_str())?.request(&drain)
             }
         }
     }

@@ -13,9 +13,10 @@ use mqd_core::record::{encode_rows, Rows};
 use mqd_core::MqdError;
 use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
-    decode_batch, write_ingested, write_ok, Request, SubscribeSpec, TERMINATOR,
+    decode_batch, write_abort, write_ingested, write_ok, write_response, Request, SubscribeSpec,
+    TERMINATOR,
 };
-use mqd_server::{body_frame, format_query, json_u64, stats_object, Client, Response};
+use mqd_server::{json_u64, stats_object, Client, Response};
 use mqd_store::{repairable, QuerySpec, StoreStats};
 
 use crate::backend::{BackendPool, Fan, Topology};
@@ -188,12 +189,7 @@ impl Router {
 /// an error like any other `-ERR` answer.
 fn relay(counters: &Counters, w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
     counters.errors.fetch_add(1, Ordering::Relaxed);
-    writeln!(w, "{}", resp.status)?;
-    for line in &resp.lines {
-        writeln!(w, "{line}")?;
-    }
-    writeln!(w, "{TERMINATOR}")?;
-    w.flush()
+    write_response(w, resp)
 }
 
 impl Handler for RouterState {
@@ -274,7 +270,11 @@ fn route_ingest(
     let per_shard = state.topo.split(&rows);
     let frames: Vec<(u32, Vec<u8>)> = (per_shard.iter().enumerate())
         .filter(|(_, part)| !part.is_empty())
-        .map(|(shard, part)| (shard as u32, body_frame("INGESTB", &encode_rows(part))))
+        .map(|(shard, part)| {
+            let body = encode_rows(part);
+            let frame = Request::IngestBatch { bytes: body.len() }.frame(&body);
+            (shard as u32, frame)
+        })
         .collect();
     if let Err(rejection) = pool.scatter(Fan::Write, &frames)? {
         // A typed backend rejection: relay it verbatim. The other shards
@@ -296,18 +296,18 @@ fn route_ingest(
     }
 }
 
-/// Sends each `(shard, request line)` to the first live replica of its
-/// shard in one scatter, and returns each reply's payload lines, in
-/// order, or the first rejection.
+/// Sends each `(shard, request)` to the first live replica of its shard
+/// in one scatter, and returns each reply's payload lines, in order, or
+/// the first rejection.
 fn read_lines(
     pool: &mut BackendPool,
-    mut lines: Vec<(u32, String)>,
+    requests: Vec<(u32, Request)>,
 ) -> Result<Result<Vec<Vec<String>>, Response>, MqdError> {
-    for (_, line) in &mut lines {
-        line.push('\n');
-    }
+    let frames: Vec<(u32, Vec<u8>)> = (requests.into_iter())
+        .map(|(shard, req)| (shard, req.frame(&[])))
+        .collect();
     Ok(pool
-        .scatter(Fan::Read, &lines)?
+        .scatter(Fan::Read, &frames)?
         .map(|replies| replies.into_iter().map(|r| r.lines).collect()))
 }
 
@@ -335,15 +335,14 @@ fn route_query(
     let gathered: Result<Result<Vec<String>, Response>, MqdError> = (|| {
         if owning.len() <= 1 {
             let shard = owning.first().copied().unwrap_or(0);
-            let reply = read_lines(pool, vec![(shard, format_query(spec))])?;
+            let reply = read_lines(pool, vec![(shard, Request::Query(spec.clone()))])?;
             return Ok(reply.map(|mut parts| parts.pop().unwrap_or_default()));
         }
         if repairable(spec) {
             // Fixed-λ Scan: per-label greedy covers are independent, so
             // each shard solves exactly the labels it owns (against the
             // full query's slice) and the union is the global answer.
-            let query = format_query(spec);
-            let lines: Vec<(u32, String)> = owning
+            let covers: Vec<(u32, Request)> = owning
                 .iter()
                 .map(|&shard| {
                     let owned: BTreeSet<u16> = spec
@@ -352,20 +351,30 @@ fn route_query(
                         .copied()
                         .filter(|&l| state.topo.owning_shards(&[l]) == [shard])
                         .collect();
-                    let cover: Vec<String> = owned.iter().map(|l| l.to_string()).collect();
-                    (shard, format!("{query} COVER {}", cover.join(",")))
+                    let cover = owned.into_iter().collect();
+                    (
+                        shard,
+                        Request::QueryCover {
+                            spec: spec.clone(),
+                            cover,
+                        },
+                    )
                 })
                 .collect();
-            return match read_lines(pool, lines)? {
+            return match read_lines(pool, covers)? {
                 Ok(parts) => Ok(Ok(merge_rows(&parts)?)),
                 Err(rejection) => Ok(Err(rejection)),
             };
         }
         // Global objective: gather the raw shard slices, reconstruct the
         // single-node slice, and solve through the shared definition.
-        let slice = slice_line(&spec.labels, spec.from, spec.to);
-        let lines: Vec<(u32, String)> = owning.iter().map(|&s| (s, slice.clone())).collect();
-        match read_lines(pool, lines)? {
+        let slices: Vec<(u32, Request)> = (owning.iter())
+            .map(|&shard| {
+                let (labels, from, to) = (spec.labels.clone(), spec.from, spec.to);
+                (shard, Request::Slice { labels, from, to })
+            })
+            .collect();
+        match read_lines(pool, slices)? {
             Ok(parts) => Ok(Ok(solve_merged(&merge_rows(&parts)?, spec)?)),
             Err(rejection) => Ok(Err(rejection)),
         }
@@ -389,48 +398,6 @@ fn route_query(
     Ok(())
 }
 
-fn slice_line(labels: &[u16], from: i64, to: i64) -> String {
-    let l: Vec<String> = labels.iter().map(|x| x.to_string()).collect();
-    let mut line = format!("SLICE {}", l.join(","));
-    if from != i64::MIN {
-        line.push_str(&format!(" FROM {from}"));
-    }
-    if to != i64::MAX {
-        line.push_str(&format!(" TO {to}"));
-    }
-    line
-}
-
-/// Rebuilds the wire form of a `SUBSCRIBE` with the skip count replaced —
-/// the router's failover reissues the session with `AFTER` advanced by the
-/// emissions it already relayed.
-fn subscribe_line(spec: &SubscribeSpec, after: u64) -> String {
-    let labels: Vec<String> = spec.labels.iter().map(|l| l.to_string()).collect();
-    let mut line = format!(
-        "SUBSCRIBE {} {} {} {}",
-        labels.join(","),
-        spec.lambda,
-        spec.tau,
-        spec.engine.as_str(),
-    );
-    if spec.from != i64::MIN {
-        line.push_str(&format!(" FROM {}", spec.from));
-    }
-    if spec.to != i64::MAX {
-        line.push_str(&format!(" TO {}", spec.to));
-    }
-    if spec.shards != 1 {
-        line.push_str(&format!(" SHARDS {}", spec.shards));
-    }
-    if let Some(name) = &spec.name {
-        line.push_str(&format!(" NAME {name}"));
-    }
-    if after != 0 {
-        line.push_str(&format!(" AFTER {after}"));
-    }
-    line
-}
-
 enum StreamEnd {
     /// The response frame completed (terminator relayed or synthesized).
     Complete,
@@ -444,12 +411,12 @@ enum StreamEnd {
 /// duplicate `+OK` header a failover replica would otherwise inject.
 fn relay_stream(
     client: &mut Client,
-    line: &str,
+    frame: &[u8],
     relayed: &mut u64,
     header_sent: &mut bool,
     w: &mut impl Write,
 ) -> std::io::Result<StreamEnd> {
-    if client.send_line(line).is_err() {
+    if client.send(frame).is_err() {
         return Ok(StreamEnd::Died);
     }
     let header = match client.next_line() {
@@ -462,28 +429,24 @@ fn relay_stream(
         // fail over — except mid-failover, where the header is already
         // out and the rejection must travel inside the payload framing.
         if *header_sent {
-            writeln!(w, "ABORT Protocol failover rejected: {header}")?;
-            writeln!(w, "{TERMINATOR}")?;
-            w.flush()?;
+            write_abort(w, "Protocol", &format!("failover rejected: {header}"))?;
             return Ok(StreamEnd::Complete);
         }
-        writeln!(w, "{header}")?;
-        loop {
-            match client.next_line() {
-                Ok(Some(l)) => {
-                    let done = l == TERMINATOR;
-                    writeln!(w, "{l}")?;
-                    if done {
-                        break;
-                    }
-                }
-                _ => {
-                    writeln!(w, "{TERMINATOR}")?;
-                    break;
-                }
+        // A death before the terminator still closes the frame.
+        let mut lines = Vec::new();
+        while let Ok(Some(l)) = client.next_line() {
+            if l == TERMINATOR {
+                break;
             }
+            lines.push(l);
         }
-        w.flush()?;
+        write_response(
+            w,
+            &Response {
+                status: header,
+                lines,
+            },
+        )?;
         return Ok(StreamEnd::Complete);
     }
     if !*header_sent {
@@ -497,11 +460,7 @@ fn relay_stream(
     let mut finished = false;
     loop {
         match client.next_line() {
-            Ok(Some(l)) if l == TERMINATOR => {
-                writeln!(w, "{TERMINATOR}")?;
-                w.flush()?;
-                return Ok(StreamEnd::Complete);
-            }
+            Ok(Some(l)) if l == TERMINATOR => break,
             Ok(Some(l)) => {
                 if l.starts_with("EMIT ") {
                     *relayed += 1;
@@ -511,16 +470,13 @@ fn relay_stream(
                 writeln!(w, "{l}")?;
                 w.flush()?;
             }
-            _ => {
-                if finished {
-                    writeln!(w, "{TERMINATOR}")?;
-                    w.flush()?;
-                    return Ok(StreamEnd::Complete);
-                }
-                return Ok(StreamEnd::Died);
-            }
+            _ if finished => break,
+            _ => return Ok(StreamEnd::Died),
         }
     }
+    writeln!(w, "{TERMINATOR}")?;
+    w.flush()?;
+    Ok(StreamEnd::Complete)
 }
 
 /// Routes a `SUBSCRIBE` to its owning shard and relays the stream with
@@ -551,9 +507,13 @@ fn route_subscribe(
     let mut relayed: u64 = 0;
     let mut header_sent = false;
     for idx in state.topo.replicas(shard) {
-        let line = subscribe_line(spec, spec.after + relayed);
+        let reissue = SubscribeSpec {
+            after: spec.after + relayed,
+            ..spec.clone()
+        };
+        let frame = Request::Subscribe(reissue).frame(&[]);
         let end = match pool.session(idx) {
-            Ok(client) => relay_stream(client, &line, &mut relayed, &mut header_sent, w)?,
+            Ok(client) => relay_stream(client, &frame, &mut relayed, &mut header_sent, w)?,
             Err(_) => StreamEnd::Died,
         };
         match end {
@@ -570,9 +530,7 @@ fn route_subscribe(
     }
     // The +OK header is out: abort inside the payload framing.
     counters.errors.fetch_add(1, Ordering::Relaxed);
-    writeln!(w, "ABORT Protocol {reason}")?;
-    writeln!(w, "{TERMINATOR}")?;
-    Ok(w.flush()?)
+    Ok(write_abort(w, "Protocol", &reason)?)
 }
 
 /// Renders the router `STATS` through [`stats_object`], as a single node
@@ -597,8 +555,9 @@ fn cluster_stats(
         (core, ledger.watermarks.clone())
     };
     // One liveness probe per backend, all sent before any is read.
+    let probe = Request::Stats.frame(&[]);
     let probes: Vec<(usize, &[u8])> = (0..state.topo.backends().len())
-        .map(|idx| (idx, &b"STATS\n"[..]))
+        .map(|idx| (idx, probe.as_slice()))
         .collect();
     let mut backends = String::new();
     for (idx, reply) in pool.exchange(&probes).into_iter().enumerate() {
@@ -638,9 +597,7 @@ fn cluster_stats(
 mod tests {
     use super::*;
     use mqd_core::wire::ShardIdentity;
-    use mqd_server::protocol::parse_request;
     use mqd_server::{Server, ServerConfig};
-    use mqd_stream::ShardEngineKind;
 
     fn start_backend(shard: Option<ShardIdentity>) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let server = Server::bind(&ServerConfig {
@@ -1186,43 +1143,5 @@ mod tests {
                 "{n} backends / {shards} shards"
             );
         }
-    }
-
-    #[test]
-    fn subscribe_lines_round_trip_through_the_parser() {
-        let spec = SubscribeSpec {
-            labels: vec![0, 2],
-            lambda: 10,
-            tau: 20,
-            engine: ShardEngineKind::GreedyPlus,
-            from: -5,
-            to: 99,
-            shards: 3,
-            name: Some("feed-1".into()),
-            after: 0,
-        };
-        let line = subscribe_line(&spec, 7);
-        let Ok(Request::Subscribe(parsed)) = parse_request(&line) else {
-            panic!("unparseable relay line: {line}");
-        };
-        assert_eq!(parsed.labels, spec.labels);
-        assert_eq!((parsed.lambda, parsed.tau), (10, 20));
-        assert_eq!(parsed.engine, ShardEngineKind::GreedyPlus);
-        assert_eq!((parsed.from, parsed.to, parsed.shards), (-5, 99, 3));
-        assert_eq!(parsed.name.as_deref(), Some("feed-1"));
-        assert_eq!(parsed.after, 7);
-        // Defaults stay off the wire.
-        let plain = SubscribeSpec {
-            labels: vec![1],
-            lambda: 5,
-            tau: 0,
-            engine: ShardEngineKind::Scan,
-            from: i64::MIN,
-            to: i64::MAX,
-            shards: 1,
-            name: None,
-            after: 0,
-        };
-        assert_eq!(subscribe_line(&plain, 0), "SUBSCRIBE 1 5 0 scan");
     }
 }

@@ -10,29 +10,7 @@ use mqd_core::wire::{encode_hello, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::QuerySpec;
 
-use crate::protocol::TERMINATOR;
-
-/// One framed server response: the status line and the payload lines
-/// (everything between the status and the `.` terminator).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Response {
-    /// The status line (`+OK ...`, `-ERR ...`, or `-OVERLOADED ...`).
-    pub status: String,
-    /// Payload lines, terminator excluded.
-    pub lines: Vec<String>,
-}
-
-impl Response {
-    /// Whether the status line is `+OK`.
-    pub fn is_ok(&self) -> bool {
-        self.status.starts_with("+OK")
-    }
-
-    /// Whether the server rejected the request for load (`-OVERLOADED`).
-    pub fn is_overloaded(&self) -> bool {
-        self.status.starts_with("-OVERLOADED")
-    }
-}
+use crate::protocol::{format_query, Request, Response, TERMINATOR};
 
 /// Extracts the first `"key":<uint>` occurrence from a status line or
 /// `STATS` blob. The wire format nests objects but never repeats, across
@@ -43,28 +21,6 @@ pub fn json_u64(s: &str, key: &str) -> Option<u64> {
     let rest = s.get(at..)?;
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
     digits.parse().ok()
-}
-
-/// Builds the wire form of a [`QuerySpec`] — shared by every caller so a
-/// spec always serializes to the identical request line.
-pub fn format_query(spec: &QuerySpec) -> String {
-    let labels: Vec<String> = spec.labels.iter().map(|l| l.to_string()).collect();
-    let mut line = format!(
-        "QUERY {} {} {}",
-        labels.join(","),
-        spec.lambda,
-        spec.algorithm.as_str()
-    );
-    if spec.from != i64::MIN {
-        line.push_str(&format!(" FROM {}", spec.from));
-    }
-    if spec.to != i64::MAX {
-        line.push_str(&format!(" TO {}", spec.to));
-    }
-    if spec.proportional {
-        line.push_str(" PROP");
-    }
-    line
 }
 
 /// A blocking connection to an mqd server.
@@ -101,7 +57,8 @@ impl Client {
     /// Performs the router handshake: sends the shard-map frame and reads
     /// the backend's verdict.
     pub fn hello(&mut self, identity: &ShardIdentity) -> Result<Response, MqdError> {
-        self.send(&body_frame("HELLO", &encode_hello(identity)))?;
+        let frame = encode_hello(identity);
+        self.send(&Request::Hello { bytes: frame.len() }.frame(&frame))?;
         self.read_response()
     }
 
@@ -124,17 +81,18 @@ impl Client {
         self.send(frame.as_bytes())
     }
 
-    /// Reads one raw response line — the line-granular half of a streaming
-    /// relay, where waiting for the `.` terminator before forwarding would
-    /// defeat the stream. Returns `None` on EOF *and* on a torn trailing
-    /// fragment (bytes with no newline from a peer that died mid-write): a
-    /// healthy stream always ends with a terminated `.` line, so an
-    /// unterminated fragment is by definition an interrupted stream and
-    /// must not be forwarded as if it were a complete emission.
+    /// Reads one raw response line: the reader under
+    /// [`Client::read_response`], and the line-granular half of a
+    /// streaming relay, where waiting for the `.` terminator before
+    /// forwarding would defeat the stream. Returns `None` on EOF *and* on
+    /// a torn trailing fragment (bytes with no newline from a peer that
+    /// died mid-write): a healthy response always ends with a terminated
+    /// `.` line, so an unterminated fragment is by definition an
+    /// interrupted stream and must not be taken for a complete line.
     pub fn next_line(&mut self) -> Result<Option<String>, MqdError> {
         let mut buf = Vec::new();
-        // Blocks mid-stream by design: the caller opted into line-granular
-        // streaming.
+        // Blocks by design: a request is outstanding, or the caller opted
+        // into line-granular streaming.
         let n = self.reader.by_ref().read_until(b'\n', &mut buf)?;
         if n == 0 || buf.last() != Some(&b'\n') {
             return Ok(None);
@@ -153,7 +111,7 @@ impl Client {
 
     /// Sends an already-encoded MQDL body as one `INGESTB` request.
     pub fn ingest_body(&mut self, body: &[u8]) -> Result<Response, MqdError> {
-        self.send(&body_frame("INGESTB", body))?;
+        self.send(&Request::IngestBatch { bytes: body.len() }.frame(body))?;
         self.read_response()
     }
 
@@ -175,19 +133,14 @@ impl Client {
 
     /// Reads one framed response: status line, payload lines, `.`.
     pub fn read_response(&mut self) -> Result<Response, MqdError> {
-        // A request is outstanding: blocking for the server's reply is the
-        // request/response contract.
-        let status = match self.read_line()? {
-            Some(s) => s,
-            None => {
-                return Err(MqdError::protocol("connection closed before a response"));
-            }
-        };
+        let status = self
+            .next_line()?
+            .ok_or_else(|| MqdError::protocol("connection closed before a response"))?;
         let mut lines = Vec::new();
         loop {
             // Mid-response read: the server frames every response with a
             // terminator line, so this ends.
-            match self.read_line()? {
+            match self.next_line()? {
                 Some(l) if l == TERMINATOR => break,
                 Some(l) => lines.push(l),
                 None => {
@@ -203,29 +156,6 @@ impl Client {
         self.writer.shutdown(std::net::Shutdown::Write)?;
         Ok(())
     }
-
-    fn read_line(&mut self) -> Result<Option<String>, MqdError> {
-        let mut buf = Vec::new();
-        let n = self.reader.by_ref().read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-        }
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-        Ok(Some(utf8_line(buf)))
-    }
-}
-
-/// A framed request, `<verb> <len>\n` then `body`, as one buffer, so it
-/// goes out in one write.
-pub fn body_frame(verb: &str, body: &[u8]) -> Vec<u8> {
-    let mut frame = format!("{verb} {}\n", body.len()).into_bytes();
-    frame.extend_from_slice(body);
-    frame
 }
 
 /// A read line as a `String`: the buffer itself when it is valid UTF-8,

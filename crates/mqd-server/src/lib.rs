@@ -25,6 +25,15 @@
 //! payload lines, and a lone `.` terminator. Every malformed input maps to
 //! a typed [`mqd_core::MqdError`] response, and a handler panic is caught
 //! by the engine and answered typed on that one connection.
+//!
+//! [`protocol`] is also the only writer of the grammar: a request line is a
+//! [`protocol::Request`] rendered by its `Display`, and a frame that is
+//! read and written back out goes through [`protocol::write_response`] or
+//! [`protocol::write_abort`], so the router, `mqd-load` and `mqdiv client`
+//! speak the grammar the server parses. The read side is shared the same
+//! way: [`Client`] is the blocking client, and [`LineReader`], the
+//! engine's timeout-tolerant line reader, is exported for `mqd-load`'s
+//! lane readers.
 
 #![warn(missing_docs)]
 
@@ -35,6 +44,7 @@ pub mod protocol;
 mod server;
 pub mod subs;
 
-pub use client::{body_frame, format_query, json_u64, Client, Response};
-pub use lineio::retryable;
+pub use client::{json_u64, Client};
+pub use lineio::{retryable, LineEvent, LineReader};
+pub use protocol::{format_query, Response};
 pub use server::{stats_object, Server, ServerConfig};

@@ -27,7 +27,17 @@
 //! Responses are a status line — `+OK <json>`, `-ERR <Kind> <msg>` (the
 //! kind is the [`MqdError`] variant name), or `-OVERLOADED <msg>` — then
 //! zero or more payload lines, then a lone `.`.
+//!
+//! This module is the one place the grammar is written down in both
+//! directions: [`parse_request`] reads a request line and [`Request`]'s
+//! `Display` writes the canonical one back ([`Request::frame`] adds the
+//! newline and an announced body), so the router, `mqd-load` and the
+//! command-line client send nothing they render themselves. The same
+//! goes for frames that are read and written back out: [`write_response`]
+//! echoes a [`Response`], and [`write_abort`] ends a stream whose `+OK`
+//! header is already out.
 
+use std::fmt;
 use std::io::Write;
 
 use mqd_core::record::{decode_rows, Record, Rows, TsvRows};
@@ -367,6 +377,107 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
     }
 }
 
+/// Writes `labels` comma-separated, the form `parse_labels` reads.
+fn put_labels(out: &mut impl fmt::Write, labels: &[u16]) -> fmt::Result {
+    for (i, l) in labels.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{l}")?;
+    }
+    Ok(())
+}
+
+/// Writes the `FROM` / `TO` options that narrow the full range.
+fn put_range(out: &mut impl fmt::Write, from: i64, to: i64) -> fmt::Result {
+    if from != i64::MIN {
+        write!(out, " FROM {from}")?;
+    }
+    if to != i64::MAX {
+        write!(out, " TO {to}")?;
+    }
+    Ok(())
+}
+
+fn put_query(out: &mut impl fmt::Write, spec: &QuerySpec) -> fmt::Result {
+    out.write_str("QUERY ")?;
+    put_labels(out, &spec.labels)?;
+    write!(out, " {} {}", spec.lambda, spec.algorithm.as_str())?;
+    put_range(out, spec.from, spec.to)?;
+    if spec.proportional {
+        out.write_str(" PROP")?;
+    }
+    Ok(())
+}
+
+/// The canonical `QUERY` line of `spec` (no newline): the
+/// [`Request::Query`] rendering, without building the request.
+pub fn format_query(spec: &QuerySpec) -> String {
+    let mut line = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = put_query(&mut line, spec);
+    line
+}
+
+/// The canonical request line, without its newline: [`parse_request`]
+/// reads it back to an equal [`Request`]. An option at its default value
+/// (the full range, `SHARDS 1`, `AFTER 0`, no `PROP`, no `NAME`) stays
+/// off the wire.
+impl fmt::Display for Request {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Request::Ping => f.write_str("PING"),
+            Request::Stats => f.write_str("STATS"),
+            Request::Drain => f.write_str("DRAIN"),
+            Request::Quit => f.write_str("QUIT"),
+            Request::Ingest(r) => {
+                write!(f, "INGEST {} {} ", r.id, r.value)?;
+                put_labels(f, &r.labels)
+            }
+            Request::IngestBatch { bytes } => write!(f, "INGESTB {bytes}"),
+            Request::Hello { bytes } => write!(f, "HELLO {bytes}"),
+            Request::Query(spec) => put_query(f, spec),
+            Request::QueryCover { spec, cover } => {
+                put_query(f, spec)?;
+                f.write_str(" COVER ")?;
+                put_labels(f, cover)
+            }
+            Request::Slice { labels, from, to } => {
+                f.write_str("SLICE ")?;
+                put_labels(f, labels)?;
+                put_range(f, *from, *to)
+            }
+            Request::Subscribe(s) => {
+                f.write_str("SUBSCRIBE ")?;
+                put_labels(f, &s.labels)?;
+                write!(f, " {} {} {}", s.lambda, s.tau, s.engine.as_str())?;
+                put_range(f, s.from, s.to)?;
+                if s.shards != 1 {
+                    write!(f, " SHARDS {}", s.shards)?;
+                }
+                if let Some(name) = &s.name {
+                    write!(f, " NAME {name}")?;
+                }
+                if s.after != 0 {
+                    write!(f, " AFTER {}", s.after)?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl Request {
+    /// The request's wire bytes as one buffer, so they go out in one
+    /// write: the canonical line, a newline, then `body` — the bytes an
+    /// `INGESTB` or `HELLO` line announces, empty for every other verb.
+    pub fn frame(&self, body: &[u8]) -> Vec<u8> {
+        let mut frame = format!("{self}\n").into_bytes();
+        frame.extend_from_slice(body);
+        frame
+    }
+}
+
 /// Decodes a whole `INGESTB` body into columns, or fails with nothing
 /// decoded. The [`MAX_BATCH_ROWS`] limit is checked on the body's row
 /// count, before anything is reserved for the rows.
@@ -451,6 +562,47 @@ pub fn write_err<W: Write>(w: &mut W, e: &MqdError) -> std::io::Result<()> {
 /// control rejection.
 pub fn write_overloaded<W: Write>(w: &mut W, msg: &str) -> std::io::Result<()> {
     write_line(w, "-OVERLOADED ", msg)?;
+    finish(w)
+}
+
+/// Writes `ABORT <kind> <msg>` and the terminator: the end of a streamed
+/// response (`SUBSCRIBE`) that fails after its `+OK` header went out, so
+/// the failure travels inside the payload framing.
+pub fn write_abort<W: Write>(w: &mut W, kind: &str, msg: &str) -> std::io::Result<()> {
+    write_line(w, &format!("ABORT {kind} "), msg)?;
+    finish(w)
+}
+
+/// One framed response: the status line and the payload lines
+/// (everything between the status and the `.` terminator).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Response {
+    /// The status line (`+OK ...`, `-ERR ...`, or `-OVERLOADED ...`).
+    pub status: String,
+    /// Payload lines, terminator excluded.
+    pub lines: Vec<String>,
+}
+
+impl Response {
+    /// Whether the status line is `+OK`.
+    pub fn is_ok(&self) -> bool {
+        self.status.starts_with("+OK")
+    }
+
+    /// Whether the server rejected the request for load (`-OVERLOADED`).
+    pub fn is_overloaded(&self) -> bool {
+        self.status.starts_with("-OVERLOADED")
+    }
+}
+
+/// Writes a read [`Response`] back out as it was framed: the status line,
+/// the payload lines and the terminator. The router relays a backend's
+/// answer with it, and `mqdiv client` echoes each answer.
+pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> std::io::Result<()> {
+    write_line(w, "", &resp.status)?;
+    for line in &resp.lines {
+        write_line(w, "", line)?;
+    }
     finish(w)
 }
 
@@ -668,6 +820,200 @@ mod tests {
         assert_eq!(
             String::from_utf8(buf).unwrap(),
             "-OVERLOADED queue full\n.\n"
+        );
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            (self.next() >> 33) % n
+        }
+
+        /// An extreme, a small value or any word, one time in three each.
+        fn value(&mut self) -> i64 {
+            match self.below(3) {
+                0 => [i64::MIN, i64::MAX, 0, -1][self.below(4) as usize],
+                1 => self.below(2000) as i64 - 1000,
+                _ => self.next() as i64,
+            }
+        }
+
+        fn labels(&mut self) -> Vec<u16> {
+            (0..1 + self.below(4))
+                .map(|_| [0, u16::MAX, self.below(70) as u16][self.below(3) as usize])
+                .collect()
+        }
+
+        /// `(from, to)` with `from <= to`, the only ranges the parser takes.
+        fn range(&mut self) -> (i64, i64) {
+            let (a, b) = (self.value(), self.value());
+            (a.min(b), a.max(b))
+        }
+
+        /// A valid `NAME`, 1 to 64 bytes.
+        fn name(&mut self) -> String {
+            const CHARS: &[u8] = b"abcXYZ019._-";
+            loop {
+                let len = [1, MAX_NAME_BYTES as u64, 1 + self.below(64)][self.below(3) as usize];
+                let name: String = (0..len)
+                    .map(|_| CHARS[self.below(CHARS.len() as u64) as usize] as char)
+                    .collect();
+                if parse_name(&name).is_ok() {
+                    return name;
+                }
+            }
+        }
+
+        fn spec(&mut self) -> QuerySpec {
+            let (from, to) = self.range();
+            QuerySpec {
+                labels: self.labels(),
+                lambda: self.value(),
+                proportional: self.below(2) == 0,
+                algorithm: Algorithm::ALL[self.below(4) as usize],
+                from,
+                to,
+            }
+        }
+
+        /// One request of the `verb`th [`Request`] variant, in declaration
+        /// order (0..11).
+        fn request(&mut self, verb: u64) -> Request {
+            match verb {
+                0 => Request::Ping,
+                1 => Request::Stats,
+                2 => Request::Ingest(Record {
+                    id: [0, u64::MAX, self.next()][self.below(3) as usize],
+                    value: self.value(),
+                    labels: self.labels(),
+                }),
+                3 => Request::IngestBatch {
+                    bytes: [0, MAX_BATCH_BYTES, self.below(1 << 20) as usize]
+                        [self.below(3) as usize],
+                },
+                4 => Request::Query(self.spec()),
+                5 => Request::QueryCover {
+                    spec: self.spec(),
+                    cover: self.labels(),
+                },
+                6 => {
+                    let (from, to) = self.range();
+                    Request::Slice {
+                        labels: self.labels(),
+                        from,
+                        to,
+                    }
+                }
+                7 => Request::Hello {
+                    bytes: [1, MAX_HELLO_BYTES, 1 + self.below(256) as usize]
+                        [self.below(3) as usize],
+                },
+                8 => {
+                    let (from, to) = self.range();
+                    let engines = [
+                        ShardEngineKind::Scan,
+                        ShardEngineKind::ScanPlus,
+                        ShardEngineKind::Greedy,
+                        ShardEngineKind::GreedyPlus,
+                    ];
+                    Request::Subscribe(SubscribeSpec {
+                        labels: self.labels(),
+                        lambda: self.value(),
+                        tau: self.value(),
+                        engine: engines[self.below(4) as usize],
+                        from,
+                        to,
+                        shards: [1, 64, 1 + self.below(64) as usize][self.below(3) as usize],
+                        name: (self.below(2) == 0).then(|| self.name()),
+                        after: [0, u64::MAX, self.next()][self.below(3) as usize],
+                    })
+                }
+                9 => Request::Drain,
+                _ => Request::Quit,
+            }
+        }
+    }
+
+    #[test]
+    fn every_request_renders_canonically_and_parses_back() {
+        let mut rng = Lcg(0x5eed_2043);
+        for i in 0..4000u64 {
+            let r = rng.request(i % 11);
+            let line = r.to_string();
+            assert_eq!(parse_request(&line), Ok(r.clone()), "{line}");
+            // The framed form is the line, a newline and the body.
+            let framed = r.frame(b"xy");
+            assert_eq!(framed, format!("{line}\nxy").into_bytes());
+        }
+        // Defaults stay off the wire.
+        let plain = Request::Subscribe(SubscribeSpec {
+            labels: vec![1],
+            lambda: 5,
+            tau: 0,
+            engine: ShardEngineKind::Scan,
+            from: i64::MIN,
+            to: i64::MAX,
+            shards: 1,
+            name: None,
+            after: 0,
+        });
+        assert_eq!(plain.to_string(), "SUBSCRIBE 1 5 0 scan");
+        let slice = Request::Slice {
+            labels: vec![3],
+            from: i64::MIN,
+            to: i64::MAX,
+        };
+        assert_eq!(slice.to_string(), "SLICE 3");
+        // Every option, in the order the router has always sent them.
+        let full = Request::Subscribe(SubscribeSpec {
+            labels: vec![0, 2],
+            lambda: 10,
+            tau: 20,
+            engine: ShardEngineKind::GreedyPlus,
+            from: -5,
+            to: 99,
+            shards: 3,
+            name: Some("feed-1".into()),
+            after: 7,
+        });
+        assert_eq!(
+            full.to_string(),
+            "SUBSCRIBE 0,2 10 20 greedyplus FROM -5 TO 99 SHARDS 3 NAME feed-1 AFTER 7"
+        );
+        let Ok(cover) = parse_request("QUERY 0,2,4 50 scan TO 99 COVER 0,4") else {
+            panic!("cover query did not parse")
+        };
+        assert_eq!(cover.to_string(), "QUERY 0,2,4 50 scan TO 99 COVER 0,4");
+        assert_eq!(Request::IngestBatch { bytes: 12 }.to_string(), "INGESTB 12");
+        assert_eq!(Request::Hello { bytes: 7 }.to_string(), "HELLO 7");
+    }
+
+    #[test]
+    fn aborts_and_echoes_frame_like_the_writers_they_replace() {
+        let mut buf = Vec::new();
+        write_abort(&mut buf, "Protocol", "shard 1/2 has no live backend").unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "ABORT Protocol shard 1/2 has no live backend\n.\n"
+        );
+        let resp = Response {
+            status: "-ERR Protocol nope".into(),
+            lines: vec!["a".into(), String::new(), "b\tc".into()],
+        };
+        let mut buf = Vec::new();
+        write_response(&mut buf, &resp).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "-ERR Protocol nope\na\n\nb\tc\n.\n"
         );
     }
 

@@ -23,8 +23,8 @@ use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
 use crate::conn::{Counters, Engine, Fail, Handler};
 use crate::lineio::READ_TICK;
 use crate::protocol::{
-    decode_batch, error_kind, write_ingested, write_ok, write_ok_rows, Request, SubscribeSpec,
-    TERMINATOR,
+    decode_batch, error_kind, write_abort, write_ingested, write_ok, write_ok_rows, Request,
+    SubscribeSpec, TERMINATOR,
 };
 use crate::subs::{self, LeaseRegistry, SubParams};
 
@@ -791,9 +791,7 @@ fn subscribe(
                     // named session keeps its checkpoint and lease for a
                     // later resume.
                     counters.errors.fetch_add(1, Ordering::Relaxed);
-                    writeln!(w, "ABORT {} {}", error_kind(&e), e)?;
-                    writeln!(w, "{TERMINATOR}")?;
-                    return Ok(w.flush()?);
+                    return Ok(write_abort(w, error_kind(&e), &e.to_string())?);
                 }
             }
         }
@@ -823,34 +821,33 @@ fn subscribe(
             break;
         }
     }
-    match run.finish() {
-        Ok(res) => {
-            for e in &res.emissions {
-                if sent.insert(e.post) {
-                    degraded += u64::from(e.degraded);
-                    emitted += 1;
-                    if emitted > spec.after {
-                        emit(w, e.post, e.emit_time, e.degraded)?;
-                    }
-                }
-            }
-            writeln!(
-                w,
-                r#"DONE {{"emissions":{},"degraded":{}}}"#,
-                sent.len(),
-                degraded
-            )?;
-            // The session is complete: its checkpoint and GC lease go.
-            if let (Some(path), Some(name)) = (&checkpoint_path, &spec.name) {
-                let _ = fsio::remove_durable(path, state.fsync);
-                if let Ok(mut reg) = lock_or_poisoned(&state.subs, "subs") {
-                    reg.release(name);
-                }
-            }
-        }
+    let res = match run.finish() {
+        Ok(res) => res,
         Err(e) => {
             counters.errors.fetch_add(1, Ordering::Relaxed);
-            writeln!(w, "ABORT {} {}", error_kind(&e), e)?;
+            return Ok(write_abort(w, error_kind(&e), &e.to_string())?);
+        }
+    };
+    for e in &res.emissions {
+        if sent.insert(e.post) {
+            degraded += u64::from(e.degraded);
+            emitted += 1;
+            if emitted > spec.after {
+                emit(w, e.post, e.emit_time, e.degraded)?;
+            }
+        }
+    }
+    writeln!(
+        w,
+        r#"DONE {{"emissions":{},"degraded":{}}}"#,
+        sent.len(),
+        degraded
+    )?;
+    // The session is complete: its checkpoint and GC lease go.
+    if let (Some(path), Some(name)) = (&checkpoint_path, &spec.name) {
+        let _ = fsio::remove_durable(path, state.fsync);
+        if let Ok(mut reg) = lock_or_poisoned(&state.subs, "subs") {
+            reg.release(name);
         }
     }
     writeln!(w, "{TERMINATOR}")?;

@@ -332,6 +332,35 @@ mod tests {
     }
 
     #[test]
+    fn scan_leases_restores_floors_and_blocks_gc_on_unreadable_files() {
+        let dir = std::env::temp_dir().join(format!("mqd-scan-leases-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("valid"), encode_wrapper(&params(), &[1, 2, 3])).unwrap();
+        std::fs::write(dir.join("corrupt"), b"MQSB not a checkpoint").unwrap();
+        // An atomic write's leftover, whose floor would block GC were it
+        // leased: swept at boot, never a lease.
+        let mut tmp = params();
+        tmp.from = i64::MIN + 1;
+        std::fs::write(dir.join("gone.tmp"), encode_wrapper(&tmp, &[])).unwrap();
+
+        let mut reg = LeaseRegistry::default();
+        scan_leases(&dir, &mut reg);
+        assert_eq!(reg.floors.len(), 2, "{:?}", reg.floors);
+        // The corrupt file blocks GC outright.
+        assert_eq!(reg.floor(), i64::MIN);
+        reg.release("corrupt");
+        // The valid wrapper's floor is its `from - lambda`.
+        assert_eq!(reg.floor(), params().from - params().lambda);
+
+        // A missing directory leases nothing.
+        let mut empty = LeaseRegistry::default();
+        scan_leases(&dir.join("absent"), &mut empty);
+        assert_eq!(empty.floor(), i64::MAX);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn lease_floor_widens_by_lambda_and_saturates() {
         let mut p = params();
         assert_eq!(p.lease_floor(), -150);

@@ -11,17 +11,9 @@
 
 use std::collections::HashMap;
 
-use crate::tokenize::tokenize;
+use mqd_core::wire::fnv1a;
 
-/// 64-bit FNV-1a, the token hash feeding the fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use crate::tokenize::tokenize;
 
 /// Computes the 64-bit SimHash fingerprint of `text` (token features,
 /// unit weights). Empty/stopword-only texts hash to 0.
