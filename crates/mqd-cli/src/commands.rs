@@ -225,7 +225,6 @@ pub fn stream_supervised(
 ) -> Result<(), String> {
     use mqd_stream::{
         encode_checkpoint, resume_supervised, run_supervised_stream, FaultPlan, SupervisedRun,
-        SupervisorConfig,
     };
     let rows = read_tsv_records(input).map_err(|e| e.to_string())?;
     validate_stream(&rows).map_err(|e| e.to_string())?;
@@ -235,13 +234,6 @@ pub fn stream_supervised(
     let plan = match opts.chaos_seed {
         Some(seed) => FaultPlan::for_instance(&inst, opts.shards, seed, opts.tau),
         None => FaultPlan::none(),
-    };
-    let base = SupervisorConfig::default();
-    let cfg = SupervisorConfig {
-        // The default budget guards against crash loops; injected chaos
-        // panics are planned work, so they get their own allowance on top.
-        max_restarts: base.max_restarts + plan.max_panics_per_shard(),
-        ..base
     };
 
     let res = if opts.resume.is_some() || opts.checkpoint.is_some() {
@@ -258,12 +250,11 @@ pub fn stream_supervised(
                     opts.shards,
                     kind,
                     &plan,
-                    cfg,
                     &bytes,
                 )
                 .map_err(|e| e.to_string())?
             }
-            None => SupervisedRun::new(&inst, opts.lambda, opts.tau, opts.shards, kind, &plan, cfg),
+            None => SupervisedRun::new(&inst, opts.lambda, opts.tau, opts.shards, kind, &plan),
         };
         if run.position() > 0 {
             writeln!(
@@ -287,7 +278,7 @@ pub fn stream_supervised(
         }
         run.finish().map_err(|e| e.to_string())?
     } else {
-        run_supervised_stream(&inst, opts.lambda, opts.tau, opts.shards, kind, &plan, cfg)
+        run_supervised_stream(&inst, opts.lambda, opts.tau, opts.shards, kind, &plan)
             .map_err(|e| e.to_string())?
     };
 

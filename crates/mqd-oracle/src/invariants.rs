@@ -38,7 +38,6 @@ use mqd_rng::{RngExt, SeedableRng};
 use mqd_stream::{
     encode_checkpoint, resume_supervised, run_stream, solve_batch_users_threads, BatchUser,
     FaultPlan, InstantScan, ShardEngineKind, StreamEngine, StreamGreedy, StreamScan, SupervisedRun,
-    SupervisorConfig,
 };
 
 use crate::generate::{Case, Profile};
@@ -555,11 +554,10 @@ impl Checker {
         let kind = kinds[(case.seed % 4) as usize];
         let shards = 1 + (case.seed % 3) as usize;
         let plan = FaultPlan::none();
-        let cfg = SupervisorConfig::default();
         let lambda = case.lambda;
         let tau = case.tau;
 
-        let mut straight = SupervisedRun::new(inst, lambda, tau, shards, kind, &plan, cfg);
+        let mut straight = SupervisedRun::new(inst, lambda, tau, shards, kind, &plan);
         straight
             .run_all()
             .map_err(|e| Failure::new("checkpoint-roundtrip", format!("straight run: {e}")))?;
@@ -570,14 +568,14 @@ impl Checker {
         // Kill mid-stream (position derived from the seed), checkpoint,
         // resume, drain.
         let cut = (case.seed % inst.len() as u64) as u32;
-        let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, &plan, cfg);
+        let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, &plan);
         while run.position() < cut {
             run.step()
                 .map_err(|e| Failure::new("checkpoint-roundtrip", format!("pre-cut step: {e}")))?;
         }
         let bytes = encode_checkpoint(&mut run);
         drop(run); // the "kill"
-        let mut resumed = resume_supervised(inst, lambda, tau, shards, kind, &plan, cfg, &bytes)
+        let mut resumed = resume_supervised(inst, lambda, tau, shards, kind, &plan, &bytes)
             .map_err(|e| Failure::new("checkpoint-roundtrip", format!("resume: {e}")))?;
         resumed
             .run_all()

@@ -17,7 +17,7 @@ use mqd_store::{
     answer_cold, run_query_cover, validate_spec, CacheStats, CoverCache, Lookup, QuerySpec,
     StoreStats,
 };
-use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun, SupervisorConfig};
+use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun};
 use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
 
 use crate::conn::{Counters, Engine, Fail, Handler};
@@ -742,7 +742,6 @@ fn subscribe(
                     spec.shards,
                     spec.engine,
                     &FaultPlan::none(),
-                    SupervisorConfig::default(),
                     &inner,
                 ) {
                     resumed = true;
@@ -759,7 +758,6 @@ fn subscribe(
             spec.shards,
             spec.engine,
             &FaultPlan::none(),
-            SupervisorConfig::default(),
         )
     });
 

@@ -3,13 +3,14 @@
 //! A [`FaultPlan`] is a sorted list of faults, each pinned to a `(shard,
 //! seq)` coordinate where `seq` is the per-shard arrival sequence number.
 //! Plans are generated from a single `u64` seed via [`mqd_rng::StdRng`], so
-//! every failure scenario — which shard panics, when a shard's output
-//! stalls and for how long, which arrivals are duplicated or carry garbage
-//! timestamps — is reproducible byte-for-byte from the seed alone. Because
-//! faults are interpreted shard-side at well-defined sequence points (never
-//! by wall clock or thread schedule), the parallel supervised run and its
-//! sequential reference produce identical output and identical
-//! [`FaultReport`]s for the same seed.
+//! every failure scenario — which shard panics, and when a shard's output
+//! stalls and for how long — is reproducible byte-for-byte from the seed
+//! alone. Those are the only two kinds, and each changes what the
+//! supervisor does: a panic costs a restart, a stall delays or degrades
+//! emissions. Because faults are interpreted shard-side at well-defined
+//! sequence points (never by wall clock or thread schedule), the parallel
+//! supervised run and its sequential reference produce identical output
+//! and identical [`FaultReport`]s for the same seed.
 
 use mqd_core::Instance;
 use mqd_rng::{RngExt, SeedableRng, StdRng};
@@ -29,22 +30,6 @@ pub enum FaultKind {
         /// How long past the arrival's timestamp the stall lasts.
         duration: i64,
     },
-    /// The previous arrival is delivered a second time; the supervisor's
-    /// sequence check must drop it.
-    Duplicate,
-    /// The arrival's observed timestamp lags its true one (out-of-order
-    /// delivery); the supervisor clamps the clock monotone.
-    Late {
-        /// How far behind the true timestamp the observed one is.
-        skew: i64,
-    },
-    /// The arrival's observed diversity value is garbage (often an extreme
-    /// `i64`); the supervisor must reject it against the durable store
-    /// without panicking or corrupting its clock.
-    Garbage {
-        /// The garbage value observed instead of the true timestamp.
-        value: i64,
-    },
 }
 
 impl FaultKind {
@@ -53,9 +38,6 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Stall { .. } => "stall",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Late { .. } => "late",
-            FaultKind::Garbage { .. } => "garbage",
         }
     }
 }
@@ -117,13 +99,6 @@ impl FaultPlan {
                     0 => Some(FaultKind::Panic),
                     1..=3 => Some(FaultKind::Stall {
                         duration: rng.random_range(1..=max_stall),
-                    }),
-                    4..=5 if seq > 0 => Some(FaultKind::Duplicate),
-                    6..=7 => Some(FaultKind::Late {
-                        skew: rng.random_range(1..=tau.max(1)),
-                    }),
-                    8 => Some(FaultKind::Garbage {
-                        value: garbage_value(&mut rng),
                     }),
                     _ => None,
                 };
@@ -188,24 +163,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
-
-    /// The largest number of injected panics targeting any single shard.
-    /// The supervisor's restart budget exists to catch crash *loops*, so
-    /// callers running a chaos plan add this on top of their base budget —
-    /// otherwise a long instance (panic odds are per-arrival) would
-    /// legitimately exhaust it.
-    pub fn max_panics_per_shard(&self) -> usize {
-        let mut per_shard: Vec<usize> = Vec::new();
-        for f in &self.faults {
-            if f.kind == FaultKind::Panic {
-                if per_shard.len() <= f.shard {
-                    per_shard.resize(f.shard + 1, 0);
-                }
-                per_shard[f.shard] += 1;
-            }
-        }
-        per_shard.into_iter().max().unwrap_or(0)
-    }
 }
 
 /// The first seq at or cyclically after `start` (mod `n`) with no fault on
@@ -245,17 +202,6 @@ fn mix_shard(s: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws a garbage timestamp: usually an extreme `i64`, sometimes plain
-/// random bits — the values most likely to trip overflow or ordering bugs.
-fn garbage_value(rng: &mut StdRng) -> i64 {
-    match rng.random_range(0u32..4) {
-        0 => i64::MIN,
-        1 => i64::MAX,
-        2 => i64::MIN + 1,
-        _ => rng.random::<u64>() as i64,
-    }
-}
-
 /// A record of one shard restart performed by the supervisor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RestartRecord {
@@ -268,17 +214,11 @@ pub struct RestartRecord {
 }
 
 /// Counters a shard supervisor accumulates while absorbing faults. All of
-/// these are deterministic functions of `(instance, plan, config)`.
+/// these are deterministic functions of `(instance, plan)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ShardCounters {
     /// Stall faults applied.
     pub stalls_applied: u64,
-    /// Duplicate arrivals dropped by the sequence check.
-    pub duplicates_dropped: u64,
-    /// Out-of-order timestamps clamped back to the monotone clock.
-    pub late_clamped: u64,
-    /// Garbage diversity values rejected against the durable store.
-    pub garbage_rejected: u64,
     /// Emissions released while the shard ran the degraded (Instant) scheme.
     pub degraded_emissions: u64,
     /// Emissions whose release time was pushed past their schedule by a
@@ -292,9 +232,6 @@ impl ShardCounters {
     /// Element-wise sum.
     pub fn add(&mut self, o: &ShardCounters) {
         self.stalls_applied += o.stalls_applied;
-        self.duplicates_dropped += o.duplicates_dropped;
-        self.late_clamped += o.late_clamped;
-        self.garbage_rejected += o.garbage_rejected;
         self.degraded_emissions += o.degraded_emissions;
         self.stall_rewrites += o.stall_rewrites;
         self.mode_switches += o.mode_switches;
@@ -353,20 +290,9 @@ impl FaultReport {
             s.push_str(",\"kind\":\"");
             s.push_str(f.kind.name());
             s.push('"');
-            match f.kind {
-                FaultKind::Stall { duration } => {
-                    s.push(',');
-                    push_kv_i64(&mut s, "duration", duration);
-                }
-                FaultKind::Late { skew } => {
-                    s.push(',');
-                    push_kv_i64(&mut s, "skew", skew);
-                }
-                FaultKind::Garbage { value } => {
-                    s.push(',');
-                    push_kv_i64(&mut s, "value", value);
-                }
-                FaultKind::Panic | FaultKind::Duplicate => {}
+            if let FaultKind::Stall { duration } = f.kind {
+                s.push(',');
+                push_kv_i64(&mut s, "duration", duration);
             }
             s.push('}');
         }
@@ -385,16 +311,6 @@ impl FaultReport {
         }
         s.push_str("],\"counters\":{");
         push_kv_u64(&mut s, "stalls_applied", self.counters.stalls_applied);
-        s.push(',');
-        push_kv_u64(
-            &mut s,
-            "duplicates_dropped",
-            self.counters.duplicates_dropped,
-        );
-        s.push(',');
-        push_kv_u64(&mut s, "late_clamped", self.counters.late_clamped);
-        s.push(',');
-        push_kv_u64(&mut s, "garbage_rejected", self.counters.garbage_rejected);
         s.push(',');
         push_kv_u64(
             &mut s,
@@ -518,11 +434,18 @@ mod tests {
             max_unflagged_delay: 30,
             tau_violations_unflagged: 0,
         };
-        let json = report.to_json();
-        assert_eq!(json, report.to_json());
-        assert!(json.starts_with("{\"seed\":9,\"shards\":2,\"tau\":30,\"faults\":["));
-        assert!(json.contains("\"kind\":\"stall\",\"duration\":12"));
-        assert!(json.contains("\"restarts\":[{\"shard\":0,\"seq\":3,\"attempt\":1}]"));
-        assert!(json.ends_with("\"tau_violations_unflagged\":0}"));
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"seed":9,"shards":2,"tau":30,"#,
+                r#""faults":[{"shard":0,"seq":3,"kind":"panic"},"#,
+                r#"{"shard":1,"seq":5,"kind":"stall","duration":12}],"#,
+                r#""restarts":[{"shard":0,"seq":3,"attempt":1}],"#,
+                r#""counters":{"stalls_applied":1,"degraded_emissions":0,"#,
+                r#""stall_rewrites":0,"mode_switches":0},"#,
+                r#""emissions":7,"max_delay":42,"max_unflagged_delay":30,"#,
+                r#""tau_violations_unflagged":0}"#,
+            )
+        );
     }
 }

@@ -1,12 +1,15 @@
 //! Checkpoint/recovery for supervised streaming runs.
 //!
 //! [`encode_checkpoint`] serializes a [`SupervisedRun`] at a delivery
-//! boundary — stream parameters, an input digest, and per shard the
-//! supervisor scalars plus the engine's [`EngineSnapshot`] — using the same
-//! binlog-style wire primitives (varints + FNV-1a framing) as the CLI's
-//! post store. [`resume_supervised`] rebuilds a run from those bytes,
-//! refusing with [`MqdError::CheckpointMismatch`] when the checkpoint was
-//! taken against different parameters or a different input stream.
+//! boundary — stream parameters, the chaos seed, an input digest, and per
+//! shard the supervisor scalars plus the engine's [`EngineSnapshot`] —
+//! using the same binlog-style wire primitives (varints + FNV-1a framing)
+//! as the CLI's post store. [`resume_supervised`] rebuilds a run from those
+//! bytes, refusing with [`MqdError::CheckpointMismatch`] when the
+//! checkpoint was taken against different parameters, another chaos seed
+//! or a different input stream. The format is version 2; a blob of any
+//! other version is refused as [`MqdError::Corrupt`] before any field is
+//! read.
 //!
 //! Recovery guarantee: a run killed at any point and resumed from its last
 //! checkpoint re-delivers the arrivals after the checkpoint position, and —
@@ -23,7 +26,7 @@ use mqd_core::{Instance, MqdError};
 use crate::chaos::{FaultPlan, ShardCounters};
 use crate::engine::EngineSnapshot;
 use crate::shard::ShardEngineKind;
-use crate::supervisor::{SupSnapshot, SupervisedEmission, SupervisedRun, SupervisorConfig};
+use crate::supervisor::{SupSnapshot, SupervisedEmission, SupervisedRun};
 
 /// File magic of a checkpoint blob — aliased from the sanctioned wire
 /// module so the constant can never drift from the decoder's copy.
@@ -31,7 +34,7 @@ pub const MAGIC: [u8; 4] = *mqd_core::wire::CHECKPOINT_MAGIC;
 /// Footer magic sealing the FNV-1a checksum (the shared frame footer).
 const FOOTER: [u8; 4] = *mqd_core::wire::FRAME_FOOTER;
 /// Format version.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// Serializes `run` at its current delivery boundary. Forces a supervisor
 /// snapshot on every shard first so the replay buffers are empty and the
@@ -81,10 +84,9 @@ pub fn encode_checkpoint(run: &mut SupervisedRun) -> Vec<u8> {
 }
 
 /// Rebuilds a [`SupervisedRun`] from checkpoint bytes, validating that the
-/// stream parameters and input digest match. The returned run continues
-/// from the checkpointed position; drive it with [`SupervisedRun::step`]
-/// and [`SupervisedRun::finish`] as usual.
-#[allow(clippy::too_many_arguments)]
+/// stream parameters, the plan's seed and the input digest match. The
+/// returned run continues from the checkpointed position; drive it with
+/// [`SupervisedRun::step`] and [`SupervisedRun::finish`] as usual.
 pub fn resume_supervised(
     inst: &Instance,
     lambda: i64,
@@ -92,7 +94,6 @@ pub fn resume_supervised(
     shards: usize,
     kind: ShardEngineKind,
     plan: &FaultPlan,
-    cfg: SupervisorConfig,
     bytes: &[u8],
 ) -> Result<SupervisedRun, MqdError> {
     let body = check_framed(bytes, &FOOTER, MAGIC.len() + 1)?;
@@ -110,10 +111,10 @@ pub fn resume_supervised(
     let ck_shards = c.get_varint()? as usize;
     let ck_kind = c.get_u8()?;
     let ck_digest = c.get_varint()?;
-    let _ck_seed = c.get_varint()?;
+    let ck_seed = c.get_varint()?;
     let next_post = get_u32(&mut c, "position")?;
 
-    let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan, cfg);
+    let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan);
     if ck_lambda != lambda {
         return Err(mismatch(format!("lambda {ck_lambda} != {lambda}")));
     }
@@ -128,6 +129,9 @@ pub fn resume_supervised(
     }
     if ShardEngineKind::from_tag(ck_kind) != Some(kind) {
         return Err(mismatch(format!("engine kind tag {ck_kind}")));
+    }
+    if ck_seed != plan.seed {
+        return Err(mismatch(format!("chaos seed {ck_seed} != {}", plan.seed)));
     }
     if ck_digest != run.digest {
         return Err(mismatch("input stream digest".to_string()));
@@ -227,9 +231,6 @@ fn mismatch(what: String) -> MqdError {
 fn encode_counters(buf: &mut Vec<u8>, ct: &ShardCounters) {
     for v in [
         ct.stalls_applied,
-        ct.duplicates_dropped,
-        ct.late_clamped,
-        ct.garbage_rejected,
         ct.degraded_emissions,
         ct.stall_rewrites,
         ct.mode_switches,
@@ -241,9 +242,6 @@ fn encode_counters(buf: &mut Vec<u8>, ct: &ShardCounters) {
 fn decode_counters(c: &mut Cursor<'_>) -> Result<ShardCounters, MqdError> {
     Ok(ShardCounters {
         stalls_applied: c.get_varint()?,
-        duplicates_dropped: c.get_varint()?,
-        late_clamped: c.get_varint()?,
-        garbage_rejected: c.get_varint()?,
         degraded_emissions: c.get_varint()?,
         stall_rewrites: c.get_varint()?,
         mode_switches: c.get_varint()?,
@@ -434,8 +432,8 @@ mod tests {
     fn out_of_range_wire_integers_are_corrupt_not_truncated() {
         let inst = instance(21, 80, 2);
         let (lambda, tau, kind) = (60, 35, ShardEngineKind::Scan);
-        let (plan, cfg) = (FaultPlan::none(), SupervisorConfig::default());
-        let mut run = SupervisedRun::new(&inst, lambda, tau, 1, kind, &plan, cfg);
+        let plan = FaultPlan::none();
+        let mut run = SupervisedRun::new(&inst, lambda, tau, 1, kind, &plan);
         // A boundary where the shard has released a post and buffers one.
         while run.sups[0].emissions_so_far().is_empty()
             || run.sups[0].engine_state().pending.is_empty()
@@ -446,7 +444,7 @@ mod tests {
             );
         }
         let bytes = encode_checkpoint(&mut run);
-        assert!(resume_supervised(&inst, lambda, tau, 1, kind, &plan, cfg, &bytes).is_ok());
+        assert!(resume_supervised(&inst, lambda, tau, 1, kind, &plan, &bytes).is_ok());
 
         // Offsets of the three forged fields, in the encoder's layout.
         let sup = &run.sups[0];
@@ -500,7 +498,7 @@ mod tests {
             (label_at.len(), label, label + (1 << 16)),
         ] {
             let forged = forge(&bytes, offset, old, wide);
-            match resume_supervised(&inst, lambda, tau, 1, kind, &plan, cfg, &forged) {
+            match resume_supervised(&inst, lambda, tau, 1, kind, &plan, &forged) {
                 Err(MqdError::Corrupt { .. }) => {}
                 other => panic!("{wide} at byte {offset} accepted: {other:?}"),
             }
@@ -513,13 +511,12 @@ mod tests {
         let (lambda, tau, shards) = (60, 35, 4);
         let kind = ShardEngineKind::ScanPlus;
         let plan = FaultPlan::for_instance(&inst, shards, 4242, tau);
-        let cfg = SupervisorConfig::default();
 
-        let full = run_supervised_reference(&inst, lambda, tau, shards, kind, &plan, cfg).unwrap();
+        let full = run_supervised_reference(&inst, lambda, tau, shards, kind, &plan).unwrap();
 
         for kill_at in [1u32, 30, 60, 119, 120] {
             // Phase 1: run to the kill point, checkpointing there.
-            let mut run = SupervisedRun::new(&inst, lambda, tau, shards, kind, &plan, cfg);
+            let mut run = SupervisedRun::new(&inst, lambda, tau, shards, kind, &plan);
             while run.position() < kill_at && run.step().unwrap() {}
             let bytes = encode_checkpoint(&mut run);
             // What a process killed here has durably published (no flush)
@@ -536,7 +533,7 @@ mod tests {
             // The checkpoint carries the emission log, so the resumed run's
             // final output is the complete stream, byte-identical.
             let mut resumed =
-                resume_supervised(&inst, lambda, tau, shards, kind, &plan, cfg, &bytes).unwrap();
+                resume_supervised(&inst, lambda, tau, shards, kind, &plan, &bytes).unwrap();
             assert_eq!(resumed.position(), kill_at.min(inst.len() as u32));
             resumed.run_all().unwrap();
             let post = resumed.finish().unwrap();
@@ -560,41 +557,46 @@ mod tests {
     fn mismatched_parameters_are_refused() {
         let inst = instance(5, 50, 3);
         let plan = FaultPlan::none();
-        let cfg = SupervisorConfig::default();
         let kind = ShardEngineKind::Scan;
-        let mut run = SupervisedRun::new(&inst, 40, 20, 3, kind, &plan, cfg);
+        let mut run = SupervisedRun::new(&inst, 40, 20, 3, kind, &plan);
         run.step().unwrap();
         let bytes = encode_checkpoint(&mut run);
 
-        let err = resume_supervised(&inst, 41, 20, 3, kind, &plan, cfg, &bytes).unwrap_err();
+        let err = resume_supervised(&inst, 41, 20, 3, kind, &plan, &bytes).unwrap_err();
         assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
-        let err = resume_supervised(&inst, 40, 21, 3, kind, &plan, cfg, &bytes).unwrap_err();
+        let err = resume_supervised(&inst, 40, 21, 3, kind, &plan, &bytes).unwrap_err();
         assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
-        let err = resume_supervised(&inst, 40, 20, 2, kind, &plan, cfg, &bytes).unwrap_err();
+        let err = resume_supervised(&inst, 40, 20, 2, kind, &plan, &bytes).unwrap_err();
         assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
-        let err = resume_supervised(
-            &inst,
-            40,
-            20,
-            3,
-            ShardEngineKind::Greedy,
-            &plan,
-            cfg,
-            &bytes,
-        )
-        .unwrap_err();
+        let err = resume_supervised(&inst, 40, 20, 3, ShardEngineKind::Greedy, &plan, &bytes)
+            .unwrap_err();
         assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
         let other = instance(6, 50, 3);
-        let err = resume_supervised(&other, 40, 20, 3, kind, &plan, cfg, &bytes).unwrap_err();
+        let err = resume_supervised(&other, 40, 20, 3, kind, &plan, &bytes).unwrap_err();
         assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn resume_under_another_seed_is_a_mismatch() {
+        let inst = instance(9, 90, 3);
+        let (lambda, tau, shards, kind) = (50, 25, 3, ShardEngineKind::Greedy);
+        let plan = FaultPlan::for_instance(&inst, shards, 7, tau);
+        let mut run = SupervisedRun::new(&inst, lambda, tau, shards, kind, &plan);
+        while run.position() < 40 && run.step().unwrap() {}
+        let bytes = encode_checkpoint(&mut run);
+
+        // Same faults, another seed: the plan is not the one checkpointed.
+        let other = FaultPlan::from_faults(8, plan.faults.clone());
+        let err = resume_supervised(&inst, lambda, tau, shards, kind, &other, &bytes).unwrap_err();
+        assert!(matches!(err, MqdError::CheckpointMismatch { .. }), "{err}");
+        assert!(resume_supervised(&inst, lambda, tau, shards, kind, &plan, &bytes).is_ok());
     }
 
     #[test]
     fn corrupted_bytes_are_typed_errors() {
         let inst = instance(7, 40, 2);
         let plan = FaultPlan::none();
-        let cfg = SupervisorConfig::default();
-        let mut run = SupervisedRun::new(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, cfg);
+        let mut run = SupervisedRun::new(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan);
         for _ in 0..10 {
             run.step().unwrap();
         }
@@ -602,8 +604,8 @@ mod tests {
         // Body flip: checksum catches it.
         let mut bad = bytes.clone();
         bad[8] ^= 0xff;
-        let err = resume_supervised(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, cfg, &bad)
-            .unwrap_err();
+        let err =
+            resume_supervised(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, &bad).unwrap_err();
         assert!(matches!(err, MqdError::Corrupt { .. }), "{err}");
         // Truncation: footer check catches it.
         let err = resume_supervised(
@@ -613,11 +615,18 @@ mod tests {
             2,
             ShardEngineKind::Scan,
             &plan,
-            cfg,
             &bytes[..bytes.len() - 5],
         )
         .unwrap_err();
         assert!(matches!(err, MqdError::Corrupt { .. }), "{err}");
+        // A version-1 blob under a valid checksum is refused, not misread.
+        let v1 = forge(&bytes, MAGIC.len(), VERSION, 1);
+        let err =
+            resume_supervised(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, &v1).unwrap_err();
+        assert!(
+            matches!(err, MqdError::Corrupt { .. }) && err.to_string().contains("version 1"),
+            "{err}"
+        );
     }
 
     /// The format's framing as literal bytes. Encoder and decoder share
@@ -627,8 +636,7 @@ mod tests {
     fn framing_is_the_literal_magic_and_footer() {
         let inst = instance(7, 40, 2);
         let plan = FaultPlan::none();
-        let cfg = SupervisorConfig::default();
-        let mut run = SupervisedRun::new(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan, cfg);
+        let mut run = SupervisedRun::new(&inst, 30, 15, 2, ShardEngineKind::Scan, &plan);
         let bytes = encode_checkpoint(&mut run);
         assert_eq!(&bytes[..4], b"MQDC");
         assert_eq!(&bytes[bytes.len() - 12..bytes.len() - 8], b"END!");

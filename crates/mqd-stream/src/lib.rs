@@ -58,6 +58,6 @@ pub use shard::{run_sharded_reference, ShardEngineKind};
 pub use simulator::{run_stream, StreamRunResult};
 pub use supervisor::{
     run_supervised_reference, run_supervised_stream, SupervisedEmission, SupervisedRun,
-    SupervisedRunResult, SupervisorConfig,
+    SupervisedRunResult,
 };
 pub use timeline::{TimelinePost, WindowedTimeline};

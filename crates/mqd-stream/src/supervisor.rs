@@ -1,15 +1,18 @@
 //! Shard supervision: catch shard panics, restart from the last coverage
-//! frontier, absorb injected faults, and degrade gracefully under overload.
+//! frontier, absorb injected stalls, and degrade gracefully under overload.
 //!
-//! Every shard runs behind a supervisor state machine ([`ShardSup`]) that
+//! Every shard runs behind a supervisor state machine (`ShardSup`) that
 //! wraps engine event processing in [`std::panic::catch_unwind`]. The
 //! supervisor keeps a rolling [`EngineSnapshot`] (the per-label coverage
-//! frontier plus buffered posts) and a replay buffer of the arrivals
-//! delivered since the snapshot; when processing panics — injected by a
-//! [`FaultPlan`] or a genuine engine bug — the shard is rebuilt from the
-//! snapshot, the replay buffer is re-run, and a [`RestartRecord`] lands in
-//! the [`FaultReport`]. A shard that exhausts its restart budget fails the
-//! run with [`MqdError::ShardFailed`].
+//! frontier plus buffered posts, taken every `SNAPSHOT_EVERY` deliveries)
+//! and a replay buffer of the arrivals delivered since the snapshot; when
+//! processing panics — injected by a [`FaultPlan`] or a genuine engine bug
+//! — the shard is rebuilt from the snapshot, the replay buffer is re-run,
+//! and a [`RestartRecord`] lands in the [`FaultReport`]. A shard that
+//! exhausts its restart budget fails the run with
+//! [`MqdError::ShardFailed`]. The budget is worked out, not set:
+//! `MAX_RESTARTS` for crash loops plus one per panic the plan injects
+//! into that shard, so planned chaos never exhausts it.
 //!
 //! **Clock model.** All supervision decisions use logical (timestamp)
 //! quantities only: a stall fault sets `stall_until = max(stall_until,
@@ -28,7 +31,7 @@
 //! codec, the server's `SUBSCRIBE` and [`run_supervised_reference`] use.
 //!
 //! **Graceful degradation.** When the lag exceeds the degrade threshold
-//! (default `tau / 2`), the shard flushes its primary engine and switches
+//! (`tau / 2`), the shard flushes its primary engine and switches
 //! to the Instant (`tau = 0`) scheme seeded from the current coverage
 //! frontier; when the lag drains to zero it switches back, restoring the
 //! primary engine from the Instant cache. Every emission produced on the
@@ -80,26 +83,14 @@ fn silence_injected_panics() {
     });
 }
 
-/// Tuning knobs for the shard supervisor.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisorConfig {
-    /// Arrivals between rolling snapshots (restart granularity). The replay
-    /// buffer never grows past this, so a restart re-processes at most this
-    /// many arrivals.
-    pub snapshot_every: u64,
-    /// Restarts a single shard may consume before the run fails with
-    /// [`MqdError::ShardFailed`].
-    pub max_restarts: usize,
-}
+/// Deliveries between rolling snapshots (restart granularity). The replay
+/// buffer never grows past this, so a restart re-processes at most this
+/// many arrivals.
+const SNAPSHOT_EVERY: usize = 32;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            snapshot_every: 32,
-            max_restarts: 8,
-        }
-    }
-}
+/// Restarts a shard may consume on top of its planned panics before the
+/// run fails with [`MqdError::ShardFailed`]: the crash-loop guard.
+const MAX_RESTARTS: usize = 8;
 
 /// An emission annotated with its degradation flag. `degraded` is true when
 /// the emission was produced by the degraded (Instant) path **or** its
@@ -161,7 +152,11 @@ pub(crate) struct ShardSup {
     lambda: FixedLambda,
     tau: i64,
     kind: ShardEngineKind,
-    cfg: SupervisorConfig,
+    /// Restarts allowed before the run fails: [`MAX_RESTARTS`] plus this
+    /// shard's planned panics.
+    max_restarts: usize,
+    /// Deliveries between rolling snapshots ([`SNAPSHOT_EVERY`]).
+    snapshot_every: usize,
     faults: Vec<Fault>,
     /// Panic faults that already fired (never rolled back by restarts, so
     /// each panic fires exactly once).
@@ -191,9 +186,9 @@ impl ShardSup {
         lambda: i64,
         tau: i64,
         kind: ShardEngineKind,
-        cfg: SupervisorConfig,
         faults: Vec<Fault>,
     ) -> Self {
+        let planned_panics = faults.iter().filter(|f| f.kind == FaultKind::Panic).count();
         let mut sup = ShardSup {
             index,
             engine: kind.build(shard.inst.num_labels(), shard.inst.len()),
@@ -202,7 +197,8 @@ impl ShardSup {
             lambda: FixedLambda(lambda),
             tau,
             kind,
-            cfg,
+            max_restarts: MAX_RESTARTS + planned_panics,
+            snapshot_every: SNAPSHOT_EVERY,
             fired: vec![false; faults.len()],
             faults,
             degraded: false,
@@ -288,25 +284,6 @@ impl ShardSup {
                     self.stall_until = self.stall_until.max(true_t.saturating_add(duration));
                     self.counters.stalls_applied += 1;
                 }
-                FaultKind::Duplicate => {
-                    // The previous arrival shows up again; the sequence
-                    // check rejects anything below the expected index.
-                    if let Some(dup) = idx.checked_sub(1) {
-                        if dup < self.next_expected {
-                            self.counters.duplicates_dropped += 1;
-                        }
-                    }
-                }
-                FaultKind::Late { .. } => {
-                    // Observed timestamp is behind the durable store's; the
-                    // clock below is clamped monotone on the true value.
-                    self.counters.late_clamped += 1;
-                }
-                FaultKind::Garbage { .. } => {
-                    // Observed diversity value disagrees with the durable
-                    // store; reject the observation, keep the true value.
-                    self.counters.garbage_rejected += 1;
-                }
             }
         }
 
@@ -318,18 +295,15 @@ impl ShardSup {
             self.recover();
         }
 
+        // A shard receives its local posts in order, each once.
+        debug_assert!(idx >= self.next_expected);
         let mut out = Vec::new();
         {
             let ctx = StreamContext::new(&self.shard.inst, &self.lambda, self.tau);
             self.engine
                 .on_time(&ctx, true_t.saturating_sub(1), &mut out);
-            if idx >= self.next_expected {
-                self.engine.on_arrival(&ctx, idx, &mut out);
-                self.next_expected = idx + 1;
-            } else {
-                // A real duplicate delivery (same local index again).
-                self.counters.duplicates_dropped += 1;
-            }
+            self.engine.on_arrival(&ctx, idx, &mut out);
+            self.next_expected = idx + 1;
         }
         self.sink(out, false);
     }
@@ -390,7 +364,7 @@ impl ShardSup {
     }
 
     fn restart(&mut self, seq: u64) -> Result<(), MqdError> {
-        if self.restarts.len() >= self.cfg.max_restarts {
+        if self.restarts.len() >= self.max_restarts {
             return Err(MqdError::ShardFailed {
                 shard: self.index,
                 restarts: self.restarts.len(),
@@ -432,8 +406,7 @@ impl ShardSup {
     }
 
     fn maybe_snapshot(&mut self) {
-        if self.want_snapshot || self.pending_replay.len() as u64 >= self.cfg.snapshot_every.max(1)
-        {
+        if self.want_snapshot || self.pending_replay.len() >= self.snapshot_every {
             self.take_snapshot();
         }
     }
@@ -575,14 +548,13 @@ impl SupervisedRun {
         shards: usize,
         kind: ShardEngineKind,
         plan: &FaultPlan,
-        cfg: SupervisorConfig,
     ) -> Self {
         silence_injected_panics();
         let shards = clamp_shards(inst, shards);
         let sups = build_shards(inst, shards)
             .into_iter()
             .enumerate()
-            .map(|(s, sh)| ShardSup::new(s, sh, lambda, tau, kind, cfg, plan.for_shard(s)))
+            .map(|(s, sh)| ShardSup::new(s, sh, lambda, tau, kind, plan.for_shard(s)))
             .collect();
         SupervisedRun {
             sups,
@@ -744,9 +716,8 @@ pub fn run_supervised_reference(
     shards: usize,
     kind: ShardEngineKind,
     plan: &FaultPlan,
-    cfg: SupervisorConfig,
 ) -> Result<SupervisedRunResult, MqdError> {
-    let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan, cfg);
+    let mut run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan);
     run.run_all()?;
     run.finish()
 }
@@ -765,9 +736,8 @@ pub fn run_supervised_stream(
     shards: usize,
     kind: ShardEngineKind,
     plan: &FaultPlan,
-    cfg: SupervisorConfig,
 ) -> Result<SupervisedRunResult, MqdError> {
-    let run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan, cfg);
+    let run = SupervisedRun::new(inst, lambda, tau, shards, kind, plan);
     run_parallel(run, mqd_par::configured_threads())
 }
 
@@ -818,16 +788,8 @@ mod tests {
         let inst = instance(5, 150, 4);
         let (lambda, tau) = (60, 40);
         for kind in [ShardEngineKind::Scan, ShardEngineKind::Greedy] {
-            let sup = run_supervised_reference(
-                &inst,
-                lambda,
-                tau,
-                4,
-                kind,
-                &FaultPlan::none(),
-                SupervisorConfig::default(),
-            )
-            .unwrap();
+            let sup =
+                run_supervised_reference(&inst, lambda, tau, 4, kind, &FaultPlan::none()).unwrap();
             let plain = run_sharded_reference(&inst, lambda, tau, 4, kind);
             assert_eq!(sup.result.selected, plain.selected, "{kind:?}");
             assert_eq!(sup.result.emissions, plain.emissions, "{kind:?}");
@@ -860,16 +822,8 @@ mod tests {
             },
         ];
         let plan = FaultPlan::from_faults(99, faults);
-        let sup = run_supervised_reference(
-            &inst,
-            lambda,
-            tau,
-            4,
-            ShardEngineKind::ScanPlus,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .unwrap();
+        let sup = run_supervised_reference(&inst, lambda, tau, 4, ShardEngineKind::ScanPlus, &plan)
+            .unwrap();
         let clean = run_sharded_reference(&inst, lambda, tau, 4, ShardEngineKind::ScanPlus);
         assert_eq!(sup.result.emissions, clean.emissions);
         assert_eq!(sup.report.restarts.len(), 3);
@@ -888,16 +842,8 @@ mod tests {
                 kind: FaultKind::Stall { duration: 500 },
             }],
         );
-        let sup = run_supervised_reference(
-            &inst,
-            lambda,
-            tau,
-            3,
-            ShardEngineKind::Scan,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .unwrap();
+        let sup =
+            run_supervised_reference(&inst, lambda, tau, 3, ShardEngineKind::Scan, &plan).unwrap();
         assert!(sup.report.counters.stalls_applied >= 1);
         assert!(
             sup.report.counters.stall_rewrites + sup.report.counters.degraded_emissions > 0,
@@ -915,68 +861,14 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_dropped() {
-        let inst = instance(9, 80, 2);
-        let plan = FaultPlan::from_faults(
-            1,
-            vec![
-                Fault {
-                    shard: 0,
-                    seq: 4,
-                    kind: FaultKind::Duplicate,
-                },
-                Fault {
-                    shard: 1,
-                    seq: 6,
-                    kind: FaultKind::Duplicate,
-                },
-            ],
-        );
-        let sup = run_supervised_reference(
-            &inst,
-            40,
-            20,
-            2,
-            ShardEngineKind::Greedy,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(sup.report.counters.duplicates_dropped, 2);
-        assert!(coverage::is_cover(
-            &inst,
-            &FixedLambda(40),
-            &sup.result.selected
-        ));
-    }
-
-    #[test]
     fn threaded_matches_reference_under_chaos() {
         let inst = instance(21, 200, 5);
         let (lambda, tau) = (70, 45);
         for seed in [1u64, 42, 1234] {
             let plan = FaultPlan::for_instance(&inst, 5, seed, tau);
             for kind in [ShardEngineKind::ScanPlus, ShardEngineKind::GreedyPlus] {
-                let a = run_supervised_stream(
-                    &inst,
-                    lambda,
-                    tau,
-                    5,
-                    kind,
-                    &plan,
-                    SupervisorConfig::default(),
-                )
-                .unwrap();
-                let b = run_supervised_reference(
-                    &inst,
-                    lambda,
-                    tau,
-                    5,
-                    kind,
-                    &plan,
-                    SupervisorConfig::default(),
-                )
-                .unwrap();
+                let a = run_supervised_stream(&inst, lambda, tau, 5, kind, &plan).unwrap();
+                let b = run_supervised_reference(&inst, lambda, tau, 5, kind, &plan).unwrap();
                 assert_eq!(a.emissions, b.emissions, "seed {seed} {kind:?}");
                 assert_eq!(a.report, b.report, "seed {seed} {kind:?}");
                 assert_eq!(
@@ -994,6 +886,21 @@ mod tests {
         }
     }
 
+    /// A run whose shards may not restart at all: the budget is worked
+    /// out per shard, so a test that needs another one writes the field.
+    fn without_restarts(
+        inst: &Instance,
+        shards: usize,
+        kind: ShardEngineKind,
+        plan: &FaultPlan,
+    ) -> SupervisedRun {
+        let mut run = SupervisedRun::new(inst, 30, 10, shards, kind, plan);
+        for sup in &mut run.sups {
+            sup.max_restarts = 0;
+        }
+        run
+    }
+
     #[test]
     fn restart_budget_exhaustion_fails_the_run() {
         let inst = instance(2, 40, 2);
@@ -1005,23 +912,46 @@ mod tests {
                 kind: FaultKind::Panic,
             }],
         );
-        let cfg = SupervisorConfig {
-            max_restarts: 0,
-            ..Default::default()
-        };
-        let err = run_supervised_reference(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg)
-            .unwrap_err();
+        let mut run = without_restarts(&inst, 2, ShardEngineKind::Scan, &plan);
+        let err = run.run_all().unwrap_err();
         assert!(matches!(err, MqdError::ShardFailed { shard: 0, .. }));
-        let err = run_supervised_stream(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg);
-        assert!(matches!(err, Err(MqdError::ShardFailed { shard: 0, .. })));
         for threads in [1, 4] {
-            let run = SupervisedRun::new(&inst, 30, 10, 2, ShardEngineKind::Scan, &plan, cfg);
+            let run = without_restarts(&inst, 2, ShardEngineKind::Scan, &plan);
             let err = run_parallel(run, threads);
             assert!(
                 matches!(err, Err(MqdError::ShardFailed { shard: 0, .. })),
                 "threads={threads}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn planned_panics_beyond_the_base_budget_complete() {
+        // Twelve planned panics on one shard: more than `MAX_RESTARTS`, yet
+        // each is planned work, so both drives restart through all of them.
+        let inst = instance(8, 120, 2);
+        let faults = (0..12)
+            .map(|i| Fault {
+                shard: 0,
+                seq: 3 * i,
+                kind: FaultKind::Panic,
+            })
+            .collect();
+        let plan = FaultPlan::from_faults(12, faults);
+        let (lambda, tau, kind) = (60, 40, ShardEngineKind::GreedyPlus);
+        let reference = run_supervised_reference(&inst, lambda, tau, 2, kind, &plan).unwrap();
+        let threaded = run_supervised_stream(&inst, lambda, tau, 2, kind, &plan).unwrap();
+        for res in [&reference, &threaded] {
+            let restarts = &res.report.restarts;
+            assert_eq!(restarts.iter().filter(|r| r.shard == 0).count(), 12);
+            assert_eq!(restarts.len(), 12);
+            assert!(coverage::is_cover(
+                &inst,
+                &FixedLambda(lambda),
+                &res.result.selected
+            ));
+        }
+        assert_eq!(reference.emissions, threaded.emissions);
     }
 
     #[test]
@@ -1044,12 +974,8 @@ mod tests {
                 },
             ],
         );
-        let cfg = SupervisorConfig {
-            max_restarts: 0,
-            ..Default::default()
-        };
         for threads in [1, 2, 3, 8] {
-            let run = SupervisedRun::new(&inst, 30, 10, 3, ShardEngineKind::Greedy, &plan, cfg);
+            let run = without_restarts(&inst, 3, ShardEngineKind::Greedy, &plan);
             let err = run_parallel(run, threads);
             assert!(
                 matches!(err, Err(MqdError::ShardFailed { shard: 1, .. })),
@@ -1063,22 +989,13 @@ mod tests {
         // Snapshot after every arrival: restarts replay a single delivery.
         let inst = instance(17, 100, 3);
         let plan = FaultPlan::for_instance(&inst, 3, 77, 25);
-        let cfg = SupervisorConfig {
-            snapshot_every: 1,
-            ..Default::default()
-        };
-        let a =
-            run_supervised_reference(&inst, 50, 25, 3, ShardEngineKind::Scan, &plan, cfg).unwrap();
-        let b = run_supervised_reference(
-            &inst,
-            50,
-            25,
-            3,
-            ShardEngineKind::Scan,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .unwrap();
+        let mut run = SupervisedRun::new(&inst, 50, 25, 3, ShardEngineKind::Scan, &plan);
+        for sup in &mut run.sups {
+            sup.snapshot_every = 1;
+        }
+        run.run_all().unwrap();
+        let a = run.finish().unwrap();
+        let b = run_supervised_reference(&inst, 50, 25, 3, ShardEngineKind::Scan, &plan).unwrap();
         assert_eq!(
             a.emissions, b.emissions,
             "snapshot cadence must not change output"

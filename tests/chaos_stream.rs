@@ -1,30 +1,22 @@
 //! Chaos acceptance suite for the supervised streaming layer: over a fixed
 //! seed matrix (extendable via `MQD_CHAOS_SEED` for the CI matrix), every
-//! run must inject at least one shard panic and one channel stall, finish
-//! with zero delay-budget violations among non-degraded emissions, emit a
-//! valid lambda-cover, and produce a byte-for-byte reproducible fault
-//! report. A kill/restore pass proves checkpoint recovery end to end.
+//! plan must inject at least one shard panic and one output stall (the
+//! only two fault kinds), and every run must finish inside the restart
+//! budget the supervisor works out from its plan, with zero delay-budget
+//! violations among non-degraded emissions, emit a valid lambda-cover, and
+//! produce a byte-for-byte reproducible fault report. A kill/restore pass
+//! proves checkpoint recovery end to end.
 
 use mqd_datagen::{generate_labeled_posts, LabeledStreamConfig, MINUTE_MS};
 use mqd_stream::{
     encode_checkpoint, resume_supervised, run_supervised_reference, run_supervised_stream,
-    FaultKind, FaultPlan, ShardEngineKind, SupervisedRun, SupervisorConfig,
+    FaultKind, FaultPlan, ShardEngineKind, SupervisedRun,
 };
 use mqdiv::core::{coverage, FixedLambda, Instance};
 
 const LAMBDA: i64 = 30_000;
 const TAU: i64 = 10_000;
 const SHARDS: usize = 4;
-
-/// Base restart budget plus an allowance for the plan's injected panics —
-/// the budget exists to catch crash loops, not planned chaos.
-fn config_for(plan: &FaultPlan) -> SupervisorConfig {
-    let base = SupervisorConfig::default();
-    SupervisorConfig {
-        max_restarts: base.max_restarts + plan.max_panics_per_shard(),
-        ..base
-    }
-}
 
 fn chaos_seeds() -> Vec<u64> {
     let mut seeds = vec![1, 7, 42, 1234, 4242];
@@ -69,9 +61,8 @@ fn chaos_matrix_holds_the_delay_budget() {
             assert!(panics >= 1, "seed {seed}: no panic injected");
             assert!(stalls >= 1, "seed {seed}: no stall injected");
 
-            let res =
-                run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan, config_for(&plan))
-                    .expect("supervised run failed");
+            let res = run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan)
+                .expect("supervised run failed");
 
             assert!(
                 !res.report.restarts.is_empty(),
@@ -99,13 +90,12 @@ fn fault_reports_are_byte_reproducible() {
     let inst = day_scale_instance();
     for seed in chaos_seeds() {
         let plan = FaultPlan::for_instance(&inst, SHARDS, seed, TAU);
-        let cfg = config_for(&plan);
         let kind = ShardEngineKind::ScanPlus;
-        let threaded = run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg)
+        let threaded = run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan)
             .expect("threaded run failed");
-        let reference = run_supervised_reference(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg)
+        let reference = run_supervised_reference(&inst, LAMBDA, TAU, SHARDS, kind, &plan)
             .expect("reference run failed");
-        let again = run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg)
+        let again = run_supervised_stream(&inst, LAMBDA, TAU, SHARDS, kind, &plan)
             .expect("repeat run failed");
         assert_eq!(
             threaded.report.to_json(),
@@ -126,18 +116,17 @@ fn kill_restore_passes_coverage_verification() {
     let inst = day_scale_instance();
     let kind = ShardEngineKind::GreedyPlus;
     let plan = FaultPlan::for_instance(&inst, SHARDS, 4242, TAU);
-    let cfg = config_for(&plan);
-    let full = run_supervised_reference(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg)
+    let full = run_supervised_reference(&inst, LAMBDA, TAU, SHARDS, kind, &plan)
         .expect("uninterrupted run failed");
 
     let kill_at = (inst.len() / 3) as u32;
-    let mut run = SupervisedRun::new(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg);
+    let mut run = SupervisedRun::new(&inst, LAMBDA, TAU, SHARDS, kind, &plan);
     while run.position() < kill_at && run.step().expect("pre-kill step failed") {}
     let bytes = encode_checkpoint(&mut run);
     drop(run); // the process dies here
 
-    let mut resumed = resume_supervised(&inst, LAMBDA, TAU, SHARDS, kind, &plan, cfg, &bytes)
-        .expect("resume failed");
+    let mut resumed =
+        resume_supervised(&inst, LAMBDA, TAU, SHARDS, kind, &plan, &bytes).expect("resume failed");
     resumed.run_all().expect("post-resume run failed");
     let res = resumed.finish().expect("post-resume finish failed");
 

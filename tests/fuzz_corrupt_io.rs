@@ -7,10 +7,7 @@
 use mqd_cli::commands::read_text;
 use mqd_core::record::{decode_records, encode_records, read_tsv_records, to_instance, Record};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
-use mqd_stream::{
-    encode_checkpoint, resume_supervised, FaultPlan, ShardEngineKind, SupervisedRun,
-    SupervisorConfig,
-};
+use mqd_stream::{encode_checkpoint, resume_supervised, FaultPlan, ShardEngineKind, SupervisedRun};
 use mqdiv::core::{Instance, MqdError};
 
 const CASES: u64 = 64;
@@ -94,13 +91,7 @@ fn checkpoint_corruption_is_always_a_typed_error() {
         let (lambda, tau, shards) = (1_500i64, 700i64, 3usize);
         let kind = ShardEngineKind::ScanPlus;
         let plan = FaultPlan::for_instance(&inst, shards, seed, tau);
-        let base = SupervisorConfig::default();
-        let cfg = SupervisorConfig {
-            max_restarts: base.max_restarts + plan.max_panics_per_shard(),
-            ..base
-        };
-
-        let mut run = SupervisedRun::new(&inst, lambda, tau, shards, kind, &plan, cfg);
+        let mut run = SupervisedRun::new(&inst, lambda, tau, shards, kind, &plan);
         let stop = rng.random_range(0..inst.len().max(1) as u32 + 1);
         while run.position() < stop && run.step().expect("chaos run failed") {}
         let bytes = encode_checkpoint(&mut run);
@@ -110,7 +101,7 @@ fn checkpoint_corruption_is_always_a_typed_error() {
             let mut bad = bytes.clone();
             let pos = rng.random_range(0..bad.len());
             bad[pos] ^= 1 << rng.random_range(0..8u32);
-            match resume_supervised(&inst, lambda, tau, shards, kind, &plan, cfg, &bad) {
+            match resume_supervised(&inst, lambda, tau, shards, kind, &plan, &bad) {
                 Err(MqdError::Corrupt { .. }) | Err(MqdError::CheckpointMismatch { .. }) => {}
                 Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
                 Ok(mut resumed) => {
@@ -121,7 +112,7 @@ fn checkpoint_corruption_is_always_a_typed_error() {
             }
         }
         let cut = rng.random_range(0..bytes.len());
-        match resume_supervised(&inst, lambda, tau, shards, kind, &plan, cfg, &bytes[..cut]) {
+        match resume_supervised(&inst, lambda, tau, shards, kind, &plan, &bytes[..cut]) {
             Err(MqdError::Corrupt { .. }) => {}
             Err(other) => panic!("seed {seed}: non-Corrupt error {other:?}"),
             Ok(_) => panic!("seed {seed}: truncated checkpoint resumed"),

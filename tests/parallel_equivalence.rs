@@ -9,7 +9,7 @@ use mqd_datagen::{generate_labeled_posts, LabeledStreamConfig, MINUTE_MS};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
     run_sharded_reference, run_supervised_stream, solve_batch_users_threads, BatchUser, FaultPlan,
-    ShardEngineKind, SupervisorConfig,
+    ShardEngineKind,
 };
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
@@ -94,17 +94,9 @@ fn sharded_streaming_matches_reference_and_respects_tau() {
         ShardEngineKind::GreedyPlus,
     ] {
         for &shards in THREAD_COUNTS {
-            let par = run_supervised_stream(
-                &inst,
-                lambda,
-                tau,
-                shards,
-                kind,
-                &FaultPlan::none(),
-                SupervisorConfig::default(),
-            )
-            .expect("a fault-free supervised run cannot fail")
-            .result;
+            let par = run_supervised_stream(&inst, lambda, tau, shards, kind, &FaultPlan::none())
+                .expect("a fault-free supervised run cannot fail")
+                .result;
             let seq = run_sharded_reference(&inst, lambda, tau, shards, kind);
             assert_eq!(
                 par.emissions, seq.emissions,
