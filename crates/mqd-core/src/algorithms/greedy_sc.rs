@@ -27,7 +27,7 @@
 //! gain, then smallest post index).
 //!
 //! With one uniform lambda every occurrence's coverage window is a function
-//! of the occurrence alone, so [`GainOracle`] takes all of them from one
+//! of the occurrence alone, so `GainOracle` takes all of them from one
 //! two-pointer sweep ([`Instance::pair_windows`]): the initial gain of a
 //! post is then a sum of window widths, and a re-evaluation is one presence
 //! count per label with no binary search.

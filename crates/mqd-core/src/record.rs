@@ -4,11 +4,13 @@
 //! `(id, value, labels)` — before it becomes an [`crate::Instance`] post.
 //! [`RowRef`] is the same row borrowed: [`put_rows`] reads rows through
 //! it, so a batch is encoded in place. [`Rows`] is a batch of rows in
-//! columns — what every bulk path decodes into (an `INGESTB` body on the
-//! server and the router, a sealed block on recovery) and what the store
-//! rebuilds a segment into to seal it. One decode loop serves both
-//! [`Rows`] and the `Vec<Record>` of [`decode_records`]; it is generic over
-//! where a decoded row goes, so neither converts into the other.
+//! columns — what a bulk path decodes into (an `INGESTB` body on the
+//! server, a sealed block on recovery) and what the store rebuilds a
+//! segment into to seal it. The router decodes an `INGESTB` body straight
+//! into per-shard bodies instead ([`split_by_shard`]). One decode loop
+//! serves [`Rows`], the `Vec<Record>` of [`decode_records`] and that
+//! [`ShardSplit`]; it is generic over where a decoded row goes, so none
+//! converts into another and every decode check is written once.
 //! Historically the TSV row format and the MQDL binary-log framing lived in
 //! the CLI crate while the server and store grew their own copies; this
 //! module is now the **single** implementation of both encodings, so an
@@ -53,7 +55,10 @@
 use std::io::{BufRead, Read, Write};
 
 use crate::error::MqdError;
-use crate::wire::{check_framed, put_varint, seal_framed, unzigzag, zigzag, Cursor};
+use crate::wire::{
+    check_framed, put_varint, seal_framed, shard_of_label, unzigzag, zigzag, Cursor,
+    MAX_SHARD_COUNT,
+};
 use crate::{Instance, LabelId, Post, PostId};
 
 const MAGIC: &[u8; 4] = b"MQDL";
@@ -134,21 +139,53 @@ pub fn to_instance(rows: &[Record]) -> Result<Instance, MqdError> {
 pub fn validate_stream(rows: &[Record]) -> Result<(), MqdError> {
     let mut prev: Option<i64> = None;
     for (i, r) in rows.iter().enumerate() {
-        if r.labels.is_empty() {
-            return Err(MqdError::EmptyLabelSet { row: i + 1 });
-        }
-        if let Some(p) = prev {
-            if r.value < p {
-                return Err(MqdError::NonMonotoneTimestamp {
-                    row: i + 1,
-                    prev: p,
-                    got: r.value,
-                });
-            }
+        if let Some(refusal) = Refusal::check(prev, r.as_row()) {
+            return Err(refusal.error(i + 1));
         }
         prev = Some(r.value);
     }
     Ok(())
+}
+
+/// How a row breaks the streaming append contract of [`validate_stream`]
+/// (and of a store's append): it carries no label, or its value is below
+/// the value of the row before it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Refusal {
+    /// The row carries no label.
+    EmptyLabelSet,
+    /// The row's value `got` is below `prev`, the value before it.
+    NonMonotone {
+        /// The value of the row before.
+        prev: i64,
+        /// The row's own value.
+        got: i64,
+    },
+}
+
+impl Refusal {
+    /// How `row` breaks the contract after a row valued `prev` (`None`
+    /// before the first row), if it does.
+    pub fn check(prev: Option<i64>, row: RowRef<'_>) -> Option<Refusal> {
+        if row.labels.is_empty() {
+            return Some(Refusal::EmptyLabelSet);
+        }
+        match prev {
+            Some(prev) if row.value < prev => Some(Refusal::NonMonotone {
+                prev,
+                got: row.value,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The typed error for this refusal at 1-based row `row`.
+    pub fn error(self, row: usize) -> MqdError {
+        match self {
+            Refusal::EmptyLabelSet => MqdError::EmptyLabelSet { row },
+            Refusal::NonMonotone { prev, got } => MqdError::NonMonotoneTimestamp { row, prev, got },
+        }
+    }
 }
 
 /// A batch of rows in columns, never a [`Record`] per row:
@@ -316,25 +353,33 @@ fn encode_log<'a>(rows: impl ExactSizeIterator<Item = RowRef<'a>>) -> Vec<u8> {
 /// section behind their own header, so there is one row codec.
 pub fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = RowRef<'a>>) {
     put_varint(buf, rows.len() as u64);
-    let mut prev_id = 0u64;
-    let mut prev_value = 0i64;
+    let mut prev = (0, 0);
     for r in rows {
-        put_varint(buf, zigzag(r.id.wrapping_sub(prev_id) as i64));
-        put_varint(buf, zigzag(r.value.wrapping_sub(prev_value)));
-        put_varint(buf, r.labels.len() as u64);
-        for &l in r.labels {
-            put_varint(buf, l as u64);
-        }
-        prev_id = r.id;
-        prev_value = r.value;
+        put_row(buf, &mut prev, r);
     }
+}
+
+/// Appends one record of a row section: `row`'s id and value as deltas
+/// against `prev`, the `(id, value)` of the row before it in the same
+/// section (`(0, 0)` before the first), then its labels. `prev` becomes
+/// `row`'s.
+fn put_row(buf: &mut Vec<u8>, prev: &mut (u64, i64), row: RowRef<'_>) {
+    put_varint(buf, zigzag(row.id.wrapping_sub(prev.0) as i64));
+    put_varint(buf, zigzag(row.value.wrapping_sub(prev.1)));
+    put_varint(buf, row.labels.len() as u64);
+    for &l in row.labels {
+        put_varint(buf, l as u64);
+    }
+    *prev = (row.id, row.value);
 }
 
 /// Deserializes an MQDL binary log, verifying magic, version and checksum.
 /// Every failure is an [`MqdError::Corrupt`] naming the byte offset
 /// (offset 0 for whole-file checks such as the checksum).
 pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
-    decode_log(data, usize::MAX)
+    let mut rows = Vec::new();
+    decode_log(data, usize::MAX, &mut rows)?;
+    Ok(rows)
 }
 
 /// [`decode_records`] into a [`Rows`] batch, one allocation per column.
@@ -343,10 +388,123 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, MqdError> {
 /// [`MqdError::Protocol`] error `batch of N rows exceeds limit M`; a count
 /// the bytes cannot hold is [`MqdError::Corrupt`] first, as always.
 pub fn decode_rows(data: &[u8], max_rows: usize) -> Result<Rows, MqdError> {
-    decode_log(data, max_rows)
+    let mut rows = Rows::new();
+    decode_log(data, max_rows, &mut rows)?;
+    Ok(rows)
 }
 
-fn decode_log<S: RowSink>(data: &[u8], max_rows: usize) -> Result<S, MqdError> {
+/// An MQDL log split by label shard in the one pass that decodes it
+/// ([`split_by_shard`]): per shard, the body of the rows it owns, and what
+/// the split rows add to a ledger of everything routed before them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ShardSplit {
+    /// Per shard, the MQDL log of the split rows owning one of its labels
+    /// ([`shard_of_label`]), in order: the bytes [`encode_rows`] writes
+    /// for them (a shard with no row gets a log of zero rows).
+    pub bodies: Vec<Vec<u8>>,
+    /// Per shard, the rows in its body.
+    pub shard_rows: Vec<u64>,
+    /// The rows split: the log's rows before the first [`Refusal`], or all
+    /// of them.
+    pub rows: usize,
+    /// The labels the split rows carry: label `l` is bit `l % 64` of word
+    /// `l / 64`.
+    pub labels: Vec<u64>,
+    /// The smallest value of a split row.
+    pub min_value: Option<i64>,
+    /// The largest value of a split row.
+    pub max_value: Option<i64>,
+    /// How row `rows` breaks the append contract, if one does. No row from
+    /// it on is split.
+    pub refusal: Option<Refusal>,
+    /// Per shard, the `(id, value)` of the last row in its body: its next
+    /// row's deltas are taken against it.
+    prev: Vec<(u64, i64)>,
+    /// The value the next row must not be below.
+    last: Option<i64>,
+    /// The labels of the row being decoded.
+    scratch: Vec<u16>,
+}
+
+/// Decodes an MQDL log (an `INGESTB` body) and splits it by label shard
+/// in one pass, with [`decode_rows`]' checks and errors: nothing is
+/// materialised as a batch, and each shard's body is written as its rows
+/// are decoded. A row goes, in order, to every one of the `shard_count`
+/// shards owning one of its labels. The split stops at the first row
+/// [`Refusal::check`] refuses after `last_value` (the last value routed
+/// before this log), but the log is decoded to its end, so a corrupt tail
+/// is still an error for the whole log. Panics when `shard_count` is not
+/// in `1..=`[`MAX_SHARD_COUNT`].
+pub fn split_by_shard(
+    data: &[u8],
+    max_rows: usize,
+    shard_count: u32,
+    last_value: Option<i64>,
+) -> Result<ShardSplit, MqdError> {
+    assert!(
+        (1..=MAX_SHARD_COUNT).contains(&shard_count),
+        "shard count {shard_count} outside 1..={MAX_SHARD_COUNT}"
+    );
+    let shards = shard_count as usize;
+    let mut split = ShardSplit {
+        bodies: vec![Vec::new(); shards],
+        shard_rows: vec![0; shards],
+        rows: 0,
+        labels: vec![0; (u16::MAX as usize + 1) / 64],
+        min_value: None,
+        max_value: None,
+        refusal: None,
+        prev: vec![(0, 0); shards],
+        last: last_value,
+        scratch: Vec::new(),
+    };
+    decode_log(data, max_rows, &mut split)?;
+    // Each body so far holds its records; put the header and the row
+    // count in front and seal it.
+    for (body, &rows) in split.bodies.iter_mut().zip(&split.shard_rows) {
+        let mut log = Vec::with_capacity(MAGIC.len() + 11 + body.len() + FOOTER.len() + 8);
+        log.extend_from_slice(MAGIC);
+        log.push(VERSION);
+        put_varint(&mut log, rows);
+        log.extend_from_slice(body);
+        seal_framed(&mut log, FOOTER);
+        *body = log;
+    }
+    Ok(split)
+}
+
+impl ShardSplit {
+    /// Splits one decoded row, unless a row before it was refused.
+    fn split_row(&mut self, row: RowRef<'_>) {
+        if self.refusal.is_some() {
+            return;
+        }
+        if let Some(refusal) = Refusal::check(self.last, row) {
+            self.refusal = Some(refusal);
+            return;
+        }
+        let shard_count = self.bodies.len() as u32;
+        let mut mask = 0u64;
+        for &l in row.labels {
+            mask |= 1 << shard_of_label(l, shard_count);
+            self.labels[l as usize / 64] |= 1 << (l % 64);
+        }
+        while mask != 0 {
+            let s = mask.trailing_zeros() as usize;
+            put_row(&mut self.bodies[s], &mut self.prev[s], row);
+            self.shard_rows[s] += 1;
+            mask &= mask - 1;
+        }
+        // Split rows never fall below the one before, so the first is the
+        // smallest and the last the largest.
+        self.rows += 1;
+        self.last = Some(row.value);
+        self.min_value.get_or_insert(row.value);
+        self.max_value = Some(row.value);
+    }
+}
+
+fn decode_log<S: RowSink>(data: &[u8], max_rows: usize, sink: &mut S) -> Result<(), MqdError> {
     let body = check_framed(data, FOOTER, MAGIC.len() + 1)?;
 
     let mut buf = Cursor::new(body);
@@ -364,27 +522,29 @@ fn decode_log<S: RowSink>(data: &[u8], max_rows: usize) -> Result<S, MqdError> {
             reason: format!("unsupported version {version}"),
         });
     }
-    let rows = read_rows(&mut buf, max_rows)?;
+    read_rows(&mut buf, max_rows, sink)?;
     if buf.has_remaining() {
         return Err(buf.corrupt("trailing bytes after last record"));
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Reads one MQDL row section (the inverse of [`put_rows`]) at the cursor
 /// into a [`Rows`] batch. Counts are checked against the bytes left
 /// before anything is allocated for them.
 pub fn get_rows(buf: &mut Cursor) -> Result<Rows, MqdError> {
-    read_rows(buf, usize::MAX)
+    let mut rows = Rows::new();
+    read_rows(buf, usize::MAX, &mut rows)?;
+    Ok(rows)
 }
 
 /// Where the decode loop puts a row.
-trait RowSink: Sized {
+trait RowSink {
     /// Most labels one section may carry into this sink.
     const MAX_LABELS: usize;
-    /// An empty sink for `rows` rows carrying at most `labels` labels in
-    /// all.
-    fn for_section(rows: usize, labels: usize) -> Self;
+    /// Makes room for a section of `rows` rows carrying at most `labels`
+    /// labels in all.
+    fn reserve(&mut self, rows: usize, labels: usize);
     /// Appends row `(id, value)`, whose `n` labels `decode` appends to the
     /// buffer it is given.
     fn push_with(
@@ -399,8 +559,11 @@ trait RowSink: Sized {
 impl RowSink for Rows {
     const MAX_LABELS: usize = u32::MAX as usize;
 
-    fn for_section(rows: usize, labels: usize) -> Self {
-        Rows::with_capacity(rows, labels)
+    fn reserve(&mut self, rows: usize, labels: usize) {
+        self.ids.reserve(rows);
+        self.values.reserve(rows);
+        self.label_ends.reserve(rows);
+        self.labels.reserve(labels);
     }
 
     /// The labels are decoded into the arena itself, reserved already.
@@ -424,8 +587,8 @@ impl RowSink for Rows {
 impl RowSink for Vec<Record> {
     const MAX_LABELS: usize = usize::MAX;
 
-    fn for_section(rows: usize, _labels: usize) -> Self {
-        Vec::with_capacity(rows)
+    fn reserve(&mut self, rows: usize, _labels: usize) {
+        Vec::reserve(self, rows);
     }
 
     fn push_with(
@@ -442,9 +605,47 @@ impl RowSink for Vec<Record> {
     }
 }
 
-/// The one MQDL row-section decode loop, handing each row to a sink of
-/// type `S` and returning it filled.
-fn read_rows<S: RowSink>(buf: &mut Cursor, max_rows: usize) -> Result<S, MqdError> {
+/// The split of [`split_by_shard`]: a row's labels are decoded into one
+/// reused buffer, and the row is encoded into the bodies of its shards.
+/// The limit is [`Rows`]', so both passes refuse the same sections.
+impl RowSink for ShardSplit {
+    const MAX_LABELS: usize = Rows::MAX_LABELS;
+
+    /// A record re-encodes to about its own size, so a shard's body gets
+    /// its share of the section's bytes, twice over (a row can go to more
+    /// than one shard), and never more than all of them.
+    fn reserve(&mut self, rows: usize, labels: usize) {
+        let bytes = rows.saturating_mul(3).saturating_add(labels);
+        let share = bytes.min(bytes / self.bodies.len() * 2);
+        for body in &mut self.bodies {
+            body.reserve(share);
+        }
+    }
+
+    fn push_with(
+        &mut self,
+        id: u64,
+        value: i64,
+        _n: usize,
+        decode: impl FnOnce(&mut Vec<u16>) -> Result<(), MqdError>,
+    ) -> Result<(), MqdError> {
+        let mut labels = std::mem::take(&mut self.scratch);
+        labels.clear();
+        let decoded = decode(&mut labels);
+        if decoded.is_ok() {
+            self.split_row(RowRef {
+                id,
+                value,
+                labels: &labels,
+            });
+        }
+        self.scratch = labels;
+        decoded
+    }
+}
+
+/// The one MQDL row-section decode loop, handing each row to `sink`.
+fn read_rows<S: RowSink>(buf: &mut Cursor, max_rows: usize, sink: &mut S) -> Result<(), MqdError> {
     let count = buf.get_varint()?;
     // Each record encodes at least 3 bytes (id + value + label count), so
     // this also rejects a hostile count before allocating for it.
@@ -460,7 +661,7 @@ fn read_rows<S: RowSink>(buf: &mut Cursor, max_rows: usize) -> Result<S, MqdErro
     if max_labels > S::MAX_LABELS {
         return Err(buf.corrupt("row section too large for one batch"));
     }
-    let mut sink = S::for_section(count, max_labels);
+    sink.reserve(count, max_labels);
     let mut prev_id = 0u64;
     let mut prev_value = 0i64;
     for _ in 0..count {
@@ -484,7 +685,7 @@ fn read_rows<S: RowSink>(buf: &mut Cursor, max_rows: usize) -> Result<S, MqdErro
         prev_id = id;
         prev_value = value;
     }
-    Ok(sink)
+    Ok(())
 }
 
 /// Writes records to a writer in binary-log format.

@@ -28,7 +28,7 @@ pub struct FnItem {
 /// Trait-method declarations (`fn f(..);`) have no body and are skipped.
 /// Nested functions are returned as their own items; callers that walk a
 /// body should skip the ranges of nested items to avoid double-attributing
-/// their events (see [`FnItem::nested_in`]).
+/// their events (see [`FnItem::contains`]).
 pub fn functions(code: &[Tok]) -> Vec<FnItem> {
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -6,9 +6,9 @@
 //! the theorem bounds of Sections 4–6. This crate machine-checks those
 //! claims against each other and against an independent model:
 //!
-//! * [`generate`] — seeded instance families (profiles), including
+//! * [`generate`](mod@generate) — seeded instance families (profiles), including
 //!   adversarial boundary cases;
-//! * [`reference`] — a naive, windowless, `i128` re-implementation of the
+//! * [`reference`](mod@reference) — a naive, windowless, `i128` re-implementation of the
 //!   coverage semantics that shares no code with `mqd_core::coverage`;
 //! * [`invariants`] — the executable theorems (see the table there);
 //! * [`metamorphic`] — input transformations with provably invariant

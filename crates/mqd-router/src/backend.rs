@@ -15,7 +15,6 @@
 //! the next use — which is exactly the failover path the chaos tests
 //! exercise by killing backends mid-stream.
 
-use mqd_core::record::Rows;
 use mqd_core::wire::{shard_of_label, ShardIdentity, MAX_SHARD_COUNT};
 use mqd_core::MqdError;
 use mqd_server::protocol::Request;
@@ -95,50 +94,14 @@ impl Topology {
 
     /// The sorted set of shards owning at least one of `labels`.
     pub fn owning_shards(&self, labels: &[u16]) -> Vec<u32> {
-        let mut shards = Vec::new();
-        for_each_shard(self.shard_mask(labels), |s| shards.push(s as u32));
-        shards
-    }
-
-    /// The shards owning at least one of `labels`, as a bitmask: bit `s`
-    /// for shard `s` (the shard count is at most [`MAX_SHARD_COUNT`] = 64).
-    fn shard_mask(&self, labels: &[u16]) -> u64 {
-        labels.iter().fold(0, |mask, &l| {
+        // Bit `s` for shard `s`: the shard count is at most
+        // `MAX_SHARD_COUNT` = 64.
+        let mask = (labels.iter()).fold(0u64, |mask, &l| {
             mask | 1 << shard_of_label(l, self.shard_count)
-        })
-    }
-
-    /// Splits an ingest batch into one batch per shard: every row goes, in
-    /// order, to each shard owning one of its labels, and to none when it
-    /// has no label. Two passes over a shard bitmask per row: the first
-    /// sizes each shard's batch exactly, the second copies the rows in,
-    /// so a split allocates per shard, not per row.
-    pub fn split(&self, rows: &Rows) -> Vec<Rows> {
-        let masks: Vec<u64> = rows.iter().map(|r| self.shard_mask(r.labels)).collect();
-        // Per shard: (rows, labels).
-        let mut sizes = vec![(0usize, 0usize); self.shard_count as usize];
-        for (row, &mask) in rows.iter().zip(&masks) {
-            for_each_shard(mask, |s| {
-                sizes[s].0 += 1;
-                sizes[s].1 += row.labels.len();
-            });
-        }
-        let mut parts: Vec<Rows> = sizes
-            .iter()
-            .map(|&(rows, labels)| Rows::with_capacity(rows, labels))
-            .collect();
-        for (row, &mask) in rows.iter().zip(&masks) {
-            for_each_shard(mask, |s| parts[s].push(row));
-        }
-        parts
-    }
-}
-
-/// Calls `f` with each set bit of `mask`, ascending.
-fn for_each_shard(mut mask: u64, mut f: impl FnMut(usize)) {
-    while mask != 0 {
-        f(mask.trailing_zeros() as usize);
-        mask &= mask - 1;
+        });
+        (0..self.shard_count)
+            .filter(|s| mask >> s & 1 == 1)
+            .collect()
     }
 }
 
@@ -250,7 +213,7 @@ impl<'a> BackendPool<'a> {
     }
 
     /// Sends request `frame` of each `(shard, frame)` pair to `shard` (no
-    /// shard twice) through one [`BackendPool::exchange`] per round, and
+    /// shard twice) through one `BackendPool::exchange` per round, and
     /// returns the replies in request order when every shard answered
     /// `+OK`. Otherwise it returns the first other outcome in that order:
     /// `Ok(Err(rejection))` for a typed backend rejection to relay, `Err`
@@ -258,7 +221,7 @@ impl<'a> BackendPool<'a> {
     /// request, so a shard after a refusing one still holds its part of a
     /// write.
     ///
-    /// * [`Fan::Write`] sends to every replica of the shard in one round.
+    /// * `Fan::Write` sends to every replica of the shard in one round.
     ///   A transport failure is tolerated while at least one replica acks.
     ///   Nothing rebuilds the replica that missed the write: its session is
     ///   re-dialled on the next request and it has a hole until ROADMAP
@@ -266,7 +229,7 @@ impl<'a> BackendPool<'a> {
     ///   is the shard's answer: it means the write itself is wrong, and
     ///   acking it would let the cluster diverge from the single-node
     ///   story.
-    /// * [`Fan::Read`] sends to the shard's first replica; each round
+    /// * `Fan::Read` sends to the shard's first replica; each round
     ///   re-sends the requests whose replica failed at the transport level
     ///   to the next replica. A response, `+OK` or a typed rejection alike,
     ///   is the shard's answer.

@@ -9,11 +9,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use mqd_core::record::{encode_rows, Rows};
+use mqd_core::record::{encode_records, split_by_shard, ShardSplit};
 use mqd_core::MqdError;
 use mqd_server::conn::{Counters, Engine, Fail, Handler};
 use mqd_server::protocol::{
-    decode_batch, write_abort, write_ingested, write_ok, write_response, Request, SubscribeSpec,
+    write_abort, write_ingested, write_ok, write_response, Request, SubscribeSpec, MAX_BATCH_ROWS,
     TERMINATOR,
 };
 use mqd_server::{json_u64, stats_object, Client, Response};
@@ -87,49 +87,20 @@ impl Ledger {
         }
     }
 
-    fn apply(&mut self, rows: &Rows, per_shard: &[u64]) {
-        self.rows += rows.len() as u64;
-        for row in rows.iter() {
-            for &l in row.labels {
-                self.labels[l as usize / 64] |= 1 << (l % 64);
-            }
+    /// Counts what `split` routed: its rows, their labels and values, and
+    /// each shard's part.
+    fn apply(&mut self, split: &ShardSplit) {
+        self.rows += split.rows as u64;
+        for (w, add) in self.labels.iter_mut().zip(&split.labels) {
+            *w |= add;
         }
-        let values = rows.values().iter().copied();
-        if let (Some(lo), Some(hi)) = (values.clone().min(), values.max()) {
+        if let (Some(lo), Some(hi)) = (split.min_value, split.max_value) {
             self.min_value = Some(self.min_value.map_or(lo, |m| m.min(lo)));
             self.max_value = Some(self.max_value.map_or(hi, |m| m.max(hi)));
         }
-        for (w, add) in self.watermarks.iter_mut().zip(per_shard) {
+        for (w, add) in self.watermarks.iter_mut().zip(&split.shard_rows) {
             *w += add;
         }
-    }
-
-    /// Where `rows` first breaks a single node's append contract (at
-    /// least one label per row, values never below the last routed one),
-    /// checked against what the ledger has routed: the length of the valid
-    /// prefix and the error a single node returns at that row, numbered as
-    /// its store numbers rows. Every routed row passed this check, so the
-    /// largest routed value is the last one.
-    fn refusal(&self, rows: &Rows) -> Option<(usize, MqdError)> {
-        let mut prev = self.max_value;
-        for (i, row) in rows.iter().enumerate() {
-            let row_no = self.rows as usize + i + 1;
-            if row.labels.is_empty() {
-                return Some((i, MqdError::EmptyLabelSet { row: row_no }));
-            }
-            if let Some(prev) = prev.filter(|&p| row.value < p) {
-                return Some((
-                    i,
-                    MqdError::NonMonotoneTimestamp {
-                        row: row_no,
-                        prev,
-                        got: row.value,
-                    },
-                ));
-            }
-            prev = Some(row.value);
-        }
-        None
     }
 
     /// Distinct labels routed so far.
@@ -211,11 +182,10 @@ impl Handler for RouterState {
         match req {
             Request::Stats => write_ok(w, &cluster_stats(self, engine, pool)?, &[])?,
             Request::Ingest(row) => {
-                route_ingest(self, counters, pool, std::iter::once(row).collect(), w)?
+                let body = encode_records(std::slice::from_ref(row));
+                route_ingest(self, counters, pool, &body, w)?
             }
-            Request::IngestBatch { .. } => {
-                route_ingest(self, counters, pool, decode_batch(body)?, w)?
-            }
+            Request::IngestBatch { .. } => route_ingest(self, counters, pool, body, w)?,
             Request::Query(spec) => {
                 counters.queries.fetch_add(1, Ordering::Relaxed);
                 route_query(self, counters, pool, spec, w)?;
@@ -248,31 +218,35 @@ impl Handler for RouterState {
     }
 }
 
-/// Checks `rows` at the door against the ledger, then scatters the valid
-/// prefix to every replica of every owning shard (order preserved: each
-/// backend sees the monotone subsequence of the feed its labels select)
-/// and answers as a single node does: the ingest acknowledgement, with
-/// `generation` the router's global row count, or, for a batch the door
-/// refused, the single node's typed error after the prefix is applied. A
-/// shard's part is encoded once, for all its replicas.
+/// Splits an MQDL `body` by shard in one pass ([`split_by_shard`]),
+/// checking each row at the door against what the ledger has routed (at
+/// least one label per row, values never below the last routed one: every
+/// routed row passed this check, so the ledger's largest value is the last
+/// one). It scatters the rows before the first refused one to every
+/// replica of every owning shard (order preserved: each backend sees the
+/// monotone subsequence of the feed its labels select) and answers as a
+/// single node does: the ingest acknowledgement, with `generation` the
+/// router's global row count, or, for a batch the door refused, the single
+/// node's typed error after the prefix is applied, numbered as its store
+/// numbers rows. A shard's body is written once, for all its replicas; a
+/// shard with no row gets no frame.
 fn route_ingest(
     state: &RouterState,
     counters: &Counters,
     pool: &mut BackendPool,
-    rows: Rows,
+    body: &[u8],
     w: &mut impl Write,
 ) -> Result<(), Fail> {
-    let refusal = lock_ledger(state)?.refusal(&rows);
-    let rows = match &refusal {
-        Some((valid, _)) => rows.iter().take(*valid).collect(),
-        None => rows,
+    let (routed, last) = {
+        let ledger = lock_ledger(state)?;
+        (ledger.rows, ledger.max_value)
     };
-    let per_shard = state.topo.split(&rows);
-    let frames: Vec<(u32, Vec<u8>)> = (per_shard.iter().enumerate())
-        .filter(|(_, part)| !part.is_empty())
-        .map(|(shard, part)| {
-            let body = encode_rows(part);
-            let frame = Request::IngestBatch { bytes: body.len() }.frame(&body);
+    let split = split_by_shard(body, MAX_BATCH_ROWS, state.topo.shard_count(), last)?;
+    let frames: Vec<(u32, Vec<u8>)> = (split.bodies.iter().zip(&split.shard_rows))
+        .enumerate()
+        .filter(|(_, (_, &rows))| rows > 0)
+        .map(|(shard, (body, _))| {
+            let frame = Request::IngestBatch { bytes: body.len() }.frame(body);
             (shard as u32, frame)
         })
         .collect();
@@ -281,18 +255,17 @@ fn route_ingest(
         // keep their parts (ROADMAP item 5(d)).
         return Ok(relay(counters, w, &rejection)?);
     }
-    let per_shard_counts: Vec<u64> = per_shard.iter().map(|p| p.len() as u64).collect();
     let generation = {
         let mut ledger = lock_ledger(state)?;
-        ledger.apply(&rows, &per_shard_counts);
+        ledger.apply(&split);
         ledger.rows
     };
     counters
         .ingested_rows
-        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-    match refusal {
-        Some((_, e)) => Err(e.into()),
-        None => Ok(write_ingested(w, rows.len(), generation)?),
+        .fetch_add(split.rows as u64, Ordering::Relaxed);
+    match split.refusal {
+        Some(refusal) => Err(refusal.error(routed as usize + split.rows + 1).into()),
+        None => Ok(write_ingested(w, split.rows, generation)?),
     }
 }
 
@@ -1085,8 +1058,9 @@ mod tests {
 
     #[test]
     fn the_ledger_counts_what_a_label_set_counted() {
-        // The reference: the `BTreeSet` and per-row min/max the ledger
-        // kept before it read batches in columns.
+        // The reference: the `BTreeSet`, per-row min/max and per-shard
+        // owning sets the ledger kept before it read batches in columns,
+        // over each batch's rows before the first one the door refuses.
         let mut seed = 0x1ed9e4u64;
         let mut below = |n: u64| {
             seed = seed
@@ -1100,32 +1074,47 @@ mod tests {
             let (mut rows, mut labels) = (0u64, BTreeSet::new());
             let (mut min, mut max) = (None::<i64>, None::<i64>);
             let mut marks = vec![0u64; shards as usize];
+            let mut clock = i64::MIN;
             for _ in 0..20 {
                 let records: Vec<mqd_core::record::Record> = (0..below(30))
-                    .map(|_| mqd_core::record::Record {
-                        id: below(1000),
-                        value: [i64::MIN, i64::MAX, below(100) as i64 - 50][below(3) as usize],
-                        labels: (0..below(4))
-                            .map(|_| [0, u16::MAX, below(70) as u16][below(3) as usize])
-                            .collect(),
+                    .map(|_| {
+                        let step = [0, 1, 1 << below(61)][below(3) as usize];
+                        clock = clock.saturating_add(step);
+                        let k = if below(20) == 0 { 0 } else { 1 + below(3) };
+                        mqd_core::record::Record {
+                            id: below(1000),
+                            // Now and then a row below the one before it.
+                            value: clock.saturating_sub((below(50) == 0) as i64),
+                            labels: (0..k)
+                                .map(|_| [0, u16::MAX, below(70) as u16][below(3) as usize])
+                                .collect(),
+                        }
                     })
                     .collect();
-                let batch: Rows = records.iter().collect();
-                let per_shard: Vec<u64> = (topo.split(&batch).iter())
-                    .map(|p| p.len() as u64)
-                    .collect();
-                ledger.apply(&batch, &per_shard);
-                rows += batch.len() as u64;
-                for row in batch.iter() {
+                let body = encode_records(&records);
+                let split = split_by_shard(&body, usize::MAX, shards, ledger.max_value).unwrap();
+                ledger.apply(&split);
+                let mut split_rows = 0;
+                for row in &records {
+                    if row.labels.is_empty() || max.is_some_and(|m| row.value < m) {
+                        break;
+                    }
+                    split_rows += 1;
                     labels.extend(row.labels.iter().copied());
                     min = Some(min.map_or(row.value, |m| m.min(row.value)));
                     max = Some(max.map_or(row.value, |m| m.max(row.value)));
+                    for s in topo.owning_shards(&row.labels) {
+                        marks[s as usize] += 1;
+                    }
                 }
-                marks.iter_mut().zip(&per_shard).for_each(|(m, n)| *m += n);
+                rows += split_rows;
+                assert_eq!(split.rows as u64, split_rows);
                 assert_eq!(ledger.rows, rows);
                 assert_eq!(ledger.label_count(), labels.len());
                 assert_eq!((ledger.min_value, ledger.max_value), (min, max));
                 assert_eq!(ledger.watermarks, marks);
+                // The next batch goes on from the last routed value.
+                clock = max.unwrap_or(i64::MIN);
             }
         }
     }

@@ -46,7 +46,7 @@ pub enum LineEvent {
     /// The server is draining and the connection was idle.
     Drained,
     /// The idle-tick budget ran out before a line completed: the peer is
-    /// half-open or dribbling slower than [`READ_TICK`]. The worker is
+    /// half-open or dribbling slower than `READ_TICK`. The worker is
     /// reclaimed with a typed error instead of starving.
     IdleTimeout,
 }
@@ -74,7 +74,7 @@ pub fn retryable(e: &std::io::Error) -> bool {
 }
 
 impl<R: BufRead> LineReader<R> {
-    /// Wraps a buffered reader (the socket should have a [`READ_TICK`]
+    /// Wraps a buffered reader (the socket should have a `READ_TICK`
     /// read timeout set so drain checks happen).
     pub fn new(inner: R) -> Self {
         LineReader {
@@ -85,7 +85,7 @@ impl<R: BufRead> LineReader<R> {
     }
 
     /// Arms the idle budget: a single request (line or body) may block for
-    /// at most `ticks` read-timeout ticks (~`ticks` × [`READ_TICK`]) in
+    /// at most `ticks` read-timeout ticks (~`ticks` × `READ_TICK`) in
     /// total before the read reports a timeout event. `None` (the default)
     /// waits forever, preserving pre-timeout behavior. Only *blocked*
     /// ticks count, so bulk transfers that keep making progress are never
@@ -171,7 +171,7 @@ impl<R: BufRead> LineReader<R> {
     }
 
     /// Reads exactly `n` body bytes. Truncation (peer closed or server
-    /// drained mid-body) and idle timeout are typed [`BodyEvent`]s for the
+    /// drained mid-body) and idle timeout are typed `BodyEvent`s for the
     /// caller, not I/O failures.
     pub fn read_exact_body(
         &mut self,

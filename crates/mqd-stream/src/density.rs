@@ -127,7 +127,7 @@ impl AdaptiveInstant {
     }
 }
 
-/// [`AdaptiveInstant`] as a [`StreamEngine`], so it plugs into
+/// [`AdaptiveInstant`] as a [`StreamEngine`](crate::StreamEngine), so it plugs into
 /// [`crate::run_stream`] and the CLI. It ignores the context's
 /// `LambdaProvider` (it derives its own thresholds from `lambda0`), and
 /// its output is **guaranteed** to be a lambda-cover for the fixed

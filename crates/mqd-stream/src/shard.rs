@@ -26,7 +26,7 @@
 //! Determinism: each shard consumes the same arrival sequence whatever
 //! the shard count or thread schedule, so the merged output is
 //! byte-identical across runs; with `shards = 1` it equals the unsharded
-//! [`run_stream`](crate::simulator::run_stream) of the same engine.
+//! [`run_stream`] of the same engine.
 
 use mqd_core::{FixedLambda, Instance, LabelId, MqdError, Post, PostId};
 

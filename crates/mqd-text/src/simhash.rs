@@ -1,5 +1,5 @@
 //! SimHash near-duplicate detection (Manku et al., WWW 2007 — reference
-//! [17] of the paper). The paper eliminates near-duplicate posts *before*
+//! \[17\] of the paper). The paper eliminates near-duplicate posts *before*
 //! diversification because microblog texts are too short for distance-based
 //! similarity; this module provides that preprocessing stage.
 //!

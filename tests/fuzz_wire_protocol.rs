@@ -144,6 +144,144 @@ fn corrupt_ingestb_bodies_are_typed_and_consume_the_frame() {
     server.join().unwrap();
 }
 
+/// The value of `"key":` in a JSON status line, as written.
+fn json_field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let rest = &status[status.find(&needle)? + needle.len()..];
+    rest.split([',', '}']).next()
+}
+
+/// Hostile `INGESTB` bodies, each resealed under a valid checksum so the
+/// mutation reaches the row decoder (or the door check), sent to a router
+/// over one standalone backend and to a single node: the two answer with
+/// the same status line, keep the connection framed, and hold the same
+/// STATS core after every case.
+#[test]
+fn router_and_single_node_agree_on_hostile_ingestb_bodies() {
+    use mqd_core::wire::{put_varint, seal_framed, FRAME_FOOTER};
+    use mqd_server::protocol::MAX_BATCH_ROWS;
+
+    const HEADER: usize = 5; // b"MQDL" + version
+    let sealed = |mut body: Vec<u8>| {
+        seal_framed(&mut body, FRAME_FOOTER);
+        body
+    };
+    let unsealed = |rows: &[Record]| {
+        let body = encode_records(rows);
+        body[..body.len() - FRAME_FOOTER.len() - 8].to_vec()
+    };
+    // A header, a row count and then `rows` as given.
+    let section = |count: u64, rows: &[u8]| {
+        let mut body = unsealed(&[])[..HEADER].to_vec();
+        put_varint(&mut body, count);
+        body.extend_from_slice(rows);
+        sealed(body)
+    };
+    let batch = |first_id: u64, values: &[i64], empty_at: Option<usize>| -> Vec<Record> {
+        (values.iter().enumerate())
+            .map(|(i, &value)| Record {
+                id: first_id + i as u64,
+                value,
+                labels: if empty_at == Some(i) {
+                    Vec::new()
+                } else {
+                    vec![(i % 3) as u16, 3]
+                },
+            })
+            .collect()
+    };
+
+    let mut rng = StdRng::seed_from_u64(0xD0_0B0D);
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    let ascending = |base: i64| -> Vec<i64> { (0..20).map(|i| base + i * 7).collect() };
+    for round in 0..24u64 {
+        let rows = batch(round * 100, &ascending(1_000 * (round as i64 + 1)), None);
+        let mut body = unsealed(&rows);
+        for _ in 0..rng.random_range(1..4usize) {
+            let at = rng.random_range(0..body.len());
+            body[at] ^= 1 << rng.random_range(0..8u8);
+        }
+        cases.push((format!("random flip {round}"), sealed(body)));
+    }
+    let mut body = unsealed(&batch(3_000, &ascending(40_000), None));
+    body.truncate(body.len() - 1);
+    cases.push(("truncated last row".into(), sealed(body)));
+    cases.push(("truncated varint".into(), section(1, &[2, 2, 0x80])));
+    cases.push((
+        "label count beyond the bytes".into(),
+        section(1, &[2, 2, 50, 0]),
+    ));
+    let mut row = vec![2, 2];
+    put_varint(&mut row, u16::MAX as u64 + 1);
+    cases.push(("label count above u16::MAX".into(), section(1, &row)));
+    let mut row = vec![2, 2, 1];
+    put_varint(&mut row, u16::MAX as u64 + 1);
+    cases.push(("label id above u16::MAX".into(), section(1, &row)));
+    let over = MAX_BATCH_ROWS as u64 + 1;
+    cases.push((
+        "count above MAX_BATCH_ROWS".into(),
+        section(over, &vec![0u8; 3 * over as usize]),
+    ));
+    let mut body = unsealed(&batch(4_000, &ascending(50_000), None));
+    body.push(0);
+    cases.push(("trailing bytes".into(), sealed(body)));
+    for (name, at) in [("first", 0), ("middle", 9), ("last", 19)] {
+        let rows = batch(
+            5_000 + at as u64 * 100,
+            &ascending(60_000 + at as i64 * 1_000),
+            Some(at),
+        );
+        cases.push((
+            format!("empty label set, {name} row"),
+            sealed(unsealed(&rows)),
+        ));
+    }
+    let mut values = ascending(90_000);
+    values[12] = 89_999;
+    cases.push((
+        "value below the last one in the batch".into(),
+        sealed(unsealed(&batch(7_000, &values, None))),
+    ));
+    let rows = batch(8_000, &ascending(10), None);
+    cases.push((
+        "value below the last one routed".into(),
+        sealed(unsealed(&rows)),
+    ));
+    let rows = batch(9_000, &ascending(200_000), None);
+    cases.push(("a valid batch".into(), sealed(unsealed(&rows))));
+    cases.push(("zero rows".into(), sealed(unsealed(&[]))));
+
+    let (router, hr) = start_routed(2);
+    let (single, hs) = start(2);
+    let mut via_router = Client::connect(router).unwrap();
+    let mut via_single = Client::connect(single).unwrap();
+    for (name, body) in &cases {
+        let a = via_router.ingest_body(body).unwrap();
+        let b = via_single.ingest_body(body).unwrap();
+        assert_eq!(a.status, b.status, "{name}");
+        for c in [&mut via_router, &mut via_single] {
+            let ping = c.request("PING").unwrap();
+            assert!(
+                ping.is_ok(),
+                "{name}: connection lost framing: {}",
+                ping.status
+            );
+        }
+        let a = via_router.request("STATS").unwrap();
+        let b = via_single.request("STATS").unwrap();
+        for key in ["rows", "labels", "generation", "min_value", "max_value"] {
+            let (x, y) = (json_field(&a.status, key), json_field(&b.status, key));
+            assert!(x.is_some(), "{name}: no {key} in {}", a.status);
+            assert_eq!(x, y, "{name}: {key}");
+        }
+    }
+    drop((via_router, via_single));
+    drain(router);
+    drain(single);
+    hr.join().unwrap();
+    hs.join().unwrap();
+}
+
 #[test]
 fn truncated_body_and_half_close_is_a_typed_error() {
     for start in FRONTS {
