@@ -1,11 +1,12 @@
 //! `mqdiv lint` — run the workspace's own static-analysis pass
 //! (`mqd-lint`) from the CLI.
 //!
-//! The linter enforces the determinism/overflow/panic/durability invariants
-//! the serving guarantees depend on, plus the cross-file workspace rules
-//! (lock-order cycles, blocking under a live guard, unclamped wire
-//! lengths); the rule catalog and the incidents behind each rule are in
-//! DESIGN.md §13. `--deny` (the CI gate) exits nonzero on any finding;
+//! The linter enforces the overflow and panic invariants the serving
+//! guarantees depend on, plus the cross-file workspace rules (lock-order
+//! cycles, blocking under a live guard, unclamped wire lengths); the
+//! determinism and durability invariants are clippy configuration
+//! (`clippy.toml`). The rule catalog and the incidents behind each rule
+//! are in DESIGN.md §13. `--deny` (the CI gate) exits nonzero on any finding;
 //! `--json` emits the byte-stable versioned report object for artifact
 //! upload; `--rules a,b` restricts the pass.
 //!
@@ -180,13 +181,13 @@ mod tests {
         run(
             io::sink(),
             io::sink(),
-            &opts(&root, true, false, Some("nondet-iter,overflow-arith")),
+            &opts(&root, true, false, Some("lock-order,overflow-arith")),
         )
         .unwrap();
         let err = run(
             io::sink(),
             io::sink(),
-            &opts(&root, true, false, Some("nondet-iter,panic-path")),
+            &opts(&root, true, false, Some("lock-order,panic-path")),
         )
         .unwrap_err();
         assert!(err.contains("1 finding(s) under --deny"), "{err}");
@@ -197,7 +198,13 @@ mod tests {
     fn unknown_rule_name_is_an_error_listing_valid_ids() {
         let root = synth_workspace("unknown", &[]);
         // Retired rule ids are unknown like any typo.
-        for name in ["no-such-rule", "blocking-call", "wire-drift"] {
+        for name in [
+            "no-such-rule",
+            "blocking-call",
+            "wire-drift",
+            "nondet-iter",
+            "durability-path",
+        ] {
             let err = run(
                 io::sink(),
                 io::sink(),
@@ -205,7 +212,9 @@ mod tests {
             )
             .unwrap_err();
             assert!(err.contains(&format!("unknown rule '{name}'")), "{err}");
-            assert!(err.contains("nondet-iter"), "{err}");
+            let (_, valid) = err.split_once("valid:").expect("listing");
+            assert!(valid.contains("panic-path"), "{err}");
+            assert!(!valid.contains(name), "{err}");
         }
         let _ = fs::remove_dir_all(&root);
     }

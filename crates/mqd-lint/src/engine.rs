@@ -90,9 +90,6 @@ pub struct FileCtx<'a> {
     /// `#[cfg(test)]` / `#[test]`, or in a `tests/`, `examples/` or
     /// `benches/` directory.
     pub in_test: Vec<bool>,
-    /// Identifiers whose declared type or initializer names `HashMap` or
-    /// `HashSet` anywhere in this file (field, binding or parameter).
-    pub hash_idents: HashSet<String>,
     /// Identifiers bound with `i128` in their type or initializer —
     /// arithmetic on these is already overflow-safe.
     pub i128_idents: HashSet<String>,
@@ -236,14 +233,13 @@ pub(crate) fn build_file_ctx<'a>(rel: &'a str, src: &'a str, toks: &[Tok]) -> Fi
         .cloned()
         .collect();
     let in_test = test_flags(rel, &code);
-    let (hash_idents, i128_idents) = typed_idents(&code);
+    let i128_idents = typed_idents(&code);
     let suppressions = parse_suppressions(toks);
     FileCtx {
         rel,
         lines: src.lines().collect(),
         code,
         in_test,
-        hash_idents,
         i128_idents,
         suppressions,
     }
@@ -355,12 +351,10 @@ fn scan_attribute(code: &[Tok], open: usize) -> (bool, usize) {
     (saw_test && !saw_not, j.min(code.len().saturating_sub(1)))
 }
 
-/// Collects identifiers declared with `HashMap`/`HashSet` or `i128`
-/// anywhere in their type ascription or `let` initializer. Token-level
-/// type inference: good enough to anchor the nondet-iter and
-/// overflow-arith rules without a real parser.
-fn typed_idents(code: &[Tok]) -> (HashSet<String>, HashSet<String>) {
-    let mut hash = HashSet::new();
+/// Collects identifiers declared with `i128` anywhere in their type
+/// ascription or `let` initializer. Token-level type inference: good
+/// enough to anchor the overflow-arith rule without a real parser.
+fn typed_idents(code: &[Tok]) -> HashSet<String> {
     let mut i128s = HashSet::new();
     for i in 0..code.len() {
         // `name : Type` (field, param or annotated let) — scan the type.
@@ -389,8 +383,6 @@ fn typed_idents(code: &[Tok]) -> (HashSet<String>, HashSet<String>) {
                         || t.is_punct(')'))
                 {
                     break;
-                } else if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                    hash.insert(code[i].text.clone());
                 } else if t.is_ident("i128") {
                     i128s.insert(code[i].text.clone());
                 }
@@ -441,8 +433,6 @@ fn typed_idents(code: &[Tok]) -> (HashSet<String>, HashSet<String>) {
                     }
                 } else if t.is_punct(';') && depth == 0 {
                     break;
-                } else if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                    hash.insert(name.text.clone());
                 } else if t.is_ident("i128") {
                     i128s.insert(name.text.clone());
                 }
@@ -450,7 +440,7 @@ fn typed_idents(code: &[Tok]) -> (HashSet<String>, HashSet<String>) {
             }
         }
     }
-    (hash, i128s)
+    i128s
 }
 
 /// Extracts `lint:allow(rule-a,rule-b): reason` annotations from comments.
@@ -551,9 +541,8 @@ fn prod2() { y(); }
     #[test]
     fn typed_ident_collection() {
         let src = "\
-struct S { index: HashMap<Vec<u32>, usize>, names: Vec<String> }
+struct S { lo: i128, names: Vec<String> }
 fn f(seen: &mut HashSet<u32>) {
-    let m = std::collections::HashMap::new();
     let lam = lp.lambda(inst, z, a) as i128;
     let ivals: Vec<(i128, i128)> = Vec::new();
     let plain = 3;
@@ -561,11 +550,9 @@ fn f(seen: &mut HashSet<u32>) {
 ";
         let toks = tokenize(src);
         let ctx = build_file_ctx("crates/x/src/lib.rs", src, &toks);
-        assert!(ctx.hash_idents.contains("index"));
-        assert!(ctx.hash_idents.contains("seen"));
-        assert!(ctx.hash_idents.contains("m"));
-        assert!(!ctx.hash_idents.contains("names"));
-        assert!(!ctx.hash_idents.contains("plain"));
+        assert!(ctx.i128_idents.contains("lo"));
+        assert!(!ctx.i128_idents.contains("names"));
+        assert!(!ctx.i128_idents.contains("seen"));
         assert!(ctx.i128_idents.contains("lam"));
         assert!(ctx.i128_idents.contains("ivals"));
         assert!(!ctx.i128_idents.contains("plain"));
@@ -575,7 +562,7 @@ fn f(seen: &mut HashSet<u32>) {
     fn suppression_parsing() {
         let src = "\
 let a = 1; // lint:allow(panic-path): buffer is non-empty by construction
-// lint:allow(nondet-iter,overflow-arith): keyed access only
+// lint:allow(panic-path,overflow-arith): widened to i128 first
 // lint:allow(panic-path)
 ";
         let toks = tokenize(src);
@@ -583,7 +570,7 @@ let a = 1; // lint:allow(panic-path): buffer is non-empty by construction
         assert_eq!(sups.len(), 3);
         assert_eq!(sups[0].rules, ["panic-path"]);
         assert!(sups[0].reason.starts_with("buffer is non-empty"));
-        assert_eq!(sups[1].rules, ["nondet-iter", "overflow-arith"]);
+        assert_eq!(sups[1].rules, ["panic-path", "overflow-arith"]);
         assert!(sups[2].reason.is_empty());
     }
 
@@ -591,7 +578,7 @@ let a = 1; // lint:allow(panic-path): buffer is non-empty by construction
     fn doc_comments_are_not_suppressions() {
         let src = "\
 /// Write `// lint:allow(panic-path): <why>` to suppress.
-//! The syntax is lint:allow(nondet-iter): reason.
+//! The syntax is lint:allow(overflow-arith): reason.
 fn f() {}
 ";
         let toks = tokenize(src);

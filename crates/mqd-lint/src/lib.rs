@@ -12,14 +12,13 @@
 //!
 //! The engine is two-pass. Pass 1 is per file: a lightweight tokenizer
 //! (comments/strings/attributes aware — deliberately not a parser), the
-//! token-pattern file rules — `nondet-iter`, `panic-path`,
-//! `overflow-arith`, `durability-path` — plus a brace-matched item tree and
-//! per-function facts (lock-guard liveness, blocking operations,
-//! outgoing calls). Pass 2 runs the workspace rules — `lock-order`,
-//! `guard-held-blocking`, `unchecked-len` — over the cross-file call
-//! graph those facts form. Findings carry `file:line:col`, rule id and
-//! snippet; per-site suppression is `// lint:allow(<rule>): <reason>`
-//! with the reason mandatory. Run it as
+//! token-pattern file rules — `panic-path` and `overflow-arith` — plus a
+//! brace-matched item tree and per-function facts (lock-guard liveness,
+//! blocking operations, outgoing calls). Pass 2 runs the workspace rules
+//! — `lock-order`, `guard-held-blocking`, `unchecked-len` — over the
+//! cross-file call graph those facts form. Findings carry
+//! `file:line:col`, rule id and snippet; per-site suppression is
+//! `// lint:allow(<rule>): <reason>` with the reason mandatory. Run it as
 //! `mqdiv lint [--deny] [--json] [--rules]`.
 //!
 //! A rule stays only while it guards a bug class that no compiler error,
@@ -27,16 +26,21 @@
 //! constants copied out of `mqd_core::wire` have no rule: the first never
 //! caused a defect here (a block under a lock is `guard-held-blocking`),
 //! and literal-bytes tests of each format catch the second (DESIGN.md §13).
+//! Hash-iteration order (the OPT DP tie-break class) and raw filesystem
+//! mutation in `mqd-wal` outside its `fsio` module are clippy
+//! configuration instead: `clippy::iter_over_hash_type` plus
+//! `disallowed-methods` in the root and `crates/mqd-wal` `clippy.toml`
+//! files, which resolve paths where a token rule only matches text.
 //!
 //! ```
 //! use mqd_lint::{lint_source, LintConfig};
 //! let findings = lint_source(
 //!     "crates/mqd-store/src/store.rs",
-//!     "fn f(m: &std::collections::HashMap<u16, u32>) { for k in m.keys() { drop(k); } }",
+//!     "fn f(rows: &[u32]) -> u32 { rows.first().copied().unwrap() }",
 //!     &LintConfig::all(),
 //! );
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule, "nondet-iter");
+//! assert_eq!(findings[0].rule, "panic-path");
 //! ```
 //!
 //! The cross-file rules need more than one file to mean anything:

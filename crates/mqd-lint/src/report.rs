@@ -20,7 +20,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column (chars) of the offending token.
     pub col: u32,
-    /// Rule id (`nondet-iter`, `panic-path`, ...).
+    /// Rule id (`panic-path`, `lock-order`, ...).
     pub rule: &'static str,
     /// What is wrong and why it matters.
     pub message: String,

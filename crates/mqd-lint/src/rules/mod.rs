@@ -9,10 +9,8 @@ use crate::engine::FileCtx;
 use crate::lexer::TokKind;
 use crate::report::Finding;
 
-mod durability;
 mod guard_blocking;
 mod lock_order;
-mod nondet;
 mod overflow;
 mod panics;
 mod unchecked_len;
@@ -39,11 +37,6 @@ pub struct Rule {
 /// Every rule, in reporting order.
 pub const ALL: &[Rule] = &[
     Rule {
-        id: nondet::ID,
-        summary: "HashMap/HashSet iteration in determinism-critical modules",
-        check: Check::File(nondet::check),
-    },
-    Rule {
         id: panics::ID,
         summary: "unwrap/expect/panic!/risky indexing on serving hot paths",
         check: Check::File(panics::check),
@@ -52,11 +45,6 @@ pub const ALL: &[Rule] = &[
         id: overflow::ID,
         summary: "raw i64 arithmetic on F/lambda values outside the i128 helpers",
         check: Check::File(overflow::check),
-    },
-    Rule {
-        id: durability::ID,
-        summary: "raw filesystem mutation in mqd-wal outside the fsio module",
-        check: Check::File(durability::check),
     },
     Rule {
         id: lock_order::ID,
@@ -75,52 +63,7 @@ pub const ALL: &[Rule] = &[
     },
 ];
 
-/// Where each path-scoped rule runs: a file is in a rule's scope when its
-/// workspace-relative path starts with one of the rule's prefixes (a
-/// source directory, or a single file). The reasons are in each rule's
-/// module docs; `tests/catalog.rs` checks that every id is in [`ALL`] and
-/// every prefix still names a path on disk, so deleting a crate fails the
-/// catalog instead of silently shrinking a rule's scope. Rules absent
-/// from this table run everywhere but their sanctioned home module.
-pub const SCOPES: &[(&str, &[&str])] = &[
-    (
-        nondet::ID,
-        &[
-            "crates/mqd-core/src/algorithms",
-            "crates/mqd-store/src",
-            "crates/mqd-server/src/protocol.rs",
-            // Renders the byte-compared `"served"` STATS fragment.
-            "crates/mqd-server/src/conn.rs",
-            "crates/mqd-stream/src",
-            "crates/mqd-router/src",
-            "crates/mqd-load/src",
-            "crates/mqd-cli/src",
-            "crates/mqd-datagen/src",
-            "crates/mqd-bench/src",
-        ],
-    ),
-    (
-        panics::ID,
-        &[
-            "crates/mqd-server/src",
-            "crates/mqd-stream/src",
-            "crates/mqd-store/src",
-            "crates/mqd-wal/src",
-            "crates/mqd-router/src",
-            "crates/mqd-load/src",
-            "crates/mqd-cli/src",
-            "crates/mqd-datagen/src",
-            "crates/mqd-bench/src",
-        ],
-    ),
-];
-
-/// Whether `rel` is in `rule`'s [`SCOPES`] row.
-pub(crate) fn in_scope(rule: &str, rel: &str) -> bool {
-    SCOPES
-        .iter()
-        .any(|(id, prefixes)| *id == rule && prefixes.iter().any(|p| rel.starts_with(p)))
-}
+pub use panics::SCOPE as PANIC_SCOPE;
 
 /// `code[i..]` starts the method call `.name(` — returns the index of the
 /// opening paren.

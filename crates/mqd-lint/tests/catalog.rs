@@ -17,11 +17,6 @@ type Group = &'static [(&'static str, &'static str)];
 /// `(rule id, bad fixture group, good fixture group)`.
 const CATALOG: &[(&str, Group, Group)] = &[
     (
-        "nondet-iter",
-        &[("nondet_bad.rs", "crates/mqd-store/src/store.rs")],
-        &[("nondet_good.rs", "crates/mqd-store/src/store.rs")],
-    ),
-    (
         "panic-path",
         &[("panic_bad.rs", "crates/mqd-server/src/server.rs")],
         &[("panic_good.rs", "crates/mqd-server/src/server.rs")],
@@ -30,11 +25,6 @@ const CATALOG: &[(&str, Group, Group)] = &[
         "overflow-arith",
         &[("overflow_bad.rs", "crates/mqd-stream/src/engine.rs")],
         &[("overflow_good.rs", "crates/mqd-stream/src/engine.rs")],
-    ),
-    (
-        "durability-path",
-        &[("durability_bad.rs", "crates/mqd-wal/src/segment.rs")],
-        &[("durability_good.rs", "crates/mqd-wal/src/segment.rs")],
     ),
     (
         "lock-order",
@@ -94,41 +84,41 @@ fn catalog_covers_every_rule() {
     );
 }
 
-/// The scope table is the only place a path-scoped rule's membership is
-/// written down, so it is checked as data: a row for a rule that does not
-/// exist, or a prefix whose crate or file was deleted, would otherwise
-/// shrink the rule's scope without a sound. Each row is also exercised:
-/// the rule's bad fixture, placed under the prefix, must fire.
+/// `panic-path`'s scope is the only place its membership is written
+/// down, so it is checked as data: a prefix whose crate or file was
+/// deleted would otherwise shrink the rule's scope without a sound. Each
+/// prefix is also exercised: the rule's bad fixture, placed under it,
+/// must fire.
 #[test]
-fn scope_table_names_real_rules_and_real_paths() {
+fn panic_scope_names_real_paths() {
     let root = mqd_lint::walk::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the mqd-lint manifest");
-    let ids: Vec<&str> = mqd_lint::rule_catalog().iter().map(|(id, _)| *id).collect();
-    for (rule, prefixes) in mqd_lint::rules::SCOPES {
-        assert!(ids.contains(rule), "SCOPES names unknown rule {rule}");
-        let (_, bad, _) = CATALOG
-            .iter()
-            .find(|(id, _, _)| id == rule)
-            .unwrap_or_else(|| panic!("{rule}: no fixtures"));
-        assert!(!prefixes.is_empty(), "{rule}: empty scope");
-        let bad_src = fixture(bad[0].0);
-        for prefix in *prefixes {
-            assert!(
-                root.join(prefix).exists(),
-                "{rule}: scope prefix {prefix} names no path under {}",
-                root.display()
-            );
-            let vpath = if prefix.ends_with(".rs") {
-                prefix.to_string()
-            } else {
-                format!("{prefix}/scoped.rs")
-            };
-            let out = lint_files(&[(&vpath, &bad_src)], &LintConfig::all());
-            assert!(
-                out.iter().any(|f| f.rule == *rule),
-                "{rule}: bad fixture is silent under in-scope path {vpath}"
-            );
-        }
+    let rule = "panic-path";
+    let (_, bad, _) = CATALOG
+        .iter()
+        .find(|(id, _, _)| *id == rule)
+        .expect("panic-path fixtures");
+    assert!(
+        !mqd_lint::rules::PANIC_SCOPE.is_empty(),
+        "{rule}: empty scope"
+    );
+    let bad_src = fixture(bad[0].0);
+    for prefix in mqd_lint::rules::PANIC_SCOPE {
+        assert!(
+            root.join(prefix).exists(),
+            "{rule}: scope prefix {prefix} names no path under {}",
+            root.display()
+        );
+        let vpath = if prefix.ends_with(".rs") {
+            prefix.to_string()
+        } else {
+            format!("{prefix}/scoped.rs")
+        };
+        let out = lint_files(&[(&vpath, &bad_src)], &LintConfig::all());
+        assert!(
+            out.iter().any(|f| f.rule == rule),
+            "{rule}: bad fixture is silent under in-scope path {vpath}"
+        );
     }
 }
 

@@ -44,34 +44,6 @@ fn lines_of(findings: &[Finding], rule: &str) -> Vec<u32> {
 }
 
 #[test]
-fn nondet_bad_fires() {
-    let out = lint_fixture("nondet_bad.rs", "crates/mqd-store/src/store.rs");
-    assert_eq!(lines_of(&out, "nondet-iter"), [8, 15, 20], "{out:?}");
-    assert_eq!(out.len(), 3, "no other rule may fire: {out:?}");
-}
-
-#[test]
-fn nondet_good_is_clean() {
-    let out = lint_fixture("nondet_good.rs", "crates/mqd-store/src/store.rs");
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn opt_regression_fixture_always_fires() {
-    // The PR 4 OPT tie-break bug, reduced: iterating the DP layer's
-    // pattern->slot HashMap to pick a parent. If this fixture ever lints
-    // clean, nondet-iter has regressed below the bug that motivated it.
-    let out = lint_fixture("opt_regression.rs", "crates/mqd-core/src/algorithms/opt.rs");
-    let nondet = lines_of(&out, "nondet-iter");
-    assert_eq!(nondet.len(), 1, "{out:?}");
-    let f = out.iter().find(|f| f.rule == "nondet-iter").unwrap();
-    assert!(
-        f.snippet.contains("self.index.iter()"),
-        "must anchor on the map iteration: {f:?}"
-    );
-}
-
-#[test]
 fn panic_bad_fires() {
     let out = lint_fixture("panic_bad.rs", "crates/mqd-server/src/server.rs");
     assert_eq!(
@@ -99,36 +71,6 @@ fn overflow_bad_fires() {
 fn overflow_good_is_clean() {
     let out = lint_fixture("overflow_good.rs", "crates/mqd-stream/src/engine.rs");
     assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn durability_bad_fires() {
-    let out = lint_fixture("durability_bad.rs", "crates/mqd-wal/src/segment.rs");
-    assert_eq!(
-        lines_of(&out, "durability-path"),
-        [7, 8, 13, 14, 19, 21],
-        "{out:?}"
-    );
-    assert_eq!(out.len(), 6, "no other rule may fire: {out:?}");
-}
-
-#[test]
-fn durability_good_is_clean() {
-    let out = lint_fixture("durability_good.rs", "crates/mqd-wal/src/segment.rs");
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn durability_rule_is_scoped_to_mqd_wal() {
-    // The same raw mutations are fine elsewhere — e.g. the CLI writing a
-    // report file — and inside fsio.rs itself, which implements the pairing.
-    for path in ["crates/mqd-cli/src/report.rs", "crates/mqd-wal/src/fsio.rs"] {
-        let out = lint_fixture("durability_bad.rs", path);
-        assert!(
-            lines_of(&out, "durability-path").is_empty(),
-            "{path}: {out:?}"
-        );
-    }
 }
 
 #[test]

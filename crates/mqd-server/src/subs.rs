@@ -196,6 +196,10 @@ impl LeaseRegistry {
 
     /// The smallest value any live lease may still need (`i64::MAX` when
     /// no lease exists — nothing constrains GC).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "`min` does not depend on iteration order"
+    )]
     pub fn floor(&self) -> i64 {
         self.floors.values().copied().min().unwrap_or(i64::MAX)
     }

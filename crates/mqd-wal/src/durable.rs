@@ -397,6 +397,10 @@ impl DurableStore {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test scaffolding needs no power-cut pairing"
+)]
 mod tests {
     use super::*;
     use mqd_core::record::Record;

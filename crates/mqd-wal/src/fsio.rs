@@ -3,8 +3,8 @@
 //! Every filesystem mutation that must survive a crash lives here, paired
 //! with the fsync that makes it durable: an atomic write is tempfile +
 //! `rename` + directory sync, a delete is `remove_file` + directory sync,
-//! and a truncation is `set_len` + data sync. The `durability-path` lint
-//! rule flags these primitives anywhere else in this crate, so a future
+//! and a truncation is `set_len` + data sync. `crates/mqd-wal/clippy.toml`
+//! disallows these primitives everywhere else in this crate, so a future
 //! edit cannot quietly add a rename that is durable on the developer's
 //! laptop and lost on the first production power cut.
 //!
@@ -12,6 +12,11 @@
 //! durability point for ingest throughput (the bench quantifies it), and
 //! the *ordering* guarantees — tempfile before rename, WAL before ack —
 //! hold either way.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this module pairs each raw filesystem mutation with its fsync"
+)]
 
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;

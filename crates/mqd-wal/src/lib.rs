@@ -25,8 +25,9 @@
 //! * [`fsio`] — the single sanctioned home of durable filesystem mutation
 //!   (atomic tempfile+rename writes, deletes, truncation — each paired
 //!   with the directory/file fsync that makes it actually durable — and
-//!   the data dir's single-writer lock). The `durability-path` lint rule
-//!   keeps every other module out of the mutation business.
+//!   the data dir's single-writer lock). `disallowed-methods` in this
+//!   crate's `clippy.toml` keeps every other module out of the mutation
+//!   business.
 //!
 //! All formats use the shared [`mqd_core::wire`] varint + FNV-1a framing;
 //! the file magics (`WAL!`, `MQDS`) are minted in `mqd_core::wire` and

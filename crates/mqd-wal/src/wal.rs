@@ -378,6 +378,10 @@ fn decode_frame(data: &[u8], at: usize, expected: Option<u64>) -> Option<(usize,
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test scaffolding needs no power-cut pairing"
+)]
 mod tests {
     use super::*;
 

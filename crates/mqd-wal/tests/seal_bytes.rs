@@ -7,6 +7,11 @@
 //! And a data dir that layout wrote (`tests/golden/`) must open to the
 //! stats and slices it recorded.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test scaffolding needs no power-cut pairing"
+)]
+
 use std::path::{Path, PathBuf};
 
 use mqd_core::record::{format_tsv, Record};
